@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, test, lint, format. Run from the repo root.
 #
-#   ./ci.sh          full gate
+#   ./ci.sh          full gate (also runs the bitline-perf benchmark's
+#                    tests, whose --quick runs check its correctness gate)
 #   ./ci.sh chaos    failpoint chaos gate: proves a run with every
 #                    failpoint armed at probability 0 is byte-identical
 #                    to one with BITLINE_FAILPOINTS unset, then runs the
@@ -719,6 +720,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The benchmark's own tests include a --quick run of every workload that
+# must end "correct": true (pinned output digests and cycle totals), so a
+# core change faces the benchmark's correctness gate, not only the goldens.
+echo "==> cargo test --release -q --manifest-path perf/Cargo.toml"
+cargo test --release -q --manifest-path perf/Cargo.toml
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

@@ -56,7 +56,8 @@ pub struct AccessResult {
 /// ```
 pub struct L1Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// The tag array, flat: way `w` of set `s` is `lines[s * assoc + w]`.
+    lines: Vec<Line>,
     active_sets: usize,
     active_ways: usize,
     policy: Box<dyn PrechargePolicy>,
@@ -95,7 +96,7 @@ impl L1Cache {
         L1Cache {
             active_sets: sets,
             active_ways: config.assoc,
-            sets: vec![vec![Line::default(); config.assoc]; sets],
+            lines: vec![Line::default(); sets * config.assoc],
             subarray_accesses: vec![0; config.subarrays()],
             way_predictor: config.way_prediction.then(|| WayPredictor::new(sets, config.assoc)),
             config,
@@ -158,8 +159,9 @@ impl L1Cache {
 
         self.lru_clock += 1;
         let ways = self.active_ways;
-        let set = &mut self.sets[set_idx];
-        let hit_way = set[..ways].iter().position(|l| l.valid && l.tag == tag);
+        let first = set_idx * self.config.assoc;
+        let set = &mut self.lines[first..first + ways];
+        let hit_way = set.iter().position(|l| l.valid && l.tag == tag);
         let hit = match hit_way {
             Some(w) => {
                 set[w].lru = self.lru_clock;
@@ -218,14 +220,6 @@ impl L1Cache {
         AccessResult { hit, extra_latency, subarray }
     }
 
-    /// Forwards a predecode hint: the subarray predicted from a base
-    /// register value may be precharged ahead of the access (Section 6.3).
-    pub fn hint(&mut self, predicted_addr: u64, cycle: u64) {
-        let set_idx = self.config.set_index_resized(predicted_addr, self.active_sets);
-        let subarray = self.config.subarray_of_set(set_idx);
-        self.policy.hint(subarray, cycle);
-    }
-
     fn apply_resize(&mut self, req: ResizeRequest, cycle: u64) {
         let sets = req.active_sets.clamp(1, self.config.sets());
         let ways = req.active_ways.clamp(1, self.config.assoc);
@@ -237,13 +231,11 @@ impl L1Cache {
         self.resizes += 1;
         // Remapping: conservatively invalidate everything (clean lines are
         // dropped; dirty lines are written back).
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid && line.dirty {
-                    self.writebacks += 1;
-                }
-                *line = Line::default();
+        for line in &mut self.lines {
+            if line.valid && line.dirty {
+                self.writebacks += 1;
             }
+            *line = Line::default();
         }
         let active_subarrays = self.active_sets.div_ceil(self.config.sets_per_subarray());
         let way_fraction = self.active_ways as f64 / self.config.assoc as f64;

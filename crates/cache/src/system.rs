@@ -261,11 +261,6 @@ impl MemorySystem {
         AccessOutcome { latency, l1_hit: r.hit, delayed: r.extra_latency > 0, subarray: r.subarray }
     }
 
-    /// Forwards a predecode hint for an upcoming data access (Section 6.3).
-    pub fn data_hint(&mut self, predicted_addr: u64, cycle: u64) {
-        self.l1d.hint(predicted_addr, cycle);
-    }
-
     /// The L1 data cache.
     #[must_use]
     pub fn l1d(&self) -> &L1Cache {

@@ -15,6 +15,10 @@ pub enum ReplayScope {
     AllYounger,
 }
 
+/// The largest reorder buffer the core models: the scheduler tracks the
+/// window as `u128` masks over a 128-slot ring.
+pub(crate) const MAX_ROB_ENTRIES: usize = 128;
+
 /// Out-of-order core parameters.
 ///
 /// Defaults reproduce Table 2 of the paper.
@@ -62,7 +66,11 @@ pub struct CpuConfig {
     pub dcache_ports: usize,
     /// Data-cache write-capable ports per cycle (2RW -> 2).
     pub dcache_write_ports: usize,
-    /// Issue predecode hints for loads/stores at dispatch (Section 6.3).
+    /// Send every load and store to the D-cache with a predecode hint,
+    /// its base-register value, so the policy can pull up the predicted
+    /// subarray during address calculation (Section 6.3). The hint rides
+    /// on the access itself, at issue: `SimStats::hints` counts one per
+    /// load or store issued.
     pub predecode_hints: bool,
     /// Replay scope on load-hit misspeculation.
     pub replay_scope: ReplayScope,
@@ -105,11 +113,16 @@ impl CpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any width or queue size is zero, or widths exceed queue
-    /// capacities.
+    /// Panics if any width or queue size is zero, widths exceed queue
+    /// capacities, or the reorder buffer exceeds 128 entries.
     pub fn validate(&self) {
         assert!(self.fetch_width > 0 && self.issue_width > 0 && self.commit_width > 0);
         assert!(self.rob_entries > 0 && self.iq_entries > 0 && self.lsq_entries > 0);
+        assert!(
+            self.rob_entries <= MAX_ROB_ENTRIES,
+            "rob_entries = {}; the core models at most {MAX_ROB_ENTRIES}",
+            self.rob_entries
+        );
         assert!(self.fetch_queue >= self.fetch_width, "fetch queue must fit one fetch group");
         assert!(self.dcache_ports >= self.dcache_write_ports);
         assert!(self.fetch_lines_per_cycle > 0);
@@ -137,5 +150,11 @@ mod tests {
     fn validate_rejects_tiny_fetch_queue() {
         let c = CpuConfig { fetch_queue: 4, ..Default::default() };
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "rob_entries = 129; the core models at most 128")]
+    fn validate_rejects_a_rob_past_the_slot_ring() {
+        CpuConfig { rob_entries: 129, ..Default::default() }.validate();
     }
 }

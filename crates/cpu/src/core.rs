@@ -7,18 +7,17 @@
 //!
 //! # Data-oriented layout
 //!
-//! The reorder buffer is a structure-of-arrays ring ([`Rob`]): per-entry
-//! fields live in flat parallel arrays indexed by `seq % capacity` (the
-//! live window `head_seq..next_seq` never exceeds the capacity, so the
-//! mapping is injective). Completion is event-driven — every issue pushes
-//! a `(ready_cycle, seq)` wakeup event onto a min-heap, and `complete`
-//! pops due events instead of re-scanning the whole ROB each cycle; load
-//! misspeculations queue onto a small pending-replay list drained in
-//! sequence order. Only the issue stage still walks the window, and it
-//! touches one state byte per entry with an early exit once every waiting
-//! entry has been seen. All of this is architecturally invisible: the
-//! cycle-by-cycle transitions are identical to the original record-based
-//! core (pinned by the `cycle_identity` goldens in `bitline-sim`).
+//! The reorder buffer is a structure-of-arrays ring ([`Rob`]): entry `seq`
+//! lives at slot `seq % 128` (the live window never exceeds
+//! `rob_entries <= 128`). Every set of entries the scheduler tracks is a
+//! `u128` mask over slots: issue scans only the awake mask, oldest first;
+//! an entry whose operands are not ready sleeps on a timer and in its
+//! producers' consumer masks; completions, sleep expiries and load-latency
+//! resolutions are events on timing wheels ([`Wheel`]). A slot bit carries
+//! no seq, so every drain re-checks state and cycles, as the old heaps
+//! filtered stale events; a stale bit at worst wakes an entry early, which
+//! costs one operand re-check. All of this is architecturally invisible
+//! (pinned by the `cycle_identity` goldens in `bitline-sim`).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -27,7 +26,7 @@ use bitline_cache::MemorySystem;
 use bitline_trace::{Instr, InstrKind, TraceSource, NUM_REGS};
 
 use crate::bpred::BranchPredictor;
-use crate::config::{CpuConfig, ReplayScope};
+use crate::config::{CpuConfig, ReplayScope, MAX_ROB_ENTRIES};
 use crate::stats::SimStats;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,72 +54,113 @@ mod flag {
     pub const BLOCKED_FETCH: u8 = 1 << 2;
 }
 
-/// The reorder buffer as flat parallel arrays over a ring of
-/// `capacity` slots; entry `seq` lives at slot `seq % capacity`.
-///
-/// Per-kind payloads sit in side arrays instead of inline `Option`s:
-/// `mem_addr`/`mem_base` are only meaningful for loads and stores,
-/// `mem_first_ready` (0 = never executed) only for loads.
-#[derive(Debug)]
+/// Ring slots: one bit each in a [`SlotMask`].
+const SLOTS: usize = MAX_ROB_ENTRIES;
+
+/// A set of ring slots, bit `s` for slot `s`.
+type SlotMask = u128;
+
+#[inline]
+fn slot(seq: u64) -> usize {
+    seq as usize % SLOTS
+}
+
+#[inline]
+fn bit(slot: usize) -> SlotMask {
+    1 << slot
+}
+
+/// The reorder buffer as flat parallel arrays over the slot ring. Per-kind
+/// payloads sit in side arrays instead of inline `Option`s: `mem_addr` and
+/// `mem_base` are only meaningful for loads and stores, `mem_first_ready`
+/// (0 = never executed) only for loads.
 struct Rob {
-    /// Slot-index mask; the ring is sized to the next power of two above
-    /// the configured ROB capacity so slot lookup is a mask, not a divide
-    /// (occupancy is still capped at `rob_entries` by dispatch).
-    mask: u64,
-    state: Vec<State>,
-    kind: Vec<InstrKind>,
+    state: [State; SLOTS],
+    kind: [InstrKind; SLOTS],
     /// Producer seqs, [`NO_PRODUCER`] when absent.
-    producers: Vec<[u64; 2]>,
-    issue_cycle: Vec<u64>,
+    producers: [[u64; 2]; SLOTS],
+    issue_cycle: [u64; SLOTS],
     /// Cycle the result is available (valid when `Issued`/`Done`).
-    ready_cycle: Vec<u64>,
+    ready_cycle: [u64; SLOTS],
     /// For loads: cycle the scheduler learns the true latency.
-    resolve_cycle: Vec<u64>,
-    flags: Vec<u8>,
+    resolve_cycle: [u64; SLOTS],
+    flags: [u8; SLOTS],
     /// For loads: the cycle the data was actually available after the
     /// first execution (0 = none). A replayed load may re-access the
     /// cache (the line has been filled functionally), but its data cannot
     /// materialise before the original fill completes.
-    mem_first_ready: Vec<u64>,
+    mem_first_ready: [u64; SLOTS],
     /// Memory-op payload (valid only when `kind` is a load/store).
-    mem_addr: Vec<u64>,
-    mem_base: Vec<u64>,
+    mem_addr: [u64; SLOTS],
+    mem_base: [u64; SLOTS],
     /// For `Waiting` entries: a lower bound on the first cycle their
-    /// operands could all be ready. The issue scan skips the entry until
-    /// then instead of re-checking its producers every cycle. 0 = check
+    /// operands could all be ready; the entry sleeps until then. 0 = check
     /// now; squash resets to 0; producer (re-)issue may pull it forward.
-    wake_cycle: Vec<u64>,
-    /// Consumers that went to sleep on this entry, by seq. Drained (and
-    /// min-woken) when the entry (re-)issues — a re-issued load opens a
-    /// fresh speculation window that can start earlier than the bound the
-    /// sleeper computed from the previous execution. Stale seqs are
-    /// filtered on drain.
-    waiters: Vec<Vec<u64>>,
+    wake_cycle: [u64; SLOTS],
+    /// Consumers that went to sleep on this entry. Drained (and min-woken)
+    /// when the entry (re-)issues — a re-issued load opens a fresh
+    /// speculation window that can start earlier than the bound the
+    /// sleeper computed from the previous execution.
+    consumers: [SlotMask; SLOTS],
 }
 
 impl Rob {
-    fn new(capacity: usize) -> Rob {
-        let capacity = capacity.next_power_of_two();
+    fn new() -> Rob {
         Rob {
-            mask: capacity as u64 - 1,
-            state: vec![State::Waiting; capacity],
-            kind: vec![InstrKind::IntAlu; capacity],
-            producers: vec![[NO_PRODUCER; 2]; capacity],
-            issue_cycle: vec![0; capacity],
-            ready_cycle: vec![0; capacity],
-            resolve_cycle: vec![0; capacity],
-            flags: vec![0; capacity],
-            mem_first_ready: vec![0; capacity],
-            mem_addr: vec![0; capacity],
-            mem_base: vec![0; capacity],
-            wake_cycle: vec![0; capacity],
-            waiters: vec![Vec::new(); capacity],
+            state: [State::Waiting; SLOTS],
+            kind: [InstrKind::IntAlu; SLOTS],
+            producers: [[NO_PRODUCER; 2]; SLOTS],
+            issue_cycle: [0; SLOTS],
+            ready_cycle: [0; SLOTS],
+            resolve_cycle: [0; SLOTS],
+            flags: [0; SLOTS],
+            mem_first_ready: [0; SLOTS],
+            mem_addr: [0; SLOTS],
+            mem_base: [0; SLOTS],
+            wake_cycle: [0; SLOTS],
+            consumers: [0; SLOTS],
+        }
+    }
+}
+
+/// Cycles ahead a [`Wheel`] schedules without its overflow heap.
+const HORIZON: u64 = 1024;
+
+/// A timing wheel of slot masks: bucket `cycle % HORIZON` holds the slots
+/// due at `cycle`; only events beyond the horizon wait in the heap.
+struct Wheel {
+    buckets: Box<[SlotMask; HORIZON as usize]>,
+    overflow: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl Wheel {
+    fn new() -> Wheel {
+        Wheel { buckets: Box::new([0; HORIZON as usize]), overflow: BinaryHeap::new() }
+    }
+
+    /// Schedules `slot` for cycle `at`. An event at or before `now` fires
+    /// at `now + 1`, the next drain — exactly when a heap would pop it.
+    fn schedule(&mut self, now: u64, at: u64, slot: usize) {
+        let at = at.max(now + 1);
+        if at - now <= HORIZON {
+            self.buckets[(at % HORIZON) as usize] |= bit(slot);
+        } else {
+            self.overflow.push(Reverse((at, slot)));
         }
     }
 
-    #[inline]
-    fn slot(&self, seq: u64) -> usize {
-        (seq & self.mask) as usize
+    /// Takes the slots due at `now`. Runs every cycle, before anything is
+    /// scheduled that cycle, so a bucket never mixes two laps.
+    fn drain(&mut self, now: u64) -> SlotMask {
+        let mut due = std::mem::take(&mut self.buckets[(now % HORIZON) as usize]);
+        while let Some(&Reverse((at, slot))) = self.overflow.peek() {
+            if at > now {
+                break;
+            }
+            self.overflow.pop();
+            due |= bit(slot);
+        }
+        due
     }
 }
 
@@ -145,19 +185,16 @@ pub struct Cpu {
     /// An I-cache line whose fill/pull-up we already paid for: `(line,
     /// ready_cycle)`. Prevents re-charging the access on fetch retry.
     fetch_line_ready: Option<(u64, u64)>,
-    /// Wakeup events: every issue schedules `(ready_cycle, seq)`; stale
-    /// events (entry squashed or re-issued since) are dropped on pop.
-    ready_events: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Loads whose latency misspeculated, awaiting scheduler resolution.
-    /// Drained in ascending-seq order; stale seqs are filtered on drain.
-    pending_replays: Vec<u64>,
+    /// Completions, at each issue's ready cycle.
+    ready_events: Wheel,
+    /// Misspeculated loads, at each one's resolve cycle.
+    replay_events: Wheel,
     /// Waiting entries eligible for an operand check this cycle (their
-    /// `wake_cycle` has passed). The issue stage scans only this list —
+    /// `wake_cycle` has passed). The issue stage scans only this mask —
     /// sleeping entries cost nothing until a timer or producer wakes them.
-    awake: Vec<u64>,
-    /// Sleep-expiry timers: `(wake_cycle, seq)`, analogous to
-    /// `ready_events`; stale entries are filtered on pop.
-    wake_events: BinaryHeap<Reverse<(u64, u64)>>,
+    awake: SlotMask,
+    /// Sleep-expiry timers, at each sleeper's `wake_cycle`.
+    wake_events: Wheel,
     stats: SimStats,
 }
 
@@ -184,7 +221,7 @@ impl Cpu {
             cfg,
             mem,
             bpred: BranchPredictor::new(),
-            rob: Rob::new(cfg.rob_entries),
+            rob: Rob::new(),
             head_seq: 0,
             next_seq: 0,
             rename: [None; NUM_REGS],
@@ -196,10 +233,10 @@ impl Cpu {
             fetch_stall_until: 0,
             fetch_blocked_on: None,
             fetch_line_ready: None,
-            ready_events: BinaryHeap::with_capacity(cfg.rob_entries),
-            pending_replays: Vec::new(),
-            awake: Vec::with_capacity(cfg.rob_entries),
-            wake_events: BinaryHeap::with_capacity(cfg.rob_entries),
+            ready_events: Wheel::new(),
+            replay_events: Wheel::new(),
+            awake: 0,
+            wake_events: Wheel::new(),
             stats: SimStats::default(),
         }
     }
@@ -217,7 +254,7 @@ impl Cpu {
             self.step(trace);
             if self.cycle - last_progress.0 > 100_000 {
                 let head = (self.head_seq < self.next_seq).then(|| {
-                    let s = self.rob.slot(self.head_seq);
+                    let s = slot(self.head_seq);
                     (
                         self.rob.kind[s],
                         self.rob.state[s],
@@ -286,23 +323,27 @@ impl Cpu {
         seq >= self.head_seq && seq < self.next_seq
     }
 
+    /// The live entries among `mask`'s slots, oldest first: rotating by
+    /// the head's slot turns ring order into bit order.
+    fn live_seqs(&self, mask: SlotMask) -> impl Iterator<Item = u64> {
+        let (head, len) = (self.head_seq, self.next_seq - self.head_seq);
+        let mut rest = mask.rotate_right(slot(head) as u32);
+        std::iter::from_fn(move || {
+            let offset = u64::from(rest.trailing_zeros());
+            rest &= rest.wrapping_sub(1);
+            (offset < len).then_some(head + offset)
+        })
+    }
+
     /// Completion + load-latency resolution.
     fn complete(&mut self) {
         let cycle = self.cycle;
-        // Drain due wakeup events. An event is stale when its entry
-        // retired, was squashed back to Waiting, or was re-issued with a
-        // different ready cycle (the re-issue pushed its own event) — the
-        // surviving transitions are exactly the entries the original
-        // full-ROB scan would have found with `Issued && ready <= cycle`.
-        while let Some(&Reverse((ready, seq))) = self.ready_events.peek() {
-            if ready > cycle {
-                break;
-            }
-            self.ready_events.pop();
-            if !self.live(seq) {
-                continue;
-            }
-            let s = self.rob.slot(seq);
+        // Completions, which commute within a cycle. A due slot is stale
+        // when its entry retired, was squashed or re-issued with a later
+        // ready cycle; what survives is exactly `Issued && ready <= cycle`.
+        let due = self.ready_events.drain(cycle);
+        for seq in self.live_seqs(due) {
+            let s = slot(seq);
             if self.rob.state[s] != State::Issued || self.rob.ready_cycle[s] > cycle {
                 continue;
             }
@@ -313,38 +354,21 @@ impl Cpu {
                 self.fetch_stall_until = self.fetch_stall_until.max(resume);
             }
         }
-        // Load-hit speculation resolution: squash dependents of loads whose
-        // latency exceeded the assumption. Drained in ascending seq order
-        // (the order the original scan visited them); the state machine is
-        // deliberately NOT consulted — a misspeculated load that was itself
-        // squashed back to Waiting still replays when its original resolve
-        // cycle passes, exactly as before.
-        if !self.pending_replays.is_empty() {
-            self.pending_replays.sort_unstable();
-            self.pending_replays.dedup();
-            let mut pending = std::mem::take(&mut self.pending_replays);
-            pending.retain(|&seq| {
-                if !self.live(seq) {
-                    return false;
-                }
-                let s = self.rob.slot(seq);
-                let fires = self.rob.kind[s] == InstrKind::Load
-                    && self.rob.flags[s] & flag::MISSPECULATED != 0
-                    && self.rob.flags[s] & flag::REPLAY_HANDLED == 0
-                    && self.rob.resolve_cycle[s] <= cycle;
-                if fires {
-                    self.rob.flags[s] |= flag::REPLAY_HANDLED;
-                    self.replay(seq);
-                    return false;
-                }
-                // Keep only entries that may still fire later.
-                self.rob.flags[s] & (flag::MISSPECULATED | flag::REPLAY_HANDLED)
+        // Load-hit speculation resolution, in ascending seq order. A load
+        // re-issued since has fresh flags and resolve cycle, so its stale
+        // event does not fire. The state is deliberately NOT consulted — a
+        // squashed misspeculated load still replays at its resolve cycle.
+        let due = self.replay_events.drain(cycle);
+        for seq in self.live_seqs(due) {
+            let s = slot(seq);
+            if self.rob.kind[s] == InstrKind::Load
+                && self.rob.flags[s] & (flag::MISSPECULATED | flag::REPLAY_HANDLED)
                     == flag::MISSPECULATED
-            });
-            // Only `issue` queues onto the list, and it runs after
-            // `complete` within a cycle, so nothing raced the drain.
-            debug_assert!(self.pending_replays.is_empty());
-            self.pending_replays = pending;
+                && self.rob.resolve_cycle[s] <= cycle
+            {
+                self.rob.flags[s] |= flag::REPLAY_HANDLED;
+                self.replay(seq);
+            }
         }
     }
 
@@ -352,14 +376,14 @@ impl Cpu {
     /// mispredicted load `load_seq`.
     fn replay(&mut self, load_seq: u64) {
         self.stats.load_misspeculations += 1;
-        let load_slot = self.rob.slot(load_seq);
+        let load_slot = slot(load_seq);
         let load_issue = self.rob.issue_cycle[load_slot];
         let load_ready = self.rob.ready_cycle[load_slot];
-        // Seq numbers squashed so far; dependences only point backwards, so
-        // one forward pass reaches the transitive closure.
-        let mut squashed: Vec<u64> = Vec::new();
+        // The load and everything squashed so far; dependences only point
+        // backwards, so one forward pass reaches the transitive closure.
+        let mut squashed = bit(load_slot);
         for seq in (load_seq + 1)..self.next_seq {
-            let s = self.rob.slot(seq);
+            let s = slot(seq);
             if self.rob.state[s] == State::Waiting {
                 continue;
             }
@@ -368,17 +392,17 @@ impl Cpu {
                 continue;
             }
             let hit = match self.cfg.replay_scope {
+                // Older producers' slots may alias live entries: skip them.
                 ReplayScope::DependentsOnly => self.rob.producers[s]
                     .iter()
-                    .filter(|&&p| p != NO_PRODUCER)
-                    .any(|&p| p == load_seq || squashed.binary_search(&p).is_ok()),
+                    .any(|&p| (load_seq..seq).contains(&p) && squashed & bit(slot(p)) != 0),
                 ReplayScope::AllYounger => self.rob.issue_cycle[s] > load_issue,
             };
             if hit {
-                squashed.push(seq);
+                squashed |= bit(s);
                 self.rob.state[s] = State::Waiting;
                 self.rob.wake_cycle[s] = 0;
-                self.awake.push(seq);
+                self.awake |= bit(s);
                 self.stats.replays += 1;
                 self.iq_count += 1;
                 if self.rob.flags[s] & flag::BLOCKED_FETCH != 0 {
@@ -404,7 +428,7 @@ impl Cpu {
             if self.head_seq == self.next_seq {
                 break;
             }
-            let s = self.rob.slot(self.head_seq);
+            let s = slot(self.head_seq);
             if self.rob.state[s] != State::Done
                 || self.rob.ready_cycle[s] > self.cycle
                 || !self.commit_safe(s)
@@ -433,7 +457,7 @@ impl Cpu {
         if !self.live(seq) {
             return None; // retired -> architectural state
         }
-        let s = self.rob.slot(seq);
+        let s = slot(seq);
         match self.rob.state[s] {
             // `complete` runs before `issue`, so a Done entry always has
             // `ready_cycle <= cycle`; the bound is kept for robustness.
@@ -477,42 +501,29 @@ impl Cpu {
 
     fn issue(&mut self) {
         let cycle = self.cycle;
-        // Admit entries whose sleep just expired. A popped event is stale
-        // when its entry issued in the meantime (state left Waiting) or
-        // re-slept with a later bound (in which case its own fresh event
-        // is still queued).
-        while let Some(&Reverse((wake, seq))) = self.wake_events.peek() {
-            if wake > cycle {
-                break;
+        // Admit entries whose sleep just expired. A due slot is stale when
+        // its entry issued in the meantime (state left Waiting) or re-slept
+        // with a later bound (its own fresh event is still scheduled).
+        let due = self.wake_events.drain(cycle);
+        for seq in self.live_seqs(due) {
+            let s = slot(seq);
+            if self.rob.state[s] == State::Waiting && self.rob.wake_cycle[s] <= cycle {
+                self.awake |= bit(s);
             }
-            self.wake_events.pop();
-            if !self.live(seq) {
-                continue;
-            }
-            let s = self.rob.slot(seq);
-            if self.rob.state[s] != State::Waiting || self.rob.wake_cycle[s] > cycle {
-                continue;
-            }
-            self.awake.push(seq);
         }
-        // Dispatch appends in order, but squash wake-ups and expired
-        // sleeps arrive unordered, and selection must stay oldest-first.
-        self.awake.sort_unstable();
-        self.awake.dedup();
         let mut issued = 0;
         let mut dcache_ops = 0;
         let mut store_ops = 0;
-        // Detach the list so the issue body below can borrow `self`
-        // freely; nothing pushes to it during the scan (squashes happen in
-        // `complete`, dispatch runs after issue).
-        let mut awake = std::mem::take(&mut self.awake);
-        awake.retain(|&seq| {
+        // Oldest first. Nothing joins the mask during the scan (squashes
+        // happen in `complete`, dispatch runs after issue).
+        for seq in self.live_seqs(self.awake) {
             if issued >= self.cfg.issue_width {
-                return true; // width exhausted; still a candidate next cycle
+                break; // width exhausted; the rest stay candidates next cycle
             }
-            let s = self.rob.slot(seq);
-            if !self.live(seq) || self.rob.state[s] != State::Waiting {
-                return false;
+            let s = slot(seq);
+            if self.rob.state[s] != State::Waiting {
+                self.awake &= !bit(s);
+                continue;
             }
             let kind = self.rob.kind[s];
             let is_mem = kind.is_mem();
@@ -522,8 +533,10 @@ impl Cpu {
             {
                 // Structurally blocked with (possibly) ready operands:
                 // stays awake and retries every cycle, as the full scan did.
-                return true;
+                continue;
             }
+            // Whether it issues or sleeps, it leaves the awake mask.
+            self.awake &= !bit(s);
             let mut wake = 0;
             for p in self.rob.producers[s] {
                 if p == NO_PRODUCER {
@@ -533,30 +546,30 @@ impl Cpu {
                     wake = wake.max(bound);
                     // Register for a wake: if the producer (re-)issues, its
                     // fresh speculation window may open before `bound`.
-                    let ps = self.rob.slot(p);
-                    self.rob.waiters[ps].push(seq);
+                    self.rob.consumers[slot(p)] |= bit(s);
                 }
             }
             if wake > 0 {
                 // All bounds exceed the current cycle, so the entry cannot
-                // issue before `wake`; leave the awake list until then. A
-                // producer-less bound gets a timer event; a `u64::MAX`
-                // bound is woken by the registered producer's issue.
+                // issue before `wake`. A producer-less bound gets a timer
+                // event; a `u64::MAX` bound is woken by the registered
+                // producer's issue.
                 self.rob.wake_cycle[s] = wake;
                 if wake != u64::MAX {
-                    self.wake_events.push(Reverse((wake, seq)));
+                    self.wake_events.schedule(cycle, wake, s);
                 }
-                return false;
+                continue;
             }
-            // Issue it.
+            // Issue it. With predecode hints on, every load and store
+            // carries its hint (the base-register value) into its access.
             let prior_ready = self.rob.mem_first_ready[s];
+            let predicted = (self.cfg.predecode_hints && is_mem).then(|| {
+                self.stats.hints += 1;
+                self.rob.mem_base[s]
+            });
             let (ready_cycle, resolve_cycle, misspeculated) = match kind {
                 InstrKind::Load => {
                     let addr = self.rob.mem_addr[s];
-                    let predicted = self.cfg.predecode_hints.then(|| {
-                        self.stats.hints += 1;
-                        self.rob.mem_base[s]
-                    });
                     let out = self.mem.data_access_predicted(addr, predicted, false, cycle);
                     self.stats.loads += 1;
                     // A replayed load re-accesses the cache, but the line
@@ -569,10 +582,6 @@ impl Cpu {
                 }
                 InstrKind::Store => {
                     let addr = self.rob.mem_addr[s];
-                    let predicted = self.cfg.predecode_hints.then(|| {
-                        self.stats.hints += 1;
-                        self.rob.mem_base[s]
-                    });
                     let out = self.mem.data_access_predicted(addr, predicted, true, cycle);
                     self.stats.stores += 1;
                     // Stores drain through the store buffer: commit waits
@@ -591,42 +600,36 @@ impl Cpu {
             let mut flags = self.rob.flags[s] & !(flag::MISSPECULATED | flag::REPLAY_HANDLED);
             if misspeculated {
                 flags |= flag::MISSPECULATED;
+                // A re-issued load may misspeculate again (replay storms
+                // are real); each misspeculating issue schedules a fresh
+                // replay round.
+                self.replay_events.schedule(cycle, resolve_cycle, s);
             }
             if kind == InstrKind::Load {
                 self.rob.mem_first_ready[s] = ready_cycle;
-                // A re-issued load may misspeculate again (replay storms
-                // are real); each misspeculating issue queues a fresh
-                // replay round.
-                if misspeculated {
-                    self.pending_replays.push(seq);
-                }
             }
             self.rob.flags[s] = flags;
-            self.ready_events.push(Reverse((ready_cycle, seq)));
+            self.ready_events.schedule(cycle, ready_cycle, s);
             // Wake sleeping consumers: their stored bound may predate this
             // (re-)issue, whose value can arrive earlier than they assumed.
             // `min` never extends a sleep, so waking is always safe.
-            if !self.rob.waiters[s].is_empty() {
+            let consumers = std::mem::take(&mut self.rob.consumers[s]);
+            if consumers != 0 {
                 let dep_wake = if kind == InstrKind::Load {
                     cycle + u64::from(self.dcache_hit_latency())
                 } else {
                     ready_cycle
                 };
-                let mut ws = std::mem::take(&mut self.rob.waiters[s]);
-                for &w in &ws {
-                    if self.live(w) {
-                        let ds = self.rob.slot(w);
-                        if self.rob.state[ds] == State::Waiting {
-                            let wc = &mut self.rob.wake_cycle[ds];
-                            *wc = (*wc).min(dep_wake);
-                            // Re-admit the sleeper at its (possibly pulled
-                            // forward) wake cycle; stale events filter out.
-                            self.wake_events.push(Reverse((*wc, w)));
-                        }
+                for w in self.live_seqs(consumers) {
+                    let ds = slot(w);
+                    if self.rob.state[ds] == State::Waiting {
+                        let wc = &mut self.rob.wake_cycle[ds];
+                        *wc = (*wc).min(dep_wake);
+                        // Re-admit the sleeper at its (possibly pulled
+                        // forward) wake cycle; stale events filter out.
+                        self.wake_events.schedule(cycle, *wc, ds);
                     }
                 }
-                ws.clear();
-                self.rob.waiters[s] = ws;
             }
             if kind.is_control() {
                 self.stats.branches += 1;
@@ -639,10 +642,7 @@ impl Cpu {
             if is_store {
                 store_ops += 1;
             }
-            false // issued: out of the awake list
-        });
-        debug_assert!(self.awake.is_empty());
-        self.awake = awake;
+        }
     }
 
     fn dispatch(&mut self) {
@@ -671,7 +671,7 @@ impl Cpu {
                 self.lsq_count += 1;
             }
             self.iq_count += 1;
-            let s = self.rob.slot(seq);
+            let s = slot(seq);
             self.rob.state[s] = State::Waiting;
             self.rob.kind[s] = instr.kind;
             self.rob.producers[s] = producers;
@@ -682,8 +682,8 @@ impl Cpu {
                 if self.fetch_blocked_on == Some(seq) { flag::BLOCKED_FETCH } else { 0 };
             self.rob.mem_first_ready[s] = 0;
             self.rob.wake_cycle[s] = 0;
-            self.rob.waiters[s].clear();
-            self.awake.push(seq);
+            self.rob.consumers[s] = 0;
+            self.awake |= bit(s);
             if is_mem {
                 let m = instr.mem.expect("memory ops carry a memory reference");
                 self.rob.mem_addr[s] = m.addr;
@@ -959,9 +959,8 @@ mod tests {
         }
         let mut cpu = Cpu::new(CpuConfig::default().with_predecode_hints(), memsys());
         let stats = cpu.run(&mut ReplayTrace::new(v), 400);
-        // Hints are counted at dispatch, loads at issue, so in-flight work
-        // at the cutoff makes hints run slightly ahead.
-        assert!(stats.hints >= stats.loads + stats.stores);
+        // Each hint rides on its load's or store's access at issue.
+        assert_eq!(stats.hints, stats.loads + stats.stores);
         assert!(stats.hints > 0);
     }
 

@@ -138,9 +138,23 @@ fn core_semantics_match_the_pinned_goldens() {
 /// Runs the AllYounger replay scope directly through the core (the
 /// experiment drivers only use DependentsOnly, so cover it here).
 fn render_run_all_younger(bench: &str, spec: &SystemSpec) -> String {
+    use bitline_cpu::{CpuConfig, ReplayScope};
+
+    let cfg = CpuConfig { replay_scope: ReplayScope::AllYounger, ..CpuConfig::default() };
+    let s = run_core(bench, spec, cfg);
+    format!(
+        "{bench} allyounger cyc={} com={} rep={} lms={} fsc={}\n",
+        s.cycles, s.committed, s.replays, s.load_misspeculations, s.fetch_stall_cycles,
+    )
+}
+
+/// Runs `bench` straight through a core built from `cfg` (the experiment
+/// drivers always use the Table 2 core, so non-default windows and replay
+/// scopes are covered here).
+fn run_core(bench: &str, spec: &SystemSpec, cfg: bitline_cpu::CpuConfig) -> bitline_cpu::SimStats {
     use bitline_cache::{CacheConfig, MemorySystem, MemorySystemConfig};
     use bitline_cmos::TechnologyNode;
-    use bitline_cpu::{Cpu, CpuConfig, ReplayScope};
+    use bitline_cpu::Cpu;
 
     let d_cfg = CacheConfig::l1_data().with_subarray_bytes(spec.subarray_bytes);
     let i_cfg = CacheConfig::l1_inst().with_subarray_bytes(spec.subarray_bytes);
@@ -152,13 +166,80 @@ fn render_run_all_younger(bench: &str, spec: &SystemSpec) -> String {
         d_policy,
         i_policy,
     );
-    let cfg = CpuConfig { replay_scope: ReplayScope::AllYounger, ..CpuConfig::default() };
     let mut cpu = Cpu::new(cfg, mem);
     let store = bitline_exec::TraceStore::new();
     let mut trace = store.cursor(bench, spec.seed).unwrap_or_else(|| panic!("{bench} in suite"));
-    let s = cpu.run(&mut trace, spec.instructions);
-    format!(
-        "{bench} allyounger cyc={} com={} rep={} lms={} fsc={}\n",
-        s.cycles, s.committed, s.replays, s.load_misspeculations, s.fetch_stall_cycles,
-    )
+    cpu.run(&mut trace, spec.instructions)
+}
+
+/// Scheduler edge cases, pinned in their own golden so the matrix above
+/// stays byte-identical: windows far below and off a power of two of the
+/// 128-slot ring, timing-speculation replays under an undervolted
+/// governor, a three-level hierarchy (long fills), and one run long
+/// enough to wrap every cycle-indexed scheduler structure many times.
+#[test]
+fn scheduler_edge_cases_match_the_pinned_goldens() {
+    use bitline_cpu::CpuConfig;
+    use bitline_sim::{HierarchySpec, VddSpec};
+
+    let bless = std::env::var("BITLINE_BLESS").is_ok_and(|v| v == "1");
+    let gated = |instructions| SystemSpec {
+        d_policy: PolicyKind::Gated { threshold: 100 },
+        i_policy: PolicyKind::Gated { threshold: 100 },
+        instructions,
+        ..SystemSpec::default()
+    };
+    let mut got = String::new();
+    for bench in ["gcc", "health"] {
+        for rob_entries in [8, 100] {
+            for hints in [false, true] {
+                let cfg = CpuConfig { rob_entries, predecode_hints: hints, ..CpuConfig::default() };
+                let s = run_core(bench, &gated(INSTRS), cfg);
+                writeln!(
+                    got,
+                    "{bench} rob{rob_entries}{} cyc={} com={} fet={} br={} mis={} ld={} st={} \
+                     rep={} lms={} fsc={} hint={}",
+                    if hints { "+hints" } else { "" },
+                    s.cycles,
+                    s.committed,
+                    s.fetched,
+                    s.branches,
+                    s.mispredicts,
+                    s.loads,
+                    s.stores,
+                    s.replays,
+                    s.load_misspeculations,
+                    s.fetch_stall_cycles,
+                    s.hints,
+                )
+                .unwrap();
+            }
+        }
+    }
+    for bench in ["gcc", "mesa"] {
+        let vdd = SystemSpec { vdd: VddSpec { scale: 0.8, governor: true }, ..gated(INSTRS) };
+        got.push_str(&render_run("gated100+vdd0.8gov", bench, &vdd));
+        let levels = SystemSpec {
+            hierarchy: HierarchySpec {
+                levels: 3,
+                l2_policy: PolicyKind::Gated { threshold: 100 },
+                ..HierarchySpec::default()
+            },
+            ..gated(INSTRS)
+        };
+        got.push_str(&render_run("gated100+levels3", bench, &levels));
+    }
+    got.push_str(&render_run("gated100x20k", "gcc", &gated(20_000)));
+
+    let golden_path = goldens_dir().join("cycle_identity_scheduler.txt");
+    if bless {
+        std::fs::create_dir_all(goldens_dir()).expect("goldens dir");
+        std::fs::write(&golden_path, &got).expect("bless golden");
+        eprintln!("blessed {}", golden_path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!("{}: {e}\n(run with BITLINE_BLESS=1 to generate the goldens)", golden_path.display())
+    });
+    assert_eq!(got, want, "scheduler edge cases drifted from the pinned golden");
 }
