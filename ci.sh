@@ -659,6 +659,19 @@ voltage() {
         exit 1
     fi
 
+    # Experiments run their own specs: a supply flag they would silently
+    # ignore is rejected, naming the flag.
+    echo "==> voltage: an experiment rejects a spec flag it does not honour"
+    if "$sim" --vdd 0.8 fig3 >/dev/null 2>"$VOLT_TMP/ignored.err"; then
+        echo "==> voltage: FAIL — fig3 must reject --vdd instead of running at nominal" >&2
+        exit 1
+    fi
+    if ! grep -q -- "--vdd" "$VOLT_TMP/ignored.err"; then
+        echo "==> voltage: FAIL — the rejection must name --vdd" >&2
+        cat "$VOLT_TMP/ignored.err" >&2
+        exit 1
+    fi
+
     # Governor leg: a forced deep undervolt must fire the guardband
     # ladder — escalations move, replays resolve through detect-and-
     # replay — and every vdd.* counter must agree across job counts.

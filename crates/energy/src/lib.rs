@@ -243,6 +243,13 @@ impl LeakageKind {
     }
 }
 
+/// The label, which the grammar below parses back.
+impl std::fmt::Display for LeakageKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
 /// The CLI/protocol grammar for `--leakage-mode`: `full-vdd` (or `static`,
 /// `none`), `drowsy`, `gated-vdd`, `6t` (or `6t-lp`, `low-power-6t`).
 impl std::str::FromStr for LeakageKind {

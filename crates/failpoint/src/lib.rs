@@ -697,12 +697,19 @@ mod tests {
         arm("test.stall.point=stall").unwrap();
         let t = std::thread::spawn(|| {
             let started = Instant::now();
-            match eval("test.stall.point") {
-                Some(Action::Stall(limit)) => stall_while(limit, || false),
-                other => panic!("expected stall, got {other:?}"),
+            // Any arm or disarm ends a stall, and parallel tests arm their
+            // own points; re-evaluate until this point itself is disarmed.
+            while let Some(action) = eval("test.stall.point") {
+                match action {
+                    Action::Stall(limit) => stall_while(limit, || false),
+                    other => panic!("expected stall, got {other:?}"),
+                }
             }
             started.elapsed()
         });
+        while evaluated("test.stall.point") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         std::thread::sleep(Duration::from_millis(30));
         disarm("test.stall.point");
         let held = t.join().expect("stalled thread");

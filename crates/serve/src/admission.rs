@@ -310,7 +310,7 @@ mod tests {
     }
 
     fn spec() -> SystemSpec {
-        crate::protocol::default_spec()
+        bitline_sim::spec::front_end_default()
     }
 
     fn offer(adm: &Admission, key: &str, priority: u8) -> Offer {

@@ -24,13 +24,22 @@
 //! {"id":"r4","status":"error","kind":"invalid-spec","error":"…"}
 //! ```
 //!
-//! Parsing is strict ([`bitline_obs::json::expect_keys`]): an unknown key
-//! is a `bad-request` error, not silently ignored, matching the fail-fast
-//! posture of `SystemSpec::validate`.
+//! A `spec` object is read through `bitline-sim`'s spec table
+//! ([`bitline_sim::spec::from_json`]): its keys are the table's keys,
+//! each value keeps its JSON type (policies and leakage modes are
+//! strings, counts are unsigned integers, `fault_rate` and `vdd` are
+//! finite numbers, switches are booleans), and values apply over the
+//! same env-free default as `bitline-sim`
+//! ([`bitline_sim::spec::front_end_default`]), which is also what a
+//! request without a `spec` runs.
+//!
+//! Parsing is strict: an unknown key, in the request or its spec, is a
+//! `bad-request` error naming the key, not silently ignored, matching the
+//! fail-fast posture of `SystemSpec::validate`.
 
 use bitline_cmos::TechnologyNode;
-use bitline_obs::json::{self, as_object, expect_keys, get_str, json_f64, json_u64, try_get, Json};
-use bitline_sim::{HierarchySpec, LeakageKind, PolicyKind, RunResult, SystemSpec, VddSpec};
+use bitline_obs::json::{self, as_object, expect_keys, get_str, json_u64, try_get, Json};
+use bitline_sim::{spec, RunResult, SystemSpec};
 use std::fmt::Write as _;
 
 /// A parsed request line.
@@ -136,8 +145,12 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
                 }
             };
             let spec = match try_get(obj, "spec") {
-                None => default_spec(),
-                Some(v) => parse_spec(v).map_err(fail)?,
+                None => spec::front_end_default(),
+                Some(v) => {
+                    let fields =
+                        as_object(v).map_err(|_| fail("key `spec` must be an object".into()))?;
+                    spec::from_json(spec::front_end_default(), fields).map_err(fail)?
+                }
             };
             Ok(Request::Run(Box::new(RunRequest { id, benchmark, spec, priority, deadline_ms })))
         }
@@ -151,142 +164,6 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
             })
         }
         other => Err(fail(format!("unknown op `{other}` (try run, stats, ping, drain, metrics)"))),
-    }
-}
-
-/// The spec a request gets when it sends no `spec` object: the CLI's
-/// defaults (gated-predecode D, gated I, 1 KB subarrays, seed 42) with
-/// the instruction count from `BITLINE_INSTRS`.
-#[must_use]
-pub fn default_spec() -> SystemSpec {
-    let d_policy = PolicyKind::GatedPredecode { threshold: 100 };
-    SystemSpec {
-        d_policy,
-        i_policy: d_policy.icache_default(),
-        subarray_bytes: 1024,
-        instructions: bitline_sim::default_instructions(),
-        seed: 42,
-        way_prediction: false,
-        faults: bitline_sim::FaultSpec::default(),
-        hierarchy: HierarchySpec::default(),
-        vdd: VddSpec::default(),
-    }
-}
-
-/// Rejects NaN and ±inf at the protocol boundary: a non-finite float in a
-/// spec would otherwise ride along until it poisons a probability draw or
-/// an energy total. `1e999` parses to `inf`, so this is reachable from a
-/// syntactically valid request line.
-fn finite_f64(v: &Json, key: &str) -> Result<f64, String> {
-    let x = json_f64(v).map_err(|e| format!("spec {key}: {e}"))?;
-    if !x.is_finite() {
-        return Err(format!("spec {key}: must be finite, got {x}"));
-    }
-    Ok(x)
-}
-
-fn parse_spec(value: &Json) -> Result<SystemSpec, String> {
-    let obj = as_object(value).map_err(|_| "key `spec` must be an object".to_owned())?;
-    expect_keys(
-        obj,
-        &[
-            "d_policy",
-            "i_policy",
-            "subarray_bytes",
-            "instructions",
-            "seed",
-            "way_prediction",
-            "fault_rate",
-            "fault_seed",
-            "fail_safe",
-            "ecc",
-            "scrub_period",
-            "levels",
-            "l2_policy",
-            "leakage_mode",
-            "vdd",
-            "vdd_governor",
-        ],
-    )
-    .map_err(|e| format!("spec: {e}"))?;
-    let mut spec = default_spec();
-    if let Some(v) = try_get(obj, "d_policy") {
-        let s = as_str(v, "d_policy")?;
-        spec.d_policy = s.parse::<PolicyKind>().map_err(|e| format!("spec d_policy: {e}"))?;
-        spec.i_policy = spec.d_policy.icache_default();
-    }
-    if let Some(v) = try_get(obj, "i_policy") {
-        let s = as_str(v, "i_policy")?;
-        spec.i_policy = s.parse::<PolicyKind>().map_err(|e| format!("spec i_policy: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "subarray_bytes") {
-        let n = json_u64(v).map_err(|e| format!("spec subarray_bytes: {e}"))?;
-        spec.subarray_bytes =
-            usize::try_from(n).map_err(|_| "spec subarray_bytes out of range".to_owned())?;
-    }
-    if let Some(v) = try_get(obj, "instructions") {
-        spec.instructions = json_u64(v).map_err(|e| format!("spec instructions: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "seed") {
-        spec.seed = json_u64(v).map_err(|e| format!("spec seed: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "way_prediction") {
-        spec.way_prediction = as_bool(v, "way_prediction")?;
-    }
-    if let Some(v) = try_get(obj, "fault_rate") {
-        spec.faults.rate = finite_f64(v, "fault_rate")?;
-    }
-    if let Some(v) = try_get(obj, "fault_seed") {
-        spec.faults.seed = json_u64(v).map_err(|e| format!("spec fault_seed: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "fail_safe") {
-        spec.faults.fail_safe = as_bool(v, "fail_safe")?;
-    }
-    if let Some(v) = try_get(obj, "ecc") {
-        spec.faults.ecc = as_bool(v, "ecc")?;
-    }
-    if let Some(v) = try_get(obj, "scrub_period") {
-        let period = json_u64(v).map_err(|e| format!("spec scrub_period: {e}"))?;
-        if period == 0 {
-            return Err("spec scrub_period 0 would scrub continuously; omit the key".to_owned());
-        }
-        spec.faults.scrub_period = Some(period);
-    }
-    if let Some(v) = try_get(obj, "levels") {
-        let n = json_u64(v).map_err(|e| format!("spec levels: {e}"))?;
-        spec.hierarchy.levels =
-            u8::try_from(n).map_err(|_| "spec levels out of range (want 1..=3)".to_owned())?;
-    }
-    if let Some(v) = try_get(obj, "l2_policy") {
-        let s = as_str(v, "l2_policy")?;
-        spec.hierarchy.l2_policy =
-            s.parse::<PolicyKind>().map_err(|e| format!("spec l2_policy: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "leakage_mode") {
-        let s = as_str(v, "leakage_mode")?;
-        spec.hierarchy.leakage_mode =
-            s.parse::<LeakageKind>().map_err(|e| format!("spec leakage_mode: {e}"))?;
-    }
-    if let Some(v) = try_get(obj, "vdd") {
-        spec.vdd.scale = finite_f64(v, "vdd")?;
-    }
-    if let Some(v) = try_get(obj, "vdd_governor") {
-        spec.vdd.governor = as_bool(v, "vdd_governor")?;
-    }
-    Ok(spec)
-}
-
-fn as_str<'j>(v: &'j Json, key: &str) -> Result<&'j str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        _ => Err(format!("spec {key}: expected a string")),
-    }
-}
-
-fn as_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("spec {key}: expected a boolean")),
     }
 }
 
@@ -497,6 +374,7 @@ pub fn stats_line(id: &str, stats: &[(&str, u64)]) -> String {
 mod tests {
     use super::*;
     use bitline_obs::json::get_u64;
+    use bitline_sim::PolicyKind;
 
     #[test]
     fn run_requests_parse_with_defaults_and_overrides() {
@@ -506,7 +384,7 @@ mod tests {
         assert_eq!(run.benchmark, "gcc");
         assert_eq!(run.priority, 0);
         assert_eq!(run.deadline_ms, None);
-        assert_eq!(run.spec, default_spec());
+        assert_eq!(run.spec, spec::front_end_default());
 
         let req = parse_request(
             r#"{"id":"r2","op":"run","benchmark":"mesa","priority":3,"deadline_ms":250,
@@ -526,59 +404,58 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_keys_parse_and_reject_garbage() {
-        let req = parse_request(
-            r#"{"id":"h","benchmark":"gcc","spec":{"levels":3,"l2_policy":"gated:100","leakage_mode":"drowsy"}}"#,
-        )
-        .unwrap();
-        let Request::Run(run) = req else { panic!("expected run") };
-        assert_eq!(run.spec.hierarchy.levels, 3);
-        assert_eq!(run.spec.hierarchy.l2_policy, PolicyKind::Gated { threshold: 100 });
-        assert_eq!(run.spec.hierarchy.leakage_mode, LeakageKind::Drowsy);
-
-        let e =
-            parse_request(r#"{"id":"h","benchmark":"gcc","spec":{"leakage_mode":"antigravity"}}"#)
-                .unwrap_err();
-        assert!(e.message.contains("leakage_mode"));
-        let e = parse_request(r#"{"id":"h","benchmark":"gcc","spec":{"levels":900}}"#).unwrap_err();
-        assert!(e.message.contains("levels"));
+    fn every_spec_flag_and_its_serve_key_build_the_same_spec() {
+        // One non-default value per table row: the CLI spelling (none for
+        // a switch) and the JSON value serve receives.
+        let samples: [(&str, &str, &str); 16] = [
+            ("d_policy", "predecode:32", r#""predecode:32""#),
+            ("i_policy", "resizable:500:0.02", r#""resizable:500:0.02""#),
+            ("subarray_bytes", "256", "256"),
+            ("instructions", "9000", "9000"),
+            ("seed", "7", "7"),
+            ("way_prediction", "", "true"),
+            ("fault_rate", "0.01", "0.01"),
+            ("fault_seed", "11", "11"),
+            ("fail_safe", "", "true"),
+            ("ecc", "", "true"),
+            ("scrub_period", "4096", "4096"),
+            ("levels", "3", "3"),
+            ("l2_policy", "drowsy:50", r#""drowsy:50""#),
+            ("leakage_mode", "6t", r#""6t""#),
+            ("vdd", "0.85", "0.85"),
+            ("vdd_governor", "", "true"),
+        ];
+        for (field, (key, text, json)) in spec::FIELDS.iter().zip(samples) {
+            assert_eq!(field.key, key, "samples follow the table");
+            let mut cli = spec::Assignments::default();
+            assert!(cli.flag(field.flag, || Ok(text.to_owned())).unwrap());
+            let cli = cli.apply(spec::front_end_default()).unwrap();
+            assert_ne!(cli, spec::front_end_default(), "{key}: sample must not be the default");
+            let line = format!(r#"{{"id":"t","benchmark":"gcc","spec":{{"{key}":{json}}}}}"#);
+            let Ok(Request::Run(run)) = parse_request(&line) else { panic!("{line}") };
+            assert_eq!(run.spec, cli, "{key}");
+        }
     }
 
     #[test]
-    fn vdd_keys_parse_and_non_finite_floats_are_rejected() {
-        let req = parse_request(
-            r#"{"id":"v","benchmark":"gcc","spec":{"vdd":0.85,"vdd_governor":true}}"#,
-        )
-        .unwrap();
-        let Request::Run(run) = req else { panic!("expected run") };
-        assert_eq!(run.spec.vdd.scale.to_bits(), 0.85f64.to_bits());
-        assert!(run.spec.vdd.governor);
-        assert!(run.spec.validate().is_ok());
-
-        // Satellite: non-finite numerics die at the protocol boundary —
+    fn rejected_spec_values_name_their_key_and_keep_the_id() {
         // `1e999` is syntactically valid JSON that parses to +inf.
-        for (key, value) in
-            [("vdd", "1e999"), ("vdd", "-1e999"), ("fault_rate", "1e999"), ("fault_rate", "-1e999")]
-        {
+        for (key, value, why) in [
+            ("leakage_mode", r#""antigravity""#, "unknown leakage mode"),
+            ("levels", "900", "too large"),
+            ("vdd", "1e999", "finite"),
+            ("vdd", "-1e999", "finite"),
+            ("fault_rate", "1e999", "finite"),
+            ("fault_rate", "-1e999", "finite"),
+            ("vdd", r#""0.9""#, "number"),
+            ("vdd_governor", "1", "boolean"),
+        ] {
             let line = format!(r#"{{"id":"v","benchmark":"gcc","spec":{{"{key}":{value}}}}}"#);
             let e = parse_request(&line).unwrap_err();
-            assert!(e.message.contains("finite"), "{key}={value}: {}", e.message);
+            assert!(e.message.starts_with(&format!("spec {key}: ")), "{line}: {}", e.message);
+            assert!(e.message.contains(why), "{line}: {}", e.message);
             assert_eq!(e.id.as_deref(), Some("v"));
         }
-        // A governor flag must be a boolean, not truthy JSON.
-        let e =
-            parse_request(r#"{"id":"v","benchmark":"gcc","spec":{"vdd_governor":1}}"#).unwrap_err();
-        assert!(e.message.contains("boolean"), "{}", e.message);
-    }
-
-    #[test]
-    fn gated_predecode_falls_back_to_gated_for_the_icache() {
-        let req =
-            parse_request(r#"{"id":"x","benchmark":"gcc","spec":{"d_policy":"predecode:32"}}"#)
-                .unwrap();
-        let Request::Run(run) = req else { panic!("expected run") };
-        assert_eq!(run.spec.d_policy, PolicyKind::GatedPredecode { threshold: 32 });
-        assert_eq!(run.spec.i_policy, PolicyKind::Gated { threshold: 32 });
     }
 
     #[test]

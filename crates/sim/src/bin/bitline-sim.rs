@@ -24,24 +24,16 @@ use std::time::Duration;
 use bitline_cmos::TechnologyNode;
 use bitline_sim::experiments::harness;
 use bitline_sim::{
-    exec_summary_line, set_checkpoint, supervise, try_run_benchmark_cached, FaultSpec,
+    exec_summary_line, set_checkpoint, spec, supervise, try_run_benchmark_cached, FaultSpec,
     HierarchySpec, PolicyKind, SimError, SystemSpec, VddSpec,
 };
 use bitline_workloads::suite;
 
-#[derive(Debug)]
 struct Args {
     benchmark: String,
-    policy: PolicyKind,
-    icache_policy: Option<PolicyKind>,
     node: TechnologyNode,
-    instructions: u64,
-    subarray_bytes: usize,
-    seed: u64,
-    way_prediction: bool,
-    faults: FaultSpec,
-    hierarchy: HierarchySpec,
-    vdd: VddSpec,
+    /// The spec flags applied over the front-end default.
+    spec: SystemSpec,
     run_budget: Option<Duration>,
     checkpoint: Option<PathBuf>,
     no_resume: bool,
@@ -65,121 +57,43 @@ const EXPERIMENTS: &[&str] = &[
     "voltage",
 ];
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            benchmark: "gcc".into(),
-            policy: PolicyKind::GatedPredecode { threshold: 100 },
-            icache_policy: None,
-            node: TechnologyNode::N70,
-            instructions: 150_000,
-            subarray_bytes: 1024,
-            seed: 42,
-            way_prediction: false,
-            faults: FaultSpec::default(),
-            hierarchy: HierarchySpec::default(),
-            vdd: VddSpec::default(),
-            run_budget: None,
-            checkpoint: None,
-            no_resume: false,
-            list: false,
-            metrics: None,
-            metrics_summary: false,
-            validate_metrics: None,
-            experiment: None,
-        }
+/// The spec fields each experiment takes from the command line. Every
+/// experiment simulates its own specs, so any other spec flag would be
+/// silently ignored; it is rejected instead.
+fn honoured_fields(experiment: &str) -> &'static [&'static str] {
+    match experiment {
+        "reliability" => &["fault_rate", "fault_seed", "scrub_period"],
+        _ => &[],
     }
 }
 
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    // The grammar lives on `PolicyKind` itself so `bitline-serve` requests
-    // parse identically to CLI flags.
-    s.parse()
-}
-
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
+    let mut args = Args {
+        benchmark: "gcc".into(),
+        node: TechnologyNode::N70,
+        spec: spec::front_end_default(),
+        run_budget: None,
+        checkpoint: None,
+        no_resume: false,
+        list: false,
+        metrics: None,
+        metrics_summary: false,
+        validate_metrics: None,
+        experiment: None,
+    };
+    let mut spec_values = spec::Assignments::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{flag} needs a value"))
         };
+        if spec_values.flag(&flag, || value(&flag))? {
+            continue;
+        }
         match flag.as_str() {
             "--benchmark" | "-b" => args.benchmark = value(&flag)?,
-            "--policy" | "-p" => args.policy = parse_policy(&value(&flag)?)?,
-            "--icache-policy" => args.icache_policy = Some(parse_policy(&value(&flag)?)?),
             "--node" | "-n" => {
                 args.node = value(&flag)?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--instructions" | "-i" => {
-                args.instructions =
-                    value(&flag)?.parse().map_err(|_| "bad instruction count".to_owned())?;
-            }
-            "--subarray" => {
-                args.subarray_bytes =
-                    value(&flag)?.parse().map_err(|_| "bad subarray size".to_owned())?;
-                if !args.subarray_bytes.is_power_of_two() {
-                    return Err(format!(
-                        "--subarray {} is not a power of two (try 256, 1024, 4096)",
-                        args.subarray_bytes
-                    ));
-                }
-            }
-            "--seed" => {
-                args.seed = value(&flag)?.parse().map_err(|_| "bad seed".to_owned())?;
-            }
-            "--way-prediction" => args.way_prediction = true,
-            "--fault-rate" => {
-                let rate: f64 = value(&flag)?
-                    .parse()
-                    .map_err(|_| "bad fault rate (want a probability, e.g. 0.01)".to_owned())?;
-                // `"nan".parse::<f64>()` succeeds — fail fast with a
-                // message naming the real problem, not a range error.
-                if !rate.is_finite() {
-                    return Err(format!("--fault-rate must be finite, got {rate}"));
-                }
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!(
-                        "--fault-rate {rate} is not a probability (want 0.0 ..= 1.0)"
-                    ));
-                }
-                args.faults.rate = rate;
-            }
-            "--vdd" => {
-                let scale: f64 = value(&flag)?.parse().map_err(|_| {
-                    "bad vdd scale (want a fraction of nominal, e.g. 0.9)".to_owned()
-                })?;
-                if !scale.is_finite() {
-                    return Err(format!("--vdd must be finite, got {scale}"));
-                }
-                args.vdd.scale = scale;
-            }
-            "--vdd-governor" => args.vdd.governor = true,
-            "--fault-seed" => {
-                args.faults.seed =
-                    value(&flag)?.parse().map_err(|_| "bad fault seed".to_owned())?;
-            }
-            "--levels" => {
-                args.hierarchy.levels = value(&flag)?
-                    .parse()
-                    .map_err(|_| "bad level count (want 1, 2 or 3)".to_owned())?;
-            }
-            "--l2-policy" => args.hierarchy.l2_policy = parse_policy(&value(&flag)?)?,
-            "--leakage-mode" => args.hierarchy.leakage_mode = value(&flag)?.parse()?,
-            "--fail-safe" => args.faults.fail_safe = true,
-            "--ecc" => args.faults.ecc = true,
-            "--scrub-period" => {
-                let period: u64 = value(&flag)?
-                    .parse()
-                    .map_err(|_| "bad scrub period (want cycles, e.g. 8192)".to_owned())?;
-                if period == 0 {
-                    return Err(
-                        "--scrub-period 0 would scrub continuously; give a period in cycles \
-                         (e.g. 8192) or drop the flag"
-                            .to_owned(),
-                    );
-                }
-                args.faults.scrub_period = Some(period);
             }
             "--run-budget" => {
                 args.run_budget = Some(supervise::parse_budget(&value(&flag)?)?);
@@ -208,6 +122,15 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}` (see --help)")),
         }
     }
+    args.spec = spec_values.apply(spec::front_end_default())?;
+    if let Some(cmd) = &args.experiment {
+        if let Some(field) = spec_values.fields().find(|f| !honoured_fields(cmd).contains(&f.key)) {
+            return Err(format!(
+                "`{cmd}` does not take {}: the experiment sets that field itself",
+                field.flag
+            ));
+        }
+    }
     Ok(args)
 }
 
@@ -217,34 +140,8 @@ fn print_help() {
     println!("USAGE: bitline-sim [OPTIONS]");
     println!();
     println!("  -b, --benchmark NAME    benchmark or `all` (default gcc)");
-    println!("  -p, --policy P          D-cache policy: static | oracle | ondemand |");
-    println!("                          gated:T | gated-predecode:T | adaptive:INTERVAL |");
-    println!("                          leakage-biased | resizable:INTERVAL");
-    println!("      --icache-policy P   I-cache policy (default: same family as D)");
     println!("  -n, --node NODE         180nm | 130nm | 100nm | 70nm (default 70nm)");
-    println!("  -i, --instructions N    instructions to simulate (default 150000)");
-    println!("      --subarray BYTES    subarray size (default 1024)");
-    println!("      --seed S            workload seed (default 42)");
-    println!("      --way-prediction    enable MRU way prediction on both L1s");
-    println!("      --levels N          cache levels: 1 = L1s only (default), 2 adds a");
-    println!("                          managed L2, 3 adds an L3 behind it");
-    println!("      --l2-policy P       outer-level precharge policy (default static;");
-    println!("                          same grammar as --policy, needs --levels >= 2)");
-    println!("      --leakage-mode M    cell-array leakage control: full-vdd | drowsy |");
-    println!("                          gated-vdd | 6t (pricing only, never cycles)");
-    println!("      --fault-rate P      per-cold-access upset probability (default 0 = off)");
-    println!("      --fault-seed S      fault-injector seed (default: fixed constant)");
-    println!("      --fail-safe         pin upset-prone subarrays back to static pull-up");
-    println!("      --ecc               protect words with (72,64) SECDED: singles correct");
-    println!("                          in place, doubles replay as DUEs (BITLINE_ECC env)");
-    println!("      --scrub-period N    background-scrub sweep period in cycles (requires");
-    println!("                          --ecc; BITLINE_SCRUB_PERIOD env; 0 is rejected)");
-    println!("      --vdd S             L1 supply as a fraction of nominal, 0.6 ..= 1.1");
-    println!("                          (default 1.0; below the sense guardband cold reads");
-    println!("                          speculate and mis-senses replay; BITLINE_VDD env)");
-    println!("      --vdd-governor      per-subarray guardband ladder: escalate toward");
-    println!("                          nominal on replay storms, relax when clean, pin");
-    println!("                          after repeated escalation (BITLINE_VDD_GOVERNOR)");
+    print!("{}", spec::help());
     println!("      --run-budget DUR    wall-clock budget per run, e.g. 500ms, 30s, 2m");
     println!("                          (default: BITLINE_RUN_BUDGET env, else unbounded);");
     println!("                          timed-out runs are retried once at twice the budget");
@@ -271,24 +168,14 @@ fn print_help() {
 /// than printing directly) lets the `all` mode run benchmarks on the work
 /// pool and still print reports in suite order.
 fn run_one(name: &str, args: &Args) -> Result<String, SimError> {
-    let spec = SystemSpec {
-        d_policy: args.policy,
-        i_policy: args.icache_policy.unwrap_or_else(|| args.policy.icache_default()),
-        subarray_bytes: args.subarray_bytes,
-        instructions: args.instructions,
-        seed: args.seed,
-        way_prediction: args.way_prediction,
-        faults: args.faults,
-        hierarchy: args.hierarchy,
-        vdd: args.vdd,
-    };
+    let spec = args.spec;
     // The slowdown/energy reference is the clean static-pull-up machine:
     // faults model leakage upsets in *gated* bitlines, so the baseline
     // runs fault-free, single-level, at full Vdd.
     let baseline_spec = SystemSpec {
         d_policy: PolicyKind::StaticPullUp,
         i_policy: PolicyKind::StaticPullUp,
-        faults: FaultSpec { rate: 0.0, ..args.faults },
+        faults: FaultSpec { rate: 0.0, ..spec.faults },
         hierarchy: HierarchySpec::default(),
         vdd: VddSpec::nominal(),
         ..spec
@@ -630,7 +517,7 @@ fn main() -> ExitCode {
     if let Some(cmd) = &args.experiment {
         // The drivers isolate and retry per unit of work themselves; an
         // error here means the whole suite failed.
-        let result = run_experiment(cmd, &args.faults);
+        let result = run_experiment(cmd, &args.spec.faults);
         eprintln!("{}", exec_summary_line());
         flush_metrics(&args);
         return match result {
@@ -643,6 +530,10 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
+    }
+    if let Err(e) = args.spec.validate() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     if args.benchmark == "all" {
         // Fan the suite out over the work pool; reports come back in suite

@@ -207,11 +207,34 @@ impl PolicyKind {
     }
 }
 
+/// The canonical spelling of the policy grammar, which
+/// [`FromStr`](std::str::FromStr) inverts exactly (slacks print
+/// shortest-roundtrip, so they parse back bit for bit).
+impl std::fmt::Display for PolicyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())?;
+        match *self {
+            PolicyKind::Gated { threshold: n }
+            | PolicyKind::GatedPredecode { threshold: n }
+            | PolicyKind::Drowsy { threshold: n }
+            | PolicyKind::AdaptiveGated { interval_accesses: n } => write!(f, ":{n}"),
+            PolicyKind::Resizable { interval_accesses, slack } => {
+                write!(f, ":{interval_accesses}:{slack}")
+            }
+            PolicyKind::StaticPullUp
+            | PolicyKind::Oracle
+            | PolicyKind::OnDemand
+            | PolicyKind::LeakageBiased
+            | PolicyKind::LocalityRecorder => Ok(()),
+        }
+    }
+}
+
 /// The CLI/protocol policy grammar: `static`, `oracle`, `ondemand` (or
 /// `on-demand`), `gated[:T]`, `gated-predecode[:T]` (or `predecode[:T]`),
 /// `adaptive[:INTERVAL]`, `leakage-biased` (or `lbb`), `drowsy[:T]`,
-/// `resizable[:INTERVAL]`. Shared by `bitline-sim --policy` and the
-/// `bitline-serve` request protocol so the two front doors cannot drift.
+/// `resizable[:INTERVAL[:SLACK]]`, `recorder`. Shared by every front end
+/// through the spec table, so they cannot drift.
 impl std::str::FromStr for PolicyKind {
     type Err = String;
 
@@ -220,31 +243,40 @@ impl std::str::FromStr for PolicyKind {
             Some((n, a)) => (n, Some(a)),
             None => (s, None),
         };
-        let threshold = || -> Result<u64, String> {
-            arg.map_or(Ok(100), |a| a.parse().map_err(|_| format!("bad threshold `{a}`")))
+        let count = |default: u64, what: &str| -> Result<u64, String> {
+            arg.map_or(Ok(default), |a| a.parse().map_err(|_| format!("bad {what} `{a}`")))
         };
         match name {
             "static" => Ok(PolicyKind::StaticPullUp),
             "oracle" => Ok(PolicyKind::Oracle),
             "ondemand" | "on-demand" => Ok(PolicyKind::OnDemand),
-            "gated" => Ok(PolicyKind::Gated { threshold: threshold()? }),
+            "gated" => Ok(PolicyKind::Gated { threshold: count(100, "threshold")? }),
             "gated-predecode" | "predecode" => {
-                Ok(PolicyKind::GatedPredecode { threshold: threshold()? })
+                Ok(PolicyKind::GatedPredecode { threshold: count(100, "threshold")? })
             }
-            "adaptive" => Ok(PolicyKind::AdaptiveGated {
-                interval_accesses: arg
-                    .map_or(Ok(2_000), |a| a.parse().map_err(|_| format!("bad interval `{a}`")))?,
-            }),
+            "adaptive" => {
+                Ok(PolicyKind::AdaptiveGated { interval_accesses: count(2_000, "interval")? })
+            }
             "leakage-biased" | "lbb" => Ok(PolicyKind::LeakageBiased),
-            "drowsy" => Ok(PolicyKind::Drowsy { threshold: threshold()? }),
-            "resizable" => Ok(PolicyKind::Resizable {
-                interval_accesses: arg
-                    .map_or(Ok(10_000), |a| a.parse().map_err(|_| format!("bad interval `{a}`")))?,
-                slack: 0.005,
-            }),
+            "drowsy" => Ok(PolicyKind::Drowsy { threshold: count(100, "threshold")? }),
+            "resizable" => {
+                let (interval, slack) = match arg.and_then(|a| a.split_once(':')) {
+                    Some((i, s)) => (Some(i), Some(s)),
+                    None => (arg, None),
+                };
+                let slack = slack.map_or(Ok(0.005), |s| match s.parse::<f64>() {
+                    Ok(x) if x.is_finite() => Ok(x),
+                    _ => Err(format!("bad slack `{s}` (want a finite miss-ratio increase)")),
+                })?;
+                let interval_accesses = interval
+                    .map_or(Ok(10_000), |i| i.parse().map_err(|_| format!("bad interval `{i}`")))?;
+                Ok(PolicyKind::Resizable { interval_accesses, slack })
+            }
+            "recorder" => Ok(PolicyKind::LocalityRecorder),
             other => Err(format!(
                 "unknown policy `{other}` (try static, oracle, ondemand, gated:T, \
-                 gated-predecode:T, resizable:INTERVAL)"
+                 gated-predecode:T, adaptive:INTERVAL, leakage-biased, drowsy:T, \
+                 resizable:INTERVAL:SLACK, recorder)"
             )),
         }
     }
@@ -271,12 +303,12 @@ pub struct FaultSpec {
     /// after [`FaultSpec::FAIL_SAFE_UPSETS`] detected upsets (without
     /// ECC) or detected-uncorrectable errors (with ECC).
     pub fail_safe: bool,
-    /// Protect both L1s with the (72,64) SECDED codec (`--ecc`, env
-    /// `BITLINE_ECC`). With `rate == 0` this is fully transparent: no
-    /// decorator is armed and every figure stays byte-identical.
+    /// Protect both L1s with the (72,64) SECDED codec (`--ecc`). With
+    /// `rate == 0` this is fully transparent: no decorator is armed and
+    /// every figure stays byte-identical.
     pub ecc: bool,
-    /// Background scrub sweep period in cycles (`--scrub-period`, env
-    /// `BITLINE_SCRUB_PERIOD`; `None` disables; requires [`FaultSpec::ecc`]).
+    /// Background scrub sweep period in cycles (`--scrub-period`; `None`
+    /// disables; requires [`FaultSpec::ecc`]).
     pub scrub_period: Option<u64>,
 }
 
@@ -355,15 +387,9 @@ impl FaultSpec {
 }
 
 impl Default for FaultSpec {
-    /// The stock spec is fault-free; the protection knobs additionally
-    /// honour the environment (`BITLINE_ECC`, `BITLINE_SCRUB_PERIOD`),
-    /// mirroring how `default_instructions` honours `BITLINE_INSTRS`, so
-    /// test harnesses and CI can arm ECC without threading flags.
+    /// Fault-free and unprotected.
     fn default() -> Self {
-        let ecc = std::env::var("BITLINE_ECC").is_ok_and(|v| !v.is_empty() && v != "0");
-        let scrub_period =
-            std::env::var("BITLINE_SCRUB_PERIOD").ok().and_then(|v| v.parse::<u64>().ok());
-        FaultSpec { rate: 0.0, seed: 0xB17F_A017, fail_safe: false, ecc, scrub_period }
+        FaultSpec { rate: 0.0, seed: 0xB17F_A017, fail_safe: false, ecc: false, scrub_period: None }
     }
 }
 
@@ -403,25 +429,8 @@ impl std::hash::Hash for VddSpec {
     }
 }
 
-impl Default for VddSpec {
-    /// Nominal supply, governor off. Like `BITLINE_ECC`, the environment
-    /// (`BITLINE_VDD`, `BITLINE_VDD_GOVERNOR`) can opt a whole harness in
-    /// without threading flags.
-    fn default() -> Self {
-        let scale = std::env::var("BITLINE_VDD")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(bitline_cmos::vdd::NOMINAL_VDD_SCALE);
-        let governor =
-            std::env::var("BITLINE_VDD_GOVERNOR").is_ok_and(|v| !v.is_empty() && v != "0");
-        VddSpec { scale, governor }
-    }
-}
-
 impl VddSpec {
-    /// The inert spec: nominal supply, governor off. Unlike
-    /// [`VddSpec::default`] this never consults the environment, so
-    /// checkpoint canonicalisation is stable across harnesses.
+    /// The inert spec: nominal supply, governor off.
     #[must_use]
     pub fn nominal() -> Self {
         VddSpec { scale: bitline_cmos::vdd::NOMINAL_VDD_SCALE, governor: false }
@@ -636,17 +645,19 @@ impl SystemSpec {
 }
 
 impl Default for SystemSpec {
+    /// The static-pull-up machine at 150 000 instructions, every optional
+    /// axis inert. A pure constant: nothing here reads the environment.
     fn default() -> Self {
         SystemSpec {
             d_policy: PolicyKind::StaticPullUp,
             i_policy: PolicyKind::StaticPullUp,
             subarray_bytes: 1024,
-            instructions: crate::default_instructions(),
+            instructions: 150_000,
             seed: 42,
             way_prediction: false,
             faults: FaultSpec::default(),
             hierarchy: HierarchySpec::default(),
-            vdd: VddSpec::default(),
+            vdd: VddSpec::nominal(),
         }
     }
 }
@@ -654,6 +665,7 @@ impl Default for SystemSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn policies_build_for_all_nodes() {
@@ -942,6 +954,58 @@ mod tests {
             .to_config(TechnologyNode::N70)
             .expect("expands");
         assert!(!safe.speculating());
+    }
+
+    /// Every variant, with arbitrary parameters and any finite slack.
+    fn any_policy() -> impl Strategy<Value = PolicyKind> {
+        (0u8..10, any::<u64>(), any::<u64>()).prop_map(|(tag, n, bits)| {
+            let slack = f64::from_bits(bits);
+            // Flipping an exponent bit makes an inf/NaN pattern finite.
+            let slack = if slack.is_finite() { slack } else { f64::from_bits(bits ^ (1 << 62)) };
+            match tag {
+                0 => PolicyKind::StaticPullUp,
+                1 => PolicyKind::Oracle,
+                2 => PolicyKind::OnDemand,
+                3 => PolicyKind::Gated { threshold: n },
+                4 => PolicyKind::GatedPredecode { threshold: n },
+                5 => PolicyKind::AdaptiveGated { interval_accesses: n },
+                6 => PolicyKind::LeakageBiased,
+                7 => PolicyKind::Drowsy { threshold: n },
+                8 => PolicyKind::Resizable { interval_accesses: n, slack },
+                _ => PolicyKind::LocalityRecorder,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `Display` is the canonical spelling: parsing it gives the
+        /// policy back bit for bit.
+        fn policy_display_parses_back_exactly(p in any_policy()) {
+            prop_assert_eq!(p.to_string().parse::<PolicyKind>(), Ok(p));
+        }
+    }
+
+    #[test]
+    fn policy_aliases_and_bare_names_keep_their_meaning() {
+        for (text, want) in [
+            ("on-demand", PolicyKind::OnDemand),
+            ("predecode", PolicyKind::GatedPredecode { threshold: 100 }),
+            ("predecode:32", PolicyKind::GatedPredecode { threshold: 32 }),
+            ("lbb", PolicyKind::LeakageBiased),
+            ("gated", PolicyKind::Gated { threshold: 100 }),
+            ("drowsy", PolicyKind::Drowsy { threshold: 100 }),
+            ("adaptive", PolicyKind::AdaptiveGated { interval_accesses: 2_000 }),
+            ("resizable", PolicyKind::Resizable { interval_accesses: 10_000, slack: 0.005 }),
+            ("resizable:500", PolicyKind::Resizable { interval_accesses: 500, slack: 0.005 }),
+            ("resizable:500:0.02", PolicyKind::Resizable { interval_accesses: 500, slack: 0.02 }),
+            ("recorder", PolicyKind::LocalityRecorder),
+        ] {
+            assert_eq!(text.parse::<PolicyKind>(), Ok(want), "{text}");
+        }
+        for bad in ["warp", "gated:x", "gated:1:2", "resizable:1:nan", "resizable:1:inf", ""] {
+            assert!(bad.parse::<PolicyKind>().is_err(), "`{bad}` must not parse");
+        }
     }
 
     #[test]

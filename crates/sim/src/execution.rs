@@ -16,6 +16,7 @@
 //! deterministic), so cache hits are indistinguishable from recomputation
 //! and figure output stays byte-identical whatever the hit pattern.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
@@ -81,18 +82,10 @@ pub(crate) fn level_accountant(node: TechnologyNode, cfg: CacheConfig) -> Energy
 /// The process-wide checkpoint journal, when `--checkpoint` is active.
 struct CheckpointState {
     journal: Journal,
-    /// Runs warmed into the cache from disk at startup.
-    replayed: u64,
-    /// Entries dropped as corrupt at startup.
-    quarantined: u64,
-    /// Quarantined entries that carried a codec version newer than this
-    /// build understands (a newer build wrote the journal).
-    future_version: u64,
-    /// Fresh runs appended this process.
-    appended: u64,
-    /// Fresh computations whose key was already journaled — zero on a
-    /// healthy warm resume; the CI smoke fails on anything else.
-    recomputed: u64,
+    /// Keys whose newest frame was quarantined: their runs are journaled
+    /// afresh when recomputed.
+    quarantined_keys: HashSet<String>,
+    stats: CheckpointStats,
 }
 
 fn checkpoint_state() -> &'static Mutex<Option<CheckpointState>> {
@@ -100,28 +93,32 @@ fn checkpoint_state() -> &'static Mutex<Option<CheckpointState>> {
     &STATE
 }
 
-/// What [`set_checkpoint`] found on disk.
+/// What [`set_checkpoint`] found on disk, and what the process journaled
+/// since.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Runs replayed from the journal into the run cache.
     pub replayed: u64,
     /// Corrupt entries quarantined (logged and skipped).
     pub quarantined: u64,
-    /// Of the quarantined entries, frames written by a future codec
-    /// version — skipped (and recomputed), never misread as corruption
-    /// of our own making. Downgrading under a journal a newer build
-    /// wrote is expected to cost recomputation, not a failed resume.
-    pub future_version: u64,
+    /// Of the quarantined entries, frames stamped with another codec
+    /// version, older or newer — skipped and recomputed, never misread
+    /// as damage. The journal is a cache: changing builds under it costs
+    /// recomputation, not a failed resume.
+    pub version_skew: u64,
     /// Fresh runs journaled this process.
     pub appended: u64,
-    /// Fresh computations of already-journaled keys (should stay zero).
+    /// Fresh computations of already-journaled keys — zero on a healthy
+    /// warm resume; the CI smoke fails on anything else.
     pub recomputed: u64,
 }
 
 /// Arms the checkpoint journal in `dir`. With `resume`, entries already
 /// on disk are decoded, cross-checked against their key, and warmed into
 /// the run cache; without it (`--no-resume`) the journal starts afresh.
-/// Corrupt or stale entries are quarantined, never trusted.
+/// A key's newest entry supersedes older ones. Corrupt or stale entries
+/// are quarantined, never trusted, and their runs are recomputed and
+/// journaled again.
 ///
 /// # Errors
 ///
@@ -138,8 +135,15 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
 
     let mut replayed = 0u64;
     let mut quarantined = u64::try_from(report.quarantined).unwrap_or(u64::MAX);
-    let mut future_version = 0u64;
-    for entry in entries {
+    let mut version_skew = 0u64;
+    let mut seen = HashSet::new();
+    let mut quarantined_keys = HashSet::new();
+    // Newest first, so a key's newest frame supersedes older ones; each
+    // frame is dropped once decoded, as decoded runs fill the cache.
+    for entry in entries.into_iter().rev() {
+        if !seen.insert(entry.key.clone()) {
+            continue;
+        }
         // An entry is trusted only when it decodes *and* its key matches a
         // recomputation of the decoded run's identity.
         match checkpoint::decode_run(&entry.value) {
@@ -149,38 +153,31 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
             }
             _ => {
                 // The CRC passed (the journal layer already dropped torn
-                // frames), so a leading version byte above ours means a
-                // newer build wrote this entry — count it apart so a
-                // downgrade reads as "skipped newer work", not damage.
-                if entry.value.first().is_some_and(|&v| v > checkpoint::VERSION) {
-                    future_version += 1;
+                // frames), so a leading version byte other than ours means
+                // another build wrote this entry — count it apart so a
+                // build change reads as "skipped other work", not damage.
+                if entry.value.first().is_some_and(|&v| v != checkpoint::VERSION) {
+                    version_skew += 1;
                 }
                 quarantined += 1;
+                quarantined_keys.insert(entry.key);
             }
         }
     }
-    if future_version > 0 {
+    if version_skew > 0 {
         eprintln!(
-            "[sim] warning: checkpoint {}: skipped {future_version} journal \
-             frame(s) from a newer codec version (> v{}); those runs will be \
-             recomputed",
+            "[sim] warning: checkpoint {}: skipped {version_skew} journal \
+             frame(s) from another codec version (not v{}); those runs will \
+             be recomputed",
             dir.display(),
             checkpoint::VERSION,
         );
     }
     bitline_obs::counter!("sim.checkpoint.replayed").add(replayed);
     bitline_obs::counter!("sim.checkpoint.quarantined").add(quarantined);
-    bitline_obs::counter!("sim.checkpoint.future_version").add(future_version);
-    let stats =
-        CheckpointStats { replayed, quarantined, future_version, appended: 0, recomputed: 0 };
-    *state = Some(CheckpointState {
-        journal,
-        replayed,
-        quarantined,
-        future_version,
-        appended: 0,
-        recomputed: 0,
-    });
+    bitline_obs::counter!("sim.checkpoint.version_skew").add(version_skew);
+    let stats = CheckpointStats { replayed, quarantined, version_skew, appended: 0, recomputed: 0 };
+    *state = Some(CheckpointState { journal, quarantined_keys, stats });
     Ok(stats)
 }
 
@@ -199,10 +196,10 @@ fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
     let mut state = lock_checkpoint();
     let Some(cp) = state.as_mut() else { return };
     let key = checkpoint::spec_key(name, spec);
-    if cp.journal.contains(&key) {
-        // A fresh compute of a journaled key: the warm path failed to
-        // serve it. Counted so CI can assert resume actually resumes.
-        cp.recomputed += 1;
+    if cp.journal.contains(&key) && !cp.quarantined_keys.contains(&key) {
+        // A fresh compute of a trusted journaled key: the warm path failed
+        // to serve it. Counted so CI can assert resume actually resumes.
+        cp.stats.recomputed += 1;
         bitline_obs::counter!("sim.checkpoint.recomputed").incr();
         return;
     }
@@ -214,7 +211,8 @@ fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
     }
     match cp.journal.append(&key, &checkpoint::encode_run(run)) {
         Ok(()) => {
-            cp.appended += 1;
+            cp.quarantined_keys.remove(&key);
+            cp.stats.appended += 1;
             bitline_obs::counter!("sim.checkpoint.appended").incr();
         }
         Err(e) => eprintln!("[exec] warning: checkpoint append failed for {key}: {e}"),
@@ -224,13 +222,7 @@ fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
 /// Counters of the armed checkpoint journal, if any.
 #[must_use]
 pub fn checkpoint_stats() -> Option<CheckpointStats> {
-    lock_checkpoint().as_ref().map(|cp| CheckpointStats {
-        replayed: cp.replayed,
-        quarantined: cp.quarantined,
-        future_version: cp.future_version,
-        appended: cp.appended,
-        recomputed: cp.recomputed,
-    })
+    lock_checkpoint().as_ref().map(|cp| cp.stats)
 }
 
 /// Memoized [`try_run_benchmark`]: the first request for a

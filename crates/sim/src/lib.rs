@@ -48,6 +48,7 @@ pub mod experiments;
 pub mod metrics;
 mod recorder;
 mod runner;
+pub mod spec;
 pub mod supervise;
 
 pub use bitline_energy::LeakageKind;
@@ -66,18 +67,19 @@ pub use runner::{
 /// Applies the supervision environment variables: `BITLINE_RUN_BUDGET`
 /// (per-run wall-clock budget) and `BITLINE_CHECKPOINT` (checkpoint
 /// directory; `BITLINE_NO_RESUME=1` starts its journal afresh), and
-/// validates `BITLINE_JOBS` fail-fast (zero or garbage is an error, not a
-/// silent fallback). The CLI flags override these; bench harnesses call
-/// only this.
+/// validates `BITLINE_JOBS` and `BITLINE_INSTRS` fail-fast (zero or
+/// garbage is an error, not a silent fallback). The CLI flags override
+/// these; bench harnesses call only this.
 ///
 /// # Errors
 ///
-/// A human-readable message for a malformed budget or an unopenable
+/// A human-readable message for a malformed variable or an unopenable
 /// checkpoint directory.
 pub fn init_supervision_from_env() -> Result<(), String> {
     // Fail fast on BITLINE_JOBS=0 or garbage instead of the pool's silent
     // auto fallback, matching the `--scrub-period 0` precedent.
     bitline_exec::pool::jobs_from_env()?;
+    instructions_from_env()?;
     supervise::init_run_budget_from_env()?;
     // Arm BITLINE_FAILPOINTS (and its seed) now so a malformed spec kills
     // the driver at startup instead of a one-time warning mid-run.
@@ -90,9 +92,19 @@ pub fn init_supervision_from_env() -> Result<(), String> {
     Ok(())
 }
 
-/// Default instruction count per simulation run; override with the
-/// `BITLINE_INSTRS` environment variable.
+/// Instructions per run for the experiment drivers: `BITLINE_INSTRS`,
+/// else [`SystemSpec::default`]'s 150 000. Entry points validate the
+/// variable at startup ([`init_supervision_from_env`]).
 #[must_use]
 pub fn default_instructions() -> u64 {
-    std::env::var("BITLINE_INSTRS").ok().and_then(|v| v.parse().ok()).unwrap_or(150_000)
+    instructions_from_env().ok().flatten().unwrap_or(SystemSpec::default().instructions)
+}
+
+/// `BITLINE_INSTRS`, `None` when unset.
+fn instructions_from_env() -> Result<Option<u64>, String> {
+    let Ok(v) = std::env::var("BITLINE_INSTRS") else { return Ok(None) };
+    match v.trim().parse() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!("BITLINE_INSTRS: `{v}` is not a positive instruction count")),
+    }
 }

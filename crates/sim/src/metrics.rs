@@ -39,7 +39,7 @@ const DECLARED_COUNTERS: &[&str] = &[
     "sim.checkpoint.replayed",
     "sim.checkpoint.recomputed",
     "sim.checkpoint.quarantined",
-    "sim.checkpoint.future_version",
+    "sim.checkpoint.version_skew",
     "sim.harness.ok",
     "sim.harness.skipped",
     "sim.harness.retries",

@@ -722,30 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn ecc_flag_with_zero_rate_changes_nothing() {
-        let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let plain = run_benchmark("mesa", &s);
-        let armed = run_benchmark(
-            "mesa",
-            &SystemSpec {
-                faults: crate::FaultSpec {
-                    rate: 0.0,
-                    seed: 3,
-                    fail_safe: true,
-                    ecc: true,
-                    scrub_period: Some(8_192),
-                },
-                ..s
-            },
-        );
-        assert_eq!(plain.cycles(), armed.cycles());
-        assert_eq!(plain.d_report, armed.d_report);
-        assert!(armed.d_reliability.is_none(), "rate 0 leaves the decorator unarmed");
-        let (pol, _) = armed.energy(TechnologyNode::N70);
-        assert_eq!(pol.d.ecc_j, 0.0);
-    }
-
-    #[test]
     fn stock_runs_carry_no_hierarchy_state() {
         let run = run_benchmark("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
         assert!(run.l2_report.is_none());

@@ -1,72 +1,75 @@
-//! Differential guarantee of the ECC layer: arming SECDED (`--ecc`, here
-//! via `BITLINE_ECC`) with a zero upset rate changes **nothing** — every
-//! golden figure export stays byte-identical to the unprotected goldens.
+//! Differential guarantee of the ECC layer: arming SECDED (`--ecc`, with
+//! or without `--scrub-period`) at a zero upset rate changes **nothing**.
+//! Every `RunResult` field but the spec itself, and the run's energy at
+//! every node, stay bit-identical to the unprotected run — and those are
+//! exactly what every figure export is computed from.
 //!
 //! This pins the layering invariant the energy and fault models promise:
 //! with no faults to inject the decorator is never armed, no ECC energy
-//! is priced, and no cycle moves. Everything lives in one `#[test]`
-//! because the suite restriction and the ECC opt-in ride on process-global
-//! env vars and the run cache is process-wide.
+//! is priced, and no cycle moves.
 
-use std::path::{Path, PathBuf};
+use bitline_cmos::TechnologyNode;
+use bitline_faults::SplitMix64;
+use bitline_sim::{try_run_benchmark, FaultSpec, PolicyKind, RunResult, SystemSpec};
 
-use bitline_sim::clear_run_caches;
-use bitline_sim::experiments::{export, fig10, fig3, fig8, fig9};
-use bitline_sim::{FaultSpec, SystemSpec};
-
-/// Same budget as the golden suite — the goldens were rendered at this.
+/// Same budget as the golden suite.
 const INSTRS: u64 = 2_000;
 
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("goldens")
-}
-
-fn rendered(name: &str, write: impl FnOnce(&Path) -> std::io::Result<PathBuf>) -> String {
-    let dir = std::env::temp_dir().join(format!("bitline-eccdiff-{}-{name}", std::process::id()));
-    let path = write(&dir).unwrap_or_else(|e| panic!("{name}: export failed: {e}"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: read: {e}"));
-    std::fs::remove_dir_all(&dir).ok();
-    text
-}
-
-fn check_against_golden(name: &str, got: &str) {
-    let golden_path = goldens_dir().join(format!("{name}.dat"));
-    let want = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("{}: {e} (golden missing?)", golden_path.display()));
-    assert_eq!(
-        got, want,
-        "{name}.dat changed under BITLINE_ECC=1 with a zero upset rate — \
-         the ECC layer must be inert when no faults are injected"
-    );
+/// Seeded specs across the axes a protection layer could disturb: policy,
+/// subarray size, workload and fault seeds, way prediction, fail-safe.
+fn specs() -> Vec<SystemSpec> {
+    let policies = [
+        PolicyKind::Gated { threshold: 100 },
+        PolicyKind::GatedPredecode { threshold: 100 },
+        PolicyKind::Drowsy { threshold: 50 },
+        PolicyKind::OnDemand,
+        PolicyKind::AdaptiveGated { interval_accesses: 500 },
+        PolicyKind::StaticPullUp,
+    ];
+    let mut rng = SplitMix64::new(0x0ECC_D1FF);
+    policies
+        .into_iter()
+        .map(|d_policy| SystemSpec {
+            d_policy,
+            i_policy: d_policy.icache_default(),
+            subarray_bytes: 256 << (rng.next_u64() % 3),
+            instructions: INSTRS,
+            seed: rng.next_u64() % 1_000,
+            way_prediction: rng.next_u64() % 2 == 1,
+            faults: FaultSpec {
+                seed: rng.next_u64(),
+                fail_safe: rng.next_u64() % 2 == 1,
+                ..FaultSpec::default()
+            },
+            ..SystemSpec::default()
+        })
+        .collect()
 }
 
 #[test]
-fn ecc_with_zero_upset_rate_leaves_every_golden_figure_byte_identical() {
-    std::env::set_var("BITLINE_SUITE", "mesa,bisort");
-    std::env::set_var("BITLINE_ECC", "1");
-    std::env::set_var("BITLINE_SCRUB_PERIOD", "4096");
-    clear_run_caches();
-
-    // The env opt-in must actually have reached the default spec.
-    let spec = SystemSpec::default();
-    assert!(spec.faults.ecc, "BITLINE_ECC=1 arms the default FaultSpec");
-    assert_eq!(spec.faults.scrub_period, Some(4_096));
-    assert_eq!(spec.faults.rate, 0.0, "no upset rate was requested");
-    assert!(!FaultSpec::default().enabled(), "rate 0 leaves injection off");
-
-    let (fig3_rows, _avg) = fig3::run(INSTRS).expect("fig3 completes");
-    check_against_golden("fig3", &rendered("fig3", |d| export::write_fig3(d, &fig3_rows)));
-
-    let (fig8_rows, _summary) = fig8::run(INSTRS).expect("fig8 completes");
-    check_against_golden("fig8", &rendered("fig8", |d| export::write_fig8(d, &fig8_rows)));
-
-    let fig9_rows = fig9::run(INSTRS).expect("fig9 completes");
-    check_against_golden("fig9", &rendered("fig9", |d| export::write_fig9(d, &fig9_rows)));
-
-    let fig10_rows = fig10::run(INSTRS).expect("fig10 completes");
-    check_against_golden("fig10", &rendered("fig10", |d| export::write_fig10(d, &fig10_rows)));
-
-    std::env::remove_var("BITLINE_SCRUB_PERIOD");
-    std::env::remove_var("BITLINE_ECC");
-    std::env::remove_var("BITLINE_SUITE");
+fn ecc_at_zero_upset_rate_leaves_runs_and_energy_bit_identical() {
+    for spec in specs() {
+        for benchmark in ["mesa", "bisort"] {
+            let bare = try_run_benchmark(benchmark, &spec).expect("bare run");
+            for scrub_period in [None, Some(4_096)] {
+                let faults = FaultSpec { ecc: true, scrub_period, ..spec.faults };
+                let armed_spec = SystemSpec { faults, ..spec };
+                assert!(armed_spec.validate().is_ok(), "{armed_spec:?}");
+                let armed = try_run_benchmark(benchmark, &armed_spec).expect("armed run");
+                let label = format!("{benchmark} {armed_spec:?}");
+                assert_eq!(
+                    format!("{:?}", RunResult { spec, ..armed.clone() }),
+                    format!("{bare:?}"),
+                    "{label}: arming ECC at rate 0 moved the run"
+                );
+                for node in TechnologyNode::ALL {
+                    assert_eq!(
+                        format!("{:?}", armed.energy(node)),
+                        format!("{:?}", bare.energy(node)),
+                        "{label}: arming ECC at rate 0 moved the energy at {node}"
+                    );
+                }
+            }
+        }
+    }
 }

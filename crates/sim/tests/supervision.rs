@@ -106,7 +106,7 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     // --- A future-codec frame is skipped and counted, never fatal ---
     // Write a CRC-valid frame whose payload claims codec version 99 (a
     // newer build's work): resume must quarantine it, report it under
-    // `future_version`, and still replay every frame it understands.
+    // `version_skew`, and still replay every frame it understands.
     clear_checkpoint();
     clear_run_caches();
     {
@@ -118,7 +118,37 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     let future_stats = set_checkpoint(&dir, true).expect("a future frame must not abort resume");
     assert_eq!(future_stats.replayed, 2, "both understood entries still replay");
     assert_eq!(future_stats.quarantined, 1, "the v99 frame is quarantined");
-    assert_eq!(future_stats.future_version, 1, "and counted as future-version, not damage");
+    assert_eq!(future_stats.version_skew, 1, "and counted as version skew, not damage");
+
+    // --- An older-codec frame is quarantined, recomputed and re-journaled ---
+    // Supersede gcc's frame with a CRC-valid copy stamped codec v4, as an
+    // older build could have left it: resume must quarantine it under
+    // `version_skew`, recompute the run, and journal it afresh so the
+    // next resume replays it.
+    clear_checkpoint();
+    clear_run_caches();
+    let gcc_key = bitline_sim::checkpoint::spec_key("gcc", &spec);
+    {
+        let (mut journal, entries, _) = bitline_exec::Journal::open(&dir).expect("reopen journal");
+        let gcc_entry = entries.iter().rev().find(|e| e.key == gcc_key).expect("gcc journaled");
+        let mut v4_frame = gcc_entry.value.clone();
+        v4_frame[0] = 4;
+        journal.append(&gcc_key, &v4_frame).expect("append v4 frame");
+    }
+    let old_stats = set_checkpoint(&dir, true).expect("an old frame must not abort resume");
+    assert_eq!(old_stats.replayed, 1, "mcf still replays");
+    assert_eq!(old_stats.quarantined, 2, "the v4 gcc frame and the v99 frame");
+    assert_eq!(old_stats.version_skew, 2);
+    let gcc_again = try_run_benchmark_cached("gcc", &spec).expect("gcc recomputes");
+    assert_eq!(format!("{gcc_cold:?}"), format!("{gcc_again:?}"));
+    let after_recompute = checkpoint_stats().expect("checkpoint armed");
+    assert_eq!(after_recompute.appended, 1, "the recomputed run is journaled afresh");
+    assert_eq!(after_recompute.recomputed, 0, "a quarantined key is not a trusted one");
+    clear_checkpoint();
+    clear_run_caches();
+    let healed = set_checkpoint(&dir, true).expect("arm healed checkpoint");
+    assert_eq!(healed.replayed, 2, "the fresh gcc frame supersedes the v4 one");
+    assert_eq!(healed.version_skew, 1, "only the v99 frame remains skewed");
 
     // --- --no-resume: journal restarts empty but keeps recording ---
     clear_checkpoint();
