@@ -10,9 +10,9 @@
 #                    BITLINE_CHAOS_SEED (default 42); set
 #                    BITLINE_CHAOS_SECONDS to keep re-running the soak
 #                    with incrementing seeds for that long
-#   ./ci.sh smoke    timed headline smoke: runs the headline figure at
-#                    jobs=1 and jobs=N, fails if the figure differs, and
-#                    writes wall-clock + run-cache stats to
+#   ./ci.sh smoke    timed headline smoke: runs the release bitline-sim's
+#                    headline at jobs=1 and jobs=N, fails if the figure
+#                    differs, and writes wall-clock + run-cache stats to
 #                    BENCH_headline.json; then exercises run supervision:
 #                    a tiny --run-budget must surface as timed-out, and a
 #                    SIGKILL-interrupted --checkpoint sweep must resume to
@@ -57,8 +57,9 @@ smoke() {
     # are about determinism, not speed, so oversubscribe.
     if [[ "$jobs_n" -lt 2 ]]; then jobs_n=4; fi
 
-    echo "==> smoke: build headline driver"
-    cargo bench -p bitline-bench --bench headline --no-run -q
+    echo "==> smoke: build the release bitline-sim"
+    cargo build --release -q -p bitline-sim
+    local sim=./target/release/bitline-sim
 
     SMOKE_TMP="$(mktemp -d)"
     trap 'rm -rf "$SMOKE_TMP"' EXIT
@@ -68,15 +69,14 @@ smoke() {
     echo "==> smoke: headline at jobs=1 (BITLINE_INSTRS=$instrs)"
     local t0 t1 secs_serial secs_parallel
     t0=$(date +%s.%N)
-    BITLINE_INSTRS="$instrs" BITLINE_JOBS=1 BITLINE_METRICS="$SMOKE_TMP/headline1.jsonl" \
-        cargo bench -p bitline-bench --bench headline -q >"$out_serial" 2>"$err_serial"
+    BITLINE_INSTRS="$instrs" "$sim" --jobs 1 --metrics "$SMOKE_TMP/headline1.jsonl" headline \
+        >"$out_serial" 2>"$err_serial"
     t1=$(date +%s.%N)
     secs_serial=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 
     echo "==> smoke: headline at jobs=$jobs_n"
     t0=$(date +%s.%N)
-    BITLINE_INSTRS="$instrs" BITLINE_JOBS="$jobs_n" \
-        cargo bench -p bitline-bench --bench headline -q >"$out_parallel" 2>"$err_parallel"
+    BITLINE_INSTRS="$instrs" "$sim" --jobs "$jobs_n" headline >"$out_parallel" 2>"$err_parallel"
     t1=$(date +%s.%N)
     secs_parallel=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 
@@ -86,15 +86,15 @@ smoke() {
         exit 1
     fi
 
-    # The drivers report "[exec] jobs=N; run-cache: H hits, M misses, ..."
-    # on stderr; pull the parallel run's cache stats into the report.
+    # bitline-sim reports "jobs=N; run-cache: H hits, M misses, ..." on
+    # stderr; pull the parallel run's cache stats into the report.
     local hits misses
     hits=$(sed -n 's/.*run-cache: \([0-9]*\) hits.*/\1/p' "$err_parallel" | tail -n 1)
     misses=$(sed -n 's/.*hits, \([0-9]*\) misses.*/\1/p' "$err_parallel" | tail -n 1)
 
     # Serial throughput gate. MIPS comes from the runner's own counters
-    # (committed instructions over hot-loop wall time, excluding build,
-    # setup and reporting), so the gate measures the core, not cargo.
+    # (committed instructions over hot-loop wall time, excluding setup and
+    # reporting), so the gate measures the core, not process start-up.
     local committed busy mips_serial
     committed=$(metric_value "$SMOKE_TMP/headline1.jsonl" sim.runner.committed_instructions)
     busy=$(metric_value "$SMOKE_TMP/headline1.jsonl" sim.runner.busy_micros)
@@ -550,7 +550,7 @@ hierarchy() {
     local sim=./target/debug/bitline-sim
 
     # The golden is blessed on the two smallest workloads at 2000
-    # instructions (crates/sim/tests/hierarchy_golden.rs); the same
+    # instructions (crates/sim/tests/goldens.rs); the same
     # configuration here must reproduce it byte-for-byte from the CLI.
     echo "==> hierarchy: table at jobs=1 vs the blessed golden"
     local h1="$HIER_TMP/h1.dat" hN="$HIER_TMP/hN.dat"
@@ -617,7 +617,7 @@ voltage() {
     local sim=./target/debug/bitline-sim
 
     # The golden is blessed on the two smallest workloads at 2000
-    # instructions (crates/sim/tests/voltage_golden.rs); the same
+    # instructions (crates/sim/tests/goldens.rs); the same
     # configuration here must reproduce it byte-for-byte from the CLI.
     echo "==> voltage: table at jobs=1 vs the blessed golden"
     local v1="$VOLT_TMP/v1.dat" vN="$VOLT_TMP/vN.dat"
@@ -669,6 +669,19 @@ voltage() {
     if ! grep -q -- "--vdd" "$VOLT_TMP/ignored.err"; then
         echo "==> voltage: FAIL — the rejection must name --vdd" >&2
         cat "$VOLT_TMP/ignored.err" >&2
+        exit 1
+    fi
+
+    # A base fault rate outside [0, 1] fails before any run instead of
+    # silently falling back to the table's default rate.
+    echo "==> voltage: reliability rejects an out-of-range --fault-rate"
+    if "$sim" --fault-rate -0.1 reliability >/dev/null 2>"$VOLT_TMP/rate.err"; then
+        echo "==> voltage: FAIL — reliability must reject --fault-rate -0.1" >&2
+        exit 1
+    fi
+    if ! grep -q "fault rate" "$VOLT_TMP/rate.err"; then
+        echo "==> voltage: FAIL — the rejection must name the fault rate" >&2
+        cat "$VOLT_TMP/rate.err" >&2
         exit 1
     fi
 

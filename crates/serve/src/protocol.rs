@@ -374,7 +374,7 @@ pub fn stats_line(id: &str, stats: &[(&str, u64)]) -> String {
 mod tests {
     use super::*;
     use bitline_obs::json::get_u64;
-    use bitline_sim::PolicyKind;
+    use bitline_sim::{FaultSpec, HierarchySpec, LeakageKind, PolicyKind, VddSpec};
 
     #[test]
     fn run_requests_parse_with_defaults_and_overrides() {
@@ -406,31 +406,101 @@ mod tests {
     #[test]
     fn every_spec_flag_and_its_serve_key_build_the_same_spec() {
         // One non-default value per table row: the CLI spelling (none for
-        // a switch) and the JSON value serve receives.
-        let samples: [(&str, &str, &str); 16] = [
-            ("d_policy", "predecode:32", r#""predecode:32""#),
-            ("i_policy", "resizable:500:0.02", r#""resizable:500:0.02""#),
-            ("subarray_bytes", "256", "256"),
-            ("instructions", "9000", "9000"),
-            ("seed", "7", "7"),
-            ("way_prediction", "", "true"),
-            ("fault_rate", "0.01", "0.01"),
-            ("fault_seed", "11", "11"),
-            ("fail_safe", "", "true"),
-            ("ecc", "", "true"),
-            ("scrub_period", "4096", "4096"),
-            ("levels", "3", "3"),
-            ("l2_policy", "drowsy:50", r#""drowsy:50""#),
-            ("leakage_mode", "6t", r#""6t""#),
-            ("vdd", "0.85", "0.85"),
-            ("vdd_governor", "", "true"),
+        // a switch), the JSON value serve receives, and the spec both must
+        // build, so a row wired to the wrong field fails.
+        let base = spec::front_end_default();
+        let (faults, hierarchy, vdd) = (base.faults, base.hierarchy, base.vdd);
+        let samples: [(&str, &str, &str, SystemSpec); 16] = [
+            (
+                "d_policy",
+                "predecode:32",
+                r#""predecode:32""#,
+                SystemSpec {
+                    d_policy: PolicyKind::GatedPredecode { threshold: 32 },
+                    i_policy: PolicyKind::Gated { threshold: 32 },
+                    ..base
+                },
+            ),
+            (
+                "i_policy",
+                "resizable:500:0.02",
+                r#""resizable:500:0.02""#,
+                SystemSpec {
+                    i_policy: PolicyKind::Resizable { interval_accesses: 500, slack: 0.02 },
+                    ..base
+                },
+            ),
+            ("subarray_bytes", "256", "256", SystemSpec { subarray_bytes: 256, ..base }),
+            ("instructions", "9000", "9000", SystemSpec { instructions: 9000, ..base }),
+            ("seed", "7", "7", SystemSpec { seed: 7, ..base }),
+            ("way_prediction", "", "true", SystemSpec { way_prediction: true, ..base }),
+            (
+                "fault_rate",
+                "0.01",
+                "0.01",
+                SystemSpec { faults: FaultSpec { rate: 0.01, ..faults }, ..base },
+            ),
+            (
+                "fault_seed",
+                "11",
+                "11",
+                SystemSpec { faults: FaultSpec { seed: 11, ..faults }, ..base },
+            ),
+            (
+                "fail_safe",
+                "",
+                "true",
+                SystemSpec { faults: FaultSpec { fail_safe: true, ..faults }, ..base },
+            ),
+            ("ecc", "", "true", SystemSpec { faults: FaultSpec { ecc: true, ..faults }, ..base }),
+            (
+                "scrub_period",
+                "4096",
+                "4096",
+                SystemSpec { faults: FaultSpec { scrub_period: Some(4096), ..faults }, ..base },
+            ),
+            (
+                "levels",
+                "3",
+                "3",
+                SystemSpec { hierarchy: HierarchySpec { levels: 3, ..hierarchy }, ..base },
+            ),
+            (
+                "l2_policy",
+                "drowsy:50",
+                r#""drowsy:50""#,
+                SystemSpec {
+                    hierarchy: HierarchySpec {
+                        l2_policy: PolicyKind::Drowsy { threshold: 50 },
+                        ..hierarchy
+                    },
+                    ..base
+                },
+            ),
+            (
+                "leakage_mode",
+                "6t",
+                r#""6t""#,
+                SystemSpec {
+                    hierarchy: HierarchySpec { leakage_mode: LeakageKind::LowPower6T, ..hierarchy },
+                    ..base
+                },
+            ),
+            ("vdd", "0.85", "0.85", SystemSpec { vdd: VddSpec { scale: 0.85, ..vdd }, ..base }),
+            (
+                "vdd_governor",
+                "",
+                "true",
+                SystemSpec { vdd: VddSpec { governor: true, ..vdd }, ..base },
+            ),
         ];
-        for (field, (key, text, json)) in spec::FIELDS.iter().zip(samples) {
+        for (field, (key, text, json, want)) in spec::FIELDS.iter().zip(samples) {
             assert_eq!(field.key, key, "samples follow the table");
+            assert_ne!(want, base, "{key}: sample must not be the default");
             let mut cli = spec::Assignments::default();
             assert!(cli.flag(field.flag, || Ok(text.to_owned())).unwrap());
-            let cli = cli.apply(spec::front_end_default()).unwrap();
-            assert_ne!(cli, spec::front_end_default(), "{key}: sample must not be the default");
+            let cli = cli.apply(base).unwrap();
+            assert_eq!(cli, want, "{key}: the flag must set its own field");
             let line = format!(r#"{{"id":"t","benchmark":"gcc","spec":{{"{key}":{json}}}}}"#);
             let Ok(Request::Run(run)) = parse_request(&line) else { panic!("{line}") };
             assert_eq!(run.spec, cli, "{key}");

@@ -10,11 +10,12 @@
 //! bitline-sim --list
 //! ```
 //!
-//! A positional experiment command (`headline`, `fig3`, `fig8`, `fig9`,
-//! `fig10`, `ondemand`) runs the corresponding paper figure driver
-//! instead of a single benchmark; `--metrics PATH` (or `BITLINE_METRICS`)
-//! additionally writes the run's observability counters, histograms and
-//! spans as JSON lines, and `--metrics-summary` prints them as a table.
+//! A positional experiment command (`bitline-sim fig9`; `--help` lists
+//! them all) runs that table or figure of the paper instead of a single
+//! benchmark and prints its rows, which are also its `.dat` file;
+//! `--metrics PATH` additionally writes the run's observability counters,
+//! histograms and spans as JSON lines, and `--metrics-summary` prints
+//! them as a table.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -22,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bitline_cmos::TechnologyNode;
-use bitline_sim::experiments::harness;
+use bitline_sim::experiments::{self, harness, Experiment};
 use bitline_sim::{
     exec_summary_line, set_checkpoint, spec, supervise, try_run_benchmark_cached, FaultSpec,
     HierarchySpec, PolicyKind, SimError, SystemSpec, VddSpec,
@@ -41,30 +42,7 @@ struct Args {
     metrics: Option<PathBuf>,
     metrics_summary: bool,
     validate_metrics: Option<PathBuf>,
-    experiment: Option<String>,
-}
-
-/// The positional experiment commands, in help order.
-const EXPERIMENTS: &[&str] = &[
-    "headline",
-    "fig3",
-    "fig8",
-    "fig9",
-    "fig10",
-    "ondemand",
-    "reliability",
-    "hierarchy",
-    "voltage",
-];
-
-/// The spec fields each experiment takes from the command line. Every
-/// experiment simulates its own specs, so any other spec flag would be
-/// silently ignored; it is rejected instead.
-fn honoured_fields(experiment: &str) -> &'static [&'static str] {
-    match experiment {
-        "reliability" => &["fault_rate", "fault_seed", "scrub_period"],
-        _ => &[],
-    }
+    experiment: Option<&'static Experiment>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -113,21 +91,23 @@ fn parse_args() -> Result<Args, String> {
                 print_help();
                 std::process::exit(0);
             }
-            cmd if EXPERIMENTS.contains(&cmd) => {
-                if let Some(prev) = &args.experiment {
-                    return Err(format!("one experiment at a time (`{prev}` then `{cmd}`)"));
+            cmd => {
+                let Some(e) = experiments::find(cmd) else {
+                    return Err(format!("unknown flag `{cmd}` (see --help)"));
+                };
+                if let Some(prev) = args.experiment {
+                    return Err(format!("one experiment at a time (`{}` then `{cmd}`)", prev.name));
                 }
-                args.experiment = Some(cmd.to_owned());
+                args.experiment = Some(e);
             }
-            other => return Err(format!("unknown flag `{other}` (see --help)")),
         }
     }
     args.spec = spec_values.apply(spec::front_end_default())?;
-    if let Some(cmd) = &args.experiment {
-        if let Some(field) = spec_values.fields().find(|f| !honoured_fields(cmd).contains(&f.key)) {
+    if let Some(e) = args.experiment {
+        if let Some(field) = spec_values.fields().find(|f| !e.takes.contains(&f.key)) {
             return Err(format!(
-                "`{cmd}` does not take {}: the experiment sets that field itself",
-                field.flag
+                "`{}` does not take {}: the experiment sets that field itself",
+                e.name, field.flag
             ));
         }
     }
@@ -151,17 +131,17 @@ fn print_help() {
     println!("  -j, --jobs N            worker threads for `all` (default: BITLINE_JOBS");
     println!("                          env, else available parallelism)");
     println!("      --metrics PATH      write the run's observability metrics (counters,");
-    println!("                          histograms, spans) to PATH as JSON lines;");
-    println!("                          BITLINE_METRICS env does the same");
+    println!("                          histograms, spans) to PATH as JSON lines");
     println!("      --metrics-summary   print the metrics as a table on stderr at exit");
     println!("      --validate-metrics F  validate a previously written metrics file");
     println!("                          against the bitline-obs/v1 schema and exit");
     println!("  -l, --list              list benchmarks and exit");
     println!();
-    println!("EXPERIMENTS (positional): headline | fig3 | fig8 | fig9 | fig10 | ondemand |");
-    println!("  reliability | hierarchy | voltage");
-    println!("  runs the paper-figure driver over the suite (BITLINE_INSTRS instructions");
-    println!("  per run, BITLINE_SUITE restricts the benchmark set)");
+    println!("EXPERIMENTS (positional; BITLINE_INSTRS instructions per run, BITLINE_SUITE");
+    println!("restricts the benchmark set; stdout is the experiment's .dat file):");
+    for e in &experiments::ALL {
+        println!("  {:<22}  {}", e.name, e.about);
+    }
 }
 
 /// Runs one benchmark and renders its report. Returning the text (rather
@@ -253,200 +233,15 @@ fn run_one(name: &str, args: &Args) -> Result<String, SimError> {
     Ok(out)
 }
 
-/// Runs one positional experiment command and renders its rows. Each arm
-/// prints the same columns its `.dat` export carries, so the text output
-/// is greppable against the exported figure data.
-fn run_experiment(cmd: &str, faults: &FaultSpec) -> Result<String, SimError> {
-    use bitline_sim::experiments::{
-        fig10, fig3, fig8, fig9, headline, hierarchy, ondemand, reliability, voltage,
-    };
-    let instrs = bitline_sim::default_instructions();
-    let mut out = String::new();
-    match cmd {
-        "headline" => {
-            let h = headline::run(instrs)?;
-            let _ = writeln!(out, "== headline @ 70nm ({instrs} instructions/run) ==");
-            let _ = writeln!(
-                out,
-                "  discharge reduction  D {:5.1}%  I {:5.1}%",
-                100.0 * h.d_discharge_reduction,
-                100.0 * h.i_discharge_reduction
-            );
-            let _ = writeln!(
-                out,
-                "  overall reduction    D {:5.1}%  I {:5.1}%",
-                100.0 * h.d_overall_reduction,
-                100.0 * h.i_overall_reduction
-            );
-            let _ = writeln!(
-                out,
-                "  slowdown             D {:5.2}%  I {:5.2}%",
-                100.0 * h.d_slowdown,
-                100.0 * h.i_slowdown
-            );
-            let _ = writeln!(
-                out,
-                "  precharged fraction  D {:5.1}%  I {:5.1}%",
-                100.0 * h.d_precharged,
-                100.0 * h.i_precharged
-            );
-            let _ = writeln!(
-                out,
-                "  cache share of processor energy {:4.1}%  replay overhead {:5.2}%",
-                100.0 * h.cache_fraction_of_processor,
-                100.0 * h.replay_overhead
-            );
-        }
-        "fig3" => {
-            let (rows, avg) = fig3::run(instrs)?;
-            let _ = writeln!(out, "# benchmark  d_relative_discharge  i_relative_discharge");
-            for r in rows.iter().chain(std::iter::once(&avg)) {
-                let _ = writeln!(out, "{} {:.5} {:.5}", r.benchmark, r.d_relative, r.i_relative);
-            }
-        }
-        "fig8" => {
-            let (rows, summary) = fig8::run(instrs)?;
-            let _ = writeln!(
-                out,
-                "# benchmark  d_precharged d_discharge d_thr  i_precharged i_discharge i_thr"
-            );
-            for r in rows.iter().chain(std::iter::once(&summary.avg)) {
-                let _ = writeln!(
-                    out,
-                    "{} {:.5} {:.5} {} {:.5} {:.5} {}",
-                    r.benchmark,
-                    r.d_precharged,
-                    r.d_discharge,
-                    r.d_threshold,
-                    r.i_precharged,
-                    r.i_discharge,
-                    r.i_threshold
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# const-100 discharge: D {:.5}  I {:.5}",
-                summary.const_d_discharge, summary.const_i_discharge
-            );
-        }
-        "fig9" => {
-            let rows = fig9::run(instrs)?;
-            let _ = writeln!(out, "# feature_nm  gated_d  gated_i  resizable_d  resizable_i");
-            for r in rows {
-                let _ = writeln!(
-                    out,
-                    "{} {:.5} {:.5} {:.5} {:.5}",
-                    r.node.feature_nm(),
-                    r.gated_d,
-                    r.gated_i,
-                    r.resizable_d,
-                    r.resizable_i
-                );
-            }
-        }
-        "fig10" => {
-            let rows = fig10::run(instrs)?;
-            let _ = writeln!(out, "# subarray_bytes  d_precharged  i_precharged");
-            for r in rows {
-                let _ = writeln!(
-                    out,
-                    "{} {:.5} {:.5}",
-                    r.subarray_bytes, r.d_precharged, r.i_precharged
-                );
-            }
-        }
-        "ondemand" => {
-            let (rows, avg) = ondemand::run(instrs)?;
-            let _ = writeln!(out, "# benchmark  d_slowdown  i_slowdown");
-            for r in rows.iter().chain(std::iter::once(&avg)) {
-                let _ = writeln!(out, "{} {:.5} {:.5}", r.benchmark, r.d_slowdown, r.i_slowdown);
-            }
-        }
-        "reliability" => {
-            let rows = reliability::run(instrs, faults)?;
-            let _ = writeln!(
-                out,
-                "# feature_nm  policy  protection  corrected_per_mi  due_per_mi  \
-                 sdc_per_mi  energy_overhead  fail_safe_subarrays"
-            );
-            for r in rows {
-                let _ = writeln!(
-                    out,
-                    "{} {} {} {:.5} {:.5} {:.5} {:.5} {}",
-                    r.node.feature_nm(),
-                    r.policy,
-                    r.protection.label(),
-                    r.corrected_per_mi,
-                    r.due_per_mi,
-                    r.sdc_per_mi,
-                    r.energy_overhead,
-                    r.fail_safe_subarrays
-                );
-            }
-        }
-        "hierarchy" => {
-            let rows = hierarchy::run(instrs)?;
-            let _ = writeln!(
-                out,
-                "# feature_nm  levels  mode  l2_miss_ratio  l1_j  l2_j  l3_j  total_j  \
-                 vs_full_vdd"
-            );
-            for r in rows {
-                let _ = writeln!(
-                    out,
-                    "{} {} {} {:.5} {:.6e} {:.6e} {:.6e} {:.6e} {:.5}",
-                    r.node.feature_nm(),
-                    r.levels,
-                    r.mode.label(),
-                    r.l2_miss_ratio,
-                    r.l1_energy_j,
-                    r.l2_energy_j,
-                    r.l3_energy_j,
-                    r.total_j,
-                    r.vs_full_vdd
-                );
-            }
-        }
-        "voltage" => {
-            let rows = voltage::run(instrs)?;
-            let _ = writeln!(
-                out,
-                "# feature_nm  vdd_scale  mode  p_upset  energy_per_access_j  vs_nominal  \
-                 replay_overhead  sdc_per_mi  escalations  pinned"
-            );
-            for r in rows {
-                let _ = writeln!(
-                    out,
-                    "{} {:.2} {} {:.5} {:.6e} {:.5} {:.5} {:.5} {} {}",
-                    r.node.feature_nm(),
-                    r.vdd_scale,
-                    if r.governed { "governor" } else { "static" },
-                    r.p_upset,
-                    r.energy_per_access_j,
-                    r.energy_vs_nominal,
-                    r.replay_overhead,
-                    r.sdc_per_mi,
-                    r.escalations,
-                    r.pinned_subarrays
-                );
-            }
-        }
-        other => return Err(SimError::InvalidSpec(format!("unknown experiment `{other}`"))),
-    }
-    Ok(out)
-}
-
-/// Flushes observability output per the CLI flags and `BITLINE_METRICS`:
-/// the JSONL file (written atomically) and/or the stderr summary table.
-/// Runs after all stdout rows, so figure output stays byte-identical with
-/// metrics on or off.
+/// Flushes observability output per the CLI flags: the JSONL file
+/// (written atomically) and/or the stderr summary table. Runs after all
+/// stdout rows, so figure output stays byte-identical with metrics on or
+/// off.
 fn flush_metrics(args: &Args) {
     if let Some(path) = &args.metrics {
         if let Err(e) = bitline_sim::metrics::write_metrics(path) {
             eprintln!("warning: {e}");
         }
-    } else {
-        bitline_sim::metrics::write_metrics_from_env();
     }
     if args.metrics_summary {
         eprint!("{}", bitline_obs::summary_table());
@@ -514,10 +309,10 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    if let Some(cmd) = &args.experiment {
+    if let Some(e) = args.experiment {
         // The drivers isolate and retry per unit of work themselves; an
         // error here means the whole suite failed.
-        let result = run_experiment(cmd, &args.spec.faults);
+        let result = (e.run)(bitline_sim::default_instructions(), &args.spec);
         eprintln!("{}", exec_summary_line());
         flush_metrics(&args);
         return match result {
@@ -525,8 +320,8 @@ fn main() -> ExitCode {
                 print!("{report}");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: bitline-sim: {cmd}: {e}");
+            Err(err) => {
+                eprintln!("error: bitline-sim: {}: {err}", e.name);
                 ExitCode::FAILURE
             }
         };

@@ -269,8 +269,8 @@ pub fn trace_store_stats() -> TraceStoreStats {
     trace_store().stats()
 }
 
-/// One-line execution summary for driver output (written to stderr by the
-/// bench harnesses so stdout rows stay byte-identical across job counts).
+/// One-line execution summary for driver output (written to stderr by
+/// `bitline-sim` so stdout rows stay byte-identical across job counts).
 #[must_use]
 pub fn exec_summary_line() -> String {
     let mut line = format!(

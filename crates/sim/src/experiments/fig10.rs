@@ -1,5 +1,7 @@
 //! Figure 10: effect of subarray size on gated precharging.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -90,6 +92,17 @@ pub fn run(instrs: u64) -> Result<Vec<Fig10Row>, SimError> {
             })
         })
         .collect()
+}
+
+/// Renders the figure: `subarray_bytes  d_precharged  i_precharged` per
+/// size.
+#[must_use]
+pub fn render(rows: &[Fig10Row]) -> String {
+    let mut out = String::from("# subarray_bytes  d_precharged  i_precharged\n");
+    for r in rows {
+        let _ = writeln!(out, "{} {:.5} {:.5}", r.subarray_bytes, r.d_precharged, r.i_precharged);
+    }
+    out
 }
 
 #[cfg(test)]

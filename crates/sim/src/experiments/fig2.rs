@@ -1,5 +1,7 @@
 //! Figure 2: power dissipation through bitlines after isolation.
 
+use std::fmt::Write as _;
+
 use bitline_cache::CacheConfig;
 use bitline_circuit::{BitlineModel, TransientPoint, TransientSim};
 use bitline_cmos::TechnologyNode;
@@ -33,6 +35,31 @@ pub fn run(points: usize) -> Vec<Fig2Series> {
             }
         })
         .collect()
+}
+
+/// Renders the figure: `t_ns` then each node's normalised power, per
+/// sample, then a `#` line with each node's break-even idle cycles.
+#[must_use]
+pub fn render(series: &[Fig2Series]) -> String {
+    let mut out = String::from("# t_ns  normalized_power per node\n# t");
+    for s in series {
+        let _ = write!(out, " {}", s.node);
+    }
+    out.push('\n');
+    let points = series.first().map_or(0, |s| s.points.len());
+    for i in 0..points {
+        let _ = write!(out, "{:.2}", series[0].points[i].t_ns);
+        for s in series {
+            let _ = write!(out, " {:.5}", s.points[i].normalized_power);
+        }
+        out.push('\n');
+    }
+    out.push_str("# break-even idle cycles:");
+    for s in series {
+        let _ = write!(out, "  {} {:.0}", s.node, s.break_even_cycles);
+    }
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]

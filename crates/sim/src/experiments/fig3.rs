@@ -1,5 +1,7 @@
 //! Figure 3: potential bitline discharge savings (the oracle study).
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -49,6 +51,17 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig3Row>, Fig3Row), SimError> {
         i_relative: rows.iter().map(|r| r.i_relative).sum::<f64>() / rows.len() as f64,
     };
     Ok((rows, avg))
+}
+
+/// Renders the figure: `benchmark  d_relative  i_relative` per benchmark,
+/// then the `AVG` row.
+#[must_use]
+pub fn render(rows: &[Fig3Row], avg: &Fig3Row) -> String {
+    let mut out = String::from("# benchmark  d_relative_discharge  i_relative_discharge\n");
+    for r in rows.iter().chain([avg]) {
+        let _ = writeln!(out, "{} {:.5} {:.5}", r.benchmark, r.d_relative, r.i_relative);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Figure 8: gated precharging's precharged-subarray fraction and relative
 //! bitline discharge, per benchmark, at 70 nm.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -117,6 +119,38 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
     let summary =
         Fig8Summary { avg, const_d_discharge: const_d / n, const_i_discharge: const_i / n };
     Ok((rows, summary))
+}
+
+/// Renders the figure: `benchmark  d_precharged  d_discharge  d_threshold
+/// d_slowdown` and the same four I-cache columns, per benchmark, then the
+/// `AVG` row (threshold 0) and a `#` line with the constant-100 averages.
+#[must_use]
+pub fn render(rows: &[Fig8Row], summary: &Fig8Summary) -> String {
+    let mut out = String::from(
+        "# benchmark  d_precharged d_discharge d_threshold d_slowdown  \
+         i_precharged i_discharge i_threshold i_slowdown\n",
+    );
+    for r in rows.iter().chain([&summary.avg]) {
+        let _ = writeln!(
+            out,
+            "{} {:.5} {:.5} {} {:.5} {:.5} {:.5} {} {:.5}",
+            r.benchmark,
+            r.d_precharged,
+            r.d_discharge,
+            r.d_threshold,
+            r.d_slowdown,
+            r.i_precharged,
+            r.i_discharge,
+            r.i_threshold,
+            r.i_slowdown
+        );
+    }
+    let _ = writeln!(
+        out,
+        "# const-100 discharge: D {:.5}  I {:.5}",
+        summary.const_d_discharge, summary.const_i_discharge
+    );
+    out
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! within 1% slowdown" selection is then made independently at every node,
 //! exactly as the paper tunes each point.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -165,6 +167,25 @@ pub fn run(instrs: u64) -> Result<Vec<Fig9Row>, SimError> {
             }
         })
         .collect())
+}
+
+/// Renders the figure: `feature_nm  gated_d  gated_i  resizable_d
+/// resizable_i` per node.
+#[must_use]
+pub fn render(rows: &[Fig9Row]) -> String {
+    let mut out = String::from("# feature_nm  gated_d  gated_i  resizable_d  resizable_i\n");
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{} {:.5} {:.5} {:.5} {:.5}",
+            r.node.feature_nm(),
+            r.gated_d,
+            r.gated_i,
+            r.resizable_d,
+            r.resizable_i
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The paper's headline result (abstract / conclusions).
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 use bitline_energy::ProcessorEnergyModel;
 use bitline_workloads::suite;
@@ -84,6 +86,44 @@ pub fn run(instrs: u64) -> Result<Headline, SimError> {
         cache_fraction_of_processor: cache_frac / n,
         replay_overhead: replay_ovh / n,
     })
+}
+
+/// Renders the headline, D-cache and I-cache side by side, as percentages.
+#[must_use]
+pub fn render(instrs: u64, h: &Headline) -> String {
+    let mut out = format!("== headline @ 70nm ({instrs} instructions/run) ==\n");
+    let pct = |x: f64| 100.0 * x;
+    let _ = writeln!(
+        out,
+        "  discharge reduction  D {:5.1}%  I {:5.1}%",
+        pct(h.d_discharge_reduction),
+        pct(h.i_discharge_reduction)
+    );
+    let _ = writeln!(
+        out,
+        "  overall reduction    D {:5.1}%  I {:5.1}%",
+        pct(h.d_overall_reduction),
+        pct(h.i_overall_reduction)
+    );
+    let _ = writeln!(
+        out,
+        "  slowdown             D {:5.2}%  I {:5.2}%",
+        pct(h.d_slowdown),
+        pct(h.i_slowdown)
+    );
+    let _ = writeln!(
+        out,
+        "  precharged fraction  D {:5.1}%  I {:5.1}%",
+        pct(h.d_precharged),
+        pct(h.i_precharged)
+    );
+    let _ = writeln!(
+        out,
+        "  cache share of processor energy {:4.1}%  replay overhead {:5.2}%",
+        pct(h.cache_fraction_of_processor),
+        pct(h.replay_overhead)
+    );
+    out
 }
 
 #[cfg(test)]

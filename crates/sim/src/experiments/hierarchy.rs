@@ -16,6 +16,8 @@
 //! Rows report the suite-total L2 miss ratio, per-level cache energy,
 //! and the total relative to full-Vdd pricing of the same machine.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 use bitline_energy::LeakageKind;
 
@@ -126,6 +128,31 @@ pub fn run(instrs: u64) -> Result<Vec<HierarchyRow>, SimError> {
         }
     }
     Ok(rows)
+}
+
+/// Renders the table: `feature_nm  levels  mode  l2_miss_ratio  l1_j
+/// l2_j  l3_j  total_j  vs_full_vdd` per cell.
+#[must_use]
+pub fn render(rows: &[HierarchyRow]) -> String {
+    let mut out = String::from(
+        "# feature_nm  levels  mode  l2_miss_ratio  l1_j  l2_j  l3_j  total_j  vs_full_vdd\n",
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{} {} {} {:.5} {:.6e} {:.6e} {:.6e} {:.6e} {:.5}",
+            r.node.feature_nm(),
+            r.levels,
+            r.mode.label(),
+            r.l2_miss_ratio,
+            r.l1_energy_j,
+            r.l2_energy_j,
+            r.l3_energy_j,
+            r.total_j,
+            r.vs_full_vdd
+        );
+    }
+    out
 }
 
 #[cfg(test)]

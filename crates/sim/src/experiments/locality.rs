@@ -1,5 +1,7 @@
 //! Figures 5 and 6: subarray reference locality.
 
+use std::fmt::Write as _;
+
 use crate::experiments::harness;
 use crate::{
     try_run_benchmark_cached, LocalityStats, PolicyKind, SimError, SystemSpec, FIG5_BUCKETS,
@@ -61,22 +63,44 @@ pub fn run(instrs: u64) -> Result<LocalityResult, SimError> {
     Ok(LocalityResult { data, inst })
 }
 
-/// The bucket labels, for printing.
+/// Renders Figure 5: per cache and benchmark, then each cache's `AVG`,
+/// the fraction of accesses at an interval of at most each
+/// `FIG5_BUCKETS` cycle count.
 #[must_use]
-pub fn bucket_labels() -> Vec<String> {
-    FIG5_BUCKETS.iter().map(|b| format!("1/{b}")).collect()
+pub fn render_fig5(res: &LocalityResult) -> String {
+    render(&FIG5_BUCKETS, |r| r.access_cdf, res)
 }
 
-/// The threshold labels, for printing.
+/// Renders Figure 6: per cache and benchmark, then each cache's `AVG`,
+/// the time-averaged fraction of subarrays hot at each `FIG6_THRESHOLDS`
+/// threshold.
 #[must_use]
-pub fn threshold_labels() -> Vec<String> {
-    FIG6_THRESHOLDS.iter().map(|t| format!("1/{t}")).collect()
+pub fn render_fig6(res: &LocalityResult) -> String {
+    render(&FIG6_THRESHOLDS, |r| r.hot_fraction, res)
 }
 
-/// Average hot-subarray fraction across benchmarks at one threshold index.
-#[must_use]
-pub fn average_hot_fraction(rows: &[LocalityRow], idx: usize) -> f64 {
-    rows.iter().map(|r| r.hot_fraction[idx]).sum::<f64>() / rows.len() as f64
+/// `cache  benchmark` then one column per `1/N` label.
+fn render(labels: &[u64], values: fn(&LocalityRow) -> [f64; 5], res: &LocalityResult) -> String {
+    let mut out = String::from("# cache  benchmark");
+    for l in labels {
+        let _ = write!(out, "  1/{l}");
+    }
+    out.push('\n');
+    for (cache, rows) in [("data", &res.data), ("inst", &res.inst)] {
+        let mut line = |benchmark: &str, values: [f64; 5]| {
+            let _ = write!(out, "{cache} {benchmark}");
+            for v in values {
+                let _ = write!(out, " {v:.5}");
+            }
+            out.push('\n');
+        };
+        for r in rows {
+            line(&r.benchmark, values(r));
+        }
+        let n = rows.len() as f64;
+        line("AVG", std::array::from_fn(|i| rows.iter().map(|r| values(r)[i]).sum::<f64>() / n));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -94,8 +118,10 @@ mod tests {
         }
         // I-streams are more concentrated than D-streams on average
         // (Section 6.4: "instruction streams have more stable footprints").
-        let d_avg = average_hot_fraction(&res.data, 2);
-        let i_avg = average_hot_fraction(&res.inst, 2);
+        let avg_at_100 = |rows: &[LocalityRow]| {
+            rows.iter().map(|r| r.hot_fraction[2]).sum::<f64>() / rows.len() as f64
+        };
+        let (d_avg, i_avg) = (avg_at_100(&res.data), avg_at_100(&res.inst));
         assert!(i_avg < d_avg + 0.15, "I hot {i_avg:.3} vs D hot {d_avg:.3}");
     }
 }

@@ -1,5 +1,7 @@
 //! Section 5: the performance cost of on-demand precharging.
 
+use std::fmt::Write as _;
+
 use crate::experiments::harness;
 use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
@@ -59,6 +61,17 @@ pub fn run(instrs: u64) -> Result<(Vec<OnDemandRow>, OnDemandRow), SimError> {
         i_slowdown: rows.iter().map(|r| r.i_slowdown).sum::<f64>() / rows.len() as f64,
     };
     Ok((rows, avg))
+}
+
+/// Renders the table: `benchmark  d_slowdown  i_slowdown` per benchmark,
+/// then the `AVG` row.
+#[must_use]
+pub fn render(rows: &[OnDemandRow], avg: &OnDemandRow) -> String {
+    let mut out = String::from("# benchmark  d_slowdown  i_slowdown\n");
+    for r in rows.iter().chain([avg]) {
+        let _ = writeln!(out, "{} {:.5} {:.5}", r.benchmark, r.d_slowdown, r.i_slowdown);
+    }
+    out
 }
 
 #[cfg(test)]

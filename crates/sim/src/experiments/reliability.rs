@@ -13,6 +13,8 @@
 //! instructions, cache-energy overhead versus the same policy running
 //! fault-free, and how many subarrays ended the run pinned fail-safe.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
@@ -207,9 +209,17 @@ fn cell_totals(
 ///
 /// # Errors
 ///
-/// The first skipped run's [`SimError`] when every benchmark failed.
+/// [`SimError::InvalidSpec`], before any run, when the base rate is not a
+/// probability; otherwise the first skipped run's [`SimError`] when every
+/// benchmark failed.
 pub fn run(instrs: u64, base: &FaultSpec) -> Result<Vec<ReliabilityRow>, SimError> {
     let _span = bitline_obs::span("reliability/run").field("instrs", instrs);
+    if !(0.0..=1.0).contains(&base.rate) {
+        return Err(SimError::InvalidSpec(format!(
+            "fault rate = {}; must be a probability in [0, 1]",
+            base.rate
+        )));
+    }
     let base_rate = if base.rate > 0.0 { base.rate } else { DEFAULT_UPSET_RATE };
     let mut rows = Vec::new();
     for node in TechnologyNode::ALL {
@@ -233,6 +243,31 @@ pub fn run(instrs: u64, base: &FaultSpec) -> Result<Vec<ReliabilityRow>, SimErro
         }
     }
     Ok(rows)
+}
+
+/// Renders the table: `feature_nm  policy  protection  corrected_per_mi
+/// due_per_mi  sdc_per_mi  energy_overhead  fail_safe_subarrays` per cell.
+#[must_use]
+pub fn render(rows: &[ReliabilityRow]) -> String {
+    let mut out = String::from(
+        "# feature_nm  policy  protection  corrected_per_mi  due_per_mi  \
+         sdc_per_mi  energy_overhead  fail_safe_subarrays\n",
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{} {} {} {:.5} {:.5} {:.5} {:.5} {}",
+            r.node.feature_nm(),
+            r.policy,
+            r.protection.label(),
+            r.corrected_per_mi,
+            r.due_per_mi,
+            r.sdc_per_mi,
+            r.energy_overhead,
+            r.fail_safe_subarrays
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Tables 1-3 of the paper.
 
+use std::fmt::Write as _;
+
 use bitline_cache::{CacheConfig, MemorySystemConfig};
 use bitline_circuit::DecoderModel;
 use bitline_cmos::TechnologyNode;
@@ -30,6 +32,16 @@ pub fn table1() -> Vec<Table1Row> {
             clock_ghz: node.clock_ghz(),
         })
         .collect()
+}
+
+/// Renders Table 1: `feature_nm  vdd_v  clock_ghz` per node.
+#[must_use]
+pub fn render_table1() -> String {
+    let mut out = String::from("# feature_nm  vdd_v  clock_ghz\n");
+    for r in table1() {
+        let _ = writeln!(out, "{} {:.1} {:.1}", r.feature_nm, r.vdd, r.clock_ghz);
+    }
+    out
 }
 
 /// Table 2: base system configuration as `(parameter, value)` strings.
@@ -78,6 +90,16 @@ pub fn table2() -> Vec<(String, String)> {
     ]
 }
 
+/// Renders Table 2: one `parameter  value` row per structure.
+#[must_use]
+pub fn render_table2() -> String {
+    let mut out = String::from("# parameter         value\n");
+    for (parameter, value) in table2() {
+        let _ = writeln!(out, "{parameter:<18}  {value}");
+    }
+    out
+}
+
 /// One row of Table 3 (decode and precharge delays, in ns).
 #[derive(Debug, Clone, Copy)]
 pub struct Table3Row {
@@ -115,6 +137,27 @@ pub fn table3() -> Vec<Table3Row> {
         }
     }
     rows
+}
+
+/// Renders Table 3: `subarray_bytes  feature_nm  drive_ns  predecode_ns
+/// final_ns  pullup_ns` per (size, node).
+#[must_use]
+pub fn render_table3() -> String {
+    let mut out =
+        String::from("# subarray_bytes  feature_nm  drive_ns  predecode_ns  final_ns  pullup_ns\n");
+    for r in table3() {
+        let _ = writeln!(
+            out,
+            "{} {} {:.3} {:.3} {:.3} {:.3}",
+            r.subarray_bytes,
+            r.node.feature_nm(),
+            r.drive_ns,
+            r.predecode_ns,
+            r.final_ns,
+            r.pullup_ns
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 //! the same node, replay cycle overhead vs that machine, SDC exposure per
 //! million committed instructions, and the governor's ladder telemetry.
 
+use std::fmt::Write as _;
+
 use bitline_cmos::vdd::timing_upset_probability;
 use bitline_cmos::TechnologyNode;
 
@@ -152,6 +154,34 @@ pub fn run(instrs: u64) -> Result<Vec<VoltageRow>, SimError> {
         }
     }
     Ok(rows)
+}
+
+/// Renders the table: `feature_nm  vdd_scale  mode  p_upset
+/// energy_per_access_j  vs_nominal  replay_overhead  sdc_per_mi
+/// escalations  pinned` per cell.
+#[must_use]
+pub fn render(rows: &[VoltageRow]) -> String {
+    let mut out = String::from(
+        "# feature_nm  vdd_scale  mode  p_upset  energy_per_access_j  vs_nominal  \
+         replay_overhead  sdc_per_mi  escalations  pinned\n",
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{} {:.2} {} {:.5} {:.6e} {:.5} {:.5} {:.5} {} {}",
+            r.node.feature_nm(),
+            r.vdd_scale,
+            if r.governed { "governor" } else { "static" },
+            r.p_upset,
+            r.energy_per_access_j,
+            r.energy_vs_nominal,
+            r.replay_overhead,
+            r.sdc_per_mi,
+            r.escalations,
+            r.pinned_subarrays
+        );
+    }
+    out
 }
 
 #[cfg(test)]

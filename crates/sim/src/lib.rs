@@ -2,9 +2,9 @@
 //!
 //! Binds the workspace together — synthetic workloads feeding the
 //! out-of-order core, whose L1s run a chosen precharge policy — and
-//! provides a typed driver per table/figure of the paper under
-//! [`experiments`]. The `bitline-bench` crate's harnesses are thin wrappers
-//! over those drivers.
+//! provides a typed driver and a renderer per table/figure of the paper
+//! under [`experiments`], whose [`experiments::ALL`] table is the list of
+//! `bitline-sim` experiment commands.
 //!
 //! A key structural property the harness exploits: the pipeline is scaled
 //! so cycle-counted latencies are identical across technology nodes
@@ -68,8 +68,8 @@ pub use runner::{
 /// (per-run wall-clock budget) and `BITLINE_CHECKPOINT` (checkpoint
 /// directory; `BITLINE_NO_RESUME=1` starts its journal afresh), and
 /// validates `BITLINE_JOBS` and `BITLINE_INSTRS` fail-fast (zero or
-/// garbage is an error, not a silent fallback). The CLI flags override
-/// these; bench harnesses call only this.
+/// garbage is an error, not a silent fallback). `bitline-sim`'s flags
+/// override these.
 ///
 /// # Errors
 ///

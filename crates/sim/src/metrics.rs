@@ -1,14 +1,13 @@
-//! Metrics export shared by the CLI and the bench harnesses.
+//! Metrics export for `bitline-sim`.
 //!
-//! `--metrics PATH` (or the `BITLINE_METRICS` env var) writes the
-//! process-wide `bitline-obs` registry plus the recent span ring as
-//! schema-tagged JSON lines once the process finishes its work;
-//! `--metrics-summary` prints the human-readable table instead of (or in
-//! addition to) the machine-readable file. Export always happens *after*
-//! the figure rows are printed, so stdout stays byte-identical with and
-//! without metrics.
+//! `--metrics PATH` writes the process-wide `bitline-obs` registry plus
+//! the recent span ring as schema-tagged JSON lines once the process
+//! finishes its work; `--metrics-summary` prints the human-readable table
+//! instead of (or in addition to) the machine-readable file. Export always
+//! happens *after* the figure rows are printed, so stdout stays
+//! byte-identical with and without metrics.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Counter names every export carries, even at zero: consumers (the CI
 /// smoke, dashboards) can rely on the taxonomy being present without
@@ -88,12 +87,6 @@ pub fn declare_baseline() {
     }
 }
 
-/// The metrics sink requested via the `BITLINE_METRICS` env var, if any.
-#[must_use]
-pub fn metrics_path_from_env() -> Option<PathBuf> {
-    std::env::var_os("BITLINE_METRICS").filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
 /// Writes the current registry and span ring to `path` as JSON lines,
 /// atomically (temp file + rename). The canonical counter taxonomy is
 /// declared first so the file always carries the full name set.
@@ -104,18 +97,6 @@ pub fn metrics_path_from_env() -> Option<PathBuf> {
 pub fn write_metrics(path: &Path) -> Result<(), String> {
     declare_baseline();
     bitline_obs::export_jsonl(path).map_err(|e| format!("metrics {}: {e}", path.display()))
-}
-
-/// Writes metrics to the `BITLINE_METRICS` path when the env var is set.
-/// Export failures are warned on stderr but never fail the run — the
-/// figure output matters more than its telemetry. Bench harnesses call
-/// this once, after printing their tables.
-pub fn write_metrics_from_env() {
-    if let Some(path) = metrics_path_from_env() {
-        if let Err(e) = write_metrics(&path) {
-            eprintln!("warning: {e}");
-        }
-    }
 }
 
 #[cfg(test)]

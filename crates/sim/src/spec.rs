@@ -20,7 +20,7 @@ use std::num::NonZeroU64;
 use std::str::FromStr;
 
 use bitline_energy::LeakageKind;
-use bitline_obs::json::{try_get, Json};
+use bitline_obs::json::Json;
 
 use crate::config::{PolicyKind, SystemSpec};
 
@@ -258,10 +258,19 @@ impl Assignments {
     /// # Errors
     ///
     /// The first value a row rejects, as `FLAG: message`.
-    pub fn apply(&self, mut spec: SystemSpec) -> Result<SystemSpec, String> {
+    pub fn apply(&self, spec: SystemSpec) -> Result<SystemSpec, String> {
+        self.apply_named(spec, |f| f.flag)
+    }
+
+    /// [`apply`](Self::apply), naming a rejected value's field by `name`.
+    fn apply_named(
+        &self,
+        mut spec: SystemSpec,
+        name: fn(&Field) -> &'static str,
+    ) -> Result<SystemSpec, String> {
         for (field, text) in FIELDS.iter().zip(&self.0) {
             if let Some(text) = text {
-                field.access.set(&mut spec, text).map_err(|e| format!("{}: {e}", field.flag))?;
+                field.access.set(&mut spec, text).map_err(|e| format!("{}: {e}", name(field)))?;
             }
         }
         Ok(spec)
@@ -296,18 +305,18 @@ pub fn parse_text(text: &str) -> Option<SystemSpec> {
 /// # Errors
 ///
 /// A message naming the unexpected key or the key whose value is rejected.
-pub fn from_json(mut spec: SystemSpec, obj: &[(String, Json)]) -> Result<SystemSpec, String> {
-    if let Some((key, _)) = obj.iter().find(|(k, _)| FIELDS.iter().all(|f| f.key != k)) {
-        return Err(format!("spec: unexpected key `{key}`"));
-    }
-    for field in &FIELDS {
-        if let Some(json) = try_get(obj, field.key) {
-            let text = field.access.json().text(json);
-            text.and_then(|t| field.access.set(&mut spec, &t))
-                .map_err(|e| format!("spec {}: {e}", field.key))?;
+pub fn from_json(spec: SystemSpec, obj: &[(String, Json)]) -> Result<SystemSpec, String> {
+    let mut values = Assignments::default();
+    for (key, json) in obj {
+        let Some(i) = FIELDS.iter().position(|f| f.key == key) else {
+            return Err(format!("spec: unexpected key `{key}`"));
+        };
+        if values.0[i].is_none() {
+            values.0[i] =
+                Some(FIELDS[i].access.json().text(json).map_err(|e| format!("spec {key}: {e}"))?);
         }
     }
-    Ok(spec)
+    values.apply_named(spec, |f| f.key).map_err(|e| format!("spec {e}"))
 }
 
 /// The `--help` lines of every spec flag, in table order.

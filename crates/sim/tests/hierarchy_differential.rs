@@ -4,25 +4,21 @@
 //! leakage mode alone re-prices energy without touching a single cycle.
 //!
 //! This is the contract that lets the hierarchy land without re-blessing
-//! any existing golden: `golden_figures` pins the bytes against the
+//! any existing golden: `goldens` pins the bytes against the
 //! checked-in files; this test pins them against *interleaved hierarchy
 //! activity*, which the goldens cannot see.
 //!
 //! One `#[test]`: `BITLINE_SUITE` and the run cache are process-global.
 
 use bitline_cmos::TechnologyNode;
-use bitline_sim::experiments::{export, fig3, headline, hierarchy};
+use bitline_sim::experiments::{fig3, headline, hierarchy};
 use bitline_sim::{clear_run_caches, run_benchmark, HierarchySpec, LeakageKind, SystemSpec};
 
 const INSTRS: u64 = 2_000;
 
-fn fig3_bytes(tag: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("bitline-hier-diff-{tag}-{}", std::process::id()));
-    let (rows, _avg) = fig3::run(INSTRS).expect("fig3 completes");
-    let path = export::write_fig3(&dir, &rows).expect("fig3 export");
-    let text = std::fs::read_to_string(&path).expect("read fig3 export");
-    std::fs::remove_dir_all(&dir).ok();
-    text
+fn fig3_bytes() -> String {
+    let (rows, avg) = fig3::run(INSTRS).expect("fig3 completes");
+    fig3::render(&rows, &avg)
 }
 
 #[test]
@@ -31,7 +27,7 @@ fn single_level_figures_are_unchanged_by_hierarchy_activity() {
 
     // --- figure bytes: cold, then interleaved with hierarchy runs ---
     clear_run_caches();
-    let cold_fig3 = fig3_bytes("cold");
+    let cold_fig3 = fig3_bytes();
     let cold_headline = format!("{:?}", headline::run(INSTRS).expect("headline completes"));
 
     // Pollute the process with multi-level activity: every (levels, node,
@@ -40,14 +36,14 @@ fn single_level_figures_are_unchanged_by_hierarchy_activity() {
     assert!(!rows.is_empty());
 
     // Warm: the single-level runs replay from cache, byte-identical.
-    let warm_fig3 = fig3_bytes("warm");
+    let warm_fig3 = fig3_bytes();
     assert_eq!(warm_fig3, cold_fig3, "fig3 bytes must survive hierarchy activity (warm)");
 
     // Cold recompute with hierarchy entries still in the trace store and
     // memo caches: still byte-identical.
     clear_run_caches();
     let _ = hierarchy::run(INSTRS).expect("hierarchy completes again");
-    let recomputed_fig3 = fig3_bytes("recomputed");
+    let recomputed_fig3 = fig3_bytes();
     assert_eq!(recomputed_fig3, cold_fig3, "fig3 bytes must survive hierarchy activity (cold)");
 
     // Headline semantics: every derived metric identical, bit for bit.

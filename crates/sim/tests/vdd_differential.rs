@@ -5,25 +5,21 @@
 //! inside the sense guardband re-prices energy without touching a cycle.
 //!
 //! This is the contract that lets the voltage dimension land without
-//! re-blessing any existing golden: `golden_figures` pins the bytes
+//! re-blessing any existing golden: `goldens` pins the bytes
 //! against the checked-in files; this test pins them against
 //! *interleaved voltage activity*, which the goldens cannot see.
 //!
 //! One `#[test]`: `BITLINE_SUITE` and the run cache are process-global.
 
 use bitline_cmos::TechnologyNode;
-use bitline_sim::experiments::{export, fig3, headline, voltage};
+use bitline_sim::experiments::{fig3, headline, voltage};
 use bitline_sim::{clear_run_caches, run_benchmark, SystemSpec, VddSpec};
 
 const INSTRS: u64 = 2_000;
 
-fn fig3_bytes(tag: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("bitline-vdd-diff-{tag}-{}", std::process::id()));
-    let (rows, _avg) = fig3::run(INSTRS).expect("fig3 completes");
-    let path = export::write_fig3(&dir, &rows).expect("fig3 export");
-    let text = std::fs::read_to_string(&path).expect("read fig3 export");
-    std::fs::remove_dir_all(&dir).ok();
-    text
+fn fig3_bytes() -> String {
+    let (rows, avg) = fig3::run(INSTRS).expect("fig3 completes");
+    fig3::render(&rows, &avg)
 }
 
 #[test]
@@ -32,7 +28,7 @@ fn nominal_supply_figures_are_unchanged_by_voltage_activity() {
 
     // --- figure bytes: cold, then interleaved with voltage sweeps ---
     clear_run_caches();
-    let cold_fig3 = fig3_bytes("cold");
+    let cold_fig3 = fig3_bytes();
     let cold_headline = format!("{:?}", headline::run(INSTRS).expect("headline completes"));
 
     // Pollute the process with every (scale, mode, node) cell of the
@@ -41,14 +37,14 @@ fn nominal_supply_figures_are_unchanged_by_voltage_activity() {
     assert!(!rows.is_empty());
 
     // Warm: the nominal-supply runs replay from cache, byte-identical.
-    let warm_fig3 = fig3_bytes("warm");
+    let warm_fig3 = fig3_bytes();
     assert_eq!(warm_fig3, cold_fig3, "fig3 bytes must survive voltage activity (warm)");
 
     // Cold recompute with voltage entries still in the trace store and
     // memo caches: still byte-identical.
     clear_run_caches();
     let _ = voltage::run(INSTRS).expect("voltage completes again");
-    let recomputed_fig3 = fig3_bytes("recomputed");
+    let recomputed_fig3 = fig3_bytes();
     assert_eq!(recomputed_fig3, cold_fig3, "fig3 bytes must survive voltage activity (cold)");
 
     // Headline semantics: every derived metric identical, bit for bit.
