@@ -135,6 +135,42 @@ fn core_semantics_match_the_pinned_goldens() {
     );
 }
 
+/// The headline's shape: every suite benchmark at the headline sweep's
+/// 5 000 instructions, under the baseline, both ends of the gated
+/// threshold sweep (predecode-hinted D with plain gated I, as fig8 builds
+/// them) and on-demand. Blessed on the per-cycle core before it became
+/// event-driven; never re-bless it for a performance change.
+#[test]
+fn headline_suite_matches_the_pinned_golden() {
+    let bless = std::env::var("BITLINE_BLESS").is_ok_and(|v| v == "1");
+    let gated =
+        |threshold| (PolicyKind::GatedPredecode { threshold }, PolicyKind::Gated { threshold });
+    let configs = [
+        ("static", (PolicyKind::StaticPullUp, PolicyKind::StaticPullUp)),
+        ("gatedpre25", gated(25)),
+        ("gatedpre1600", gated(1600)),
+        ("ondemand", (PolicyKind::OnDemand, PolicyKind::OnDemand)),
+    ];
+    let mut got = String::new();
+    for bench in bitline_workloads::suite::names() {
+        for (label, (d_policy, i_policy)) in configs {
+            let spec =
+                SystemSpec { d_policy, i_policy, instructions: 5_000, ..SystemSpec::default() };
+            got.push_str(&render_run(label, bench, &spec));
+        }
+    }
+
+    let golden_path = goldens_dir().join("cycle_identity_suite.txt");
+    if bless {
+        std::fs::write(&golden_path, &got).expect("bless golden");
+        eprintln!("blessed {}", golden_path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+    assert_eq!(got, want, "the headline suite drifted from the pinned golden");
+}
+
 /// Runs the AllYounger replay scope directly through the core (the
 /// experiment drivers only use DependentsOnly, so cover it here).
 fn render_run_all_younger(bench: &str, spec: &SystemSpec) -> String {
