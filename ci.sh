@@ -11,8 +11,9 @@
 #                    BITLINE_CHAOS_SECONDS to keep re-running the soak
 #                    with incrementing seeds for that long
 #   ./ci.sh smoke    timed headline smoke: runs the release bitline-sim's
-#                    headline at jobs=1 and jobs=N, fails if the figure
-#                    differs, and writes wall-clock + run-cache stats to
+#                    headline 3 times each at jobs=1 and jobs=N, fails if
+#                    any figure differs, times each leg as its fastest
+#                    run, and writes wall-clock + run-cache stats to
 #                    BENCH_headline.json; then exercises run supervision:
 #                    a tiny --run-budget must surface as timed-out, and a
 #                    SIGKILL-interrupted --checkpoint sweep must resume to
@@ -63,28 +64,24 @@ smoke() {
 
     SMOKE_TMP="$(mktemp -d)"
     trap 'rm -rf "$SMOKE_TMP"' EXIT
-    local out_serial="$SMOKE_TMP/out1" out_parallel="$SMOKE_TMP/outN"
-    local err_serial="$SMOKE_TMP/err1" err_parallel="$SMOKE_TMP/errN"
-
-    echo "==> smoke: headline at jobs=1 (BITLINE_INSTRS=$instrs)"
-    local t0 t1 secs_serial secs_parallel
-    t0=$(date +%s.%N)
-    BITLINE_INSTRS="$instrs" "$sim" --jobs 1 --metrics "$SMOKE_TMP/headline1.jsonl" headline \
-        >"$out_serial" 2>"$err_serial"
-    t1=$(date +%s.%N)
-    secs_serial=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
-
-    echo "==> smoke: headline at jobs=$jobs_n"
-    t0=$(date +%s.%N)
-    BITLINE_INSTRS="$instrs" "$sim" --jobs "$jobs_n" headline >"$out_parallel" 2>"$err_parallel"
-    t1=$(date +%s.%N)
-    secs_parallel=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
+    # Each leg is timed as the fastest of 3 runs, as bitline-perf reports
+    # its fastest unit: a single reading mostly measures host noise. The
+    # fastest run's stdout, stderr and metrics stand for the leg.
+    local secs_serial secs_parallel
+    echo "==> smoke: headline at jobs=1 (BITLINE_INSTRS=$instrs), fastest of 3"
+    secs_serial=$(fastest_headline "$sim" "$instrs" 1 "$SMOKE_TMP/serial")
+    echo "==> smoke: headline at jobs=$jobs_n, fastest of 3"
+    secs_parallel=$(fastest_headline "$sim" "$instrs" "$jobs_n" "$SMOKE_TMP/parallel")
+    local out_serial="$SMOKE_TMP/serial.out" err_parallel="$SMOKE_TMP/parallel.err"
 
     echo "==> smoke: comparing figure output"
-    if ! diff -u "$out_serial" "$out_parallel"; then
-        echo "==> smoke: FAIL — headline output depends on the job count" >&2
-        exit 1
-    fi
+    local out
+    for out in "$SMOKE_TMP"/{serial,parallel}.[123].out; do
+        if ! diff -u "$out_serial" "$out"; then
+            echo "==> smoke: FAIL — headline output depends on the job count" >&2
+            exit 1
+        fi
+    done
 
     # bitline-sim reports "jobs=N; run-cache: H hits, M misses, ..." on
     # stderr; pull the parallel run's cache stats into the report.
@@ -96,8 +93,8 @@ smoke() {
     # (committed instructions over hot-loop wall time, excluding setup and
     # reporting), so the gate measures the core, not process start-up.
     local committed busy mips_serial
-    committed=$(metric_value "$SMOKE_TMP/headline1.jsonl" sim.runner.committed_instructions)
-    busy=$(metric_value "$SMOKE_TMP/headline1.jsonl" sim.runner.busy_micros)
+    committed=$(metric_value "$SMOKE_TMP/serial.jsonl" sim.runner.committed_instructions)
+    busy=$(metric_value "$SMOKE_TMP/serial.jsonl" sim.runner.busy_micros)
     if [[ "$busy" -eq 0 ]]; then
         echo "==> smoke: FAIL — serial metrics export carries no sim.runner.busy_micros" >&2
         exit 1
@@ -153,7 +150,7 @@ EOF
     # tagged <!-- ci:headline --> is rewritten from this run's artifact,
     # so README/ROADMAP can never drift from BENCH_headline.json again.
     local headline doc
-    headline="Headline bench: ${secs_serial}s serial (${mips_serial} MIPS), \
+    headline="Headline bench (fastest of 3): ${secs_serial}s serial (${mips_serial} MIPS), \
 ${secs_parallel}s at jobs=${jobs_n}, scaling efficiency ${scaling_efficiency} \
 (regenerated by \`./ci.sh smoke\`). <!-- ci:headline -->"
     for doc in README.md ROADMAP.md; do
@@ -167,6 +164,31 @@ ${secs_parallel}s at jobs=${jobs_n}, scaling efficiency ${scaling_efficiency} \
     echo "==> smoke: wrote BENCH_headline.json"
 
     resume_smoke "$instrs" "$jobs_n"
+}
+
+# Runs the headline 3 times at JOBS workers with metrics on, and prints the
+# fastest wall time in seconds. Run r leaves PREFIX.r.{out,err,jsonl}; the
+# fastest run's files are copied to PREFIX.{out,err,jsonl}.
+fastest_headline() {
+    local sim=$1 instrs=$2 jobs=$3 prefix=$4
+    local r t0 t1 secs best=""
+    for r in 1 2 3; do
+        t0=$(date +%s.%N)
+        if ! BITLINE_INSTRS="$instrs" "$sim" --jobs "$jobs" --metrics "$prefix.$r.jsonl" \
+            headline >"$prefix.$r.out" 2>"$prefix.$r.err"; then
+            echo "==> smoke: FAIL — headline at jobs=$jobs exited non-zero" >&2
+            cat "$prefix.$r.err" >&2
+            return 1
+        fi
+        t1=$(date +%s.%N)
+        secs=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
+        if [[ -z $best ]] || awk -v s="$secs" -v b="$best" 'BEGIN {exit !(s < b)}'; then
+            best=$secs
+            local ext
+            for ext in out err jsonl; do cp "$prefix.$r.$ext" "$prefix.$ext"; done
+        fi
+    done
+    echo "$best"
 }
 
 resume_smoke() {

@@ -128,23 +128,10 @@ impl CacheConfig {
         (addr as usize / self.line_bytes) % self.sets()
     }
 
-    /// Set index when only `active_sets` sets are enabled (resizable
-    /// caches).
-    #[must_use]
-    pub fn set_index_resized(&self, addr: u64, active_sets: usize) -> usize {
-        (addr as usize / self.line_bytes) % active_sets
-    }
-
     /// Tag of an address (line address above the index bits).
     #[must_use]
     pub fn tag(&self, addr: u64) -> u64 {
         addr / (self.line_bytes as u64) / (self.sets() as u64)
-    }
-
-    /// Tag when resized (more address bits become tag).
-    #[must_use]
-    pub fn tag_resized(&self, addr: u64, active_sets: usize) -> u64 {
-        addr / (self.line_bytes as u64) / (active_sets as u64)
     }
 
     /// Data subarray holding a set.
@@ -212,16 +199,6 @@ mod tests {
             // Every set must map to a valid subarray.
             for set in 0..c.sets() {
                 assert!(c.subarray_of_set(set) < count);
-            }
-        }
-    }
-
-    #[test]
-    fn resized_index_stays_in_range() {
-        let c = CacheConfig::l1_data();
-        for active in [64, 128, 256, 512] {
-            for addr in (0..1u64 << 20).step_by(4093) {
-                assert!(c.set_index_resized(addr, active) < active);
             }
         }
     }

@@ -34,6 +34,10 @@ pub struct AccessResult {
 /// resize invalidates the whole array, modelling the remapping misses that
 /// the paper charges to resizable caches (Section 6.4).
 ///
+/// Every geometry is a power of two, so an address maps to its line, set,
+/// tag and data subarray by shifts and masks fixed at construction (the
+/// set shift follows each resize) — no division on the access path.
+///
 /// # Examples
 ///
 /// ```
@@ -60,6 +64,12 @@ pub struct L1Cache {
     lines: Vec<Line>,
     active_sets: usize,
     active_ways: usize,
+    /// `log2(line_bytes)`: address to line number.
+    line_shift: u32,
+    /// `log2(active_sets)`: line number to tag (the set is the low bits).
+    set_shift: u32,
+    /// `log2(sets_per_subarray)`: set to data subarray.
+    sub_shift: u32,
     policy: Box<dyn PrechargePolicy>,
     /// Per-subarray access counts (kept by the cache itself so live tools
     /// can sample activity without finalizing the policy).
@@ -90,12 +100,27 @@ impl std::fmt::Debug for L1Cache {
 
 impl L1Cache {
     /// Creates the cache at full size.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if the line size, the number of sets or
+    /// the sets per subarray is not a power of two.
     #[must_use]
     pub fn new(config: CacheConfig, policy: Box<dyn PrechargePolicy>) -> L1Cache {
         let sets = config.sets();
+        for (what, value) in [
+            ("line_bytes", config.line_bytes),
+            ("sets = size_bytes / (assoc * line_bytes)", sets),
+            ("sets per subarray = sets * subarray_bytes / size_bytes", config.sets_per_subarray()),
+        ] {
+            assert!(value.is_power_of_two(), "{what} = {value}: not a power of two");
+        }
         L1Cache {
             active_sets: sets,
             active_ways: config.assoc,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            sub_shift: config.sets_per_subarray().trailing_zeros(),
             lines: vec![Line::default(); sets * config.assoc],
             subarray_accesses: vec![0; config.subarrays()],
             way_predictor: config.way_prediction.then(|| WayPredictor::new(sets, config.assoc)),
@@ -137,6 +162,22 @@ impl L1Cache {
         self.access_inner(addr, Some(predicted_addr), is_write, cycle)
     }
 
+    /// Line number of `addr`: the address divided by the line size.
+    #[inline]
+    #[must_use]
+    pub fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
+    /// Where `addr` lives at the current size: `(set, tag, subarray)`.
+    #[inline]
+    #[must_use]
+    pub fn locate(&self, addr: u64) -> (usize, u64, usize) {
+        let line = self.line_of(addr);
+        let set = line as usize & (self.active_sets - 1);
+        (set, line >> self.set_shift, set >> self.sub_shift)
+    }
+
     fn access_inner(
         &mut self,
         addr: u64,
@@ -144,13 +185,10 @@ impl L1Cache {
         is_write: bool,
         cycle: u64,
     ) -> AccessResult {
-        let set_idx = self.config.set_index_resized(addr, self.active_sets);
-        let tag = self.config.tag_resized(addr, self.active_sets);
-        let subarray = self.config.subarray_of_set(set_idx);
+        let (set_idx, tag, subarray) = self.locate(addr);
         let mut extra_latency = match predicted_addr {
             Some(p) => {
-                let p_set = self.config.set_index_resized(p, self.active_sets);
-                let predicted = self.config.subarray_of_set(p_set);
+                let predicted = self.locate(p).2;
                 self.policy.access_with_prediction(subarray, predicted, cycle)
             }
             None => self.policy.access(subarray, cycle),
@@ -226,7 +264,9 @@ impl L1Cache {
         if sets == self.active_sets && ways == self.active_ways {
             return;
         }
+        assert!(sets.is_power_of_two(), "resize to {sets} active sets: not a power of two");
         self.active_sets = sets;
+        self.set_shift = sets.trailing_zeros();
         self.active_ways = ways;
         self.resizes += 1;
         // Remapping: conservatively invalidate everything (clean lines are
@@ -455,6 +495,67 @@ mod tests {
         let r1 = c.access(0x0, false, 3);
         let r2 = c.access(4096, false, 4);
         assert_eq!(r1.subarray, r2.subarray);
+    }
+
+    /// Requests one resize on its first access.
+    struct ResizeOnce(Option<ResizeRequest>);
+    impl PrechargePolicy for ResizeOnce {
+        fn name(&self) -> String {
+            "resize-once".into()
+        }
+        fn access(&mut self, _s: usize, _c: u64) -> u32 {
+            0
+        }
+        fn resize_request(&mut self) -> Option<ResizeRequest> {
+            self.0.take()
+        }
+        fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
+            ActivityReport { policy: self.name(), end_cycle, per_subarray: vec![] }
+        }
+    }
+
+    #[test]
+    fn resized_index_stays_in_range() {
+        for active_sets in [64, 128, 256, 512] {
+            let request = ResizeRequest { active_sets, active_ways: 1 };
+            let mut c = L1Cache::new(CacheConfig::l1_data(), Box::new(ResizeOnce(Some(request))));
+            c.access(0, false, 1);
+            assert_eq!(c.active_sets(), active_sets);
+            for addr in (0..1u64 << 20).step_by(4093) {
+                let (set, _, subarray) = c.locate(addr);
+                assert!(set < active_sets);
+                assert!(subarray < c.config().subarrays());
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_that_is_not_a_power_of_two_is_rejected_by_name() {
+        let l1d = CacheConfig::l1_data();
+        for (config, field) in [
+            (CacheConfig { line_bytes: 48, ..l1d }, "line_bytes = 48"),
+            (
+                CacheConfig { size_bytes: 24 * 1024, ..l1d },
+                "sets = size_bytes / (assoc * line_bytes) = 384",
+            ),
+            (
+                CacheConfig { size_bytes: 48 * 1024, assoc: 3, ..l1d },
+                "sets per subarray = sets * subarray_bytes / size_bytes = 10",
+            ),
+        ] {
+            let err = std::panic::catch_unwind(|| L1Cache::new(config, Box::new(ResizeOnce(None))))
+                .expect_err(field);
+            let message = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(message.starts_with(field), "{message}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "resize to 96 active sets: not a power of two")]
+    fn resize_that_is_not_a_power_of_two_is_rejected() {
+        let request = ResizeRequest { active_sets: 96, active_ways: 1 };
+        let mut c = L1Cache::new(CacheConfig::l1_data(), Box::new(ResizeOnce(Some(request))));
+        c.access(0, false, 1);
     }
 
     #[test]

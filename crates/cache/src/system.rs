@@ -243,8 +243,7 @@ impl MemorySystem {
         let mut latency = self.cfg.l1d.hit_latency + r.extra_latency;
         if !r.hit {
             let fill = self.outer_fill(addr, is_store, cycle);
-            let line = addr / self.cfg.l1d.line_bytes as u64;
-            latency += self.mshr_d.request(line, cycle, fill);
+            latency += self.mshr_d.request(self.l1d.line_of(addr), cycle, fill);
         }
         AccessOutcome { latency, l1_hit: r.hit, delayed: r.extra_latency > 0, subarray: r.subarray }
     }
@@ -255,8 +254,7 @@ impl MemorySystem {
         let mut latency = self.cfg.l1i.hit_latency + r.extra_latency;
         if !r.hit {
             let fill = self.outer_fill(pc, false, cycle);
-            let line = pc / self.cfg.l1i.line_bytes as u64;
-            latency += self.mshr_i.request(line, cycle, fill);
+            latency += self.mshr_i.request(self.l1i.line_of(pc), cycle, fill);
         }
         AccessOutcome { latency, l1_hit: r.hit, delayed: r.extra_latency > 0, subarray: r.subarray }
     }

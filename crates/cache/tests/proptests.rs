@@ -1,8 +1,14 @@
 //! Property-based tests for the cache structures.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
-use bitline_cache::{ActivityReport, CacheConfig, L1Cache, Mshr, PrechargePolicy};
+use bitline_cache::{
+    ActivityReport, CacheConfig, L1Cache, MemorySystem, MemorySystemConfig, Mshr, PrechargePolicy,
+    ResizeRequest,
+};
 
 struct NoDelay;
 impl PrechargePolicy for NoDelay {
@@ -14,6 +20,67 @@ impl PrechargePolicy for NoDelay {
     }
     fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
         ActivityReport { policy: self.name(), end_cycle, per_subarray: vec![] }
+    }
+}
+
+/// Applies whatever resize the test queued, on the next access.
+struct Resizer(Rc<Cell<Option<ResizeRequest>>>);
+impl PrechargePolicy for Resizer {
+    fn name(&self) -> String {
+        "resizer".into()
+    }
+    fn access(&mut self, _s: usize, _c: u64) -> u32 {
+        0
+    }
+    fn resize_request(&mut self) -> Option<ResizeRequest> {
+        self.0.take()
+    }
+    fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
+        ActivityReport { policy: self.name(), end_cycle, per_subarray: vec![] }
+    }
+}
+
+/// Every geometry the simulator builds: both L1s at each Figure 10
+/// subarray size, the L2 and the L3.
+fn built_geometries() -> Vec<CacheConfig> {
+    let hierarchy = MemorySystemConfig::default();
+    let mut out = Vec::new();
+    for bytes in [4096, 1024, 256, 64] {
+        out.push(CacheConfig::l1_data().with_subarray_bytes(bytes));
+        out.push(CacheConfig::l1_inst().with_subarray_bytes(bytes));
+    }
+    out.push(MemorySystem::l2_config(&hierarchy));
+    out.push(MemorySystem::l3_config(&hierarchy));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The cache's shift-and-mask address mapping agrees with the division
+    /// formulas for every built geometry at every set count of the
+    /// resizable ladder (halving from full size down to one subarray's
+    /// worth of sets).
+    #[test]
+    fn shift_indexing_matches_division(addrs in prop::collection::vec(any::<u64>(), 64)) {
+        for cfg in built_geometries() {
+            let queued = Rc::new(Cell::new(None));
+            let mut cache = L1Cache::new(cfg, Box::new(Resizer(Rc::clone(&queued))));
+            let (line, per_subarray) = (cfg.line_bytes as u64, cfg.sets_per_subarray());
+            let mut active = cfg.sets();
+            while active >= per_subarray {
+                queued.set(Some(ResizeRequest { active_sets: active, active_ways: 1 }));
+                cache.access(0, false, 0);
+                prop_assert_eq!(cache.active_sets(), active);
+                for &addr in &addrs {
+                    let set = ((addr / line) % active as u64) as usize;
+                    let tag = addr / line / active as u64;
+                    prop_assert_eq!(cache.locate(addr), (set, tag, set / per_subarray));
+                    prop_assert_eq!(cache.line_of(addr), addr / line);
+                }
+                active /= 2;
+            }
+        }
     }
 }
 

@@ -113,19 +113,42 @@ impl CpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any width or queue size is zero, widths exceed queue
-    /// capacities, or the reorder buffer exceeds 128 entries.
+    /// Panics, naming the field, if any width, port count, queue size or
+    /// execution latency is zero, widths exceed queue capacities, or the
+    /// reorder buffer exceeds 128 entries. A zero width or port count
+    /// would stall the pipeline for good; a zero latency would make a
+    /// result ready in its own issue cycle, and the core relies on every
+    /// result arriving strictly later.
     pub fn validate(&self) {
-        assert!(self.fetch_width > 0 && self.issue_width > 0 && self.commit_width > 0);
-        assert!(self.rob_entries > 0 && self.iq_entries > 0 && self.lsq_entries > 0);
+        for (field, value) in [
+            ("fetch_width", self.fetch_width as u64),
+            ("dispatch_width", self.dispatch_width as u64),
+            ("issue_width", self.issue_width as u64),
+            ("commit_width", self.commit_width as u64),
+            ("rob_entries", self.rob_entries as u64),
+            ("iq_entries", self.iq_entries as u64),
+            ("lsq_entries", self.lsq_entries as u64),
+            ("fetch_lines_per_cycle", self.fetch_lines_per_cycle as u64),
+            ("dcache_ports", self.dcache_ports as u64),
+            ("dcache_write_ports", self.dcache_write_ports as u64),
+            ("int_latency", self.int_latency),
+            ("mul_latency", self.mul_latency),
+            ("fp_latency", self.fp_latency),
+        ] {
+            assert!(value > 0, "{field} = 0; it must be at least 1");
+        }
         assert!(
             self.rob_entries <= MAX_ROB_ENTRIES,
             "rob_entries = {}; the core models at most {MAX_ROB_ENTRIES}",
             self.rob_entries
         );
         assert!(self.fetch_queue >= self.fetch_width, "fetch queue must fit one fetch group");
-        assert!(self.dcache_ports >= self.dcache_write_ports);
-        assert!(self.fetch_lines_per_cycle > 0);
+        assert!(
+            self.dcache_ports >= self.dcache_write_ports,
+            "dcache_ports = {} is fewer than dcache_write_ports = {}",
+            self.dcache_ports,
+            self.dcache_write_ports
+        );
     }
 }
 
@@ -150,6 +173,33 @@ mod tests {
     fn validate_rejects_tiny_fetch_queue() {
         let c = CpuConfig { fetch_queue: 4, ..Default::default() };
         c.validate();
+    }
+
+    #[test]
+    fn validate_rejects_each_zero_field_by_name() {
+        type Zero = fn(&mut CpuConfig);
+        let rows: [(&str, Zero); 13] = [
+            ("fetch_width", |c| c.fetch_width = 0),
+            ("dispatch_width", |c| c.dispatch_width = 0),
+            ("issue_width", |c| c.issue_width = 0),
+            ("commit_width", |c| c.commit_width = 0),
+            ("rob_entries", |c| c.rob_entries = 0),
+            ("iq_entries", |c| c.iq_entries = 0),
+            ("lsq_entries", |c| c.lsq_entries = 0),
+            ("fetch_lines_per_cycle", |c| c.fetch_lines_per_cycle = 0),
+            ("dcache_ports", |c| c.dcache_ports = 0),
+            ("dcache_write_ports", |c| c.dcache_write_ports = 0),
+            ("int_latency", |c| c.int_latency = 0),
+            ("mul_latency", |c| c.mul_latency = 0),
+            ("fp_latency", |c| c.fp_latency = 0),
+        ];
+        for (field, zero) in rows {
+            let mut c = CpuConfig::default();
+            zero(&mut c);
+            let err = std::panic::catch_unwind(|| c.validate()).expect_err(field);
+            let message = err.downcast_ref::<String>().expect("formatted panic message");
+            assert_eq!(*message, format!("{field} = 0; it must be at least 1"));
+        }
     }
 
     #[test]

@@ -1,23 +1,43 @@
 //! The out-of-order pipeline.
 //!
 //! A cycle-level, trace-driven model. Every cycle runs, in order:
-//! complete (including load-latency resolution and replay), commit, issue,
-//! dispatch, fetch. Instructions are identified by monotonically increasing
-//! sequence numbers.
+//! complete (fetch redirect and load-latency resolution, with replay),
+//! commit, issue, dispatch, fetch. Instructions are identified by
+//! monotonically increasing sequence numbers.
 //!
 //! # Data-oriented layout
 //!
 //! The reorder buffer is a structure-of-arrays ring ([`Rob`]): entry `seq`
 //! lives at slot `seq % 128` (the live window never exceeds
 //! `rob_entries <= 128`). Every set of entries the scheduler tracks is a
-//! `u128` mask over slots: issue scans only the awake mask, oldest first;
-//! an entry whose operands are not ready sleeps on a timer and in its
-//! producers' consumer masks; completions, sleep expiries and load-latency
-//! resolutions are events on timing wheels ([`Wheel`]). A slot bit carries
-//! no seq, so every drain re-checks state and cycles, as the old heaps
-//! filtered stale events; a stale bit at worst wakes an entry early, which
-//! costs one operand re-check. All of this is architecturally invisible
-//! (pinned by the `cycle_identity` goldens in `bitline-sim`).
+//! `u128` mask over slots: `waiting` holds the entries not yet issued;
+//! issue scans only the awake mask, oldest first; an entry whose operands
+//! are not ready sleeps on a timer and in its producers' consumer masks.
+//!
+//! # Event-driven execution
+//!
+//! A run pays for its events, not its cycles:
+//!
+//! - **Implicit completion.** An issued entry is complete once its ready
+//!   cycle has passed (`ready_cycle <= now`); nothing marks it done. Only
+//!   the mispredicted branch fetch is blocked on needs noticing, and
+//!   `complete` checks that one branch directly.
+//! - **Two timing wheels** ([`Wheel`]) hold the remaining events: sleep
+//!   expiries and load-latency resolutions. A slot bit carries no seq, so
+//!   every drain re-checks state and cycles; a stale bit at worst wakes an
+//!   entry early, which costs one operand re-check.
+//! - **Sleep at dispatch.** Dispatch runs the operand check the next
+//!   cycle's issue would run, so an entry whose operands cannot be ready
+//!   goes straight to sleep instead of through the awake mask.
+//! - **Idle-cycle skipping.** When no stage can act, the clock jumps to the
+//!   next cycle that can change state: a wheel event, the end of a fetch
+//!   stall, the blocking branch's result or the head's commit cycle. A
+//!   skipped cycle would only have counted a fetch stall, so the span is
+//!   credited to `fetch_stall_cycles` when fetch was blocked or stalled.
+//!
+//! All of this is architecturally invisible (pinned by the
+//! `cycle_identity` goldens in `bitline-sim`); [`CoreWork`] counts what the
+//! loop did.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -28,17 +48,6 @@ use bitline_trace::{Instr, InstrKind, TraceSource, NUM_REGS};
 use crate::bpred::BranchPredictor;
 use crate::config::{CpuConfig, ReplayScope, MAX_ROB_ENTRIES};
 use crate::stats::SimStats;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum State {
-    /// In the issue queue, waiting for operands.
-    Waiting,
-    /// Issued to a functional unit / the cache.
-    Issued,
-    /// Result produced (awaiting in-order commit).
-    Done,
-}
 
 /// Sentinel for "no producer" in the packed producer arrays.
 const NO_PRODUCER: u64 = u64::MAX;
@@ -75,12 +84,12 @@ fn bit(slot: usize) -> SlotMask {
 /// `mem_base` are only meaningful for loads and stores, `mem_first_ready`
 /// (0 = never executed) only for loads.
 struct Rob {
-    state: [State; SLOTS],
     kind: [InstrKind; SLOTS],
     /// Producer seqs, [`NO_PRODUCER`] when absent.
     producers: [[u64; 2]; SLOTS],
     issue_cycle: [u64; SLOTS],
-    /// Cycle the result is available (valid when `Issued`/`Done`).
+    /// Cycle the result is available (valid once issued; always later
+    /// than the issue cycle).
     ready_cycle: [u64; SLOTS],
     /// For loads: cycle the scheduler learns the true latency.
     resolve_cycle: [u64; SLOTS],
@@ -93,7 +102,7 @@ struct Rob {
     /// Memory-op payload (valid only when `kind` is a load/store).
     mem_addr: [u64; SLOTS],
     mem_base: [u64; SLOTS],
-    /// For `Waiting` entries: a lower bound on the first cycle their
+    /// For waiting entries: a lower bound on the first cycle their
     /// operands could all be ready; the entry sleeps until then. 0 = check
     /// now; squash resets to 0; producer (re-)issue may pull it forward.
     wake_cycle: [u64; SLOTS],
@@ -107,7 +116,6 @@ struct Rob {
 impl Rob {
     fn new() -> Rob {
         Rob {
-            state: [State::Waiting; SLOTS],
             kind: [InstrKind::IntAlu; SLOTS],
             producers: [[NO_PRODUCER; 2]; SLOTS],
             issue_cycle: [0; SLOTS],
@@ -131,16 +139,23 @@ const HORIZON: u64 = 1024;
 struct Wheel {
     buckets: Box<[SlotMask; HORIZON as usize]>,
     overflow: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Events scheduled so far (a [`CoreWork`] count).
+    scheduled: u64,
 }
 
 impl Wheel {
     fn new() -> Wheel {
-        Wheel { buckets: Box::new([0; HORIZON as usize]), overflow: BinaryHeap::new() }
+        Wheel {
+            buckets: Box::new([0; HORIZON as usize]),
+            overflow: BinaryHeap::new(),
+            scheduled: 0,
+        }
     }
 
     /// Schedules `slot` for cycle `at`. An event at or before `now` fires
     /// at `now + 1`, the next drain — exactly when a heap would pop it.
     fn schedule(&mut self, now: u64, at: u64, slot: usize) {
+        self.scheduled += 1;
         let at = at.max(now + 1);
         if at - now <= HORIZON {
             self.buckets[(at % HORIZON) as usize] |= bit(slot);
@@ -149,8 +164,9 @@ impl Wheel {
         }
     }
 
-    /// Takes the slots due at `now`. Runs every cycle, before anything is
-    /// scheduled that cycle, so a bucket never mixes two laps.
+    /// Takes the slots due at `now`. Runs on every stepped cycle, before
+    /// anything is scheduled that cycle, and a cycle is only skipped when
+    /// its bucket is empty, so a bucket never mixes two laps.
     fn drain(&mut self, now: u64) -> SlotMask {
         let mut due = std::mem::take(&mut self.buckets[(now % HORIZON) as usize]);
         while let Some(&Reverse((at, slot))) = self.overflow.peek() {
@@ -162,6 +178,40 @@ impl Wheel {
         }
         due
     }
+
+    /// The first cycle in `[now, limit)` with an event scheduled (stale
+    /// ones included), or `limit` when there is none. Events scheduled
+    /// before `now` lie at most `HORIZON - 1` cycles past it, so one lap
+    /// of buckets covers them all.
+    fn next_event(&self, now: u64, limit: u64) -> u64 {
+        let limit = match self.overflow.peek() {
+            Some(&Reverse((at, _))) => limit.min(at),
+            None => limit,
+        };
+        (now..limit.min(now + HORIZON))
+            .find(|&at| self.buckets[(at % HORIZON) as usize] != 0)
+            .unwrap_or(limit)
+    }
+}
+
+/// What the core's loop did, counted exactly. The counts are a pure
+/// function of the run, so they are identical at any job count; they stay
+/// out of [`SimStats`], so results and their encodings keep their bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    /// Cycles on which the pipeline stages ran.
+    pub stepped_cycles: u64,
+    /// Idle cycles the clock jumped over without running a stage.
+    pub skipped_cycles: u64,
+    /// Entries the issue stage visited in the awake mask.
+    pub awake_visits: u64,
+    /// Producer checks made for a consumer's operands, at issue and at
+    /// dispatch.
+    pub operand_checks: u64,
+    /// Sleep-expiry and load-resolution events put on a wheel.
+    pub wheel_events: u64,
+    /// Younger issued entries the replay scan visited.
+    pub replay_slots: u64,
 }
 
 /// The 8-wide out-of-order core (see crate docs).
@@ -185,8 +235,10 @@ pub struct Cpu {
     /// An I-cache line whose fill/pull-up we already paid for: `(line,
     /// ready_cycle)`. Prevents re-charging the access on fetch retry.
     fetch_line_ready: Option<(u64, u64)>,
-    /// Completions, at each issue's ready cycle.
-    ready_events: Wheel,
+    /// Entries not yet issued: set at dispatch and at squash, cleared at
+    /// issue. A live entry outside it is issued, and complete once its
+    /// ready cycle has passed.
+    waiting: SlotMask,
     /// Misspeculated loads, at each one's resolve cycle.
     replay_events: Wheel,
     /// Waiting entries eligible for an operand check this cycle (their
@@ -196,6 +248,7 @@ pub struct Cpu {
     /// Sleep-expiry timers, at each sleeper's `wake_cycle`.
     wake_events: Wheel,
     stats: SimStats,
+    work: CoreWork,
 }
 
 impl std::fmt::Debug for Cpu {
@@ -213,10 +266,13 @@ impl Cpu {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`CpuConfig::validate`].
+    /// Panics if `cfg` fails [`CpuConfig::validate`], or if the L1 data
+    /// cache's hit latency is 0 (every result must be ready after the
+    /// cycle its instruction issues).
     #[must_use]
     pub fn new(cfg: CpuConfig, mem: MemorySystem) -> Cpu {
         cfg.validate();
+        assert!(mem.config().l1d.hit_latency > 0, "l1d.hit_latency = 0; it must be at least 1");
         Cpu {
             cfg,
             mem,
@@ -233,11 +289,12 @@ impl Cpu {
             fetch_stall_until: 0,
             fetch_blocked_on: None,
             fetch_line_ready: None,
-            ready_events: Wheel::new(),
+            waiting: 0,
             replay_events: Wheel::new(),
             awake: 0,
             wake_events: Wheel::new(),
             stats: SimStats::default(),
+            work: CoreWork::default(),
         }
     }
 
@@ -257,7 +314,7 @@ impl Cpu {
                     let s = slot(self.head_seq);
                     (
                         self.rob.kind[s],
-                        self.rob.state[s],
+                        self.waiting & bit(s) != 0,
                         self.rob.ready_cycle[s],
                         self.rob.resolve_cycle[s],
                         self.rob.flags[s],
@@ -265,7 +322,8 @@ impl Cpu {
                 });
                 assert!(
                     self.stats.committed > last_progress.1,
-                    "pipeline deadlock at cycle {}: rob={} iq={} lsq={} fq={} head={:?} \
+                    "pipeline deadlock at cycle {}: rob={} iq={} lsq={} fq={} \
+                     head(kind, waiting, ready, resolve, flags)={:?} \
                      blocked_on={:?} stall_until={}",
                     self.cycle,
                     self.next_seq - self.head_seq,
@@ -291,6 +349,15 @@ impl Cpu {
         s
     }
 
+    /// What the core's loop has done so far.
+    #[must_use]
+    pub fn work(&self) -> CoreWork {
+        CoreWork {
+            wheel_events: self.wake_events.scheduled + self.replay_events.scheduled,
+            ..self.work
+        }
+    }
+
     /// The memory system (for cache statistics).
     #[must_use]
     pub fn memory(&self) -> &MemorySystem {
@@ -310,6 +377,8 @@ impl Cpu {
     }
 
     fn step(&mut self, trace: &mut dyn TraceSource) {
+        self.skip_idle_cycles();
+        self.work.stepped_cycles += 1;
         self.complete();
         self.commit();
         self.issue();
@@ -318,37 +387,82 @@ impl Cpu {
         self.cycle += 1;
     }
 
+    /// Jumps the clock over cycles on which no stage can act. Such a cycle
+    /// has nothing awake to issue, no wheel event due, a head that cannot
+    /// commit, a blocked dispatch and a fetch that is blocked, stalled or
+    /// full — and the blocking branch, if any, has no result yet. Only
+    /// the events listed below change any of that, so the clock moves to
+    /// the earliest of them, and each skipped cycle is credited as the
+    /// fetch stall it would have counted.
+    fn skip_idle_cycles(&mut self) {
+        let cycle = self.cycle;
+        let fetch_blocked = self.fetch_blocked_on.is_some();
+        let fetch_stalled = cycle < self.fetch_stall_until;
+        if self.awake != 0
+            || (!fetch_blocked && !fetch_stalled && self.fetch_queue.len() < self.cfg.fetch_queue)
+            || !self.dispatch_blocked()
+        {
+            return;
+        }
+        let mut next = u64::MAX;
+        // The head's commit cycle (a waiting head issues on a wheel event).
+        if self.head_seq < self.next_seq && self.waiting & bit(slot(self.head_seq)) == 0 {
+            next = self.commit_cycle(slot(self.head_seq));
+        }
+        match self.fetch_blocked_on {
+            // The blocking branch's result, once it has issued.
+            Some(b) if self.live(b) && self.waiting & bit(slot(b)) == 0 => {
+                next = next.min(self.rob.ready_cycle[slot(b)]);
+            }
+            Some(_) => {}
+            None if fetch_stalled => next = next.min(self.fetch_stall_until),
+            None => {}
+        }
+        let next = self.wake_events.next_event(cycle, next);
+        let next = self.replay_events.next_event(cycle, next);
+        // `next <= cycle`: something can act now. `u64::MAX`: nothing is
+        // pending at all, a deadlock the watchdog in `run` should see.
+        if next <= cycle || next == u64::MAX {
+            return;
+        }
+        let skipped = next - cycle;
+        if fetch_blocked || fetch_stalled {
+            self.stats.fetch_stall_cycles += skipped;
+        }
+        self.work.skipped_cycles += skipped;
+        self.cycle = next;
+    }
+
     #[inline]
     fn live(&self, seq: u64) -> bool {
         seq >= self.head_seq && seq < self.next_seq
     }
 
-    /// The live entries among `mask`'s slots, oldest first: rotating by
-    /// the head's slot turns ring order into bit order.
-    fn live_seqs(&self, mask: SlotMask) -> impl Iterator<Item = u64> {
-        let (head, len) = (self.head_seq, self.next_seq - self.head_seq);
-        let mut rest = mask.rotate_right(slot(head) as u32);
+    /// The live entries from `from` on among `mask`'s slots, oldest first:
+    /// rotating by `from`'s slot turns ring order into bit order.
+    fn seqs_from(&self, from: u64, mask: SlotMask) -> impl Iterator<Item = u64> {
+        let len = self.next_seq - from;
+        let mut rest = mask.rotate_right(slot(from) as u32);
         std::iter::from_fn(move || {
             let offset = u64::from(rest.trailing_zeros());
             rest &= rest.wrapping_sub(1);
-            (offset < len).then_some(head + offset)
+            (offset < len).then_some(from + offset)
         })
     }
 
-    /// Completion + load-latency resolution.
+    /// The live entries among `mask`'s slots, oldest first.
+    fn live_seqs(&self, mask: SlotMask) -> impl Iterator<Item = u64> {
+        self.seqs_from(self.head_seq, mask)
+    }
+
+    /// Fetch redirect + load-latency resolution.
     fn complete(&mut self) {
         let cycle = self.cycle;
-        // Completions, which commute within a cycle. A due slot is stale
-        // when its entry retired, was squashed or re-issued with a later
-        // ready cycle; what survives is exactly `Issued && ready <= cycle`.
-        let due = self.ready_events.drain(cycle);
-        for seq in self.live_seqs(due) {
-            let s = slot(seq);
-            if self.rob.state[s] != State::Issued || self.rob.ready_cycle[s] > cycle {
-                continue;
-            }
-            self.rob.state[s] = State::Done;
-            if self.rob.flags[s] & flag::BLOCKED_FETCH != 0 && self.fetch_blocked_on == Some(seq) {
+        // The front end resumes, after the redirect penalty, once the
+        // mispredicted branch it is blocked on has produced its result.
+        if let Some(b) = self.fetch_blocked_on {
+            let s = slot(b);
+            if self.live(b) && self.waiting & bit(s) == 0 && self.rob.ready_cycle[s] <= cycle {
                 let resume = self.rob.ready_cycle[s] + self.cfg.redirect_penalty;
                 self.fetch_blocked_on = None;
                 self.fetch_stall_until = self.fetch_stall_until.max(resume);
@@ -356,8 +470,9 @@ impl Cpu {
         }
         // Load-hit speculation resolution, in ascending seq order. A load
         // re-issued since has fresh flags and resolve cycle, so its stale
-        // event does not fire. The state is deliberately NOT consulted — a
-        // squashed misspeculated load still replays at its resolve cycle.
+        // event does not fire. Whether it waits is deliberately NOT
+        // consulted — a squashed misspeculated load still replays at its
+        // resolve cycle.
         let due = self.replay_events.drain(cycle);
         for seq in self.live_seqs(due) {
             let s = slot(seq);
@@ -381,12 +496,12 @@ impl Cpu {
         let load_ready = self.rob.ready_cycle[load_slot];
         // The load and everything squashed so far; dependences only point
         // backwards, so one forward pass reaches the transitive closure.
+        // Only issued entries can be squashed, and a squash re-queues only
+        // the entry it visits, so one snapshot of the mask serves the pass.
         let mut squashed = bit(load_slot);
-        for seq in (load_seq + 1)..self.next_seq {
+        for seq in self.seqs_from(load_seq + 1, !self.waiting) {
+            self.work.replay_slots += 1;
             let s = slot(seq);
-            if self.rob.state[s] == State::Waiting {
-                continue;
-            }
             // Issued before the load's data was actually ready?
             if self.rob.issue_cycle[s] >= load_ready {
                 continue;
@@ -400,7 +515,7 @@ impl Cpu {
             };
             if hit {
                 squashed |= bit(s);
-                self.rob.state[s] = State::Waiting;
+                self.waiting |= bit(s);
                 self.rob.wake_cycle[s] = 0;
                 self.awake |= bit(s);
                 self.stats.replays += 1;
@@ -414,13 +529,18 @@ impl Cpu {
         }
     }
 
-    /// A load may not retire before the scheduler has resolved its latency
-    /// (and run any replay); everything younger is therefore held too.
+    /// The first cycle the issued entry in slot `s` may retire: once its
+    /// result is ready and, for a load, once the scheduler has resolved
+    /// its latency (and run any replay) — everything younger is held too.
     #[inline]
-    fn commit_safe(&self, slot: usize) -> bool {
-        self.rob.resolve_cycle[slot] == u64::MAX
-            || self.cycle >= self.rob.resolve_cycle[slot]
-            || self.rob.flags[slot] & flag::REPLAY_HANDLED != 0
+    fn commit_cycle(&self, s: usize) -> u64 {
+        let ready = self.rob.ready_cycle[s];
+        let resolve = self.rob.resolve_cycle[s];
+        if resolve == u64::MAX || self.rob.flags[s] & flag::REPLAY_HANDLED != 0 {
+            ready
+        } else {
+            ready.max(resolve)
+        }
     }
 
     fn commit(&mut self) {
@@ -429,10 +549,7 @@ impl Cpu {
                 break;
             }
             let s = slot(self.head_seq);
-            if self.rob.state[s] != State::Done
-                || self.rob.ready_cycle[s] > self.cycle
-                || !self.commit_safe(s)
-            {
+            if self.waiting & bit(s) != 0 || self.commit_cycle(s) > self.cycle {
                 break;
             }
             if self.rob.kind[s].is_mem() {
@@ -458,30 +575,59 @@ impl Cpu {
             return None; // retired -> architectural state
         }
         let s = slot(seq);
-        match self.rob.state[s] {
-            // `complete` runs before `issue`, so a Done entry always has
-            // `ready_cycle <= cycle`; the bound is kept for robustness.
-            State::Done => (self.rob.ready_cycle[s] > cycle).then(|| self.rob.ready_cycle[s]),
-            State::Issued => {
-                if self.rob.kind[s] == InstrKind::Load {
-                    // Load-hit speculation: before the scheduler learns the
-                    // true latency, consumers assume the hit latency; the
-                    // value is assumed visible in [assumed, resolve).
-                    let assumed = self.rob.issue_cycle[s] + u64::from(self.dcache_hit_latency());
-                    if cycle < assumed {
-                        Some(assumed)
-                    } else if cycle < self.rob.resolve_cycle[s] {
-                        None
-                    } else {
-                        // Window closed on a misspeculated load: nothing
-                        // arrives before the true ready cycle.
-                        Some(self.rob.ready_cycle[s])
-                    }
-                } else {
-                    Some(self.rob.ready_cycle[s])
-                }
+        if self.waiting & bit(s) != 0 {
+            return Some(u64::MAX);
+        }
+        let ready = self.rob.ready_cycle[s];
+        if ready <= cycle {
+            return None; // complete
+        }
+        if self.rob.kind[s] == InstrKind::Load {
+            // Load-hit speculation: before the scheduler learns the true
+            // latency, consumers assume the hit latency; the value is
+            // assumed visible in [assumed, resolve).
+            let assumed = self.rob.issue_cycle[s] + u64::from(self.dcache_hit_latency());
+            if cycle < assumed {
+                Some(assumed)
+            } else if cycle < self.rob.resolve_cycle[s] {
+                None
+            } else {
+                // Window closed on a misspeculated load: nothing arrives
+                // before the true ready cycle.
+                Some(ready)
             }
-            State::Waiting => Some(u64::MAX),
+        } else {
+            Some(ready)
+        }
+    }
+
+    /// Checks the operands of the waiting entry in slot `s` for an issue
+    /// at `cycle`: registers it with every producer that cannot deliver by
+    /// then, and returns the latest bound (0 when every operand is ready).
+    fn operand_check(&mut self, s: usize, cycle: u64) -> u64 {
+        let mut wake = 0;
+        for p in self.rob.producers[s] {
+            if p == NO_PRODUCER {
+                continue;
+            }
+            self.work.operand_checks += 1;
+            if let Some(bound) = self.operand_wake(p, cycle) {
+                wake = wake.max(bound);
+                // Register for a wake: if the producer (re-)issues, its
+                // fresh speculation window may open before `bound`.
+                self.rob.consumers[slot(p)] |= bit(s);
+            }
+        }
+        wake
+    }
+
+    /// Puts the entry in slot `s` to sleep until `wake`, which exceeds
+    /// every cycle it could issue in. A `u64::MAX` bound gets no timer:
+    /// the registered producer's issue wakes it.
+    fn sleep(&mut self, s: usize, wake: u64) {
+        self.rob.wake_cycle[s] = wake;
+        if wake != u64::MAX {
+            self.wake_events.schedule(self.cycle, wake, s);
         }
     }
 
@@ -502,15 +648,16 @@ impl Cpu {
     fn issue(&mut self) {
         let cycle = self.cycle;
         // Admit entries whose sleep just expired. A due slot is stale when
-        // its entry issued in the meantime (state left Waiting) or re-slept
+        // its entry issued in the meantime (no longer waiting) or re-slept
         // with a later bound (its own fresh event is still scheduled).
         let due = self.wake_events.drain(cycle);
         for seq in self.live_seqs(due) {
             let s = slot(seq);
-            if self.rob.state[s] == State::Waiting && self.rob.wake_cycle[s] <= cycle {
+            if self.waiting & bit(s) != 0 && self.rob.wake_cycle[s] <= cycle {
                 self.awake |= bit(s);
             }
         }
+        debug_assert_eq!(self.awake & !self.waiting, 0, "only waiting entries are awake");
         let mut issued = 0;
         let mut dcache_ops = 0;
         let mut store_ops = 0;
@@ -520,11 +667,8 @@ impl Cpu {
             if issued >= self.cfg.issue_width {
                 break; // width exhausted; the rest stay candidates next cycle
             }
+            self.work.awake_visits += 1;
             let s = slot(seq);
-            if self.rob.state[s] != State::Waiting {
-                self.awake &= !bit(s);
-                continue;
-            }
             let kind = self.rob.kind[s];
             let is_mem = kind.is_mem();
             let is_store = kind == InstrKind::Store;
@@ -537,27 +681,11 @@ impl Cpu {
             }
             // Whether it issues or sleeps, it leaves the awake mask.
             self.awake &= !bit(s);
-            let mut wake = 0;
-            for p in self.rob.producers[s] {
-                if p == NO_PRODUCER {
-                    continue;
-                }
-                if let Some(bound) = self.operand_wake(p, cycle) {
-                    wake = wake.max(bound);
-                    // Register for a wake: if the producer (re-)issues, its
-                    // fresh speculation window may open before `bound`.
-                    self.rob.consumers[slot(p)] |= bit(s);
-                }
-            }
+            let wake = self.operand_check(s, cycle);
             if wake > 0 {
                 // All bounds exceed the current cycle, so the entry cannot
-                // issue before `wake`. A producer-less bound gets a timer
-                // event; a `u64::MAX` bound is woken by the registered
-                // producer's issue.
-                self.rob.wake_cycle[s] = wake;
-                if wake != u64::MAX {
-                    self.wake_events.schedule(cycle, wake, s);
-                }
+                // issue before `wake`.
+                self.sleep(s, wake);
                 continue;
             }
             // Issue it. With predecode hints on, every load and store
@@ -593,7 +721,7 @@ impl Cpu {
                 }
                 k => (cycle + self.exec_latency(k), u64::MAX, false),
             };
-            self.rob.state[s] = State::Issued;
+            self.waiting &= !bit(s);
             self.rob.issue_cycle[s] = cycle;
             self.rob.ready_cycle[s] = ready_cycle;
             self.rob.resolve_cycle[s] = resolve_cycle;
@@ -609,7 +737,6 @@ impl Cpu {
                 self.rob.mem_first_ready[s] = ready_cycle;
             }
             self.rob.flags[s] = flags;
-            self.ready_events.schedule(cycle, ready_cycle, s);
             // Wake sleeping consumers: their stored bound may predate this
             // (re-)issue, whose value can arrive earlier than they assumed.
             // `min` never extends a sleep, so waking is always safe.
@@ -620,15 +747,13 @@ impl Cpu {
                 } else {
                     ready_cycle
                 };
-                for w in self.live_seqs(consumers) {
+                for w in self.live_seqs(consumers & self.waiting) {
                     let ds = slot(w);
-                    if self.rob.state[ds] == State::Waiting {
-                        let wc = &mut self.rob.wake_cycle[ds];
-                        *wc = (*wc).min(dep_wake);
-                        // Re-admit the sleeper at its (possibly pulled
-                        // forward) wake cycle; stale events filter out.
-                        self.wake_events.schedule(cycle, *wc, ds);
-                    }
+                    let wc = &mut self.rob.wake_cycle[ds];
+                    *wc = (*wc).min(dep_wake);
+                    // Re-admit the sleeper at its (possibly pulled
+                    // forward) wake cycle; stale events filter out.
+                    self.wake_events.schedule(cycle, *wc, ds);
                 }
             }
             if kind.is_control() {
@@ -645,19 +770,25 @@ impl Cpu {
         }
     }
 
+    /// Can dispatch move nothing this cycle? The ROB or issue queue is
+    /// full, the fetch queue is empty, or a memory op at its front finds
+    /// the load/store queue full.
+    fn dispatch_blocked(&self) -> bool {
+        (self.next_seq - self.head_seq) as usize >= self.cfg.rob_entries
+            || self.iq_count >= self.cfg.iq_entries
+            || self
+                .fetch_queue
+                .front()
+                .is_none_or(|i| i.kind.is_mem() && self.lsq_count >= self.cfg.lsq_entries)
+    }
+
     fn dispatch(&mut self) {
         for _ in 0..self.cfg.dispatch_width {
-            if (self.next_seq - self.head_seq) as usize >= self.cfg.rob_entries
-                || self.iq_count >= self.cfg.iq_entries
-            {
+            if self.dispatch_blocked() {
                 break;
             }
-            let Some(instr) = self.fetch_queue.front().copied() else { break };
+            let instr = self.fetch_queue.pop_front().expect("dispatch is not blocked");
             let is_mem = instr.kind.is_mem();
-            if is_mem && self.lsq_count >= self.cfg.lsq_entries {
-                break;
-            }
-            self.fetch_queue.pop_front();
             let seq = self.next_seq;
             self.next_seq += 1;
             let producers = [
@@ -672,7 +803,7 @@ impl Cpu {
             }
             self.iq_count += 1;
             let s = slot(seq);
-            self.rob.state[s] = State::Waiting;
+            self.waiting |= bit(s);
             self.rob.kind[s] = instr.kind;
             self.rob.producers[s] = producers;
             self.rob.issue_cycle[s] = 0;
@@ -681,13 +812,20 @@ impl Cpu {
             self.rob.flags[s] =
                 if self.fetch_blocked_on == Some(seq) { flag::BLOCKED_FETCH } else { 0 };
             self.rob.mem_first_ready[s] = 0;
-            self.rob.wake_cycle[s] = 0;
             self.rob.consumers[s] = 0;
-            self.awake |= bit(s);
             if is_mem {
                 let m = instr.mem.expect("memory ops carry a memory reference");
                 self.rob.mem_addr[s] = m.addr;
                 self.rob.mem_base[s] = m.base;
+            }
+            // The check the next cycle's issue would make: only an entry
+            // whose operands will be ready joins the awake mask.
+            let wake = self.operand_check(s, self.cycle + 1);
+            if wake > 0 {
+                self.sleep(s, wake);
+            } else {
+                self.rob.wake_cycle[s] = 0;
+                self.awake |= bit(s);
             }
         }
     }
@@ -697,7 +835,6 @@ impl Cpu {
             self.stats.fetch_stall_cycles += 1;
             return;
         }
-        let line_bytes = self.mem.config().l1i.line_bytes as u64;
         let mut lines_used = 0;
         let mut current_line = u64::MAX;
         for _ in 0..self.cfg.fetch_width {
@@ -708,7 +845,7 @@ impl Cpu {
                 Some(i) => i,
                 None => trace.next_instr(),
             };
-            let line = instr.pc / line_bytes;
+            let line = self.mem.l1i().line_of(instr.pc);
             if line != current_line {
                 if lines_used >= self.cfg.fetch_lines_per_cycle {
                     self.fetch_buffer = Some(instr);
@@ -794,6 +931,16 @@ mod tests {
             v.push(Instr::new(pc, InstrKind::IntAlu).with_dest(d));
         }
         ReplayTrace::new(v)
+    }
+
+    #[test]
+    #[should_panic(expected = "l1d.hit_latency = 0; it must be at least 1")]
+    fn a_zero_cycle_data_cache_is_rejected() {
+        let mut cfg = MemorySystemConfig::default();
+        cfg.l1d.hit_latency = 0;
+        let d = Box::new(StaticPullUp::new(cfg.l1d.subarrays()));
+        let i = Box::new(StaticPullUp::new(cfg.l1i.subarrays()));
+        let _ = Cpu::new(CpuConfig::default(), MemorySystem::new(cfg, d, i));
     }
 
     #[test]

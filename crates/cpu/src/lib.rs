@@ -43,5 +43,5 @@ mod stats;
 
 pub use bpred::{BranchPredictor, BtbEntry};
 pub use config::{CpuConfig, ReplayScope};
-pub use core::Cpu;
+pub use core::{CoreWork, Cpu};
 pub use stats::SimStats;

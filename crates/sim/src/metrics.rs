@@ -34,6 +34,12 @@ const DECLARED_COUNTERS: &[&str] = &[
     "sim.runner.cycles",
     "sim.runner.busy_micros",
     "sim.runner.timeouts",
+    "sim.core.stepped_cycles",
+    "sim.core.skipped_cycles",
+    "sim.core.awake_visits",
+    "sim.core.operand_checks",
+    "sim.core.wheel_events",
+    "sim.core.replay_slots",
     "sim.checkpoint.appended",
     "sim.checkpoint.replayed",
     "sim.checkpoint.recomputed",

@@ -453,6 +453,7 @@ pub fn try_run_benchmark_supervised(
         chunk_counter.incr();
     }
     let end_cycle = stats.cycles;
+    let work = cpu.work();
     let mut mem = cpu.into_memory();
     let d_hit_miss = (mem.l1d().hits(), mem.l1d().misses());
     let i_hit_miss = (mem.l1i().hits(), mem.l1i().misses());
@@ -476,6 +477,13 @@ pub fn try_run_benchmark_supervised(
     let committed_counter = bitline_obs::counter!("sim.runner.committed_instructions");
     committed_counter.add(stats.committed);
     bitline_obs::counter!("sim.runner.cycles").add(stats.cycles);
+    // What the core's loop did to simulate those cycles (see `CoreWork`).
+    bitline_obs::counter!("sim.core.stepped_cycles").add(work.stepped_cycles);
+    bitline_obs::counter!("sim.core.skipped_cycles").add(work.skipped_cycles);
+    bitline_obs::counter!("sim.core.awake_visits").add(work.awake_visits);
+    bitline_obs::counter!("sim.core.operand_checks").add(work.operand_checks);
+    bitline_obs::counter!("sim.core.wheel_events").add(work.wheel_events);
+    bitline_obs::counter!("sim.core.replay_slots").add(work.replay_slots);
     let busy_counter = bitline_obs::counter!("sim.runner.busy_micros");
     busy_counter.add(u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
     // Cumulative simulation throughput: committed instructions per

@@ -4,10 +4,10 @@
 //! The same headline experiment (plus one faulted run, so the fault
 //! counters are exercised) runs at `jobs=1` and `jobs=8`; every counter
 //! outside the scheduling family (`exec.pool.*`) must move by exactly the
-//! same amount in both legs — committed instructions, precharge events,
-//! cache hits and misses, fault detections and replays. Wall-time
-//! histograms and pool queue/busy metrics are explicitly scheduling
-//! telemetry and are excluded.
+//! same amount in both legs — committed instructions, the core's work
+//! counts, precharge events, cache hits and misses, fault detections and
+//! replays. Wall-time histograms and pool queue/busy metrics are
+//! explicitly scheduling telemetry and are excluded.
 //!
 //! One `#[test]`: the metrics registry, run cache, and `BITLINE_SUITE`
 //! restriction are all process-global, so concurrent test functions would
@@ -98,6 +98,12 @@ fn semantic_counters_are_identical_across_job_counts() {
         "sim.runner.runs",
         "sim.runner.committed_instructions",
         "sim.runner.cycles",
+        "sim.core.stepped_cycles",
+        "sim.core.skipped_cycles",
+        "sim.core.awake_visits",
+        "sim.core.operand_checks",
+        "sim.core.wheel_events",
+        "sim.core.replay_slots",
         "sim.run_cache.misses",
         "sim.run_cache.hits",
         "exec.traces.materialised",
@@ -108,6 +114,13 @@ fn semantic_counters_are_identical_across_job_counts() {
             "expected {key} to move during the experiment; moved: {serial_semantic:?}"
         );
     }
+    // The core either steps a cycle or skips it as idle.
+    let count = |key: &str| serial_semantic.get(key).copied().unwrap_or(0);
+    assert_eq!(
+        count("sim.core.stepped_cycles") + count("sim.core.skipped_cycles"),
+        count("sim.runner.cycles"),
+        "every simulated cycle is either stepped or skipped"
+    );
     let precharges: u64 = serial_semantic
         .iter()
         .filter(|(k, _)| k.starts_with("sim.runner.precharges."))
