@@ -248,6 +248,7 @@ pub struct Cpu {
     /// Sleep-expiry timers, at each sleeper's `wake_cycle`.
     wake_events: Wheel,
     stats: SimStats,
+    /// Work counts, except wheel events: each wheel counts its own.
     work: CoreWork,
 }
 
@@ -806,9 +807,6 @@ impl Cpu {
             self.waiting |= bit(s);
             self.rob.kind[s] = instr.kind;
             self.rob.producers[s] = producers;
-            self.rob.issue_cycle[s] = 0;
-            self.rob.ready_cycle[s] = 0;
-            self.rob.resolve_cycle[s] = u64::MAX;
             self.rob.flags[s] =
                 if self.fetch_blocked_on == Some(seq) { flag::BLOCKED_FETCH } else { 0 };
             self.rob.mem_first_ready[s] = 0;
