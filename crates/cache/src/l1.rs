@@ -460,44 +460,7 @@ mod tests {
         assert_eq!(r.subarray, 31);
     }
 
-    #[test]
-    fn resize_invalidates_and_remaps() {
-        struct ShrinkOnce {
-            fired: bool,
-        }
-        impl PrechargePolicy for ShrinkOnce {
-            fn name(&self) -> String {
-                "shrink".into()
-            }
-            fn access(&mut self, _s: usize, _c: u64) -> u32 {
-                0
-            }
-            fn resize_request(&mut self) -> Option<ResizeRequest> {
-                if self.fired {
-                    None
-                } else {
-                    self.fired = true;
-                    Some(ResizeRequest { active_sets: 128, active_ways: 1 })
-                }
-            }
-            fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
-                ActivityReport { policy: self.name(), end_cycle, per_subarray: vec![] }
-            }
-        }
-        let mut c = L1Cache::new(CacheConfig::l1_data(), Box::new(ShrinkOnce { fired: false }));
-        c.access(0x8000, false, 1); // triggers the resize after the access
-        assert_eq!(c.active_sets(), 128);
-        assert_eq!(c.active_ways(), 1);
-        assert_eq!(c.resizes(), 1);
-        // Everything was invalidated.
-        assert!(!c.access(0x8000, false, 2).hit);
-        // Under 128 sets, addresses 4 KB apart now conflict.
-        let r1 = c.access(0x0, false, 3);
-        let r2 = c.access(4096, false, 4);
-        assert_eq!(r1.subarray, r2.subarray);
-    }
-
-    /// Requests one resize on its first access.
+    /// Requests one resize, on its first access.
     struct ResizeOnce(Option<ResizeRequest>);
     impl PrechargePolicy for ResizeOnce {
         fn name(&self) -> String {
@@ -512,6 +475,22 @@ mod tests {
         fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
             ActivityReport { policy: self.name(), end_cycle, per_subarray: vec![] }
         }
+    }
+
+    #[test]
+    fn resize_invalidates_and_remaps() {
+        let shrink = ResizeOnce(Some(ResizeRequest { active_sets: 128, active_ways: 1 }));
+        let mut c = L1Cache::new(CacheConfig::l1_data(), Box::new(shrink));
+        c.access(0x8000, false, 1); // triggers the resize after the access
+        assert_eq!(c.active_sets(), 128);
+        assert_eq!(c.active_ways(), 1);
+        assert_eq!(c.resizes(), 1);
+        // Everything was invalidated.
+        assert!(!c.access(0x8000, false, 2).hit);
+        // Under 128 sets, addresses 4 KB apart now conflict.
+        let r1 = c.access(0x0, false, 3);
+        let r2 = c.access(4096, false, 4);
+        assert_eq!(r1.subarray, r2.subarray);
     }
 
     #[test]

@@ -117,8 +117,17 @@ pub fn clear_spans() {
 mod tests {
     use super::*;
 
+    /// The ring is process-global and tests run on parallel threads: a test
+    /// that clears and then inspects it holds this lock, so another test's
+    /// `clear_spans` cannot empty the ring under it.
+    fn exclusive_ring() -> std::sync::MutexGuard<'static, ()> {
+        static RING_TESTS: Mutex<()> = Mutex::new(());
+        RING_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn spans_record_name_fields_and_duration() {
+        let _ring = exclusive_ring();
         clear_spans();
         {
             let _s = span("test/outer").field("benchmark", "mesa").field("n", 3);
@@ -134,6 +143,7 @@ mod tests {
 
     #[test]
     fn close_records_immediately() {
+        let _ring = exclusive_ring();
         clear_spans();
         span("test/closed").close();
         assert!(recent_spans().iter().any(|s| s.name == "test/closed"));
@@ -141,6 +151,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
+        let _ring = exclusive_ring();
         clear_spans();
         for i in 0..SPAN_CAPACITY + 10 {
             span("test/bulk").field("i", i).close();
