@@ -217,12 +217,12 @@ impl RunRow {
             committed: run.stats.committed,
             ipc: run.stats.ipc(),
             replays: run.stats.replays,
-            d_hits: run.d_hit_miss.0,
-            d_misses: run.d_hit_miss.1,
-            i_hits: run.i_hit_miss.0,
-            i_misses: run.i_hit_miss.1,
-            d_precharged: run.d_report.precharged_fraction(),
-            i_precharged: run.i_report.precharged_fraction(),
+            d_hits: run.l1d().hits,
+            d_misses: run.l1d().misses,
+            i_hits: run.l1i().hits,
+            i_misses: run.l1i().misses,
+            d_precharged: run.l1d().report.precharged_fraction(),
+            i_precharged: run.l1i().report.precharged_fraction(),
             d_discharge: policy.d.relative_discharge(&baseline.d),
             i_discharge: policy.i.relative_discharge(&baseline.i),
             d_energy_reduction: policy.d.overall_reduction(&baseline.d),

@@ -26,7 +26,7 @@ use bitline_cmos::TechnologyNode;
 use bitline_sim::experiments::{self, harness, Experiment};
 use bitline_sim::{
     exec_summary_line, set_checkpoint, spec, supervise, try_run_benchmark_cached, FaultSpec,
-    HierarchySpec, PolicyKind, SimError, SystemSpec, VddSpec,
+    HierarchySpec, LevelRun, PolicyKind, SimError, SystemSpec, VddSpec,
 };
 use bitline_workloads::suite;
 
@@ -144,6 +144,9 @@ fn print_help() {
     }
 }
 
+/// A level's one-line summary of one of its optional reports.
+type Summary = fn(&LevelRun) -> Option<String>;
+
 /// Runs one benchmark and renders its report. Returning the text (rather
 /// than printing directly) lets the `all` mode run benchmarks on the work
 /// pool and still print reports in suite order.
@@ -173,61 +176,47 @@ fn run_one(name: &str, args: &Args) -> Result<String, SimError> {
         run.stats.ipc(),
         100.0 * run.slowdown_vs(&baseline)
     );
-    let _ = writeln!(
-        out,
-        "  D: miss {:>5.1}%  precharged {:>5.1}%  discharge {:>5.3}x  energy saved {:>5.1}%",
-        100.0 * run.d_miss_ratio(),
-        100.0 * run.d_report.precharged_fraction(),
-        policy.d.relative_discharge(&base.d),
-        100.0 * policy.d.overall_reduction(&base.d),
-    );
-    let _ = writeln!(
-        out,
-        "  I: miss {:>5.1}%  precharged {:>5.1}%  discharge {:>5.3}x  energy saved {:>5.1}%",
-        100.0 * run.i_miss_ratio(),
-        100.0 * run.i_report.precharged_fraction(),
-        policy.i.relative_discharge(&base.i),
-        100.0 * policy.i.overall_reduction(&base.i),
-    );
+    for (level, policy, base) in [(run.l1d(), policy.d, base.d), (run.l1i(), policy.i, base.i)] {
+        let _ = writeln!(
+            out,
+            "  {}: miss {:>5.1}%  precharged {:>5.1}%  discharge {:>5.3}x  energy saved {:>5.1}%",
+            level.level.label().to_uppercase(),
+            100.0 * level.miss_ratio(),
+            100.0 * level.report.precharged_fraction(),
+            policy.relative_discharge(&base),
+            100.0 * policy.overall_reduction(&base),
+        );
+    }
     let _ = writeln!(
         out,
         "  replays {:>6}  mispredict rate {:>5.2}%  delayed D accesses {:>5.2}%",
         run.stats.replays,
         100.0 * run.stats.mispredict_rate(),
-        100.0 * run.d_report.delayed_fraction(),
+        100.0 * run.l1d().report.delayed_fraction(),
     );
-    if let (Some(d), Some(i)) = (&run.d_faults, &run.i_faults) {
-        let _ = writeln!(out, "  faults D: {}", d.summary());
-        let _ = writeln!(out, "  faults I: {}", i.summary());
+    let summaries: [(&str, Summary); 3] = [
+        ("faults", |l| l.faults.as_ref().map(|r| r.summary())),
+        ("ECC", |l| l.reliability.as_ref().map(|r| r.summary())),
+        ("Vdd", |l| l.vdd.as_ref().map(|r| r.summary())),
+    ];
+    for (name, summary) in summaries {
+        for level in &run.levels {
+            if let Some(text) = summary(level) {
+                let _ = writeln!(out, "  {name} {}: {text}", level.level.label().to_uppercase());
+            }
+        }
     }
-    if let (Some(d), Some(i)) = (&run.d_reliability, &run.i_reliability) {
-        let _ = writeln!(out, "  ECC D: {}", d.summary());
-        let _ = writeln!(out, "  ECC I: {}", i.summary());
-    }
-    if let (Some(d), Some(i)) = (&run.d_vdd, &run.i_vdd) {
-        let _ = writeln!(out, "  Vdd D: {}", d.summary());
-        let _ = writeln!(out, "  Vdd I: {}", i.summary());
-    }
-    if let Some((_, _, writebacks)) = run.l2_traffic {
-        let l2 = run.l2_energy(args.node, spec.hierarchy.leakage_mode).map_or(0.0, |b| b.total_j());
+    let mode = spec.hierarchy.leakage_mode;
+    for level in &run.levels {
+        let Some(energy) = run.outer_energy(level.level, args.node, mode) else { continue };
         let _ = writeln!(
             out,
-            "  L2: miss {:>5.1}%  writebacks {:>6}  energy {:.3e} J  ({} cells)",
-            100.0 * run.l2_miss_ratio().unwrap_or(0.0),
-            writebacks,
-            l2,
-            spec.hierarchy.leakage_mode.label(),
-        );
-    }
-    if let Some((hits, misses, writebacks)) = run.l3_traffic {
-        let l3 = run.l3_energy(args.node, spec.hierarchy.leakage_mode).map_or(0.0, |b| b.total_j());
-        let _ = writeln!(
-            out,
-            "  L3: miss {:>5.1}%  writebacks {:>6}  energy {:.3e} J  ({} cells)",
-            100.0 * misses as f64 / (hits + misses).max(1) as f64,
-            writebacks,
-            l3,
-            spec.hierarchy.leakage_mode.label(),
+            "  {}: miss {:>5.1}%  writebacks {:>6}  energy {:.3e} J  ({} cells)",
+            level.level.label().to_uppercase(),
+            100.0 * level.miss_ratio(),
+            level.writebacks,
+            energy.total_j(),
+            mode.label(),
         );
     }
     Ok(out)

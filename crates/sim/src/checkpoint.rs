@@ -23,13 +23,14 @@ use bitline_energy::LeakageKind;
 
 use crate::config::{PolicyKind, SystemSpec};
 use crate::recorder::LocalityStats;
-use crate::runner::RunResult;
+use crate::runner::{Level, LevelRun, RunResult};
 use crate::spec;
 use crate::supervise::fnv64;
 
 /// Codec version; bump on any layout change and older frames are
-/// quarantined and recomputed. Version 5 journals the spec as text.
-pub(crate) const VERSION: u8 = 5;
+/// quarantined and recomputed. Version 5 journals the spec as text;
+/// version 6 writes one record per cache level.
+pub(crate) const VERSION: u8 = 6;
 
 /// Upper bound for decoded collection lengths — far above any real cache
 /// (a 32 KB L1 has at most 1024 subarrays) but small enough that a
@@ -51,7 +52,8 @@ pub fn spec_key(benchmark: &str, spec: &SystemSpec) -> String {
     format!("{benchmark}@{:016x}", fnv64(&enc.out))
 }
 
-/// Encodes a run for the journal.
+/// Encodes a run for the journal. One record per level follows the stats;
+/// the spec decides which levels there are ([`Level::of`]).
 #[must_use]
 pub fn encode_run(run: &RunResult) -> Vec<u8> {
     let mut enc = Enc::default();
@@ -59,26 +61,9 @@ pub fn encode_run(run: &RunResult) -> Vec<u8> {
     enc.str(&run.benchmark);
     enc.str(&spec::canonical_text(&run.spec));
     enc.stats(&run.stats);
-    enc.report(&run.d_report);
-    enc.report(&run.i_report);
-    enc.u64(run.d_hit_miss.0);
-    enc.u64(run.d_hit_miss.1);
-    enc.u64(run.i_hit_miss.0);
-    enc.u64(run.i_hit_miss.1);
-    enc.opt(run.d_locality.as_ref(), Enc::locality);
-    enc.opt(run.i_locality.as_ref(), Enc::locality);
-    enc.opt(run.d_way_stats.as_ref(), Enc::way_stats);
-    enc.opt(run.i_way_stats.as_ref(), Enc::way_stats);
-    enc.opt(run.d_faults.as_ref(), Enc::faults);
-    enc.opt(run.i_faults.as_ref(), Enc::faults);
-    enc.opt(run.d_reliability.as_ref(), Enc::reliability);
-    enc.opt(run.i_reliability.as_ref(), Enc::reliability);
-    enc.opt(run.l2_report.as_ref(), Enc::report);
-    enc.opt(run.l3_report.as_ref(), Enc::report);
-    enc.opt(run.l2_traffic.as_ref(), Enc::traffic);
-    enc.opt(run.l3_traffic.as_ref(), Enc::traffic);
-    enc.opt(run.d_vdd.as_ref(), Enc::vdd_report);
-    enc.opt(run.i_vdd.as_ref(), Enc::vdd_report);
+    for level in &run.levels {
+        enc.level(level);
+    }
     enc.out
 }
 
@@ -89,31 +74,13 @@ pub fn decode_run(bytes: &[u8]) -> Option<RunResult> {
     if dec.u8()? != VERSION {
         return None;
     }
-    let run = RunResult {
-        benchmark: dec.str()?,
-        spec: spec::parse_text(&dec.str()?)?,
-        stats: dec.stats()?,
-        d_report: dec.report()?,
-        i_report: dec.report()?,
-        d_hit_miss: (dec.u64()?, dec.u64()?),
-        i_hit_miss: (dec.u64()?, dec.u64()?),
-        d_locality: dec.opt(Dec::locality)?,
-        i_locality: dec.opt(Dec::locality)?,
-        d_way_stats: dec.opt(Dec::way_stats)?,
-        i_way_stats: dec.opt(Dec::way_stats)?,
-        d_faults: dec.opt(Dec::faults)?,
-        i_faults: dec.opt(Dec::faults)?,
-        d_reliability: dec.opt(Dec::reliability)?,
-        i_reliability: dec.opt(Dec::reliability)?,
-        l2_report: dec.opt(Dec::report)?,
-        l3_report: dec.opt(Dec::report)?,
-        l2_traffic: dec.opt(Dec::traffic)?,
-        l3_traffic: dec.opt(Dec::traffic)?,
-        d_vdd: dec.opt(Dec::vdd_report)?,
-        i_vdd: dec.opt(Dec::vdd_report)?,
-    };
+    let benchmark = dec.str()?;
+    let spec = spec::parse_text(&dec.str()?)?;
+    let stats = dec.stats()?;
+    let levels =
+        Level::of(&spec.hierarchy)?.iter().map(|&l| dec.level(l)).collect::<Option<_>>()?;
     // Trailing garbage means the entry is not what we wrote.
-    (dec.pos == bytes.len()).then_some(run)
+    (dec.pos == bytes.len()).then_some(RunResult { benchmark, spec, stats, levels })
 }
 
 #[derive(Default)]
@@ -217,10 +184,16 @@ impl Enc {
         }
     }
 
-    fn traffic(&mut self, t: &(u64, u64, u64)) {
-        self.u64(t.0);
-        self.u64(t.1);
-        self.u64(t.2);
+    fn level(&mut self, l: &LevelRun) {
+        self.report(&l.report);
+        self.u64(l.hits);
+        self.u64(l.misses);
+        self.u64(l.writebacks);
+        self.opt(l.locality.as_ref(), Enc::locality);
+        self.opt(l.way_stats.as_ref(), Enc::way_stats);
+        self.opt(l.faults.as_ref(), Enc::faults);
+        self.opt(l.reliability.as_ref(), Enc::reliability);
+        self.opt(l.vdd.as_ref(), Enc::vdd_report);
     }
 
     fn stats(&mut self, s: &SimStats) {
@@ -367,8 +340,19 @@ impl Dec<'_> {
         }
     }
 
-    fn traffic(&mut self) -> Option<(u64, u64, u64)> {
-        Some((self.u64()?, self.u64()?, self.u64()?))
+    fn level(&mut self, level: Level) -> Option<LevelRun> {
+        Some(LevelRun {
+            level,
+            report: self.report()?,
+            hits: self.u64()?,
+            misses: self.u64()?,
+            writebacks: self.u64()?,
+            locality: self.opt(Dec::locality)?,
+            way_stats: self.opt(Dec::way_stats)?,
+            faults: self.opt(Dec::faults)?,
+            reliability: self.opt(Dec::reliability)?,
+            vdd: self.opt(Dec::vdd_report)?,
+        })
     }
 
     fn stats(&mut self) -> Option<SimStats> {
@@ -504,6 +488,22 @@ mod tests {
     use super::*;
     use crate::config::{FaultSpec, HierarchySpec, VddSpec};
 
+    /// A level record with nothing attached.
+    fn bare(level: Level, report: ActivityReport, traffic: (u64, u64, u64)) -> LevelRun {
+        LevelRun {
+            level,
+            report,
+            hits: traffic.0,
+            misses: traffic.1,
+            writebacks: traffic.2,
+            locality: None,
+            way_stats: None,
+            faults: None,
+            reliability: None,
+            vdd: None,
+        }
+    }
+
     fn sample_run() -> RunResult {
         let spec = SystemSpec {
             d_policy: PolicyKind::Resizable { interval_accesses: 512, slack: 0.015 },
@@ -522,40 +522,28 @@ mod tests {
         let mut hist = IdleHistogram::default();
         hist.record(7);
         hist.record(700);
-        RunResult {
-            benchmark: "health".into(),
-            spec,
-            stats: SimStats { cycles: 101, committed: 99, loads: 31, ..SimStats::default() },
-            d_report: ActivityReport {
-                policy: "resizable".into(),
-                end_cycle: 101,
-                per_subarray: vec![SubarrayActivity {
-                    accesses: 31,
-                    delayed_accesses: 2,
-                    pulled_up_cycles: 64.5,
-                    precharge_events: 3,
-                    drowsy_cycles: 0.0,
-                    idle_histogram: hist,
-                }],
-            },
-            i_report: ActivityReport {
-                policy: "gated".into(),
-                end_cycle: 101,
-                per_subarray: vec![],
-            },
-            d_hit_miss: (29, 2),
-            i_hit_miss: (99, 1),
-            d_locality: Some(LocalityStats {
+        let d_report = ActivityReport {
+            policy: "resizable".into(),
+            end_cycle: 101,
+            per_subarray: vec![SubarrayActivity {
+                accesses: 31,
+                delayed_accesses: 2,
+                pulled_up_cycles: 64.5,
+                precharge_events: 3,
+                drowsy_cycles: 0.0,
+                idle_histogram: hist,
+            }],
+        };
+        let d = LevelRun {
+            locality: Some(LocalityStats {
                 interval_counts: [1, 2, 3, 4, 5, 6],
                 intervals_total: 21,
                 hot_cycles: [0.1, 0.2, 0.3, 0.4, 0.5],
                 subarrays: 32,
                 end_cycle: 101,
             }),
-            i_locality: None,
-            d_way_stats: Some(WayStats { correct: 28, wrong: 1 }),
-            i_way_stats: None,
-            d_faults: Some(FaultReport {
+            way_stats: Some(WayStats { correct: 28, wrong: 1 }),
+            faults: Some(FaultReport {
                 per_subarray: vec![SubarrayFaults {
                     injected: 2,
                     detected: 2,
@@ -565,8 +553,7 @@ mod tests {
                     pinned: false,
                 }],
             }),
-            i_faults: None,
-            d_reliability: Some(ReliabilityReport {
+            reliability: Some(ReliabilityReport {
                 per_subarray: vec![SubarrayReliability {
                     corrected: 2,
                     due: 1,
@@ -580,18 +567,20 @@ mod tests {
                 pinned_residency_cycles: 0,
                 end_cycle: 101,
             }),
-            i_reliability: None,
-            l2_report: None,
-            l3_report: None,
-            l2_traffic: None,
-            l3_traffic: None,
-            d_vdd: None,
-            i_vdd: None,
+            ..bare(Level::L1D, d_report, (29, 2, 3))
+        };
+        let i_report =
+            ActivityReport { policy: "gated".into(), end_cycle: 101, per_subarray: vec![] };
+        RunResult {
+            benchmark: "health".into(),
+            spec,
+            stats: SimStats { cycles: 101, committed: 99, loads: 31, ..SimStats::default() },
+            levels: vec![d, bare(Level::L1I, i_report, (99, 1, 0))],
         }
     }
 
     /// A run with an active three-level hierarchy, a non-default leakage
-    /// mode, and L2/L3 attachments.
+    /// mode, and L2/L3 records.
     fn sample_hierarchy_run() -> RunResult {
         let mut run = sample_run();
         run.spec.hierarchy = HierarchySpec {
@@ -599,7 +588,7 @@ mod tests {
             l2_policy: PolicyKind::Gated { threshold: 150 },
             leakage_mode: LeakageKind::Drowsy,
         };
-        run.l2_report = Some(ActivityReport {
+        let l2_report = ActivityReport {
             policy: "gated".into(),
             end_cycle: 101,
             per_subarray: vec![SubarrayActivity {
@@ -610,11 +599,11 @@ mod tests {
                 drowsy_cycles: 0.0,
                 idle_histogram: IdleHistogram::default(),
             }],
-        });
-        run.l3_report =
-            Some(ActivityReport { policy: "gated".into(), end_cycle: 101, per_subarray: vec![] });
-        run.l2_traffic = Some((3, 1, 1));
-        run.l3_traffic = Some((1, 0, 0));
+        };
+        let l3_report =
+            ActivityReport { policy: "gated".into(), end_cycle: 101, per_subarray: vec![] };
+        run.levels.push(bare(Level::L2, l2_report, (3, 1, 1)));
+        run.levels.push(bare(Level::L3, l3_report, (1, 0, 0)));
         run
     }
 
@@ -623,7 +612,7 @@ mod tests {
     fn sample_vdd_run() -> RunResult {
         let mut run = sample_run();
         run.spec.vdd = VddSpec { scale: 0.85, governor: true };
-        run.d_vdd = Some(VddReport {
+        run.levels[0].vdd = Some(VddReport {
             per_subarray: vec![
                 SubarrayVdd { step: 2, escalations: 3, deescalations: 0, pinned: true },
                 SubarrayVdd { step: 1, escalations: 1, deescalations: 1, pinned: false },
@@ -634,7 +623,7 @@ mod tests {
             sdc: 2,
             step_accesses: vec![40, 25, 10],
         });
-        run.i_vdd = Some(VddReport {
+        run.levels[1].vdd = Some(VddReport {
             per_subarray: vec![SubarrayVdd {
                 step: 0,
                 escalations: 0,
@@ -729,7 +718,7 @@ mod tests {
         // must yield `None` even when the rest of the bytes happen to
         // parse — the resume path quarantines it, counts it under
         // `sim.checkpoint.version_skew`, and recomputes the run.
-        for version in [2, 3, 4, 6, 99] {
+        for version in [2, 3, 4, 5, 7, 99] {
             let mut bytes = encode_run(&sample_run());
             bytes[0] = version;
             assert!(decode_run(&bytes).is_none(), "v{version}");

@@ -318,9 +318,7 @@ mod tests {
         for run in [&first, &second] {
             assert_eq!(run.cycles(), cold.cycles());
             assert_eq!(run.stats.committed, cold.stats.committed);
-            assert_eq!(run.d_hit_miss, cold.d_hit_miss);
-            assert_eq!(run.i_hit_miss, cold.i_hit_miss);
-            assert_eq!(run.d_report, cold.d_report);
+            assert_eq!(format!("{:?}", run.levels), format!("{:?}", cold.levels));
         }
     }
 

@@ -90,7 +90,8 @@ pub fn run(instrs: u64) -> Result<String, SimError> {
         let (g, gb) = gated_only.energy(node);
         let (c, cb) = combined.energy(node);
         let accuracy = combined
-            .d_way_stats
+            .l1d()
+            .way_stats
             .map_or(0.0, |ws| ws.correct as f64 / (ws.correct + ws.wrong).max(1) as f64);
         let extra_slowdown = combined.cycles() as f64 / gated_only.cycles() as f64 - 1.0;
         let row =

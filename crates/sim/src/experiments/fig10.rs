@@ -66,8 +66,8 @@ pub fn run(instrs: u64) -> Result<Vec<Fig10Row>, SimError> {
                     let (policy, base) = run.energy(node);
                     let discharge =
                         policy.d.relative_discharge(&base.d) + policy.i.relative_discharge(&base.i);
-                    let d_frac = run.d_report.precharged_fraction();
-                    let i_frac = run.i_report.precharged_fraction();
+                    let d_frac = run.l1d().report.precharged_fraction();
+                    let i_frac = run.l1i().report.precharged_fraction();
                     if slowdown <= MAX_SLOWDOWN {
                         if best.is_none_or(|(b, _, _)| discharge < b) {
                             best = Some((discharge, d_frac, i_frac));

@@ -48,10 +48,11 @@ pub struct Fig8Summary {
 }
 
 fn precharged_fraction(sweep: &GatedSweep, which: SweptCache) -> f64 {
-    match which {
-        SweptCache::Data | SweptCache::DataNoPredecode => sweep.run.d_report.precharged_fraction(),
-        SweptCache::Inst => sweep.run.i_report.precharged_fraction(),
-    }
+    let level = match which {
+        SweptCache::Data | SweptCache::DataNoPredecode => sweep.run.l1d(),
+        SweptCache::Inst => sweep.run.l1i(),
+    };
+    level.report.precharged_fraction()
 }
 
 /// Reproduces Figure 8 at 70 nm with per-benchmark optimum thresholds

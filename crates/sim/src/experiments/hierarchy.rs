@@ -23,7 +23,7 @@ use bitline_energy::LeakageKind;
 
 use crate::config::HierarchySpec;
 use crate::experiments::harness;
-use crate::runner::RunResult;
+use crate::runner::{Level, RunResult};
 use crate::{run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// The level counts the table sweeps: L1+L2, then L1+L2+L3.
@@ -71,11 +71,11 @@ fn cell_totals(runs: &[RunResult], node: TechnologyNode, mode: LeakageKind) -> C
     for run in runs {
         let (policy, _) = run.energy_with_mode(node, mode);
         t.l1_j += policy.d.total_j() + policy.i.total_j();
-        t.l2_j += run.l2_energy(node, mode).map_or(0.0, |b| b.total_j());
-        t.l3_j += run.l3_energy(node, mode).map_or(0.0, |b| b.total_j());
-        if let Some((hits, misses, _)) = run.l2_traffic {
-            t.l2_hits += hits;
-            t.l2_misses += misses;
+        t.l2_j += run.outer_energy(Level::L2, node, mode).map_or(0.0, |b| b.total_j());
+        t.l3_j += run.outer_energy(Level::L3, node, mode).map_or(0.0, |b| b.total_j());
+        if let Some(l2) = run.level(Level::L2) {
+            t.l2_hits += l2.hits;
+            t.l2_misses += l2.misses;
         }
     }
     t

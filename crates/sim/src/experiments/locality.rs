@@ -54,8 +54,8 @@ pub fn run(instrs: u64) -> Result<LocalityResult, SimError> {
             ..SystemSpec::default()
         };
         let result = try_run_benchmark_cached(name, &spec)?;
-        let d = row(name, result.d_locality.as_ref().expect("recorder attached"));
-        let i = row(name, result.i_locality.as_ref().expect("recorder attached"));
+        let d = row(name, result.l1d().locality.as_ref().expect("recorder attached"));
+        let i = row(name, result.l1i().locality.as_ref().expect("recorder attached"));
         Ok((d, i))
     });
     outcome.report_skipped("locality");

@@ -157,15 +157,13 @@ fn cell_totals(
             energy_j: energy.d.total_j() + energy.i.total_j(),
             clean_energy_j: clean_energy.d.total_j() + clean_energy.i.total_j(),
         };
-        for (faults, rel) in
-            [(&run.d_faults, &run.d_reliability), (&run.i_faults, &run.i_reliability)]
-        {
-            if let Some(rel) = rel {
+        for level in &run.levels {
+            if let Some(rel) = &level.reliability {
                 t.corrected += rel.corrected();
                 t.due += rel.due();
                 t.sdc += rel.sdc();
                 t.fail_safe += rel.fail_safe_subarrays() as u64;
-            } else if let Some(fr) = faults {
+            } else if let Some(fr) = &level.faults {
                 // Bare detector: detected upsets are replay-recovered,
                 // undetected ones are silent corruption outright.
                 t.corrected += fr.detected();

@@ -82,8 +82,8 @@ fn suite_totals(runs: &[RunResult]) -> SuiteTotals {
     for run in runs {
         t.cycles += run.cycles();
         t.committed += run.stats.committed;
-        t.accesses += run.d_report.total_accesses() + run.i_report.total_accesses();
-        for vdd in [&run.d_vdd, &run.i_vdd].into_iter().flatten() {
+        t.accesses += run.l1d().report.total_accesses() + run.l1i().report.total_accesses();
+        for vdd in run.levels.iter().filter_map(|l| l.vdd.as_ref()) {
             t.sdc += vdd.sdc;
             t.escalations += vdd.escalations();
             t.pinned += vdd.pinned_subarrays() as u64;

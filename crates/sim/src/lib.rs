@@ -60,8 +60,8 @@ pub use execution::{
 };
 pub use recorder::{LocalityRecorder, LocalityStats, FIG5_BUCKETS, FIG6_THRESHOLDS};
 pub use runner::{
-    run_benchmark, try_run_benchmark, try_run_benchmark_supervised, EnergyPair, RunEnergy,
-    RunResult,
+    run_benchmark, try_run_benchmark, try_run_benchmark_supervised, EnergyPair, Level, LevelRun,
+    RunEnergy, RunResult,
 };
 
 /// Applies the supervision environment variables: `BITLINE_RUN_BUDGET`

@@ -3,17 +3,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bitline_cache::{ActivityReport, CacheConfig, MemorySystem, MemorySystemConfig, WayStats};
-use bitline_circuit::DecoderModel;
-use bitline_circuit::{vdd_dynamic_energy_factor, vdd_leakage_energy_factor};
+use bitline_cache::{
+    ActivityReport, CacheConfig, L1Cache, MemorySystem, MemorySystemConfig, WayStats,
+};
+use bitline_circuit::{vdd_dynamic_energy_factor, vdd_leakage_energy_factor, DecoderModel};
 use bitline_cmos::TechnologyNode;
 use bitline_cpu::{Cpu, CpuConfig, SimStats};
 use bitline_ecc::ReliabilityReport;
-use bitline_energy::{CacheEnergyBreakdown, EccActivity, LeakageKind};
+use bitline_energy::{CacheEnergyBreakdown, EccActivity, EnergyAccountant, LeakageKind};
 use bitline_exec::CancelToken;
-use bitline_faults::{FaultInjectingPolicy, FaultReport, VddReport};
+use bitline_faults::{FaultInjectingPolicy, FaultReport, VddConfig, VddReport};
 
-use crate::config::{PolicyKind, SystemSpec};
+use crate::config::{HierarchySpec, PolicyKind, SystemSpec};
 use crate::error::SimError;
 use crate::execution;
 use crate::recorder::LocalityStats;
@@ -38,6 +39,93 @@ pub struct RunEnergy {
 /// `(policy, static-baseline)` energy pair at one node.
 pub type EnergyPair = (RunEnergy, RunEnergy);
 
+/// A cache level a run records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// The L1 data cache.
+    L1D,
+    /// The L1 instruction cache.
+    L1I,
+    /// The managed L2 (two or more levels).
+    L2,
+    /// The L3 behind it (three levels).
+    L3,
+}
+
+impl Level {
+    /// The levels a run under `hierarchy` records, in order: both L1s,
+    /// then the L2 and the L3 it manages. `None` for a level count outside
+    /// 1..=3, which the spec table accepts and only
+    /// [`SystemSpec::validate`] rejects.
+    #[must_use]
+    pub fn of(hierarchy: &HierarchySpec) -> Option<&'static [Level]> {
+        static ALL: [Level; 4] = [Level::L1D, Level::L1I, Level::L2, Level::L3];
+        (1..=3).contains(&hierarchy.levels).then(|| &ALL[..=usize::from(hierarchy.levels)])
+    }
+
+    /// The level's segment in metric names and report lines: `d`, `i`,
+    /// `l2` or `l3`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Level::L1D => "d",
+            Level::L1I => "i",
+            Level::L2 => "l2",
+            Level::L3 => "l3",
+        }
+    }
+
+    /// The precharge policy `spec` runs on this level; the L3 shares the
+    /// L2's.
+    fn policy(self, spec: &SystemSpec) -> PolicyKind {
+        match self {
+            Level::L1D => spec.d_policy,
+            Level::L1I => spec.i_policy,
+            Level::L2 | Level::L3 => spec.hierarchy.l2_policy,
+        }
+    }
+}
+
+/// What one cache level recorded in a run.
+#[derive(Debug, Clone)]
+pub struct LevelRun {
+    /// Which level this is.
+    pub level: Level,
+    /// Precharge activity report.
+    pub report: ActivityReport,
+    /// Lookups that hit.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Dirty lines written back.
+    pub writebacks: u64,
+    /// Locality statistics when the level's policy was a recorder.
+    pub locality: Option<LocalityStats>,
+    /// Way-prediction outcomes (when enabled).
+    pub way_stats: Option<WayStats>,
+    /// Fault accounting (when faults or timing speculation were armed).
+    pub faults: Option<FaultReport>,
+    /// Reliability accounting (when SECDED protection was armed).
+    pub reliability: Option<ReliabilityReport>,
+    /// Timing-speculation accounting (when cold reads sensed below the
+    /// guardband).
+    pub vdd: Option<VddReport>,
+}
+
+impl LevelRun {
+    /// Hits plus misses.
+    #[must_use]
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
+    /// Misses per lookup.
+    #[must_use]
+    pub fn miss_ratio(&self) -> f64 {
+        self.misses as f64 / self.lookups().max(1) as f64
+    }
+}
+
 /// Everything measured in one run. Architectural results are
 /// node-independent (the 8-FO4 pipeline has identical cycle counts at
 /// every node); energies are priced per node via [`RunResult::energy`].
@@ -49,45 +137,8 @@ pub struct RunResult {
     pub spec: SystemSpec,
     /// Core statistics.
     pub stats: SimStats,
-    /// D-cache activity report.
-    pub d_report: ActivityReport,
-    /// I-cache activity report.
-    pub i_report: ActivityReport,
-    /// D-cache (hits, misses).
-    pub d_hit_miss: (u64, u64),
-    /// I-cache (hits, misses).
-    pub i_hit_miss: (u64, u64),
-    /// Locality statistics when the D policy was a recorder.
-    pub d_locality: Option<LocalityStats>,
-    /// Locality statistics when the I policy was a recorder.
-    pub i_locality: Option<LocalityStats>,
-    /// D-cache way-prediction outcomes (when enabled).
-    pub d_way_stats: Option<WayStats>,
-    /// I-cache way-prediction outcomes (when enabled).
-    pub i_way_stats: Option<WayStats>,
-    /// D-cache fault accounting (when fault injection was enabled).
-    pub d_faults: Option<FaultReport>,
-    /// I-cache fault accounting (when fault injection was enabled).
-    pub i_faults: Option<FaultReport>,
-    /// D-cache reliability accounting (when SECDED protection was armed).
-    pub d_reliability: Option<ReliabilityReport>,
-    /// I-cache reliability accounting (when SECDED protection was armed).
-    pub i_reliability: Option<ReliabilityReport>,
-    /// L2 activity report (when the hierarchy spec is active).
-    pub l2_report: Option<ActivityReport>,
-    /// L2 `(hits, misses, writebacks)` (when the hierarchy spec is active).
-    pub l2_traffic: Option<(u64, u64, u64)>,
-    /// L3 activity report (when the spec asks for three levels).
-    pub l3_report: Option<ActivityReport>,
-    /// L3 `(hits, misses, writebacks)` (when the spec asks for three
-    /// levels).
-    pub l3_traffic: Option<(u64, u64, u64)>,
-    /// D-cache timing-speculation accounting (when the supply spec put
-    /// cold reads below the sense guardband).
-    pub d_vdd: Option<VddReport>,
-    /// I-cache timing-speculation accounting (when the supply spec put
-    /// cold reads below the sense guardband).
-    pub i_vdd: Option<VddReport>,
+    /// One record per cache level, in [`Level::of`] order.
+    pub levels: Vec<LevelRun>,
 }
 
 impl RunResult {
@@ -97,18 +148,22 @@ impl RunResult {
         self.stats.cycles
     }
 
-    /// D-cache miss ratio.
+    /// The record of `level`, when the run had that level.
     #[must_use]
-    pub fn d_miss_ratio(&self) -> f64 {
-        let (h, m) = self.d_hit_miss;
-        m as f64 / (h + m).max(1) as f64
+    pub fn level(&self, level: Level) -> Option<&LevelRun> {
+        self.levels.iter().find(|l| l.level == level)
     }
 
-    /// I-cache miss ratio.
+    /// The L1 data cache's record, which every run has.
     #[must_use]
-    pub fn i_miss_ratio(&self) -> f64 {
-        let (h, m) = self.i_hit_miss;
-        m as f64 / (h + m).max(1) as f64
+    pub fn l1d(&self) -> &LevelRun {
+        self.level(Level::L1D).expect("every run records the L1D")
+    }
+
+    /// The L1 instruction cache's record, which every run has.
+    #[must_use]
+    pub fn l1i(&self) -> &LevelRun {
+        self.level(Level::L1I).expect("every run records the L1I")
     }
 
     /// Slowdown relative to a baseline run of the same benchmark/length
@@ -138,63 +193,73 @@ impl RunResult {
     /// full-Vdd static-pull-up machine the modes compete against.
     #[must_use]
     pub fn energy_with_mode(&self, node: TechnologyNode, kind: LeakageKind) -> EnergyPair {
-        let mode = kind.mode();
         let (d_acct, i_acct) = execution::accountants(node, self.spec.subarray_bytes);
-        let d_reads = self.stats.loads;
-        let d_writes = self.stats.stores;
-        let i_reads = self.i_hit_miss.0 + self.i_hit_miss.1;
+        let priced = |acct: &EnergyAccountant, level: &LevelRun| {
+            let (reads, writes) = self.traffic(level);
+            let protected = level.reliability.is_some();
+            let baseline = acct.static_baseline_with_ecc(self.cycles(), reads, writes, protected);
+            (self.price(acct, level, kind), baseline)
+        };
+        let (d, d_base) = priced(&d_acct, self.l1d());
+        let (i, i_base) = priced(&i_acct, self.l1i());
+        (RunEnergy { d, i }, RunEnergy { d: d_base, i: i_base })
+    }
+
+    /// Prices an outer level (the L2 or the L3) at `node` under a leakage
+    /// mode; `None` for an L1 or a level the run did not have.
+    #[must_use]
+    pub fn outer_energy(
+        &self,
+        level: Level,
+        node: TechnologyNode,
+        kind: LeakageKind,
+    ) -> Option<CacheEnergyBreakdown> {
+        let cfg = match level {
+            Level::L1D | Level::L1I => return None,
+            Level::L2 => MemorySystem::l2_config(&MemorySystemConfig::default()),
+            Level::L3 => MemorySystem::l3_config(&MemorySystemConfig::default()),
+        };
+        let run = self.level(level)?;
+        Some(self.price(&execution::level_accountant(node, cfg), run, kind))
+    }
+
+    /// The `(reads, writes)` a level is priced on: the core's loads and
+    /// stores at the L1D, fetch lookups at the L1I, and at an outer level
+    /// its lookups, each miss filling a line.
+    fn traffic(&self, level: &LevelRun) -> (u64, u64) {
+        match level.level {
+            Level::L1D => (self.stats.loads, self.stats.stores),
+            Level::L1I => (level.lookups(), 0),
+            Level::L2 | Level::L3 => (level.lookups(), level.misses),
+        }
+    }
+
+    /// Prices one level's activity with `acct` under a leakage mode, at the
+    /// supply the level sensed at.
+    fn price(
+        &self,
+        acct: &EnergyAccountant,
+        level: &LevelRun,
+        kind: LeakageKind,
+    ) -> CacheEnergyBreakdown {
+        let (reads, writes) = self.traffic(level);
         // ECC is priced only when the run actually carried SECDED state;
         // unprotected runs hit the plain accounting path and stay
         // bit-identical to the pre-ECC model.
-        let d_ecc = self.d_reliability.as_ref().map(|rel| EccActivity {
-            protected_accesses: d_reads + d_writes,
+        let ecc = level.reliability.as_ref().map(|rel| EccActivity {
+            protected_accesses: reads + writes,
             scrub_words: rel.scrub_words(),
         });
-        let i_ecc = self
-            .i_reliability
-            .as_ref()
-            .map(|rel| EccActivity { protected_accesses: i_reads, scrub_words: rel.scrub_words() });
-        let policy = RunEnergy {
-            d: scale_breakdown(
-                d_acct.account_with_mode(
-                    &self.d_report,
-                    d_reads,
-                    d_writes,
-                    self.spec.d_policy.has_decay_counters(),
-                    self.d_way_stats,
-                    d_ecc,
-                    mode,
-                ),
-                self.vdd_energy_factors(self.d_vdd.as_ref()),
-            ),
-            i: scale_breakdown(
-                i_acct.account_with_mode(
-                    &self.i_report,
-                    i_reads,
-                    0,
-                    self.spec.i_policy.has_decay_counters(),
-                    self.i_way_stats,
-                    i_ecc,
-                    mode,
-                ),
-                self.vdd_energy_factors(self.i_vdd.as_ref()),
-            ),
-        };
-        let baseline = RunEnergy {
-            d: d_acct.static_baseline_with_ecc(
-                self.cycles(),
-                d_reads,
-                d_writes,
-                self.d_reliability.is_some(),
-            ),
-            i: i_acct.static_baseline_with_ecc(
-                self.cycles(),
-                i_reads,
-                0,
-                self.i_reliability.is_some(),
-            ),
-        };
-        (policy, baseline)
+        let energy = acct.account_with_mode(
+            &level.report,
+            reads,
+            writes,
+            level.level.policy(&self.spec).has_decay_counters(),
+            level.way_stats,
+            ecc,
+            kind.mode(),
+        );
+        scale_breakdown(energy, self.vdd_energy_factors(level))
     }
 
     /// Per-cache `(dynamic, leakage)` energy multipliers for the supply
@@ -205,12 +270,12 @@ impl RunResult {
     /// rung it was actually sensed at, via the integer per-step census —
     /// deterministic and identical across job counts. The L2/L3 are not
     /// undervolted (the ladder is an L1 mechanism) and stay at nominal.
-    fn vdd_energy_factors(&self, report: Option<&VddReport>) -> (f64, f64) {
-        if self.spec.vdd.is_default() {
+    fn vdd_energy_factors(&self, level: &LevelRun) -> (f64, f64) {
+        if self.spec.vdd.is_default() || matches!(level.level, Level::L2 | Level::L3) {
             return (1.0, 1.0);
         }
         let scale = self.spec.vdd.scale;
-        match report {
+        match &level.vdd {
             Some(r) => {
                 let scales = self.spec.vdd.ladder_scales();
                 (
@@ -220,60 +285,6 @@ impl RunResult {
             }
             None => (vdd_dynamic_energy_factor(scale), vdd_leakage_energy_factor(scale)),
         }
-    }
-
-    /// Prices the L2's activity at `node` under a leakage mode, when the
-    /// run carried an active hierarchy. Reads are lookups (hits + misses);
-    /// each miss fills a line, which is the write stream.
-    #[must_use]
-    pub fn l2_energy(
-        &self,
-        node: TechnologyNode,
-        kind: LeakageKind,
-    ) -> Option<CacheEnergyBreakdown> {
-        let report = self.l2_report.as_ref()?;
-        let (hits, misses, _) = self.l2_traffic.unwrap_or_default();
-        let cfg = MemorySystem::l2_config(&MemorySystemConfig::default());
-        let acct = execution::level_accountant(node, cfg);
-        Some(acct.account_with_mode(
-            report,
-            hits + misses,
-            misses,
-            self.spec.hierarchy.l2_policy.has_decay_counters(),
-            None,
-            None,
-            kind.mode(),
-        ))
-    }
-
-    /// Prices the L3's activity at `node` under a leakage mode, when the
-    /// run had three levels.
-    #[must_use]
-    pub fn l3_energy(
-        &self,
-        node: TechnologyNode,
-        kind: LeakageKind,
-    ) -> Option<CacheEnergyBreakdown> {
-        let report = self.l3_report.as_ref()?;
-        let (hits, misses, _) = self.l3_traffic.unwrap_or_default();
-        let cfg = MemorySystem::l3_config(&MemorySystemConfig::default());
-        let acct = execution::level_accountant(node, cfg);
-        Some(acct.account_with_mode(
-            report,
-            hits + misses,
-            misses,
-            self.spec.hierarchy.l2_policy.has_decay_counters(),
-            None,
-            None,
-            kind.mode(),
-        ))
-    }
-
-    /// L2 miss ratio, when the hierarchy was active.
-    #[must_use]
-    pub fn l2_miss_ratio(&self) -> Option<f64> {
-        let (h, m) = self.l2_traffic.map(|(h, m, _)| (h, m))?;
-        Some(m as f64 / (h + m).max(1) as f64)
     }
 }
 
@@ -294,6 +305,83 @@ fn scale_breakdown(b: CacheEnergyBreakdown, (f_dyn, f_leak): (f64, f64)) -> Cach
         pullup_leak_j: b.pullup_leak_j * f_leak,
         cell_leak_j: b.cell_leak_j * f_leak,
     }
+}
+
+/// The report sinks one level's policy stack writes into, read back when
+/// the run finalises.
+#[derive(Default)]
+struct Sinks {
+    locality: Option<Rc<RefCell<LocalityStats>>>,
+    faults: Option<Rc<RefCell<FaultReport>>>,
+    reliability: Option<Rc<RefCell<ReliabilityReport>>>,
+    vdd: Option<Rc<RefCell<VddReport>>>,
+}
+
+impl Sinks {
+    /// The record of a finished level: `cache`'s traffic, its closed
+    /// `report`, and whatever the sinks collected.
+    fn into_level(self, level: Level, cache: &L1Cache, report: ActivityReport) -> LevelRun {
+        LevelRun {
+            level,
+            report,
+            hits: cache.hits(),
+            misses: cache.misses(),
+            writebacks: cache.writebacks(),
+            locality: self.locality.map(|s| s.borrow().clone()),
+            way_stats: cache.way_stats(),
+            faults: self.faults.map(|s| s.borrow().clone()),
+            reliability: self.reliability.map(|s| s.borrow().clone()),
+            vdd: self.vdd.map(|s| s.borrow().clone()),
+        }
+    }
+}
+
+/// Builds one L1's precharge policy stack and its report sinks. The fault
+/// layer decorates the policy only when armed — by a fault rate, or by a
+/// `vdd` ladder that speculates — so a disabled spec leaves the policy
+/// object, and hence every cycle and every joule, exactly as before the
+/// layer existed. `stream` salts the injector: 0 for the L1D, 1 for the
+/// L1I.
+fn arm_l1(
+    spec: &SystemSpec,
+    kind: PolicyKind,
+    cfg: &CacheConfig,
+    node: TechnologyNode,
+    vdd: Option<&VddConfig>,
+    stream: u64,
+) -> (Box<dyn bitline_cache::PrechargePolicy>, Sinks) {
+    let mut sinks = Sinks {
+        locality: matches!(kind, PolicyKind::LocalityRecorder)
+            .then(|| Rc::new(RefCell::new(LocalityStats::default()))),
+        ..Sinks::default()
+    };
+    let policy = kind.build(cfg, node, sinks.locality.clone());
+    if !spec.faults.enabled() && vdd.is_none() {
+        return (policy, sinks);
+    }
+    let penalty = DecoderModel::new(node, cfg.geometry()).cold_access_penalty_cycles();
+    let faults = Rc::new(RefCell::new(FaultReport::new(cfg.subarrays())));
+    let mut policy = FaultInjectingPolicy::new(
+        policy,
+        spec.faults.to_config(penalty, stream, spec.subarray_words()),
+        cfg.subarrays(),
+    )
+    .with_sink(faults.clone());
+    sinks.faults = Some(faults);
+    if spec.faults.ecc {
+        // With the codec armed, every upset — leakage or timing —
+        // classifies through SECDED, so the run carries reliability
+        // accounting whichever source is active.
+        let rel = Rc::new(RefCell::new(ReliabilityReport::new(cfg.subarrays())));
+        policy = policy.with_reliability_sink(rel.clone());
+        sinks.reliability = Some(rel);
+    }
+    if let Some(vdd) = vdd {
+        let report = Rc::new(RefCell::new(VddReport::new(cfg.subarrays(), vdd.steps.len())));
+        policy = policy.with_vdd(vdd.clone()).with_vdd_sink(report.clone());
+        sinks.vdd = Some(report);
+    }
+    (Box::new(policy), sinks)
 }
 
 /// Runs one benchmark under a system spec, reporting failures as values.
@@ -340,73 +428,13 @@ pub fn try_run_benchmark_supervised(
         d_cfg = d_cfg.with_way_prediction();
         i_cfg = i_cfg.with_way_prediction();
     }
-
-    let d_sink = matches!(spec.d_policy, PolicyKind::LocalityRecorder)
-        .then(|| Rc::new(RefCell::new(LocalityStats::default())));
-    let i_sink = matches!(spec.i_policy, PolicyKind::LocalityRecorder)
-        .then(|| Rc::new(RefCell::new(LocalityStats::default())));
-
-    let mut d_policy = spec.d_policy.build(&d_cfg, node, d_sink.clone());
-    let mut i_policy = spec.i_policy.build(&i_cfg, node, i_sink.clone());
-    // Decorate with the fault layer only when armed: a disabled FaultSpec
-    // leaves the policy objects — and hence every cycle and every joule —
-    // exactly as before this layer existed.
-    let mut d_fault_sink = None;
-    let mut i_fault_sink = None;
-    let mut d_rel_sink = None;
-    let mut i_rel_sink = None;
-    let mut d_vdd_sink = None;
-    let mut i_vdd_sink = None;
     // A supply below the sense guardband turns cold reads speculative —
-    // that arms the same decorator even with the leakage-fault source off.
-    // An undervolt still *inside* the guardband never mis-senses, so it is
-    // pricing-only: no decorator, trivially cycle-identical.
-    let vdd_config = spec.vdd.to_config(node);
-    let vdd_armed = vdd_config.as_ref().is_some_and(bitline_faults::VddConfig::speculating);
-    if spec.faults.enabled() || vdd_armed {
-        let penalty = |cfg: &CacheConfig| {
-            DecoderModel::new(node, cfg.geometry()).cold_access_penalty_cycles()
-        };
-        let d_fs = Rc::new(RefCell::new(FaultReport::new(d_cfg.subarrays())));
-        let i_fs = Rc::new(RefCell::new(FaultReport::new(i_cfg.subarrays())));
-        let words = spec.subarray_words();
-        let mut d_dec = FaultInjectingPolicy::new(
-            d_policy,
-            spec.faults.to_config(penalty(&d_cfg), 0, words),
-            d_cfg.subarrays(),
-        )
-        .with_sink(d_fs.clone());
-        let mut i_dec = FaultInjectingPolicy::new(
-            i_policy,
-            spec.faults.to_config(penalty(&i_cfg), 1, words),
-            i_cfg.subarrays(),
-        )
-        .with_sink(i_fs.clone());
-        if spec.faults.ecc {
-            // With the codec armed, every upset — leakage or timing —
-            // classifies through SECDED, so the run carries reliability
-            // accounting whichever source is active.
-            let d_rs = Rc::new(RefCell::new(ReliabilityReport::new(d_cfg.subarrays())));
-            let i_rs = Rc::new(RefCell::new(ReliabilityReport::new(i_cfg.subarrays())));
-            d_dec = d_dec.with_reliability_sink(d_rs.clone());
-            i_dec = i_dec.with_reliability_sink(i_rs.clone());
-            d_rel_sink = Some(d_rs);
-            i_rel_sink = Some(i_rs);
-        }
-        if vdd_armed {
-            let cfg = vdd_config.clone().expect("armed implies a ladder");
-            let d_vs = Rc::new(RefCell::new(VddReport::new(d_cfg.subarrays(), cfg.steps.len())));
-            let i_vs = Rc::new(RefCell::new(VddReport::new(i_cfg.subarrays(), cfg.steps.len())));
-            d_dec = d_dec.with_vdd(cfg.clone()).with_vdd_sink(d_vs.clone());
-            i_dec = i_dec.with_vdd(cfg).with_vdd_sink(i_vs.clone());
-            d_vdd_sink = Some(d_vs);
-            i_vdd_sink = Some(i_vs);
-        }
-        d_policy = Box::new(d_dec);
-        i_policy = Box::new(i_dec);
-        d_fault_sink = Some(d_fs);
-        i_fault_sink = Some(i_fs);
-    }
+    // that arms the fault decorator even with the leakage-fault source
+    // off. An undervolt still *inside* the guardband never mis-senses, so
+    // it is pricing-only: no decorator, trivially cycle-identical.
+    let vdd = spec.vdd.to_config(node).filter(VddConfig::speculating);
+    let (d_policy, d_sinks) = arm_l1(spec, spec.d_policy, &d_cfg, node, vdd.as_ref(), 0);
+    let (i_policy, i_sinks) = arm_l1(spec, spec.i_policy, &i_cfg, node, vdd.as_ref(), 1);
 
     let mem_cfg = MemorySystemConfig { l1d: d_cfg, l1i: i_cfg, ..MemorySystemConfig::default() };
     // An inert hierarchy spec builds the stock two-level system through the
@@ -455,18 +483,19 @@ pub fn try_run_benchmark_supervised(
     let end_cycle = stats.cycles;
     let work = cpu.work();
     let mut mem = cpu.into_memory();
-    let d_hit_miss = (mem.l1d().hits(), mem.l1d().misses());
-    let i_hit_miss = (mem.l1i().hits(), mem.l1i().misses());
-    let d_way_stats = mem.l1d().way_stats();
-    let i_way_stats = mem.l1i().way_stats();
-    let l2_traffic = spec
-        .hierarchy
-        .active()
-        .then(|| (mem.l2().hits(), mem.l2().misses(), mem.l2().writebacks()));
-    let l3_traffic = mem.l3().map(|l3| (l3.hits(), l3.misses(), l3.writebacks()));
     let (d_report, i_report) = mem.finalize(end_cycle);
-    let l2_report = spec.hierarchy.active().then(|| mem.finalize_l2(end_cycle));
-    let l3_report = mem.finalize_l3(end_cycle);
+    let mut levels = vec![
+        d_sinks.into_level(Level::L1D, mem.l1d(), d_report),
+        i_sinks.into_level(Level::L1I, mem.l1i(), i_report),
+    ];
+    if spec.hierarchy.active() {
+        let report = mem.finalize_l2(end_cycle);
+        levels.push(Sinks::default().into_level(Level::L2, mem.l2(), report));
+    }
+    if let Some(report) = mem.finalize_l3(end_cycle) {
+        let l3 = mem.l3().expect("a finalised L3 exists");
+        levels.push(Sinks::default().into_level(Level::L3, l3, report));
+    }
 
     // Run-completion accounting: every counter below except the wall-time
     // `busy_micros` is a pure function of (benchmark, spec), so their
@@ -497,54 +526,26 @@ pub fn try_run_benchmark_supervised(
         bitline_obs::gauge!("sim.runner.mips").set(i64::try_from(milli_mips).unwrap_or(i64::MAX));
     }
     let registry = bitline_obs::registry();
-    registry
-        .counter(&format!("sim.runner.precharges.d.{}", spec.d_policy.label()))
-        .add(d_report.total_precharge_events());
-    registry
-        .counter(&format!("sim.runner.precharges.i.{}", spec.i_policy.label()))
-        .add(i_report.total_precharge_events());
-    if let Some(fr) = d_fault_sink.as_ref() {
-        fr.borrow().record_metrics("d");
-    }
-    if let Some(fr) = i_fault_sink.as_ref() {
-        fr.borrow().record_metrics("i");
-    }
-    if let Some(rel) = d_rel_sink.as_ref() {
-        rel.borrow().record_metrics("d");
-    }
-    if let Some(rel) = i_rel_sink.as_ref() {
-        rel.borrow().record_metrics("i");
-    }
-    if let Some(vdd) = d_vdd_sink.as_ref() {
-        vdd.borrow().record_metrics("d");
-    }
-    if let Some(vdd) = i_vdd_sink.as_ref() {
-        vdd.borrow().record_metrics("i");
+    for l in &levels {
+        let label = l.level.label();
+        if matches!(l.level, Level::L1D | Level::L1I) {
+            let policy = l.level.policy(spec).label();
+            registry
+                .counter(&format!("sim.runner.precharges.{label}.{policy}"))
+                .add(l.report.total_precharge_events());
+        }
+        if let Some(faults) = &l.faults {
+            faults.record_metrics(label);
+        }
+        if let Some(rel) = &l.reliability {
+            rel.record_metrics(label);
+        }
+        if let Some(vdd) = &l.vdd {
+            vdd.record_metrics(label);
+        }
     }
 
-    Ok(RunResult {
-        benchmark: name.to_owned(),
-        spec: *spec,
-        stats,
-        d_report,
-        i_report,
-        d_hit_miss,
-        i_hit_miss,
-        d_locality: d_sink.map(|s| s.borrow().clone()),
-        i_locality: i_sink.map(|s| s.borrow().clone()),
-        d_way_stats,
-        i_way_stats,
-        d_faults: d_fault_sink.map(|s| s.borrow().clone()),
-        i_faults: i_fault_sink.map(|s| s.borrow().clone()),
-        d_reliability: d_rel_sink.map(|s| s.borrow().clone()),
-        i_reliability: i_rel_sink.map(|s| s.borrow().clone()),
-        l2_report,
-        l2_traffic,
-        l3_report,
-        l3_traffic,
-        d_vdd: d_vdd_sink.map(|s| s.borrow().clone()),
-        i_vdd: i_vdd_sink.map(|s| s.borrow().clone()),
-    })
+    Ok(RunResult { benchmark: name.to_owned(), spec: *spec, stats, levels })
 }
 
 /// Runs one benchmark under a system spec.
@@ -604,7 +605,7 @@ mod tests {
             "health",
             &spec(PolicyKind::LocalityRecorder, PolicyKind::LocalityRecorder),
         );
-        let d = run.d_locality.expect("d locality recorded");
+        let d = run.l1d().locality.clone().expect("d locality recorded");
         assert!(d.intervals_total > 0);
         let cdf = d.cumulative_access_fraction();
         assert!(cdf.windows(2).all(|w| w[1] >= w[0]), "CDF must be monotone");
@@ -642,9 +643,9 @@ mod tests {
             },
         );
         assert_eq!(plain.cycles(), zeroed.cycles());
-        assert_eq!(plain.d_report, zeroed.d_report);
-        assert_eq!(plain.i_report, zeroed.i_report);
-        assert!(zeroed.d_faults.is_none(), "disabled faults leave no report");
+        assert_eq!(plain.l1d().report, zeroed.l1d().report);
+        assert_eq!(plain.l1i().report, zeroed.l1i().report);
+        assert!(zeroed.l1d().faults.is_none(), "disabled faults leave no report");
     }
 
     #[test]
@@ -660,7 +661,7 @@ mod tests {
             ..spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 })
         };
         let run = run_benchmark("mesa", &s);
-        let d = run.d_faults.as_ref().expect("fault report present");
+        let d = run.l1d().faults.as_ref().expect("fault report present");
         assert!(d.is_consistent(), "{}", d.summary());
         assert!(d.injected() > 0, "{}", d.summary());
         assert!(d.replayed() > 0, "{}", d.summary());
@@ -685,7 +686,7 @@ mod tests {
             ..spec(PolicyKind::Gated { threshold: 50 }, PolicyKind::Gated { threshold: 50 })
         };
         let run = run_benchmark("health", &s);
-        let d = run.d_faults.expect("fault report present");
+        let d = run.l1d().faults.clone().expect("fault report present");
         assert!(d.degraded_subarrays() > 0, "{}", d.summary());
         assert!(d.is_consistent(), "{}", d.summary());
     }
@@ -705,8 +706,8 @@ mod tests {
             ..gated
         };
         let run = run_benchmark("mesa", &s);
-        let rel = run.d_reliability.as_ref().expect("reliability report present");
-        let faults = run.d_faults.as_ref().expect("fault report present");
+        let rel = run.l1d().reliability.as_ref().expect("reliability report present");
+        let faults = run.l1d().faults.as_ref().expect("fault report present");
         assert!(faults.is_consistent(), "{}", faults.summary());
         assert_eq!(
             rel.corrected() + rel.due() + rel.sdc(),
@@ -726,18 +727,15 @@ mod tests {
         );
         let (bare_pol, _) = bare.energy(TechnologyNode::N70);
         assert_eq!(bare_pol.d.ecc_j, 0.0);
-        assert!(bare.d_reliability.is_none());
+        assert!(bare.l1d().reliability.is_none());
     }
 
     #[test]
     fn stock_runs_carry_no_hierarchy_state() {
         let run = run_benchmark("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
-        assert!(run.l2_report.is_none());
-        assert!(run.l2_traffic.is_none());
-        assert!(run.l3_report.is_none());
-        assert!(run.l3_traffic.is_none());
-        assert!(run.l2_energy(TechnologyNode::N70, LeakageKind::Drowsy).is_none());
-        assert!(run.l2_miss_ratio().is_none());
+        let levels: Vec<Level> = run.levels.iter().map(|l| l.level).collect();
+        assert_eq!(levels, [Level::L1D, Level::L1I]);
+        assert!(run.outer_energy(Level::L2, TechnologyNode::N70, LeakageKind::Drowsy).is_none());
     }
 
     #[test]
@@ -752,13 +750,10 @@ mod tests {
         // A statically pulled-up managed L2 adds zero latency anywhere, so
         // the architectural run is identical — only the reports appear.
         assert_eq!(stock.cycles(), managed.cycles());
-        assert_eq!(stock.d_report, managed.d_report);
-        assert_eq!(stock.d_hit_miss, managed.d_hit_miss);
-        let (h, m, _) = managed.l2_traffic.expect("managed L2 reports traffic");
-        assert!(h + m > 0, "L1 misses must reach the L2");
-        assert!(managed.l2_report.is_some());
-        assert!(managed.l2_miss_ratio().is_some());
-        assert!(managed.l3_report.is_none(), "two levels carry no L3");
+        assert_eq!(format!("{:?}", stock.levels), format!("{:?}", &managed.levels[..2]));
+        let l2 = managed.level(Level::L2).expect("managed L2 is recorded");
+        assert!(l2.lookups() > 0, "L1 misses must reach the L2");
+        assert!(managed.level(Level::L3).is_none(), "two levels carry no L3");
     }
 
     #[test]
@@ -775,13 +770,12 @@ mod tests {
         );
         // Every L2 miss now pays the 30-cycle L3 lookup on its way to
         // memory (and some fills it spares), so cycles move.
-        let (l3h, l3m, _) = three.l3_traffic.expect("three levels report L3 traffic");
-        assert!(l3h + l3m > 0, "L2 misses must reach the L3");
-        let l3_energy =
-            three.l3_energy(TechnologyNode::N70, LeakageKind::FullVdd).expect("L3 priced");
-        assert!(l3_energy.total_j() > 0.0);
-        assert!(two.l3_report.is_none());
-        assert!(three.l2_energy(TechnologyNode::N70, LeakageKind::FullVdd).is_some());
+        let l3 = three.level(Level::L3).expect("three levels record the L3");
+        assert!(l3.lookups() > 0, "L2 misses must reach the L3");
+        let l3_energy = three.outer_energy(Level::L3, TechnologyNode::N70, LeakageKind::FullVdd);
+        assert!(l3_energy.expect("L3 priced").total_j() > 0.0);
+        assert!(two.level(Level::L3).is_none());
+        assert!(three.outer_energy(Level::L2, TechnologyNode::N70, LeakageKind::FullVdd).is_some());
     }
 
     #[test]
@@ -800,7 +794,7 @@ mod tests {
             },
         );
         assert_eq!(plain.cycles(), drowsy.cycles(), "leakage modes are pricing-only");
-        assert_eq!(plain.d_report, drowsy.d_report);
+        assert_eq!(plain.l1d().report, drowsy.l1d().report);
         let (p, _) = plain.energy(TechnologyNode::N70);
         let (d, _) = drowsy.energy(TechnologyNode::N70);
         assert!(
@@ -823,7 +817,7 @@ mod tests {
         let (p, _) = plain.energy(TechnologyNode::N70);
         let (n, _) = nominal.energy(TechnologyNode::N70);
         assert_eq!(p.d.total_j().to_bits(), n.d.total_j().to_bits());
-        assert!(nominal.d_vdd.is_none(), "nominal supply leaves no report");
+        assert!(nominal.l1d().vdd.is_none(), "nominal supply leaves no report");
     }
 
     #[test]
@@ -838,8 +832,8 @@ mod tests {
             &SystemSpec { vdd: VddSpec { scale: 0.98, governor: false }, ..s },
         );
         assert_eq!(plain.cycles(), safe.cycles());
-        assert_eq!(plain.d_report, safe.d_report);
-        assert!(safe.d_vdd.is_none(), "in-guardband supply arms no decorator");
+        assert_eq!(plain.l1d().report, safe.l1d().report);
+        assert!(safe.l1d().vdd.is_none(), "in-guardband supply arms no decorator");
         let (p, _) = plain.energy(TechnologyNode::N70);
         let (u, _) = safe.energy(TechnologyNode::N70);
         assert!(u.d.total_j() < p.d.total_j(), "less supply, less energy");
@@ -856,14 +850,14 @@ mod tests {
             "mesa",
             &SystemSpec { vdd: VddSpec { scale: 0.8, governor: false }, ..s },
         );
-        let d = hot.d_vdd.as_ref().expect("speculative run carries a vdd report");
+        let d = hot.l1d().vdd.as_ref().expect("speculative run carries a vdd report");
         assert!(d.accesses() > 0, "cold reads must be censused");
         assert!(d.upsets > 0, "0.8 Vdd at 70nm mis-senses");
         assert!(d.replays > 0, "the detector replays most upsets");
         assert!(d.is_consistent(), "{}", d.summary());
         // Mis-sensed replays flow through the fault machinery and cost
         // real cycles.
-        let faults = hot.d_faults.as_ref().expect("upsets are injected faults");
+        let faults = hot.l1d().faults.as_ref().expect("upsets are injected faults");
         assert!(faults.is_consistent(), "{}", faults.summary());
         assert!(hot.cycles() > clean.cycles(), "replays are not free");
         // Undervolt still wins on energy despite the replay overhead.
@@ -881,7 +875,7 @@ mod tests {
         };
         let governed =
             run_benchmark("mesa", &SystemSpec { vdd: VddSpec { scale: 0.8, governor: true }, ..s });
-        let d = governed.d_vdd.as_ref().expect("governed run carries a vdd report");
+        let d = governed.l1d().vdd.as_ref().expect("governed run carries a vdd report");
         assert!(d.is_consistent(), "{}", d.summary());
         assert!(d.escalations() > 0, "a 40%-upset rung must escalate");
         assert!(
@@ -894,7 +888,7 @@ mod tests {
             "mesa",
             &SystemSpec { vdd: VddSpec { scale: 0.8, governor: false }, ..s },
         );
-        let hot_d = hot.d_vdd.as_ref().expect("static run carries a vdd report");
+        let hot_d = hot.l1d().vdd.as_ref().expect("static run carries a vdd report");
         assert!(
             d.upsets * hot_d.accesses() < hot_d.upsets * d.accesses(),
             "governed upset rate ({}/{}) must undercut static ({}/{})",
@@ -920,8 +914,8 @@ mod tests {
             ..spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 })
         };
         let run = run_benchmark("mesa", &s);
-        let d = run.d_vdd.as_ref().expect("vdd report present");
-        let rel = run.d_reliability.as_ref().expect("ecc run carries reliability");
+        let d = run.l1d().vdd.as_ref().expect("vdd report present");
+        let rel = run.l1d().reliability.as_ref().expect("ecc run carries reliability");
         assert!(d.upsets > 0);
         assert_eq!(
             rel.corrected() + rel.due() + rel.sdc(),
@@ -939,7 +933,7 @@ mod tests {
         let b = run_benchmark("tsp", &s);
         assert_eq!(a.cycles(), b.cycles());
         assert_eq!(a.stats.committed, b.stats.committed);
-        assert_eq!(a.d_hit_miss, b.d_hit_miss);
+        assert_eq!(format!("{:?}", a.levels), format!("{:?}", b.levels));
     }
 }
 
@@ -957,8 +951,8 @@ mod debug_probe {
                 let od = run_benchmark(name, &SystemSpec { d_policy: PolicyKind::OnDemand, ..s });
                 println!(
                     "{name} n={n}: base {} cyc (fstall {} mispred {} dmiss {:.3} loads {}), od {} cyc (fstall {} mispred {} dmiss {:.3} loads {}), slowdown {:.3}",
-                    base.cycles(), base.stats.fetch_stall_cycles, base.stats.mispredicts, base.d_miss_ratio(), base.stats.loads,
-                    od.cycles(), od.stats.fetch_stall_cycles, od.stats.mispredicts, od.d_miss_ratio(), od.stats.loads,
+                    base.cycles(), base.stats.fetch_stall_cycles, base.stats.mispredicts, base.l1d().miss_ratio(), base.stats.loads,
+                    od.cycles(), od.stats.fetch_stall_cycles, od.stats.mispredicts, od.l1d().miss_ratio(), od.stats.loads,
                     od.slowdown_vs(&base)
                 );
             }

@@ -9,8 +9,8 @@ use bitline_ecc::{DegradationStage, ReliabilityReport, SubarrayReliability};
 use bitline_faults::{FaultReport, SubarrayFaults, SubarrayVdd, VddReport};
 use bitline_sim::checkpoint::{decode_run, encode_run, spec_key};
 use bitline_sim::{
-    FaultSpec, HierarchySpec, LeakageKind, LocalityStats, PolicyKind, RunResult, SystemSpec,
-    VddSpec,
+    FaultSpec, HierarchySpec, LeakageKind, Level, LevelRun, LocalityStats, PolicyKind, RunResult,
+    SystemSpec, VddSpec,
 };
 use proptest::prelude::*;
 
@@ -239,60 +239,44 @@ fn way_stats() -> impl Strategy<Value = Option<WayStats>> {
         .prop_map(|(present, correct, wrong)| present.then_some(WayStats { correct, wrong }))
 }
 
-fn opt_reports() -> impl Strategy<Value = Option<ActivityReport>> {
-    (any::<bool>(), reports()).prop_map(|(present, r)| present.then_some(r))
-}
-
-fn traffic() -> impl Strategy<Value = Option<(u64, u64, u64)>> {
-    (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>())
-        .prop_map(|(present, h, m, w)| present.then_some((h, m, w)))
+/// One level's record; [`runs`] gives it the id its spec decides.
+fn level_records() -> impl Strategy<Value = LevelRun> {
+    let traffic = (any::<u64>(), any::<u64>(), any::<u64>());
+    let attached = (fault_reports(), reliability_reports(), vdd_reports());
+    (reports(), traffic, localities(), way_stats(), attached).prop_map(
+        |(report, traffic, locality, way_stats, (faults, reliability, vdd))| LevelRun {
+            level: Level::L1D,
+            report,
+            hits: traffic.0,
+            misses: traffic.1,
+            writebacks: traffic.2,
+            locality,
+            way_stats,
+            faults,
+            reliability,
+            vdd,
+        },
+    )
 }
 
 fn runs() -> impl Strategy<Value = RunResult> {
     (
         (prop::sample::select(vec!["gcc", "mcf", "art", "health"]), specs(), stats()),
-        (reports(), reports()),
-        ((any::<u64>(), any::<u64>()), (any::<u64>(), any::<u64>())),
-        (localities(), localities()),
-        ((way_stats(), way_stats()), (opt_reports(), opt_reports()), (traffic(), traffic())),
-        (
-            (fault_reports(), fault_reports()),
-            (reliability_reports(), reliability_reports()),
-            (vdd_reports(), vdd_reports()),
-        ),
+        prop::collection::vec(level_records(), 4),
     )
-        .prop_map(
-            |(
-                (benchmark, spec, stats),
-                (d_report, i_report),
-                (d_hit_miss, i_hit_miss),
-                (d_locality, i_locality),
-                ((d_way_stats, i_way_stats), (l2_report, l3_report), (l2_traffic, l3_traffic)),
-                ((d_faults, i_faults), (d_reliability, i_reliability), (d_vdd, i_vdd)),
-            )| RunResult {
+        .prop_map(|((benchmark, spec, stats), records)| {
+            let levels = Level::of(&spec.hierarchy).expect("levels in 1..=3");
+            RunResult {
                 benchmark: benchmark.to_owned(),
                 spec,
                 stats,
-                d_report,
-                i_report,
-                d_hit_miss,
-                i_hit_miss,
-                d_locality,
-                i_locality,
-                d_way_stats,
-                i_way_stats,
-                d_faults,
-                i_faults,
-                d_reliability,
-                i_reliability,
-                l2_report,
-                l3_report,
-                l2_traffic,
-                l3_traffic,
-                d_vdd,
-                i_vdd,
-            },
-        )
+                levels: levels
+                    .iter()
+                    .zip(records)
+                    .map(|(&level, r)| LevelRun { level, ..r })
+                    .collect(),
+            }
+        })
 }
 
 proptest! {

@@ -59,12 +59,12 @@ fn render_run(label: &str, bench: &str, spec: &SystemSpec) -> String {
         s.load_misspeculations,
         s.fetch_stall_cycles,
         s.hints,
-        run.d_hit_miss.0,
-        run.d_hit_miss.1,
-        run.i_hit_miss.0,
-        run.i_hit_miss.1,
-        run.d_report.total_precharge_events(),
-        run.i_report.total_precharge_events(),
+        run.l1d().hits,
+        run.l1d().misses,
+        run.l1i().hits,
+        run.l1i().misses,
+        run.l1d().report.total_precharge_events(),
+        run.l1i().report.total_precharge_events(),
     )
 }
 

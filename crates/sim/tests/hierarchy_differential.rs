@@ -77,8 +77,8 @@ fn single_level_figures_are_unchanged_by_hierarchy_activity() {
         "pipeline statistics must be leakage-mode-invariant"
     );
     assert_eq!(
-        format!("{:?}", drowsy.d_report),
-        format!("{:?}", stock.d_report),
+        format!("{:?}", drowsy.l1d().report),
+        format!("{:?}", stock.l1d().report),
         "subarray activity must be leakage-mode-invariant"
     );
     let (stock_e, _) = stock.energy(TechnologyNode::N70);

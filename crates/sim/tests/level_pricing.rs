@@ -70,11 +70,10 @@ fn render_pricing(out: &mut String, label: &str, bench: &str, flags: &str) {
                 base.i.total_j(),
             )
             .unwrap();
-            if let Some(l2) = run.l2_energy(node, mode) {
-                write!(out, " l2={:?}", l2.total_j()).unwrap();
-            }
-            if let Some(l3) = run.l3_energy(node, mode) {
-                write!(out, " l3={:?}", l3.total_j()).unwrap();
+            for level in &run.levels {
+                if let Some(energy) = run.outer_energy(level.level, node, mode) {
+                    write!(out, " {}={:?}", level.level.label(), energy.total_j()).unwrap();
+                }
             }
             out.push('\n');
         }

@@ -78,11 +78,11 @@ fn nominal_supply_figures_are_unchanged_by_voltage_activity() {
         "pipeline statistics must be supply-invariant inside the guardband"
     );
     assert_eq!(
-        format!("{:?}", safe.d_report),
-        format!("{:?}", stock.d_report),
+        format!("{:?}", safe.l1d().report),
+        format!("{:?}", stock.l1d().report),
         "subarray activity must be supply-invariant inside the guardband"
     );
-    assert!(safe.d_vdd.is_none(), "no speculation inside the guardband, so no report");
+    assert!(safe.l1d().vdd.is_none(), "no speculation inside the guardband, so no report");
     let (stock_e, _) = stock.energy(TechnologyNode::N70);
     let (safe_e, _) = safe.energy(TechnologyNode::N70);
     assert!(

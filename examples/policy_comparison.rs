@@ -45,7 +45,7 @@ fn main() {
                 100.0 * run.slowdown_vs(&baseline),
                 priced.d.relative_discharge(&base.d),
                 priced.d.total_j() / base.d.total_j(),
-                100.0 * run.d_report.delayed_fraction(),
+                100.0 * run.l1d().report.delayed_fraction(),
             );
         }
         println!();

@@ -31,8 +31,8 @@ fn main() {
         "baseline : {} cycles (IPC {:.2}), D-miss {:.1}%, I-miss {:.1}%",
         baseline.cycles(),
         baseline.stats.ipc(),
-        100.0 * baseline.d_miss_ratio(),
-        100.0 * baseline.i_miss_ratio()
+        100.0 * baseline.l1d().miss_ratio(),
+        100.0 * baseline.l1i().miss_ratio()
     );
     println!(
         "gated    : {} cycles (IPC {:.2}), slowdown {:+.2}%",
@@ -55,7 +55,7 @@ fn main() {
     );
     println!(
         "\nsubarrays precharged on average: D {:.0}%, I {:.0}% (conventional: 100%)",
-        100.0 * gated.d_report.precharged_fraction(),
-        100.0 * gated.i_report.precharged_fraction()
+        100.0 * gated.l1d().report.precharged_fraction(),
+        100.0 * gated.l1i().report.precharged_fraction()
     );
 }

@@ -96,7 +96,7 @@ fn resizable_cannot_match_gated_at_70nm() {
     let r_rel = r.d.relative_discharge(&rb.d);
     assert!(g_rel < r_rel, "gated ({g_rel:.3}) must beat resizable ({r_rel:.3}) at 70 nm");
     // And the resizable cache never delays an access for pull-up.
-    assert_eq!(resizable.d_report.total_delayed(), 0);
+    assert_eq!(resizable.l1d().report.total_delayed(), 0);
 }
 
 /// Predecoding hints must reduce delayed accesses on the data cache
@@ -113,8 +113,8 @@ fn predecoding_reduces_delayed_accesses() {
             name,
             &spec(PolicyKind::GatedPredecode { threshold: 100 }, PolicyKind::StaticPullUp, n),
         );
-        let d_plain = plain.d_report.delayed_fraction();
-        let d_pre = predecode.d_report.delayed_fraction();
+        let d_plain = plain.l1d().report.delayed_fraction();
+        let d_pre = predecode.l1d().report.delayed_fraction();
         assert!(
             d_pre < d_plain,
             "{name}: predecoding should cut delayed accesses ({d_pre:.4} vs {d_plain:.4})"
@@ -134,7 +134,7 @@ fn end_to_end_determinism() {
     let b = run_benchmark("vortex", &s);
     assert_eq!(a.cycles(), b.cycles());
     assert_eq!(a.stats.replays, b.stats.replays);
-    assert_eq!(a.d_report.total_precharge_events(), b.d_report.total_precharge_events());
+    assert_eq!(a.l1d().report.total_precharge_events(), b.l1d().report.total_precharge_events());
     let (ea, _) = a.energy(TechnologyNode::N100);
     let (eb, _) = b.energy(TechnologyNode::N100);
     assert!((ea.d.total_j() - eb.d.total_j()).abs() < 1e-18);
