@@ -384,6 +384,25 @@ fn arm_l1(
     (Box::new(policy), sinks)
 }
 
+/// The conservation laws every finished run obeys, checked in debug
+/// builds: each level's hits and misses account for every access its
+/// policy saw, the L1D serves exactly the core's loads and stores, and
+/// each outer level serves exactly the misses of the levels inside it.
+fn check_level_laws(stats: &SimStats, levels: &[LevelRun]) {
+    let misses = |level| levels.iter().find(|l| l.level == level).map_or(0, |l| l.misses);
+    for l in levels {
+        let label = l.level.label();
+        debug_assert_eq!(l.lookups(), l.report.total_accesses(), "{label}: hits + misses");
+        let served = match l.level {
+            Level::L1D => stats.loads + stats.stores,
+            Level::L1I => continue,
+            Level::L2 => misses(Level::L1D) + misses(Level::L1I),
+            Level::L3 => misses(Level::L2),
+        };
+        debug_assert_eq!(l.lookups(), served, "{label}: lookups");
+    }
+}
+
 /// Runs one benchmark under a system spec, reporting failures as values.
 ///
 /// The run is supervised by the *ambient* cancel token — the one the
@@ -496,6 +515,7 @@ pub fn try_run_benchmark_supervised(
         let l3 = mem.l3().expect("a finalised L3 exists");
         levels.push(Sinks::default().into_level(Level::L3, l3, report));
     }
+    check_level_laws(&stats, &levels);
 
     // Run-completion accounting: every counter below except the wall-time
     // `busy_micros` is a pure function of (benchmark, spec), so their
