@@ -726,6 +726,19 @@ mod tests {
     }
 
     #[test]
+    fn a_level_count_outside_the_spec_range_is_rejected_not_indexed() {
+        // The spec table takes any `u8` for `levels`; only a run rejects a
+        // count outside 1..=3. A frame whose spec text carries one decodes
+        // to `None` instead of slicing past the level list.
+        for levels in [0, 4, 9, u8::MAX] {
+            let mut run = sample_run();
+            run.spec.hierarchy.levels = levels;
+            assert!(spec::canonical_text(&run.spec).contains(&format!("levels={levels}")));
+            assert!(decode_run(&encode_run(&run)).is_none(), "levels={levels}");
+        }
+    }
+
+    #[test]
     fn any_single_byte_mutation_decodes_or_is_rejected_without_panicking() {
         // The text spec decoder must stay as total as the binary blocks
         // around it: every byte, every replacement value.
