@@ -32,14 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod area;
 mod bitline;
 mod decoder;
 mod energy;
 mod geometry;
 mod transient;
 
-pub use area::{cache_area, CacheArea};
 pub use bitline::BitlineModel;
 pub use decoder::{DecodeDelays, DecoderModel};
 pub use energy::{vdd_dynamic_energy_factor, vdd_leakage_energy_factor, SubarrayEnergyModel};
