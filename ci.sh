@@ -38,7 +38,9 @@
 #                    the blessed golden and across jobs=1 vs jobs=N,
 #                    and a single-level sweep must render identical
 #                    bytes whether the binary carries the hierarchy
-#                    flags at their defaults or not at all
+#                    flags at their defaults or not at all; a journaled
+#                    3-level undervolted ECC sweep must replay every run
+#                    warm to the same bytes
 #   ./ci.sh voltage  supply gate: the voltage table (node x Vdd step x
 #                    static/governor) must be byte-identical to the
 #                    blessed golden and across jobs=1 vs jobs=N; an
@@ -613,7 +615,26 @@ hierarchy() {
         cat "$deep" >&2
         exit 1
     fi
-    echo "==> hierarchy: OK — golden, job-count identity, inertness, and depth all verified"
+
+    # Every per-level record (L2/L3, faults, ECC, Vdd, way prediction) must
+    # survive the journal codec: a warm rerun replays every run to the
+    # bytes of an unjournaled one.
+    echo "==> hierarchy: journaled 3-level undervolted ECC sweep"
+    local flags=(-b all -i "$instrs" --levels 3 --l2-policy gated:100 --leakage-mode drowsy
+        --vdd 0.8 --vdd-governor --ecc --fault-rate 0.01 --way-prediction)
+    local ckpt="$HIER_TMP/ckpt" appended
+    "$sim" "${flags[@]}" >"$HIER_TMP/plain.out" 2>/dev/null
+    "$sim" "${flags[@]}" --checkpoint "$ckpt" >"$HIER_TMP/cold.out" 2>"$HIER_TMP/cold.err"
+    "$sim" "${flags[@]}" --checkpoint "$ckpt" >"$HIER_TMP/warm.out" 2>"$HIER_TMP/warm.err"
+    appended=$(sed -n 's/.*replayed, \([0-9]*\) appended.*/\1/p' "$HIER_TMP/cold.err" | tail -n 1)
+    if ! diff -u "$HIER_TMP/plain.out" "$HIER_TMP/cold.out" ||
+        ! diff -u "$HIER_TMP/plain.out" "$HIER_TMP/warm.out" || [[ "${appended:-0}" -eq 0 ]] ||
+        ! grep -q "journal: $appended replayed, 0 appended, 0 recomputed" "$HIER_TMP/warm.err"; then
+        echo "==> hierarchy: FAIL — the warm sweep must replay every journaled run identically" >&2
+        cat "$HIER_TMP/cold.err" "$HIER_TMP/warm.err" >&2
+        exit 1
+    fi
+    echo "==> hierarchy: OK — golden, job-count identity, inertness, depth and journal replay verified"
 }
 
 if [[ "${1:-}" == "smoke" ]]; then
