@@ -739,6 +739,19 @@ mod tests {
     }
 
     #[test]
+    fn level_records_that_disagree_with_the_spec_never_decode() {
+        // A frame carries no record count: the spec decides it, so more or
+        // fewer records than the spec's levels must not decode.
+        let mut more = sample_hierarchy_run();
+        more.spec.hierarchy.levels = 2;
+        let mut fewer = sample_run();
+        fewer.spec.hierarchy.levels = 3;
+        for run in [more, fewer] {
+            assert!(decode_run(&encode_run(&run)).is_none(), "{:?}", run.spec.hierarchy);
+        }
+    }
+
+    #[test]
     fn any_single_byte_mutation_decodes_or_is_rejected_without_panicking() {
         // The text spec decoder must stay as total as the binary blocks
         // around it: every byte, every replacement value.

@@ -114,8 +114,7 @@ pub struct LevelRun {
 
 impl LevelRun {
     /// Hits plus misses.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
 
@@ -944,6 +943,53 @@ mod tests {
         );
         assert!(d.corrected > 0, "SECDED corrects single flips in the read path");
         assert!(d.is_consistent(), "{}", d.summary());
+    }
+
+    #[test]
+    fn each_l1_records_its_reports_under_its_label() {
+        let s = SystemSpec {
+            faults: crate::FaultSpec { ecc: true, ..crate::FaultSpec::default() },
+            vdd: crate::VddSpec { scale: 0.8, governor: false },
+            ..spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 })
+        };
+        let names = [
+            "faults.d.injected",
+            "ecc.i.corrected",
+            "vdd.d.upsets",
+            "sim.runner.precharges.i.gated",
+        ];
+        let count = |name: &str| bitline_obs::registry().counter(name).get();
+        let before = names.map(count);
+        let run = run_benchmark("mesa", &s);
+        let (d, i) = (run.l1d(), run.l1i());
+        let own = [
+            d.faults.as_ref().map_or(0, FaultReport::injected),
+            i.reliability.as_ref().map_or(0, ReliabilityReport::corrected),
+            d.vdd.as_ref().map_or(0, |v| v.upsets),
+            i.report.total_precharge_events(),
+        ];
+        // Tests running alongside may move a counter further, never less.
+        for ((name, before), own) in names.into_iter().zip(before).zip(own) {
+            assert!(own > 0 && count(name) - before >= own, "{name}: {own} not recorded");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_level_laws_catch_a_miscounted_level() {
+        use crate::HierarchySpec;
+        let s = spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp);
+        let three = HierarchySpec { levels: 3, ..HierarchySpec::default() };
+        let run = run_benchmark("mesa", &SystemSpec { hierarchy: three, ..s });
+        for (i, as_access) in (0..run.levels.len()).flat_map(|i| [(i, false), (i, true)]) {
+            // An extra miss breaks hits + misses = accesses; counted as an
+            // access too, it breaks this level's or the next one's traffic.
+            let mut levels = run.levels.clone();
+            levels[i].misses += 1;
+            levels[i].report.per_subarray[0].accesses += u64::from(as_access);
+            let caught = std::panic::catch_unwind(|| check_level_laws(&run.stats, &levels));
+            assert!(caught.is_err(), "{:?} miscounted unnoticed", levels[i].level);
+        }
     }
 
     #[test]

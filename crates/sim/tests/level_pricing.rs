@@ -61,15 +61,8 @@ fn render_pricing(out: &mut String, label: &str, bench: &str, flags: &str) {
     for node in NODES {
         for mode in LeakageKind::ALL {
             let (policy, base) = run.energy_with_mode(node, mode);
-            write!(
-                out,
-                "  {node} {mode} d={:?}/{:?} i={:?}/{:?}",
-                policy.d.total_j(),
-                base.d.total_j(),
-                policy.i.total_j(),
-                base.i.total_j(),
-            )
-            .unwrap();
+            let [pd, bd, pi, bi] = [policy.d, base.d, policy.i, base.i].map(|e| e.total_j());
+            write!(out, "  {node} {mode} d={pd:?}/{bd:?} i={pi:?}/{bi:?}").unwrap();
             for level in &run.levels {
                 if let Some(energy) = run.outer_energy(level.level, node, mode) {
                     write!(out, " {}={:?}", level.level.label(), energy.total_j()).unwrap();
