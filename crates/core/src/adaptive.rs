@@ -65,15 +65,10 @@ impl Default for AdaptiveConfig {
 #[derive(Debug, Clone)]
 pub struct AdaptiveGatedPolicy {
     cfg: AdaptiveConfig,
-    subarrays: usize,
-    penalty: u32,
     inner: GatedPolicy,
-    /// Finished intervals' reports get merged here.
-    merged: Option<ActivityReport>,
     interval_accesses: u64,
     interval_delayed: u64,
     threshold_changes: u64,
-    last_cycle: u64,
 }
 
 impl AdaptiveGatedPolicy {
@@ -92,14 +87,10 @@ impl AdaptiveGatedPolicy {
         let initial = cfg.initial_threshold.clamp(cfg.min_threshold, cfg.max_threshold);
         AdaptiveGatedPolicy {
             inner: GatedPolicy::new(subarrays, initial, 1),
-            subarrays,
-            penalty: 1,
             cfg,
-            merged: None,
             interval_accesses: 0,
             interval_delayed: 0,
             threshold_changes: 0,
-            last_cycle: 0,
         }
     }
 
@@ -115,24 +106,7 @@ impl AdaptiveGatedPolicy {
         self.threshold_changes
     }
 
-    fn merge_report(&mut self, report: ActivityReport) {
-        match &mut self.merged {
-            None => self.merged = Some(report),
-            Some(m) => {
-                m.end_cycle = report.end_cycle;
-                for (a, b) in m.per_subarray.iter_mut().zip(report.per_subarray.iter()) {
-                    a.accesses += b.accesses;
-                    a.delayed_accesses += b.delayed_accesses;
-                    a.pulled_up_cycles += b.pulled_up_cycles;
-                    a.precharge_events += b.precharge_events;
-                    a.drowsy_cycles += b.drowsy_cycles;
-                    a.idle_histogram.merge(&b.idle_histogram);
-                }
-            }
-        }
-    }
-
-    fn end_interval(&mut self, cycle: u64) {
+    fn end_interval(&mut self) {
         let delayed = self.interval_delayed as f64 / self.interval_accesses.max(1) as f64;
         self.interval_accesses = 0;
         self.interval_delayed = 0;
@@ -146,16 +120,20 @@ impl AdaptiveGatedPolicy {
         };
         if next != current {
             self.threshold_changes += 1;
-            // Swap in a fresh gated policy at the new threshold, folding
-            // the finished interval's accounting into the merged report.
-            let old = std::mem::replace(
-                &mut self.inner,
-                GatedPolicy::new(self.subarrays, next, self.penalty),
-            );
-            let mut old = old;
-            let report = old.finalize(cycle);
-            self.merge_report(report);
+            self.inner.set_threshold(next);
         }
+    }
+
+    /// Counts one access towards the interval, closing it when full.
+    fn count(&mut self, delay: u32) -> u32 {
+        self.interval_accesses += 1;
+        if delay > 0 {
+            self.interval_delayed += 1;
+        }
+        if self.interval_accesses >= self.cfg.interval_accesses {
+            self.end_interval();
+        }
+        delay
     }
 }
 
@@ -165,29 +143,13 @@ impl PrechargePolicy for AdaptiveGatedPolicy {
     }
 
     fn access(&mut self, subarray: usize, cycle: u64) -> u32 {
-        self.last_cycle = self.last_cycle.max(cycle);
         let delay = self.inner.access(subarray, cycle);
-        self.interval_accesses += 1;
-        if delay > 0 {
-            self.interval_delayed += 1;
-        }
-        if self.interval_accesses >= self.cfg.interval_accesses {
-            self.end_interval(cycle);
-        }
-        delay
+        self.count(delay)
     }
 
     fn access_with_prediction(&mut self, subarray: usize, predicted: usize, cycle: u64) -> u32 {
-        self.last_cycle = self.last_cycle.max(cycle);
         let delay = self.inner.access_with_prediction(subarray, predicted, cycle);
-        self.interval_accesses += 1;
-        if delay > 0 {
-            self.interval_delayed += 1;
-        }
-        if self.interval_accesses >= self.cfg.interval_accesses {
-            self.end_interval(cycle);
-        }
-        delay
+        self.count(delay)
     }
 
     fn hint(&mut self, subarray: usize, cycle: u64) {
@@ -195,11 +157,8 @@ impl PrechargePolicy for AdaptiveGatedPolicy {
     }
 
     fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
-        let tail = self.inner.finalize(end_cycle);
-        self.merge_report(tail);
-        let mut report = self.merged.take().expect("at least the tail report exists");
+        let mut report = self.inner.finalize(end_cycle);
         report.policy = format!("adaptive-gated(final t={})", self.inner.threshold());
-        report.end_cycle = end_cycle;
         report
     }
 }
@@ -249,18 +208,34 @@ mod tests {
     }
 
     #[test]
-    fn merged_report_preserves_accounting() {
-        let mut p = AdaptiveGatedPolicy::new(4, cfg(64));
+    fn threshold_changes_neither_delay_hot_accesses_nor_recount_time() {
+        // At one access per interval every access can move the threshold.
+        // Two subarrays alternate every 5 cycles, so each access comes 10
+        // cycles after the last one to its subarray: inside any window the
+        // controller can open. Every 50th access follows a 400-cycle gap
+        // and is cold, which walks the threshold back up.
+        let min = AdaptiveConfig::default().min_threshold;
+        let mut p = AdaptiveGatedPolicy::new(4, cfg(1));
+        let mut last = [None; 4];
         let mut cycle = 0;
         let total = 1_000u64;
         for i in 0..total {
-            cycle += if i % 3 == 0 { 400 } else { 5 };
-            p.access((i % 4) as usize, cycle);
+            cycle += if i % 50 == 0 { 400 } else { 5 };
+            let s = (i % 2) as usize;
+            let delay = p.access(s, cycle);
+            if last[s].is_some_and(|l| cycle - l <= min) {
+                assert_eq!(delay, 0, "access {i} at {cycle} was hot before the change");
+            }
+            last[s] = Some(cycle);
         }
-        let report = p.finalize(cycle + 10);
+        assert!(p.threshold_changes() > 20, "{} changes", p.threshold_changes());
+        let end = cycle + 10;
+        let report = p.finalize(end);
         assert_eq!(report.total_accesses(), total);
-        assert!(report.total_pulled_up_cycles() <= 4.0 * (cycle + 10) as f64);
         assert!(report.total_delayed() <= total);
+        for (s, a) in report.per_subarray.iter().enumerate() {
+            assert!(a.pulled_up_cycles <= end as f64, "subarray {s}: {}", a.pulled_up_cycles);
+        }
     }
 
     #[test]

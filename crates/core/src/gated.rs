@@ -83,6 +83,18 @@ impl GatedPolicy {
         self.threshold
     }
 
+    /// Retunes the decay threshold for later accesses. Windows already
+    /// open keep the width they opened with, so no subarray turns cold or
+    /// hot at the change itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is zero.
+    pub fn set_threshold(&mut self, threshold: u64) {
+        assert!(threshold > 0, "threshold must be positive");
+        self.threshold = threshold;
+    }
+
     /// Total predecode hints received.
     #[must_use]
     pub fn hints(&self) -> u64 {
