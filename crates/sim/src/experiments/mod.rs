@@ -12,6 +12,7 @@
 pub mod ablations;
 pub mod harness;
 
+pub mod extensions;
 pub mod fig10;
 pub mod fig2;
 pub mod fig3;
@@ -45,7 +46,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in paper order, then the studies beyond the paper.
-pub static ALL: [Experiment; 16] = [
+pub static ALL: [Experiment; 17] = [
     Experiment {
         name: "table1",
         about: "Table 1: feature size, supply and clock per node",
@@ -144,6 +145,12 @@ pub static ALL: [Experiment; 16] = [
         about: "supply scaling, static or governed: energy vs replays vs SDC",
         takes: &[],
         run: |instrs, _| voltage::run(instrs).map(|rows| voltage::render(&rows)),
+    },
+    Experiment {
+        name: "extensions",
+        about: "adaptive and drowsy D-cache policies; the 21164's on-demand L2",
+        takes: &[],
+        run: |instrs, _| extensions::run(instrs).map(|ext| extensions::render(&ext)),
     },
 ];
 
