@@ -71,9 +71,6 @@ pub struct L1Cache {
     /// `log2(sets_per_subarray)`: set to data subarray.
     sub_shift: u32,
     policy: Box<dyn PrechargePolicy>,
-    /// Per-subarray access counts (kept by the cache itself so live tools
-    /// can sample activity without finalizing the policy).
-    subarray_accesses: Vec<u64>,
     way_predictor: Option<WayPredictor>,
     lru_clock: u64,
     hits: u64,
@@ -122,7 +119,6 @@ impl L1Cache {
             set_shift: sets.trailing_zeros(),
             sub_shift: config.sets_per_subarray().trailing_zeros(),
             lines: vec![Line::default(); sets * config.assoc],
-            subarray_accesses: vec![0; config.subarrays()],
             way_predictor: config.way_prediction.then(|| WayPredictor::new(sets, config.assoc)),
             config,
             policy,
@@ -193,7 +189,6 @@ impl L1Cache {
             }
             None => self.policy.access(subarray, cycle),
         };
-        self.subarray_accesses[subarray] += 1;
 
         self.lru_clock += 1;
         let ways = self.active_ways;
@@ -286,13 +281,6 @@ impl L1Cache {
     #[must_use]
     pub fn way_stats(&self) -> Option<WayStats> {
         self.way_predictor.as_ref().map(WayPredictor::stats)
-    }
-
-    /// Cumulative per-subarray access counts (live view; the policy's
-    /// [`ActivityReport`] carries the authoritative copy at finalize).
-    #[must_use]
-    pub fn subarray_access_counts(&self) -> Vec<u64> {
-        self.subarray_accesses.clone()
     }
 
     /// Number of currently active sets.

@@ -123,26 +123,12 @@ impl MemorySystem {
     ) -> MemorySystem {
         let l2_cfg = Self::l2_config(&cfg);
         let l2_policy = Box::new(AlwaysPrecharged::new(l2_cfg.subarrays()));
-        Self::with_l2_policy(cfg, d_policy, i_policy, l2_policy)
-    }
-
-    /// Builds the hierarchy with an explicit L2 precharge policy as well —
-    /// the Alpha 21164 applied on-demand precharging at the L2, where the
-    /// long access latency hides the pull-up (Section 2 of the paper).
-    #[must_use]
-    pub fn with_l2_policy(
-        cfg: MemorySystemConfig,
-        d_policy: Box<dyn PrechargePolicy>,
-        i_policy: Box<dyn PrechargePolicy>,
-        l2_policy: Box<dyn PrechargePolicy>,
-    ) -> MemorySystem {
         Self::with_hierarchy(cfg, d_policy, i_policy, l2_policy, None)
     }
 
     /// Builds the full multi-level hierarchy: managed L1s, a managed L2,
     /// and — when `l3_policy` is provided — an L3 between the L2 and
-    /// memory. With `l3_policy == None` this is exactly
-    /// [`MemorySystem::with_l2_policy`]; the stock two-level system never
+    /// memory. With `l3_policy == None` the stock two-level system never
     /// pays for the deeper hierarchy.
     #[must_use]
     pub fn with_hierarchy(
@@ -423,11 +409,12 @@ mod tests {
     fn l2_policy_delay_adds_to_fill_latency() {
         let cfg = MemorySystemConfig::default();
         let l2_cfg = MemorySystem::l2_config(&cfg);
-        let mut m = MemorySystem::with_l2_policy(
+        let mut m = MemorySystem::with_hierarchy(
             cfg,
             Box::new(Always),
             Box::new(Always),
             Box::new(AlwaysCold),
+            None,
         );
         assert_eq!(l2_cfg.subarrays(), 128);
         // L1 miss, L2 miss, L2 pays +1 pull-up:

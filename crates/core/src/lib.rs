@@ -42,7 +42,6 @@
 mod adaptive;
 mod drowsy;
 mod gated;
-mod leakage_biased;
 mod on_demand;
 mod oracle;
 mod resizable;
@@ -51,7 +50,6 @@ mod static_pullup;
 pub use adaptive::{AdaptiveConfig, AdaptiveGatedPolicy};
 pub use drowsy::DrowsyPolicy;
 pub use gated::{GatedPolicy, HINT_WINDOW};
-pub use leakage_biased::LeakageBiasedPolicy;
 pub use on_demand::OnDemandPolicy;
 pub use oracle::OraclePolicy;
 pub use resizable::{ResizableConfig, ResizablePolicy};

@@ -135,7 +135,9 @@ impl Enc {
                 self.u8(5);
                 self.u64(interval_accesses);
             }
-            PolicyKind::LeakageBiased => self.u8(6),
+            // Tag 6 named leakage-biased bitlines, a copy of the oracle;
+            // it stays unused so no other policy's key can collide with an
+            // old one.
             PolicyKind::Drowsy { threshold } => {
                 self.u8(7);
                 self.u64(threshold);
@@ -735,6 +737,38 @@ mod tests {
             run.spec.hierarchy.levels = levels;
             assert!(spec::canonical_text(&run.spec).contains(&format!("levels={levels}")));
             assert!(decode_run(&encode_run(&run)).is_none(), "levels={levels}");
+        }
+    }
+
+    #[test]
+    fn a_frame_naming_leakage_biased_bitlines_is_rejected_not_misread() {
+        // Leakage-biased bitlines left the policy grammar: they simulated
+        // exactly what the oracle does. A frame journaled before then
+        // names them in its spec text and must decode to `None`.
+        let run = sample_hierarchy_run();
+        let bytes = encode_run(&run);
+        let text = spec::canonical_text(&run.spec);
+        let tail = &bytes[1 + 8 + run.benchmark.len() + 8 + text.len()..];
+        let frame = |text: &str| {
+            let mut enc = Enc::default();
+            enc.u8(VERSION);
+            enc.str(&run.benchmark);
+            enc.str(text);
+            enc.out.extend_from_slice(tail);
+            enc.out
+        };
+        assert_eq!(frame(&text), bytes);
+        for key in ["d_policy", "i_policy", "l2_policy"] {
+            let stale: Vec<String> = text
+                .split(' ')
+                .map(|pair| match pair.split_once('=') {
+                    Some((k, _)) if k == key => format!("{key}=leakage-biased"),
+                    _ => pair.to_owned(),
+                })
+                .collect();
+            let stale = stale.join(" ");
+            assert!(stale.contains(&format!("{key}=leakage-biased")), "{stale}");
+            assert!(decode_run(&frame(&stale)).is_none(), "{key}");
         }
     }
 

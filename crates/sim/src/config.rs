@@ -5,8 +5,8 @@ use bitline_circuit::DecoderModel;
 use bitline_cmos::TechnologyNode;
 use bitline_energy::LeakageKind;
 use gated_precharge::{
-    AdaptiveConfig, AdaptiveGatedPolicy, DrowsyPolicy, GatedPolicy, LeakageBiasedPolicy,
-    OnDemandPolicy, OraclePolicy, ResizableConfig, ResizablePolicy, StaticPullUp,
+    AdaptiveConfig, AdaptiveGatedPolicy, DrowsyPolicy, GatedPolicy, OnDemandPolicy, OraclePolicy,
+    ResizableConfig, ResizablePolicy, StaticPullUp,
 };
 use serde::{Deserialize, Serialize};
 
@@ -46,9 +46,6 @@ pub enum PolicyKind {
         /// Accesses per adaptation interval.
         interval_accesses: u64,
     },
-    /// Leakage-biased bitlines (the paper's [8]): on-demand isolation with
-    /// the pull-up delay optimistically assumed hidden.
-    LeakageBiased,
     /// Drowsy subarrays (the paper's [13]): reduces *cell* leakage, not
     /// bitline discharge — the contrast the related-work section draws.
     Drowsy {
@@ -70,14 +67,13 @@ pub enum PolicyKind {
 impl PartialEq for PolicyKind {
     fn eq(&self, other: &Self) -> bool {
         use PolicyKind::{
-            AdaptiveGated, Drowsy, Gated, GatedPredecode, LeakageBiased, LocalityRecorder,
-            OnDemand, Oracle, Resizable, StaticPullUp,
+            AdaptiveGated, Drowsy, Gated, GatedPredecode, LocalityRecorder, OnDemand, Oracle,
+            Resizable, StaticPullUp,
         };
         match (self, other) {
             (StaticPullUp, StaticPullUp)
             | (Oracle, Oracle)
             | (OnDemand, OnDemand)
-            | (LeakageBiased, LeakageBiased)
             | (LocalityRecorder, LocalityRecorder) => true,
             (Gated { threshold: a }, Gated { threshold: b })
             | (GatedPredecode { threshold: a }, GatedPredecode { threshold: b })
@@ -111,7 +107,6 @@ impl std::hash::Hash for PolicyKind {
             PolicyKind::StaticPullUp
             | PolicyKind::Oracle
             | PolicyKind::OnDemand
-            | PolicyKind::LeakageBiased
             | PolicyKind::LocalityRecorder => {}
         }
     }
@@ -141,7 +136,6 @@ impl PolicyKind {
                 n,
                 AdaptiveConfig { interval_accesses, ..AdaptiveConfig::default() },
             )),
-            PolicyKind::LeakageBiased => Box::new(LeakageBiasedPolicy::new(n)),
             PolicyKind::Drowsy { threshold } => Box::new(DrowsyPolicy::new(n, threshold, 1)),
             PolicyKind::Resizable { interval_accesses, slack } => Box::new(ResizablePolicy::new(
                 cache,
@@ -188,7 +182,6 @@ impl PolicyKind {
             PolicyKind::Gated { .. } => "gated",
             PolicyKind::GatedPredecode { .. } => "gated-predecode",
             PolicyKind::AdaptiveGated { .. } => "adaptive",
-            PolicyKind::LeakageBiased => "leakage-biased",
             PolicyKind::Drowsy { .. } => "drowsy",
             PolicyKind::Resizable { .. } => "resizable",
             PolicyKind::LocalityRecorder => "recorder",
@@ -224,7 +217,6 @@ impl std::fmt::Display for PolicyKind {
             PolicyKind::StaticPullUp
             | PolicyKind::Oracle
             | PolicyKind::OnDemand
-            | PolicyKind::LeakageBiased
             | PolicyKind::LocalityRecorder => Ok(()),
         }
     }
@@ -232,8 +224,8 @@ impl std::fmt::Display for PolicyKind {
 
 /// The CLI/protocol policy grammar: `static`, `oracle`, `ondemand` (or
 /// `on-demand`), `gated[:T]`, `gated-predecode[:T]` (or `predecode[:T]`),
-/// `adaptive[:INTERVAL]`, `leakage-biased` (or `lbb`), `drowsy[:T]`,
-/// `resizable[:INTERVAL[:SLACK]]`, `recorder`. Shared by every front end
+/// `adaptive[:INTERVAL]`, `drowsy[:T]`, `resizable[:INTERVAL[:SLACK]]`,
+/// `recorder`. Shared by every front end
 /// through the spec table, so they cannot drift.
 impl std::str::FromStr for PolicyKind {
     type Err = String;
@@ -257,7 +249,6 @@ impl std::str::FromStr for PolicyKind {
             "adaptive" => {
                 Ok(PolicyKind::AdaptiveGated { interval_accesses: count(2_000, "interval")? })
             }
-            "leakage-biased" | "lbb" => Ok(PolicyKind::LeakageBiased),
             "drowsy" => Ok(PolicyKind::Drowsy { threshold: count(100, "threshold")? }),
             "resizable" => {
                 let (interval, slack) = match arg.and_then(|a| a.split_once(':')) {
@@ -275,8 +266,8 @@ impl std::str::FromStr for PolicyKind {
             "recorder" => Ok(PolicyKind::LocalityRecorder),
             other => Err(format!(
                 "unknown policy `{other}` (try static, oracle, ondemand, gated:T, \
-                 gated-predecode:T, adaptive:INTERVAL, leakage-biased, drowsy:T, \
-                 resizable:INTERVAL:SLACK, recorder)"
+                 gated-predecode:T, adaptive:INTERVAL, drowsy:T, resizable:INTERVAL:SLACK, \
+                 recorder)"
             )),
         }
     }
@@ -679,7 +670,6 @@ mod tests {
                 PolicyKind::GatedPredecode { threshold: 100 },
                 PolicyKind::Resizable { interval_accesses: 1000, slack: 0.005 },
                 PolicyKind::AdaptiveGated { interval_accesses: 500 },
-                PolicyKind::LeakageBiased,
                 PolicyKind::Drowsy { threshold: 100 },
             ] {
                 let p = kind.build(&cache, node, None);
@@ -958,7 +948,7 @@ mod tests {
 
     /// Every variant, with arbitrary parameters and any finite slack.
     fn any_policy() -> impl Strategy<Value = PolicyKind> {
-        (0u8..10, any::<u64>(), any::<u64>()).prop_map(|(tag, n, bits)| {
+        (0u8..9, any::<u64>(), any::<u64>()).prop_map(|(tag, n, bits)| {
             let slack = f64::from_bits(bits);
             // Flipping an exponent bit makes an inf/NaN pattern finite.
             let slack = if slack.is_finite() { slack } else { f64::from_bits(bits ^ (1 << 62)) };
@@ -969,9 +959,8 @@ mod tests {
                 3 => PolicyKind::Gated { threshold: n },
                 4 => PolicyKind::GatedPredecode { threshold: n },
                 5 => PolicyKind::AdaptiveGated { interval_accesses: n },
-                6 => PolicyKind::LeakageBiased,
-                7 => PolicyKind::Drowsy { threshold: n },
-                8 => PolicyKind::Resizable { interval_accesses: n, slack },
+                6 => PolicyKind::Drowsy { threshold: n },
+                7 => PolicyKind::Resizable { interval_accesses: n, slack },
                 _ => PolicyKind::LocalityRecorder,
             }
         })
@@ -992,7 +981,6 @@ mod tests {
             ("on-demand", PolicyKind::OnDemand),
             ("predecode", PolicyKind::GatedPredecode { threshold: 100 }),
             ("predecode:32", PolicyKind::GatedPredecode { threshold: 32 }),
-            ("lbb", PolicyKind::LeakageBiased),
             ("gated", PolicyKind::Gated { threshold: 100 }),
             ("drowsy", PolicyKind::Drowsy { threshold: 100 }),
             ("adaptive", PolicyKind::AdaptiveGated { interval_accesses: 2_000 }),

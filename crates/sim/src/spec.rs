@@ -47,8 +47,8 @@ pub static FIELDS: [Field; FIELD_COUNT] = [
     Field { key: "d_policy", flag: "--policy", short: Some("-p"), value: "P",
         help: "D-cache policy (default gated-predecode:100): static | oracle |\n\
                ondemand | gated:T | gated-predecode:T | adaptive:INTERVAL |\n\
-               leakage-biased | drowsy:T | resizable:INTERVAL:SLACK | recorder;\n\
-               also sets the I-cache policy (predecode falls back to gated)",
+               drowsy:T | resizable:INTERVAL:SLACK | recorder; also sets the\n\
+               I-cache policy (predecode falls back to gated)",
         access: &Accessor::<PolicyKind>(|s| Some(s.d_policy), |s, p| {
             s.d_policy = p;
             s.i_policy = p.icache_default();

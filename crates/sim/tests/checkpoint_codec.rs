@@ -15,7 +15,7 @@ use bitline_sim::{
 use proptest::prelude::*;
 
 fn policies() -> impl Strategy<Value = PolicyKind> {
-    (0u8..10, any::<u64>(), 0.0..1.0f64).prop_map(|(tag, n, slack)| {
+    (0u8..9, any::<u64>(), 0.0..1.0f64).prop_map(|(tag, n, slack)| {
         let threshold = n % 1_000 + 1;
         match tag {
             0 => PolicyKind::StaticPullUp,
@@ -24,9 +24,8 @@ fn policies() -> impl Strategy<Value = PolicyKind> {
             3 => PolicyKind::Gated { threshold },
             4 => PolicyKind::GatedPredecode { threshold },
             5 => PolicyKind::AdaptiveGated { interval_accesses: threshold },
-            6 => PolicyKind::LeakageBiased,
-            7 => PolicyKind::Drowsy { threshold },
-            8 => PolicyKind::Resizable { interval_accesses: threshold, slack },
+            6 => PolicyKind::Drowsy { threshold },
+            7 => PolicyKind::Resizable { interval_accesses: threshold, slack },
             _ => PolicyKind::LocalityRecorder,
         }
     })

@@ -31,7 +31,6 @@ fn policies() -> Vec<(&'static str, PolicyKind)> {
         ("gated100", PolicyKind::Gated { threshold: 100 }),
         ("gatedpre100", PolicyKind::GatedPredecode { threshold: 100 }),
         ("adaptive256", PolicyKind::AdaptiveGated { interval_accesses: 256 }),
-        ("leakage", PolicyKind::LeakageBiased),
         ("drowsy200", PolicyKind::Drowsy { threshold: 200 }),
     ]
 }

@@ -36,10 +36,6 @@
 //! // The four nodes of Table 1.
 //! assert_eq!(TechnologyNode::ALL.len(), 4);
 //! ```
-//!
-//! See `examples/quickstart.rs` for an end-to-end simulation that runs a
-//! synthetic benchmark through the out-of-order core with gated precharging
-//! and prints the energy savings.
 
 #![forbid(unsafe_code)]
 
