@@ -188,6 +188,22 @@ impl PolicyKind {
         }
     }
 
+    /// Rejects a zero threshold or interval, which no controller can run
+    /// on: the gated and drowsy constructors panic on a zero threshold,
+    /// and the interval controllers would act every access.
+    fn validate(&self) -> Result<(), &'static str> {
+        match *self {
+            PolicyKind::Gated { threshold: 0 }
+            | PolicyKind::GatedPredecode { threshold: 0 }
+            | PolicyKind::Drowsy { threshold: 0 } => Err("threshold must be positive"),
+            PolicyKind::AdaptiveGated { interval_accesses: 0 }
+            | PolicyKind::Resizable { interval_accesses: 0, .. } => {
+                Err("interval must be positive")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The instruction-cache counterpart of a data-cache policy: identical,
     /// except that predecode gating falls back to plain gating (predecoding
     /// needs a base register, and instruction fetch has none).
@@ -603,9 +619,10 @@ impl SystemSpec {
     /// # Errors
     ///
     /// [`SimError::InvalidSpec`] when the subarray size is not a power of
-    /// two in `[32, 32768]`, the instruction count is zero, or the fault
-    /// parameters fail [`FaultConfig::validate`] (rate outside `[0, 1]`,
-    /// a zero scrub period, scrubbing without ECC, ...).
+    /// two in `[32, 32768]`, the instruction count is zero, a D, I or L2
+    /// policy has a zero threshold or interval, or the fault parameters
+    /// fail [`FaultConfig::validate`] (rate outside `[0, 1]`, a zero scrub
+    /// period, scrubbing without ECC, ...).
     pub fn validate(&self) -> Result<(), SimError> {
         let sa = self.subarray_bytes;
         if !sa.is_power_of_two() || !(Self::MIN_SUBARRAY..=Self::MAX_SUBARRAY).contains(&sa) {
@@ -617,6 +634,15 @@ impl SystemSpec {
         }
         if self.instructions == 0 {
             return Err(SimError::InvalidSpec("instructions = 0".into()));
+        }
+        for (field, policy) in [
+            ("d_policy", self.d_policy),
+            ("i_policy", self.i_policy),
+            ("l2_policy", self.hierarchy.l2_policy),
+        ] {
+            policy
+                .validate()
+                .map_err(|e| SimError::InvalidSpec(format!("{field} = {policy}; {e}")))?;
         }
         self.faults
             .to_config(1, 0, self.subarray_words())
@@ -710,6 +736,42 @@ mod tests {
         match bad.validate() {
             Err(SimError::InvalidSpec(msg)) => assert!(msg.contains("requires ECC"), "{msg}"),
             other => panic!("scrub without ecc must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_policy_parameters_naming_the_field() {
+        for levels in 1..=3 {
+            let hierarchy = HierarchySpec { levels, ..HierarchySpec::default() };
+            let base = SystemSpec { hierarchy, ..SystemSpec::default() };
+            for grammar in ["gated:0", "gated-predecode:0", "drowsy:0", "adaptive:0", "resizable:0"]
+            {
+                let policy: PolicyKind = grammar.parse().expect("the grammar takes a zero");
+                for (field, spec) in [
+                    ("d_policy", SystemSpec { d_policy: policy, ..base }),
+                    ("i_policy", SystemSpec { i_policy: policy, ..base }),
+                    (
+                        "l2_policy",
+                        SystemSpec {
+                            hierarchy: HierarchySpec { l2_policy: policy, ..hierarchy },
+                            ..base
+                        },
+                    ),
+                ] {
+                    match spec.validate() {
+                        Err(SimError::InvalidSpec(msg)) => {
+                            assert!(msg.starts_with(&format!("{field} = {policy};")), "{msg}");
+                            assert!(msg.ends_with("must be positive"), "{msg}");
+                        }
+                        other => panic!("{levels} levels, {field} {grammar}: got {other:?}"),
+                    }
+                }
+                let one: PolicyKind = grammar.replace(":0", ":1").parse().expect("parses");
+                let spec = SystemSpec { d_policy: one, i_policy: one, ..base };
+                let spec =
+                    SystemSpec { hierarchy: HierarchySpec { l2_policy: one, ..hierarchy }, ..spec };
+                assert!(spec.validate().is_ok(), "{levels} levels, {one}");
+            }
         }
     }
 
