@@ -322,28 +322,38 @@ pub fn isolated_tracked<T>(
 }
 
 /// The benchmark names suite-wide experiments map over: the full suite,
-/// optionally restricted through the `BITLINE_SUITE` env var
-/// (comma-separated benchmark names, suite order preserved). Unknown
-/// names are dropped; if nothing survives, the full suite is used and a
-/// warning printed — an empty figure helps no one. The golden-figure
+/// or the benchmarks the `BITLINE_SUITE` env var names (comma-separated,
+/// suite order preserved; empty is the full suite). The golden-figure
 /// regression tests use the restriction to pin every driver to the two
 /// smallest workloads.
+///
+/// # Panics
+///
+/// Panics when `BITLINE_SUITE` names an unknown benchmark. Entry points
+/// reject that at startup ([`crate::init_supervision_from_env`]).
 #[must_use]
 pub fn suite_names() -> Vec<&'static str> {
+    suite_from_env().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// `BITLINE_SUITE` as benchmark names, in suite order.
+pub(crate) fn suite_from_env() -> Result<Vec<&'static str>, String> {
+    parse_suite(&std::env::var("BITLINE_SUITE").unwrap_or_default())
+        .map_err(|e| format!("BITLINE_SUITE: {e}"))
+}
+
+/// The benchmarks a comma-separated list names, in suite order; an empty
+/// list names the whole suite.
+fn parse_suite(list: &str) -> Result<Vec<&'static str>, String> {
     let all = bitline_workloads::suite::names();
-    let Ok(filter) = std::env::var("BITLINE_SUITE") else { return all };
-    let wanted: Vec<&str> = filter.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+    let wanted: Vec<&str> = list.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+    if let Some(unknown) = wanted.iter().find(|w| !all.contains(w)) {
+        return Err(format!("unknown benchmark `{unknown}` (see bitline-sim --list)"));
+    }
     if wanted.is_empty() {
-        return all;
+        return Ok(all);
     }
-    let picked: Vec<&'static str> = all.iter().copied().filter(|n| wanted.contains(n)).collect();
-    if picked.is_empty() {
-        eprintln!(
-            "warning: BITLINE_SUITE=`{filter}` matches no suite benchmark; using the full suite"
-        );
-        return all;
-    }
-    picked
+    Ok(all.into_iter().filter(|n| wanted.contains(n)).collect())
 }
 
 /// Maps `f` over the benchmark suite (see [`suite_names`]) in parallel
@@ -392,6 +402,19 @@ mod tests {
     use std::cell::Cell;
 
     use super::*;
+
+    #[test]
+    fn a_suite_list_names_known_benchmarks_in_suite_order() {
+        let all = bitline_workloads::suite::names();
+        for empty in ["", " ", " , ,"] {
+            assert_eq!(parse_suite(empty), Ok(all.clone()), "`{empty}`");
+        }
+        assert_eq!(parse_suite("mesa, bisort,mesa"), Ok(vec!["bisort", "mesa"]));
+        for (list, unknown) in [("mesa,bisrot", "bisrot"), ("nope", "nope"), ("MESA", "MESA")] {
+            let err = parse_suite(list).expect_err(list);
+            assert!(err.contains(&format!("`{unknown}`")), "{err}");
+        }
+    }
 
     #[test]
     fn isolated_passes_values_through() {

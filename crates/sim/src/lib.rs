@@ -67,9 +67,9 @@ pub use runner::{
 /// Applies the supervision environment variables: `BITLINE_RUN_BUDGET`
 /// (per-run wall-clock budget) and `BITLINE_CHECKPOINT` (checkpoint
 /// directory; `BITLINE_NO_RESUME=1` starts its journal afresh), and
-/// validates `BITLINE_JOBS` and `BITLINE_INSTRS` fail-fast (zero or
-/// garbage is an error, not a silent fallback). `bitline-sim`'s flags
-/// override these.
+/// validates `BITLINE_JOBS`, `BITLINE_INSTRS` and `BITLINE_SUITE`
+/// fail-fast (zero, garbage or an unknown benchmark is an error, not a
+/// silent fallback). `bitline-sim`'s flags override these.
 ///
 /// # Errors
 ///
@@ -80,6 +80,7 @@ pub fn init_supervision_from_env() -> Result<(), String> {
     // auto fallback, matching the `--scrub-period 0` precedent.
     bitline_exec::pool::jobs_from_env()?;
     instructions_from_env()?;
+    experiments::harness::suite_from_env()?;
     supervise::init_run_budget_from_env()?;
     // Arm BITLINE_FAILPOINTS (and its seed) now so a malformed spec kills
     // the driver at startup instead of a one-time warning mid-run.

@@ -161,3 +161,24 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     clear_checkpoint();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn bitline_sim_rejects_an_unknown_suite_name_before_any_run() {
+    for suite in ["mesa,bisrot", "nope"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_bitline-sim"))
+            .arg("ondemand")
+            .env_clear()
+            .env("BITLINE_SUITE", suite)
+            .env("BITLINE_INSTRS", "2000")
+            .output()
+            .expect("bitline-sim runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{suite}: {stderr}");
+        assert!(output.stdout.is_empty(), "{suite}: no rows before the error");
+        let unknown = suite.rsplit(',').next().expect("a name");
+        assert!(
+            stderr.contains(&format!("BITLINE_SUITE: unknown benchmark `{unknown}`")),
+            "{stderr}"
+        );
+    }
+}
