@@ -14,15 +14,20 @@
 //! BITLINE_BLESS=1 cargo test -p bitline-sim --test goldens
 //! ```
 //!
+//! Every [`PolicyKind`] variant must drive an L1 in some experiment, so
+//! each is pinned by a golden.
+//!
 //! One `#[test]`: the suite restriction rides on the process-global
-//! `BITLINE_SUITE` env var and the run cache is process-wide, so
-//! concurrent test functions would race.
+//! `BITLINE_SUITE` env var, and the run cache and the metrics registry
+//! are process-wide, so concurrent test functions would race.
 
 use std::path::Path;
 
 use bitline_exec::pool;
 use bitline_sim::experiments::{self, Experiment};
-use bitline_sim::{clear_run_caches, run_cache_stats, spec, FaultSpec, SimError};
+use bitline_sim::{
+    clear_run_caches, run_cache_stats, spec, FaultSpec, LeakageKind, PolicyKind, SimError,
+};
 
 const INSTRS: u64 = 2_000;
 
@@ -43,6 +48,38 @@ fn distinct(text: &str, i: usize) -> usize {
     values.sort_unstable();
     values.dedup();
     values.len()
+}
+
+/// Every [`PolicyKind`] variant. The match has no `_` arm: a new variant
+/// fails to compile here until it is listed, and then fails the test
+/// until an experiment drives an L1 with it.
+fn every_policy() -> Vec<PolicyKind> {
+    use PolicyKind::*;
+    let all = vec![
+        StaticPullUp,
+        Oracle,
+        OnDemand,
+        Gated { threshold: 1 },
+        GatedPredecode { threshold: 1 },
+        AdaptiveGated { interval_accesses: 1 },
+        Drowsy { threshold: 1 },
+        Resizable { interval_accesses: 1, slack: 0.0 },
+        LocalityRecorder,
+    ];
+    for policy in &all {
+        match policy {
+            StaticPullUp
+            | Oracle
+            | OnDemand
+            | Gated { .. }
+            | GatedPredecode { .. }
+            | AdaptiveGated { .. }
+            | Drowsy { .. }
+            | Resizable { .. }
+            | LocalityRecorder => {}
+        }
+    }
+    all
 }
 
 #[test]
@@ -104,7 +141,11 @@ fn every_experiment_matches_its_golden_whatever_the_schedule() {
         match e.name {
             "hierarchy" => {
                 assert!(distinct(&cold, 1) >= 2, "golden must cover two level counts");
-                assert!(distinct(&cold, 2) >= 3, "golden must cover three leakage modes");
+                for mode in LeakageKind::ALL {
+                    let covered =
+                        cold.lines().any(|l| l.split_whitespace().nth(2) == Some(mode.label()));
+                    assert!(covered, "golden must cover the {mode} leakage mode");
+                }
                 assert!(distinct(&cold, 0) >= 3, "golden must cover three technology nodes");
             }
             "voltage" => {
@@ -114,6 +155,15 @@ fn every_experiment_matches_its_golden_whatever_the_schedule() {
             }
             _ => {}
         }
+    }
+
+    // Every policy variant drove an L1 in some experiment.
+    let counters = bitline_obs::registry().snapshot().counters;
+    for policy in every_policy() {
+        let ran = ["d", "i"].iter().any(|cache| {
+            counters.contains_key(&format!("sim.runner.precharges.{cache}.{}", policy.label()))
+        });
+        assert!(ran, "no experiment drives an L1 with {policy}");
     }
 
     // And no golden outlives its experiment.
