@@ -796,8 +796,8 @@ cargo test -q
 echo "==> cargo test --release -q --manifest-path perf/Cargo.toml"
 cargo test --release -q --manifest-path perf/Cargo.toml
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
