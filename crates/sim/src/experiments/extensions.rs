@@ -27,8 +27,7 @@ pub const POLICIES: [&str; 4] = ["const-100", "profiled", "adaptive", "drowsy"];
 /// The adaptive controller's interval at a budget: one thirtieth of the
 /// instructions, so a run sees about as many adaptation intervals at any
 /// budget as the 2 000-access default does at 60 000 instructions.
-#[must_use]
-pub fn adaptive_interval(instrs: u64) -> u64 {
+fn adaptive_interval(instrs: u64) -> u64 {
     (instrs / 30).max(1)
 }
 
@@ -118,40 +117,45 @@ fn l2_energy(runs: &[RunResult], node: TechnologyNode) -> f64 {
 /// The first skipped run's [`SimError`] when every benchmark failed.
 pub fn run(instrs: u64) -> Result<Extensions, SimError> {
     let _span = bitline_obs::span("extensions/run").field("instrs", instrs);
-    let outcome = harness::map_suite(|name| policy_rows(name, instrs));
-    outcome.report_skipped("extensions");
-    let per_benchmark: Vec<PolicyRow> =
-        outcome.rows_or_error("extensions")?.into_iter().flatten().collect();
-    let n = (per_benchmark.len() / POLICIES.len()) as f64;
-    let mut policies = per_benchmark.clone();
-    for policy in POLICIES {
-        let rows: Vec<&PolicyRow> = per_benchmark.iter().filter(|r| r.policy == policy).collect();
-        let mean = |f: fn(&PolicyRow) -> f64| rows.iter().map(|r| f(r)).sum::<f64>() / n;
-        policies.push(PolicyRow {
-            benchmark: "AVG".into(),
-            policy,
-            d_discharge: mean(|r| r.d_discharge),
-            d_total: mean(|r| r.d_total),
-            d_delayed: mean(|r| r.d_delayed),
-            slowdown: mean(|r| r.slowdown),
-        });
-    }
-
     let l2_spec = |l2_policy| SystemSpec {
         instructions: instrs,
         hierarchy: HierarchySpec { levels: 2, l2_policy, leakage_mode: LeakageKind::FullVdd },
         ..SystemSpec::default()
     };
     let outcome = harness::map_suite(|name| {
+        let rows = policy_rows(name, instrs)?;
         let stat = try_run_benchmark_cached(name, &l2_spec(PolicyKind::StaticPullUp))?;
         let ondemand = try_run_benchmark_cached(name, &l2_spec(PolicyKind::OnDemand))?;
-        Ok((stat, ondemand))
+        Ok((rows, stat, ondemand))
     });
     outcome.report_skipped("extensions");
-    let (stat, ondemand): (Vec<RunResult>, Vec<RunResult>) =
-        outcome.rows_or_error("extensions")?.into_iter().unzip();
-    let slowdown =
-        ondemand.iter().zip(&stat).map(|(o, s)| o.slowdown_vs(s)).sum::<f64>() / stat.len() as f64;
+    let (mut policies, mut stat, mut ondemand) = (Vec::new(), Vec::new(), Vec::new());
+    for (rows, s, o) in outcome.rows_or_error("extensions")? {
+        policies.extend(rows);
+        stat.push(s);
+        ondemand.push(o);
+    }
+
+    let n = stat.len() as f64;
+    let averages: Vec<PolicyRow> = POLICIES
+        .iter()
+        .map(|&policy| {
+            let mean = |f: fn(&PolicyRow) -> f64| {
+                policies.iter().filter(|r| r.policy == policy).map(f).sum::<f64>() / n
+            };
+            PolicyRow {
+                benchmark: "AVG".into(),
+                policy,
+                d_discharge: mean(|r| r.d_discharge),
+                d_total: mean(|r| r.d_total),
+                d_delayed: mean(|r| r.d_delayed),
+                slowdown: mean(|r| r.slowdown),
+            }
+        })
+        .collect();
+    policies.extend(averages);
+
+    let slowdown = ondemand.iter().zip(&stat).map(|(o, s)| o.slowdown_vs(s)).sum::<f64>() / n;
     let l2 = TechnologyNode::ALL
         .into_iter()
         .map(|node| {
@@ -227,10 +231,12 @@ mod tests {
         }
         let drowsy = avg("drowsy").d_total;
         assert!(constant.d_total < drowsy && drowsy < 1.0, "drowsy D total {drowsy}");
-        // The 21164's on-demand L2 pays off at every node, 180 nm included.
+        // The 21164's on-demand L2 pays off at every node, 180 nm included,
+        // for a slowdown under 1%.
         assert_eq!(ext.l2.len(), TechnologyNode::ALL.len());
         for r in &ext.l2 {
             assert!(r.ratio < 1.0, "{}: on-demand L2 ratio {}", r.node, r.ratio);
+            assert!((0.0..0.01).contains(&r.slowdown), "on-demand L2 slowdown {}", r.slowdown);
         }
     }
 }
