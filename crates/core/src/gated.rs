@@ -90,7 +90,7 @@ impl GatedPolicy {
     /// # Panics
     ///
     /// Panics if `threshold` is zero.
-    pub fn set_threshold(&mut self, threshold: u64) {
+    pub(crate) fn set_threshold(&mut self, threshold: u64) {
         assert!(threshold > 0, "threshold must be positive");
         self.threshold = threshold;
     }
