@@ -289,4 +289,30 @@ mod tests {
     fn rejects_zero_threshold() {
         let _ = GatedPolicy::new(4, 0, 1);
     }
+
+    #[test]
+    fn a_retuned_threshold_only_sizes_windows_opened_after_it() {
+        let mut p = GatedPolicy::new(2, 100, 1);
+        p.access(0, 10); // hot until 110
+        p.set_threshold(5);
+        assert_eq!(p.threshold(), 5);
+        assert_eq!(p.name(), "gated(t=5)");
+        assert_eq!(p.access(0, 109), 0, "the window opened at 10 keeps its 100 cycles");
+        assert_eq!(p.access(0, 115), 1, "the window opened at 109 is 5 cycles wide");
+        p.set_threshold(1_000);
+        assert_eq!(p.access(1, 500), 1, "a raise reopens no window that closed at 100");
+        assert_eq!(p.access(1, 1_400), 0, "the window opened at 500 is 1 000 cycles wide");
+        let r = p.finalize(2_000);
+        // Subarray 0 is hot over (0, 114] and (115, 120]; subarray 1 over
+        // (0, 100] and (500, 2 000].
+        assert_eq!(r.per_subarray[0].pulled_up_cycles, 119.0);
+        assert_eq!(r.per_subarray[1].pulled_up_cycles, 1_600.0);
+        assert_eq!(r.total_delayed(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive")]
+    fn set_threshold_rejects_zero() {
+        GatedPolicy::new(4, 100, 1).set_threshold(0);
+    }
 }

@@ -111,4 +111,23 @@ mod tests {
         let mut p = OnDemandPolicy::new(1, 2);
         assert_eq!(p.access(0, 3), 2);
     }
+
+    #[test]
+    fn at_zero_penalty_it_accounts_exactly_like_the_oracle() {
+        // Leakage-biased bitlines [8] assume the pull-up hides under
+        // decode: on-demand at penalty 0, which is the oracle.
+        let mut od = OnDemandPolicy::new(4, 0);
+        let mut oracle = crate::OraclePolicy::new(4);
+        for c in (0..1000u64).step_by(7) {
+            // Two accesses per cycle; they share a subarray when c % 12 < 3.
+            for s in [c % 4, c % 3] {
+                assert_eq!(od.access(s as usize, c), 0);
+                assert_eq!(oracle.access(s as usize, c), 0);
+            }
+        }
+        let (od, oracle) = (od.finalize(1000), oracle.finalize(1000));
+        assert_eq!(od.end_cycle, oracle.end_cycle);
+        assert_eq!(od.per_subarray, oracle.per_subarray, "only the name differs");
+        assert_ne!(od.policy, oracle.policy);
+    }
 }

@@ -125,4 +125,23 @@ mod tests {
         }
         assert_eq!(p.finalize(7000).total_delayed(), 0);
     }
+
+    #[test]
+    fn accounts_like_on_demand_but_never_delays() {
+        // The gap between the two is exactly the pull-up cost that
+        // leakage-biased bitlines [8] assume away.
+        let mut oracle = OraclePolicy::new(4);
+        let mut od = crate::OnDemandPolicy::new(4, 1);
+        for c in (0..1000u64).step_by(7) {
+            assert_eq!(oracle.access((c % 4) as usize, c), 0);
+            let _ = od.access((c % 4) as usize, c);
+        }
+        let ro = oracle.finalize(1000);
+        let rd = od.finalize(1000);
+        // Same precharge events and episodes; only the delay differs.
+        assert_eq!(ro.total_precharge_events(), rd.total_precharge_events());
+        assert_eq!(ro.idle_histogram().total(), rd.idle_histogram().total());
+        assert_eq!(ro.total_delayed(), 0);
+        assert!(rd.total_delayed() > 0);
+    }
 }

@@ -715,6 +715,30 @@ mod tests {
     }
 
     #[test]
+    fn every_policy_tag_is_frozen() {
+        // The literals predate the retirement of tag 6 (leakage-biased
+        // bitlines): the tags after it must not move.
+        let cases = [
+            (PolicyKind::StaticPullUp, "gcc@52a6c675132dab17"),
+            (PolicyKind::Oracle, "gcc@f2b9ede9194dd7d2"),
+            (PolicyKind::OnDemand, "gcc@538ffc40574d59f9"),
+            (PolicyKind::Gated { threshold: 64 }, "gcc@aa0d4efac63a8bac"),
+            (PolicyKind::GatedPredecode { threshold: 64 }, "gcc@af35d8d10cede83b"),
+            (PolicyKind::AdaptiveGated { interval_accesses: 2_000 }, "gcc@cb2baf3f05ee9b01"),
+            (PolicyKind::Drowsy { threshold: 100 }, "gcc@4e3e43ce3d4c141c"),
+            (
+                PolicyKind::Resizable { interval_accesses: 10_000, slack: 0.005 },
+                "gcc@7ecff099d610a0a2",
+            ),
+            (PolicyKind::LocalityRecorder, "gcc@fd9c2fce923dae8a"),
+        ];
+        for (policy, key) in cases {
+            let spec = SystemSpec { d_policy: policy, ..SystemSpec::default() };
+            assert_eq!(spec_key("gcc", &spec), key, "{policy}");
+        }
+    }
+
+    #[test]
     fn other_version_frames_are_rejected_not_misread() {
         // A frame stamped with any other codec version, older or newer,
         // must yield `None` even when the rest of the bytes happen to

@@ -1053,7 +1053,16 @@ mod tests {
         ] {
             assert_eq!(text.parse::<PolicyKind>(), Ok(want), "{text}");
         }
-        for bad in ["warp", "gated:x", "gated:1:2", "resizable:1:nan", "resizable:1:inf", ""] {
+        for bad in [
+            "warp",
+            "gated:x",
+            "gated:1:2",
+            "resizable:1:nan",
+            "resizable:1:inf",
+            "",
+            "lbb",
+            "leakage-biased",
+        ] {
             assert!(bad.parse::<PolicyKind>().is_err(), "`{bad}` must not parse");
         }
     }
