@@ -1019,6 +1019,72 @@ mod tests {
         assert!(stats.replays > 0, "dependents must replay");
     }
 
+    /// Which entries one dependents-only replay squashes. A warm-up load
+    /// fills the line, so the load under test hits and pays only the
+    /// 1-cycle pull-up: issued at `t`, it is assumed visible at `t + 3`,
+    /// ready at `t + 4` and resolved at `t + 6`.
+    #[test]
+    fn dependents_only_replay_squashes_the_loads_shadow() {
+        let cfg = MemorySystemConfig::default();
+        let mem = MemorySystem::new(
+            cfg,
+            Box::new(ColdEveryTime),
+            Box::new(StaticPullUp::new(cfg.l1i.subarrays())),
+        );
+        let at = MemRef { addr: 0x2000, base: 0x2000, size: 8 };
+        let filler = |pc| Instr::new(pc, InstrKind::IntAlu).with_dest(20);
+        let mut v = vec![Instr::new(0x40_0000, InstrKind::Load).with_dest(5).with_mem(at)];
+        v.extend((1..=300).map(|i| filler(0x40_0000 + 4 * i)));
+        let pc = 0x40_1000;
+        v.extend([
+            Instr::new(pc, InstrKind::IntAlu).with_dest(10),
+            Instr::new(pc + 4, InstrKind::Load).with_dest(2).with_mem(at),
+            // Direct dependent: issues at t + 3, in the load's shadow.
+            Instr::new(pc + 8, InstrKind::IntAlu).with_dest(3).with_srcs(Some(2), None),
+            // Independent of the load, issued in its shadow too.
+            Instr::new(pc + 12, InstrKind::IntAlu).with_dest(9).with_srcs(Some(10), None),
+            // Dependent of the squashed one, issued at t + 4.
+            Instr::new(pc + 16, InstrKind::IntAlu).with_dest(4).with_srcs(Some(3), None),
+        ]);
+        v.extend((0..300).map(|i| filler(0x40_2000 + 4 * i)));
+        let (load, direct, independent, transitive) = (302, 303, 304, 305);
+
+        let mut cpu = Cpu::new(CpuConfig::default(), mem);
+        let mut trace = ReplayTrace::new(v);
+        // Step until the second misspeculation (the warm-up load's miss is
+        // the first) has replayed, keeping the state from just before.
+        let issued = |cpu: &Cpu, seq: u64| {
+            let s = slot(seq);
+            (cpu.waiting & bit(s) == 0).then_some(cpu.rob.issue_cycle[s])
+        };
+        let mut before;
+        loop {
+            before = (cpu.stats, [direct, independent, transitive].map(|q| issued(&cpu, q)));
+            cpu.step(&mut trace);
+            if cpu.stats.load_misspeculations == 2 {
+                break;
+            }
+            assert!(cpu.cycle < 10_000, "the load under test never misspeculated");
+        }
+        let (stats, [direct_at, independent_at, transitive_at]) = before;
+        let issue = cpu.rob.issue_cycle[slot(load)];
+        let ready = cpu.rob.ready_cycle[slot(load)];
+        assert_eq!(ready, issue + 4, "the load hits and pays one pull-up cycle");
+        let shadow = issue + 1..ready;
+        assert!(direct_at.is_some_and(|c| shadow.contains(&c)), "{direct_at:?} in {shadow:?}");
+        assert!(independent_at.is_some_and(|c| shadow.contains(&c)), "{independent_at:?}");
+        assert!(transitive_at.is_some_and(|c| c >= ready), "{transitive_at:?} at/after {ready}");
+
+        // The direct dependent is squashed (and may re-issue at once).
+        assert_ne!(issued(&cpu, direct), direct_at, "the direct dependent is squashed");
+        assert_eq!(cpu.stats.replays, stats.replays + 1, "exactly one entry is squashed");
+        assert_eq!(issued(&cpu, independent), independent_at, "an independent entry is not");
+        // The escape: an entry that issued at or after the load's data-ready
+        // cycle is never squashed, even though its producer was, so it keeps
+        // a value computed from the squashed result (ROADMAP item 2).
+        assert_eq!(issued(&cpu, transitive), transitive_at, "the transitive dependent escapes");
+    }
+
     #[test]
     fn replay_slows_execution_down() {
         let run = |delay: bool| -> f64 {

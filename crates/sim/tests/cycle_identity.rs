@@ -170,6 +170,45 @@ fn headline_suite_matches_the_pinned_golden() {
     assert_eq!(got, want, "the headline suite drifted from the pinned golden");
 }
 
+/// Timing speculation across the suite: every benchmark at 8 000
+/// instructions with `gated:100` on both L1s, undervolted to 0.85 and 0.8
+/// of nominal, with the supply held static and under the governor. A
+/// detected mis-sense replays through the same dependents-only path as a
+/// cold pull-up, so these runs drive the core's replay walk hardest.
+/// Blessed on the core before the replay walk followed dependence edges;
+/// never re-bless it for a performance change.
+#[test]
+fn voltage_suite_matches_the_pinned_golden() {
+    use bitline_sim::VddSpec;
+
+    let bless = std::env::var("BITLINE_BLESS").is_ok_and(|v| v == "1");
+    let mut got = String::new();
+    for bench in bitline_workloads::suite::names() {
+        for scale in [0.85, 0.8] {
+            for (mode, governor) in [("static", false), ("gov", true)] {
+                let spec = SystemSpec {
+                    d_policy: PolicyKind::Gated { threshold: 100 },
+                    i_policy: PolicyKind::Gated { threshold: 100 },
+                    instructions: 8_000,
+                    vdd: VddSpec { scale, governor },
+                    ..SystemSpec::default()
+                };
+                got.push_str(&render_run(&format!("vdd{scale}{mode}"), bench, &spec));
+            }
+        }
+    }
+
+    let golden_path = goldens_dir().join("cycle_identity_voltage.txt");
+    if bless {
+        std::fs::write(&golden_path, &got).expect("bless golden");
+        eprintln!("blessed {}", golden_path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+    assert_eq!(got, want, "the undervolted suite drifted from the pinned golden");
+}
+
 /// Runs the AllYounger replay scope directly through the core (the
 /// experiment drivers only use DependentsOnly, so cover it here).
 fn render_run_all_younger(bench: &str, spec: &SystemSpec) -> String {
