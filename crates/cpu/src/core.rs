@@ -14,6 +14,14 @@
 //! issue scans only the awake mask, oldest first; an entry whose operands
 //! are not ready sleeps on a timer and in its producers' consumer masks.
 //!
+//! The scheduler pays per dependence edge, not per ROB slot:
+//!
+//! - **Operand readiness** is a window test on three cycles the producer
+//!   wrote at issue ([`Visibility`]): no branch on its kind or state.
+//! - **Dependents-only replay** walks the dependents masks set at
+//!   dispatch, from the misspeculated load outwards, instead of scanning
+//!   every younger issued entry.
+//!
 //! # Event-driven execution
 //!
 //! A run pays for its events, not its cycles:
@@ -111,6 +119,13 @@ struct Rob {
     /// speculation window that can start earlier than the bound the
     /// sleeper computed from the previous execution.
     consumers: [SlotMask; SLOTS],
+    /// Every younger entry that named this one as a producer, set at their
+    /// dispatch: the edges the dependents-only replay walks. Cleared when
+    /// the slot is reused; commit is in order, so each bit names a live
+    /// entry for as long as this one is live.
+    dependents: [SlotMask; SLOTS],
+    /// When consumers may read the result, written at issue.
+    vis: [Visibility; SLOTS],
 }
 
 impl Rob {
@@ -127,8 +142,28 @@ impl Rob {
             mem_base: [0; SLOTS],
             wake_cycle: [0; SLOTS],
             consumers: [0; SLOTS],
+            dependents: [0; SLOTS],
+            vis: [Visibility::NEVER; SLOTS],
         }
     }
+}
+
+/// The cycles at which an entry's result is visible to a consumer issuing
+/// at `t`: `from <= t < until` (a load's speculative window: consumers
+/// assume the hit latency until the scheduler learns the true one) or
+/// `ready <= t`. A non-load's window opens at its ready cycle and never
+/// closes. Kept apart from `ready_cycle` because a squashed load still
+/// replays from its old cycles while nothing may read it.
+#[derive(Debug, Clone, Copy)]
+struct Visibility {
+    from: u64,
+    until: u64,
+    ready: u64,
+}
+
+impl Visibility {
+    /// A waiting entry's: nothing reads it until it issues.
+    const NEVER: Visibility = Visibility { from: u64::MAX, until: u64::MAX, ready: u64::MAX };
 }
 
 /// Cycles ahead a [`Wheel`] schedules without its overflow heap.
@@ -205,12 +240,14 @@ pub struct CoreWork {
     pub skipped_cycles: u64,
     /// Entries the issue stage visited in the awake mask.
     pub awake_visits: u64,
-    /// Producer checks made for a consumer's operands, at issue and at
-    /// dispatch.
+    /// Visibility tests of a consumer's producers, one per named producer
+    /// (an operand with none costs nothing), at dispatch and at issue.
     pub operand_checks: u64,
     /// Sleep-expiry and load-resolution events put on a wheel.
     pub wheel_events: u64,
-    /// Younger issued entries the replay scan visited.
+    /// Entries the replay walk visited: issued dependents of the load or of
+    /// an entry it squashed, or under [`ReplayScope::AllYounger`] every
+    /// issued entry younger than the load.
     pub replay_slots: u64,
 }
 
@@ -489,44 +526,65 @@ impl Cpu {
     }
 
     /// Squashes and re-queues the speculatively issued consumers of the
-    /// mispredicted load `load_seq`.
+    /// mispredicted load `load_seq`: the entries that issued before its
+    /// data was actually ready, among its dependents (transitively) or,
+    /// under [`ReplayScope::AllYounger`], among everything issued after it.
+    ///
+    /// An entry that issued at or after the load's data-ready cycle is
+    /// never squashed, and the dependents-only walk does not continue
+    /// through it, even when one of its producers is squashed.
     fn replay(&mut self, load_seq: u64) {
         self.stats.load_misspeculations += 1;
         let load_slot = slot(load_seq);
-        let load_issue = self.rob.issue_cycle[load_slot];
         let load_ready = self.rob.ready_cycle[load_slot];
-        // The load and everything squashed so far; dependences only point
-        // backwards, so one forward pass reaches the transitive closure.
         // Only issued entries can be squashed, and a squash re-queues only
         // the entry it visits, so one snapshot of the mask serves the pass.
-        let mut squashed = bit(load_slot);
-        for seq in self.seqs_from(load_seq + 1, !self.waiting) {
-            self.work.replay_slots += 1;
-            let s = slot(seq);
-            // Issued before the load's data was actually ready?
-            if self.rob.issue_cycle[s] >= load_ready {
-                continue;
-            }
-            let hit = match self.cfg.replay_scope {
-                // Older producers' slots may alias live entries: skip them.
-                ReplayScope::DependentsOnly => self.rob.producers[s]
-                    .iter()
-                    .any(|&p| (load_seq..seq).contains(&p) && squashed & bit(slot(p)) != 0),
-                ReplayScope::AllYounger => self.rob.issue_cycle[s] > load_issue,
-            };
-            if hit {
-                squashed |= bit(s);
-                self.waiting |= bit(s);
-                self.rob.wake_cycle[s] = 0;
-                self.awake |= bit(s);
-                self.stats.replays += 1;
-                self.iq_count += 1;
-                if self.rob.flags[s] & flag::BLOCKED_FETCH != 0 {
-                    // The branch that unblocked the front end was fed
-                    // speculative data: re-block until it re-executes.
-                    self.fetch_blocked_on = Some(seq);
+        let issued = !self.waiting;
+        match self.cfg.replay_scope {
+            ReplayScope::DependentsOnly => {
+                // Edges point from older to younger, so taking the oldest
+                // entry of the frontier each time visits the transitive
+                // dependents in seq order, each once.
+                let first = load_seq + 1;
+                let mut frontier = self.rob.dependents[load_slot] & issued;
+                while frontier != 0 {
+                    let offset = frontier.rotate_right(slot(first) as u32).trailing_zeros();
+                    let seq = first + u64::from(offset);
+                    let s = slot(seq);
+                    frontier &= !bit(s);
+                    self.work.replay_slots += 1;
+                    if self.rob.issue_cycle[s] < load_ready {
+                        self.squash(seq);
+                        frontier |= self.rob.dependents[s] & issued;
+                    }
                 }
             }
+            ReplayScope::AllYounger => {
+                let load_issue = self.rob.issue_cycle[load_slot];
+                for seq in self.seqs_from(load_seq + 1, issued) {
+                    self.work.replay_slots += 1;
+                    let issue = self.rob.issue_cycle[slot(seq)];
+                    if issue < load_ready && issue > load_issue {
+                        self.squash(seq);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Returns the issued entry `seq` to the waiting, awake set.
+    fn squash(&mut self, seq: u64) {
+        let s = slot(seq);
+        self.waiting |= bit(s);
+        self.rob.vis[s] = Visibility::NEVER;
+        self.rob.wake_cycle[s] = 0;
+        self.awake |= bit(s);
+        self.stats.replays += 1;
+        self.iq_count += 1;
+        if self.rob.flags[s] & flag::BLOCKED_FETCH != 0 {
+            // The branch that unblocked the front end was fed speculative
+            // data: re-block until it re-executes.
+            self.fetch_blocked_on = Some(seq);
         }
     }
 
@@ -561,50 +619,16 @@ impl Cpu {
         }
     }
 
-    /// Is the value produced by `seq` available (or speculatively assumed
-    /// available) to a consumer issuing at `cycle`?
-    ///
-    /// Returns `None` when it is; otherwise a strict lower bound on the
-    /// first cycle it could become available, so the consumer can sleep
-    /// until then (`u64::MAX` while the producer has not itself issued —
-    /// the consumer is woken when it does). Under-estimating the bound
-    /// only costs a recheck; over-estimating would change timing, so every
-    /// branch below returns the *earliest* cycle the corresponding state
-    /// transition can make the value (speculatively) visible.
-    fn operand_wake(&self, seq: u64, cycle: u64) -> Option<u64> {
-        if !self.live(seq) {
-            return None; // retired -> architectural state
-        }
-        let s = slot(seq);
-        if self.waiting & bit(s) != 0 {
-            return Some(u64::MAX);
-        }
-        let ready = self.rob.ready_cycle[s];
-        if ready <= cycle {
-            return None; // complete
-        }
-        if self.rob.kind[s] == InstrKind::Load {
-            // Load-hit speculation: before the scheduler learns the true
-            // latency, consumers assume the hit latency; the value is
-            // assumed visible in [assumed, resolve).
-            let assumed = self.rob.issue_cycle[s] + u64::from(self.dcache_hit_latency());
-            if cycle < assumed {
-                Some(assumed)
-            } else if cycle < self.rob.resolve_cycle[s] {
-                None
-            } else {
-                // Window closed on a misspeculated load: nothing arrives
-                // before the true ready cycle.
-                Some(ready)
-            }
-        } else {
-            Some(ready)
-        }
-    }
-
     /// Checks the operands of the waiting entry in slot `s` for an issue
     /// at `cycle`: registers it with every producer that cannot deliver by
     /// then, and returns the latest bound (0 when every operand is ready).
+    ///
+    /// A producer delivers when it has retired or its [`Visibility`]
+    /// covers `cycle`. Otherwise the bound is a strict lower bound on the
+    /// first cycle it could: its window's opening while that lies ahead,
+    /// else its ready cycle (`u64::MAX` while it waits; its issue wakes
+    /// the consumer). Under-estimating the bound only costs a recheck;
+    /// over-estimating would change timing.
     fn operand_check(&mut self, s: usize, cycle: u64) -> u64 {
         let mut wake = 0;
         for p in self.rob.producers[s] {
@@ -612,11 +636,17 @@ impl Cpu {
                 continue;
             }
             self.work.operand_checks += 1;
-            if let Some(bound) = self.operand_wake(p, cycle) {
-                wake = wake.max(bound);
+            let ps = slot(p);
+            let v = self.rob.vis[ps];
+            // A retired producer's slot may hold a younger entry; its value
+            // is architectural state.
+            let visible =
+                (p < self.head_seq) | ((v.from <= cycle) & (cycle < v.until)) | (v.ready <= cycle);
+            if !visible {
+                wake = wake.max(if cycle < v.from { v.from } else { v.ready });
                 // Register for a wake: if the producer (re-)issues, its
-                // fresh speculation window may open before `bound`.
-                self.rob.consumers[slot(p)] |= bit(s);
+                // fresh speculation window may open before this bound.
+                self.rob.consumers[ps] |= bit(s);
             }
         }
         wake
@@ -734,20 +764,21 @@ impl Cpu {
                 // replay round.
                 self.replay_events.schedule(cycle, resolve_cycle, s);
             }
-            if kind == InstrKind::Load {
+            let vis = if kind == InstrKind::Load {
                 self.rob.mem_first_ready[s] = ready_cycle;
-            }
+                let assumed = cycle + u64::from(self.dcache_hit_latency());
+                Visibility { from: assumed, until: resolve_cycle, ready: ready_cycle }
+            } else {
+                Visibility { from: ready_cycle, until: u64::MAX, ready: ready_cycle }
+            };
+            self.rob.vis[s] = vis;
             self.rob.flags[s] = flags;
             // Wake sleeping consumers: their stored bound may predate this
             // (re-)issue, whose value can arrive earlier than they assumed.
             // `min` never extends a sleep, so waking is always safe.
             let consumers = std::mem::take(&mut self.rob.consumers[s]);
             if consumers != 0 {
-                let dep_wake = if kind == InstrKind::Load {
-                    cycle + u64::from(self.dcache_hit_latency())
-                } else {
-                    ready_cycle
-                };
+                let dep_wake = vis.from;
                 for w in self.live_seqs(consumers & self.waiting) {
                     let ds = slot(w);
                     let wc = &mut self.rob.wake_cycle[ds];
@@ -811,6 +842,13 @@ impl Cpu {
                 if self.fetch_blocked_on == Some(seq) { flag::BLOCKED_FETCH } else { 0 };
             self.rob.mem_first_ready[s] = 0;
             self.rob.consumers[s] = 0;
+            self.rob.dependents[s] = 0;
+            self.rob.vis[s] = Visibility::NEVER;
+            for p in producers {
+                if self.live(p) {
+                    self.rob.dependents[slot(p)] |= bit(s);
+                }
+            }
             if is_mem {
                 let m = instr.mem.expect("memory ops carry a memory reference");
                 self.rob.mem_addr[s] = m.addr;

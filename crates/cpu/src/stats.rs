@@ -34,8 +34,10 @@ pub struct SimStats {
     /// Load-hit misspeculation events (loads whose latency exceeded the
     /// speculative hit assumption).
     pub load_misspeculations: u64,
-    /// Cycles the front end spent stalled on I-cache fills or pull-up
-    /// delays.
+    /// Cycles the front end fetched nothing because it was stalled or
+    /// blocked: waiting on an I-cache fill or pull-up delay, blocked on an
+    /// unresolved mispredicted branch, or in the redirect penalty after
+    /// one resolves.
     pub fetch_stall_cycles: u64,
     /// Predecode hints issued to the data cache.
     pub hints: u64,
