@@ -4,13 +4,48 @@ use crate::config::CacheConfig;
 use crate::policy::{ActivityReport, FaultEvent, PrechargePolicy, ResizeRequest};
 use crate::waypred::{WayPredictor, WayStats};
 
-/// One tag-array entry.
+/// One tag-array entry in two words (a 4-way set is 64 bytes, the size of
+/// a host cache line): the tag, and the valid and dirty bits above the LRU
+/// stamp. The stamp counts accesses and never reaches them.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    valid: bool,
-    dirty: bool,
     tag: u64,
-    lru: u64,
+    meta: u64,
+}
+
+impl Line {
+    const VALID: u64 = 1 << 63;
+    const DIRTY: u64 = 1 << 62;
+    const STAMP: u64 = Line::DIRTY - 1;
+
+    fn filled(tag: u64, dirty: bool, stamp: u64) -> Line {
+        debug_assert_eq!(stamp & !Line::STAMP, 0, "LRU stamp {stamp} overflows");
+        Line { tag, meta: Line::VALID | (u64::from(dirty) * Line::DIRTY) | stamp }
+    }
+
+    fn valid(self) -> bool {
+        self.meta & Line::VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.meta & Line::DIRTY != 0
+    }
+
+    /// Marks a hit: a fresh LRU stamp, dirty from now on if `is_write`.
+    fn touch(&mut self, stamp: u64, is_write: bool) {
+        debug_assert_eq!(stamp & !Line::STAMP, 0, "LRU stamp {stamp} overflows");
+        self.meta = (self.meta & !Line::STAMP) | (u64::from(is_write) * Line::DIRTY) | stamp;
+    }
+
+    /// Replacement order: an invalid line first, then the least recently
+    /// used.
+    fn age(self) -> u64 {
+        if self.valid() {
+            self.meta & Line::STAMP
+        } else {
+            0
+        }
+    }
 }
 
 /// Result of one L1 access.
@@ -194,11 +229,10 @@ impl L1Cache {
         let ways = self.active_ways;
         let first = set_idx * self.config.assoc;
         let set = &mut self.lines[first..first + ways];
-        let hit_way = set.iter().position(|l| l.valid && l.tag == tag);
+        let hit_way = set.iter().position(|l| l.valid() && l.tag == tag);
         let hit = match hit_way {
             Some(w) => {
-                set[w].lru = self.lru_clock;
-                set[w].dirty |= is_write;
+                set[w].touch(self.lru_clock, is_write);
                 if let Some(wp) = &mut self.way_predictor {
                     let correct = wp.predict(set_idx) == w;
                     wp.record(correct);
@@ -212,13 +246,12 @@ impl L1Cache {
             }
             None => {
                 // Fill into the LRU way among the active ways.
-                let victim = (0..ways)
-                    .min_by_key(|&w| if set[w].valid { set[w].lru } else { 0 })
-                    .expect("cache has at least one way");
-                if set[victim].valid && set[victim].dirty {
+                let victim =
+                    (0..ways).min_by_key(|&w| set[w].age()).expect("cache has at least one way");
+                if set[victim].valid() && set[victim].dirty() {
                     self.writebacks += 1;
                 }
-                set[victim] = Line { valid: true, dirty: is_write, tag, lru: self.lru_clock };
+                set[victim] = Line::filled(tag, is_write, self.lru_clock);
                 false
             }
         };
@@ -267,7 +300,7 @@ impl L1Cache {
         // Remapping: conservatively invalidate everything (clean lines are
         // dropped; dirty lines are written back).
         for line in &mut self.lines {
-            if line.valid && line.dirty {
+            if line.valid() && line.dirty() {
                 self.writebacks += 1;
             }
             *line = Line::default();
@@ -435,6 +468,23 @@ mod tests {
         c.access(b, false, 2);
         c.access(d, false, 3); // evicts a (LRU, dirty)
         assert_eq!(c.writebacks(), 1);
+    }
+
+    #[test]
+    fn a_write_hit_dirties_the_line_until_it_is_evicted() {
+        let mut c = cache();
+        let a = 0x0u64;
+        let b = a + 16 * 1024;
+        let d = a + 32 * 1024;
+        c.access(a, false, 1); // clean fill
+        assert!(c.access(a, true, 2).hit, "the write hits and dirties a");
+        assert!(c.access(a, false, 3).hit, "a later read keeps it dirty");
+        c.access(b, false, 4);
+        c.access(d, false, 5); // evicts a (LRU, dirty)
+        assert_eq!(c.writebacks(), 1);
+        c.access(a, false, 6); // evicts b (clean), refills a clean
+        c.access(b, false, 7); // evicts d (clean)
+        assert_eq!(c.writebacks(), 1, "clean lines leave without a writeback");
     }
 
     #[test]

@@ -171,6 +171,7 @@ impl Segment {
     /// `prev_pc` is the pc of the previously decoded instruction and must
     /// be threaded across segments in stream order (starting from 0),
     /// mirroring the builder's encoding state.
+    #[inline]
     pub fn decode(&self, cur: &mut SegmentCursor, prev_pc: &mut u64) -> Option<Instr> {
         let i = cur.pos;
         if i >= self.meta.len() {
