@@ -2,7 +2,9 @@
 # Tier-1 CI gate: build, test, lint, format. Run from the repo root.
 #
 #   ./ci.sh          full gate (also runs the bitline-perf benchmark's
-#                    tests, whose --quick runs check its correctness gate)
+#                    tests, and one short full-size run each of headline,
+#                    voltage and long-gcc that must match the pinned
+#                    stdout digests and simulated cycle totals)
 #   ./ci.sh chaos    failpoint chaos gate: proves a run with every
 #                    failpoint armed at probability 0 is byte-identical
 #                    to one with BITLINE_FAILPOINTS unset, then runs the
@@ -791,10 +793,24 @@ echo "==> cargo test -q"
 cargo test -q
 
 # The benchmark's own tests include a --quick run of every workload that
-# must end "correct": true (pinned output digests and cycle totals), so a
-# core change faces the benchmark's correctness gate, not only the goldens.
+# must end "correct": true and carry every declared metric. At --quick
+# sizes nothing is pinned: a unit only has to exit cleanly, skip no run and
+# print the same stdout as the workload's first unit.
 echo "==> cargo test --release -q --manifest-path perf/Cargo.toml"
 cargo test --release -q --manifest-path perf/Cargo.toml
+
+# The pins: at full size each CLI workload's stdout digest and simulated
+# cycle total must equal the benchmark's pinned ones (long-gcc's at seed
+# 42), so a core change that moves one cycle fails here.
+for workload in headline voltage long-gcc; do
+    echo "==> bitline-perf --workload $workload --seed 42 --seconds 1 --trace 0"
+    result=$(cargo run --quiet --release --offline --manifest-path perf/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)
+    if [[ $result != *'"correct": true'* || $result != *'"failed": 0,'* ]]; then
+        echo "==> ci.sh: FAIL — bitline-perf $workload does not match its pins: $result" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
