@@ -5,26 +5,34 @@ use crate::policy::{ActivityReport, FaultEvent, PrechargePolicy, ResizeRequest};
 use crate::waypred::{WayPredictor, WayStats};
 
 /// One tag-array entry in two words (a 4-way set is 64 bytes, the size of
-/// a host cache line): the tag, and the valid and dirty bits above the LRU
-/// stamp. The stamp counts accesses and never reaches them.
+/// a host cache line): the tag with the valid bit above it, so a lookup is
+/// one compare, and the LRU stamp with the dirty bit above it. Neither a
+/// tag nor a stamp (an access count) reaches bit 63. An invalid line is all
+/// zeros, so it is the first victim.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    tag: u64,
+    key: u64,
     meta: u64,
 }
 
 impl Line {
+    /// In `key`.
     const VALID: u64 = 1 << 63;
-    const DIRTY: u64 = 1 << 62;
-    const STAMP: u64 = Line::DIRTY - 1;
+    /// In `meta`.
+    const DIRTY: u64 = 1 << 63;
+    const STAMP: u64 = !Line::DIRTY;
 
     fn filled(tag: u64, dirty: bool, stamp: u64) -> Line {
-        debug_assert_eq!(stamp & !Line::STAMP, 0, "LRU stamp {stamp} overflows");
-        Line { tag, meta: Line::VALID | (u64::from(dirty) * Line::DIRTY) | stamp }
+        debug_assert_eq!((tag | stamp) & Line::VALID, 0, "tag {tag} or stamp {stamp} overflows");
+        Line { key: tag | Line::VALID, meta: (u64::from(dirty) * Line::DIRTY) | stamp }
+    }
+
+    fn holds(self, tag: u64) -> bool {
+        self.key == tag | Line::VALID
     }
 
     fn valid(self) -> bool {
-        self.meta & Line::VALID != 0
+        self.key & Line::VALID != 0
     }
 
     fn dirty(self) -> bool {
@@ -33,18 +41,14 @@ impl Line {
 
     /// Marks a hit: a fresh LRU stamp, dirty from now on if `is_write`.
     fn touch(&mut self, stamp: u64, is_write: bool) {
-        debug_assert_eq!(stamp & !Line::STAMP, 0, "LRU stamp {stamp} overflows");
-        self.meta = (self.meta & !Line::STAMP) | (u64::from(is_write) * Line::DIRTY) | stamp;
+        debug_assert_eq!(stamp & Line::DIRTY, 0, "stamp {stamp} overflows");
+        self.meta = (self.meta & Line::DIRTY) | (u64::from(is_write) * Line::DIRTY) | stamp;
     }
 
-    /// Replacement order: an invalid line first, then the least recently
-    /// used.
+    /// Replacement order: an invalid line (stamp 0) first, then the least
+    /// recently used (every access stamps from 1 up).
     fn age(self) -> u64 {
-        if self.valid() {
-            self.meta & Line::STAMP
-        } else {
-            0
-        }
+        self.meta & Line::STAMP
     }
 }
 
@@ -229,7 +233,7 @@ impl L1Cache {
         let ways = self.active_ways;
         let first = set_idx * self.config.assoc;
         let set = &mut self.lines[first..first + ways];
-        let hit_way = set.iter().position(|l| l.valid() && l.tag == tag);
+        let hit_way = set.iter().position(|l| l.holds(tag));
         let hit = match hit_way {
             Some(w) => {
                 set[w].touch(self.lru_clock, is_write);
