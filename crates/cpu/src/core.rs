@@ -164,6 +164,11 @@ struct Visibility {
 impl Visibility {
     /// A waiting entry's: nothing reads it until it issues.
     const NEVER: Visibility = Visibility { from: u64::MAX, until: u64::MAX, ready: u64::MAX };
+
+    /// A result visible from its ready cycle on.
+    fn at(ready: u64) -> Visibility {
+        Visibility { from: ready, until: u64::MAX, ready }
+    }
 }
 
 /// Cycles ahead a [`Wheel`] schedules without its overflow heap.
@@ -726,7 +731,7 @@ impl Cpu {
                 self.stats.hints += 1;
                 self.rob.mem_base[s]
             });
-            let (ready_cycle, resolve_cycle, misspeculated) = match kind {
+            let vis = match kind {
                 InstrKind::Load => {
                     let addr = self.rob.mem_addr[s];
                     let out = self.mem.data_access_predicted(addr, predicted, false, cycle);
@@ -735,9 +740,13 @@ impl Cpu {
                     // fill from its first execution is still in flight: the
                     // data arrives no earlier than originally established.
                     let ready = (cycle + u64::from(out.latency)).max(prior_ready);
-                    let resolve = cycle + self.cfg.load_resolution_delay;
-                    let assumed = cycle + u64::from(self.dcache_hit_latency());
-                    (ready, resolve, ready > assumed)
+                    // Load-hit speculation: consumers assume the hit latency
+                    // until the scheduler learns the true one.
+                    Visibility {
+                        from: cycle + u64::from(self.dcache_hit_latency()),
+                        until: cycle + self.cfg.load_resolution_delay,
+                        ready,
+                    }
                 }
                 InstrKind::Store => {
                     let addr = self.rob.mem_addr[s];
@@ -747,42 +756,38 @@ impl Cpu {
                     // only for the cache port (plus any pull-up delay), not
                     // for the line fill.
                     let delay = u64::from(out.delayed as u32);
-                    let ready = cycle + u64::from(self.dcache_hit_latency()) + delay;
-                    (ready, u64::MAX, false)
+                    Visibility::at(cycle + u64::from(self.dcache_hit_latency()) + delay)
                 }
-                k => (cycle + self.exec_latency(k), u64::MAX, false),
+                k => Visibility::at(cycle + self.exec_latency(k)),
             };
             self.waiting &= !bit(s);
             self.rob.issue_cycle[s] = cycle;
-            self.rob.ready_cycle[s] = ready_cycle;
-            self.rob.resolve_cycle[s] = resolve_cycle;
+            self.rob.ready_cycle[s] = vis.ready;
+            self.rob.resolve_cycle[s] = vis.until;
+            self.rob.vis[s] = vis;
+            if kind == InstrKind::Load {
+                self.rob.mem_first_ready[s] = vis.ready;
+            }
             let mut flags = self.rob.flags[s] & !(flag::MISSPECULATED | flag::REPLAY_HANDLED);
-            if misspeculated {
+            // Misspeculated: the value arrives after the cycle consumers
+            // were allowed to assume it (only a load's can).
+            if vis.ready > vis.from {
                 flags |= flag::MISSPECULATED;
                 // A re-issued load may misspeculate again (replay storms
                 // are real); each misspeculating issue schedules a fresh
                 // replay round.
-                self.replay_events.schedule(cycle, resolve_cycle, s);
+                self.replay_events.schedule(cycle, vis.until, s);
             }
-            let vis = if kind == InstrKind::Load {
-                self.rob.mem_first_ready[s] = ready_cycle;
-                let assumed = cycle + u64::from(self.dcache_hit_latency());
-                Visibility { from: assumed, until: resolve_cycle, ready: ready_cycle }
-            } else {
-                Visibility { from: ready_cycle, until: u64::MAX, ready: ready_cycle }
-            };
-            self.rob.vis[s] = vis;
             self.rob.flags[s] = flags;
             // Wake sleeping consumers: their stored bound may predate this
             // (re-)issue, whose value can arrive earlier than they assumed.
             // `min` never extends a sleep, so waking is always safe.
             let consumers = std::mem::take(&mut self.rob.consumers[s]);
             if consumers != 0 {
-                let dep_wake = vis.from;
                 for w in self.live_seqs(consumers & self.waiting) {
                     let ds = slot(w);
                     let wc = &mut self.rob.wake_cycle[ds];
-                    *wc = (*wc).min(dep_wake);
+                    *wc = (*wc).min(vis.from);
                     // Re-admit the sleeper at its (possibly pulled
                     // forward) wake cycle; stale events filter out.
                     self.wake_events.schedule(cycle, *wc, ds);
