@@ -6,8 +6,9 @@
 //! sweep. A [`TraceStore`] generates each stream once, on demand, into
 //! immutable columnar [`Segment`]s (`bitline_trace::columnar`); concurrent
 //! runs replay it through [`TraceCursor`]s that share segments by
-//! reference count — no copying, no lock on the hot path, and roughly a
-//! quarter of the memory an `Instr` array would hold.
+//! reference count — no copying, no lock on the hot path, and about a
+//! tenth of the memory an `Instr` array would hold (6.3–6.6 bytes per
+//! instruction on the suite).
 //!
 //! Generation batches a whole segment into a local builder before a
 //! single locked append, so concurrent readers stall for one `Vec` push,
@@ -19,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use bitline_trace::columnar::{Segment, SegmentBuilder, SegmentCursor};
+use bitline_trace::columnar::{Segment, SegmentBuilder, SegmentCursor, StreamState};
 use bitline_trace::{Instr, TraceSource};
 use bitline_workloads::{suite, SyntheticWorkload};
 
@@ -27,9 +28,9 @@ use bitline_workloads::{suite, SyntheticWorkload};
 /// sharing granule between cursors.
 const SEG_LEN: usize = 4096;
 
-/// Generator plus encoder state; the encoder's cross-segment pc-delta
-/// chain must advance in lockstep with the generator, so they share a
-/// mutex.
+/// Generator plus encoder state; the encoder's cross-segment stream
+/// state (implied pc, previous address) must advance in lockstep with the
+/// generator, so they share a mutex.
 #[derive(Debug)]
 struct Producer {
     generator: SyntheticWorkload,
@@ -153,7 +154,7 @@ impl TraceStore {
                 t
             }
         };
-        Some(TraceCursor { trace, seg: None, seg_idx: 0, cur: SegmentCursor::new(), prev_pc: 0 })
+        Some(TraceCursor { trace, seg: None, seg_idx: 0, state: StreamState::new() })
     }
 
     /// Stream count, total materialised instructions, and columnar bytes.
@@ -177,31 +178,33 @@ impl TraceStore {
 ///
 /// Implements [`TraceSource`] by decoding the current shared segment in
 /// place: the hot `next_instr` path touches only refcounted immutable
-/// columns — no locking, no copies. The decode state (`prev_pc` and the
-/// side-column positions) advances strictly forward, exactly how the
-/// builder encoded the stream.
+/// columns — no locking, no copies. The decode state (the stream state
+/// and the side-column positions) advances strictly forward, exactly how
+/// the builder encoded the stream.
 #[derive(Debug)]
 pub struct TraceCursor {
     trace: Arc<SharedTrace>,
-    /// Current segment, shared by refcount (`None` before the first read).
-    seg: Option<Arc<Segment>>,
+    /// Current segment, shared by refcount, and the position in it
+    /// (`None` before the first read).
+    seg: Option<(Arc<Segment>, SegmentCursor)>,
     /// Index of `seg` in the stream.
     seg_idx: usize,
-    cur: SegmentCursor,
-    prev_pc: u64,
+    /// Carried from each segment into the next.
+    state: StreamState,
 }
 
 impl TraceSource for TraceCursor {
     fn next_instr(&mut self) -> Instr {
         loop {
-            if let Some(seg) = &self.seg {
-                if let Some(instr) = seg.decode(&mut self.cur, &mut self.prev_pc) {
+            if let Some((seg, cur)) = &mut self.seg {
+                if let Some(instr) = seg.decode(cur, &mut self.state) {
                     return instr;
                 }
                 self.seg_idx += 1;
             }
-            self.seg = Some(self.trace.segment(self.seg_idx));
-            self.cur = SegmentCursor::new();
+            let seg = self.trace.segment(self.seg_idx);
+            let cur = seg.cursor();
+            self.seg = Some((seg, cur));
         }
     }
 
@@ -218,12 +221,18 @@ mod tests {
     #[test]
     fn cursor_replays_the_generator_stream_exactly() {
         let store = TraceStore::new();
-        let mut cursor = store.cursor("mesa", 42).expect("mesa is in the suite");
-        let mut direct = suite::by_name("mesa").unwrap().build(42);
-        for i in 0..(2 * SEG_LEN + 17) {
-            assert_eq!(cursor.next_instr(), direct.next_instr(), "instr {i}");
+        for spec in suite::all() {
+            for seed in [42, 7] {
+                let mut cursor = store.cursor(spec.name, seed).expect("suite benchmark");
+                let mut direct = spec.build(seed);
+                // Three full segments and a partial fourth.
+                for i in 0..(3 * SEG_LEN + 17) {
+                    let want = direct.next_instr();
+                    assert_eq!(cursor.next_instr(), want, "{} seed {seed} instr {i}", spec.name);
+                }
+                assert_eq!(cursor.name(), spec.name);
+            }
         }
-        assert_eq!(cursor.name(), "mesa");
     }
 
     #[test]
@@ -275,19 +284,23 @@ mod tests {
     }
 
     #[test]
-    fn columnar_segments_undercut_the_instr_array_4x() {
-        let store = TraceStore::new();
-        let mut cursor = store.cursor("gcc", 3).unwrap();
-        for _ in 0..(3 * SEG_LEN) {
-            let _ = cursor.next_instr();
+    fn columnar_segments_hold_at_most_8_bytes_per_instr() {
+        for spec in suite::all() {
+            let store = TraceStore::new();
+            let mut cursor = store.cursor(spec.name, 3).unwrap();
+            for _ in 0..(3 * SEG_LEN) {
+                let _ = cursor.next_instr();
+            }
+            let stats = store.stats();
+            assert_eq!(stats.instructions, 3 * SEG_LEN as u64);
+            assert!(
+                stats.bytes <= 8 * stats.instructions,
+                "{}: columnar {} B for {} instrs — expected <= 8 B/instr",
+                spec.name,
+                stats.bytes,
+                stats.instructions
+            );
         }
-        let stats = store.stats();
-        let aos = stats.instructions * std::mem::size_of::<Instr>() as u64;
-        assert!(
-            stats.bytes * 4 <= aos,
-            "columnar {} B vs Instr array {aos} B — expected >= 4x reduction",
-            stats.bytes
-        );
     }
 
     #[test]
@@ -299,7 +312,7 @@ mod tests {
             let _ = a.next_instr();
             let _ = b.next_instr();
         }
-        let (sa, sb) = (a.seg.as_ref().unwrap(), b.seg.as_ref().unwrap());
+        let (sa, sb) = (&a.seg.as_ref().unwrap().0, &b.seg.as_ref().unwrap().0);
         assert!(Arc::ptr_eq(sa, sb), "both cursors decode the same shared segment");
         // One segment materialised once, not per cursor.
         assert_eq!(store.stats().instructions, SEG_LEN as u64);
