@@ -10,7 +10,9 @@
 //!   stream, generated once and replayed into concurrent runs;
 //! * the **accountant cache** — the `(d, i)` [`EnergyAccountant`] pair per
 //!   `(node, subarray bytes)`, so re-pricing a run at another node does
-//!   not rebuild cache geometry and energy models.
+//!   not rebuild cache geometry and energy models. Entries are `Arc`s:
+//!   pricing reads the shared models and never copies their transient
+//!   voltage tables.
 //!
 //! Every cached value is a pure function of its key (runs are seeded and
 //! deterministic), so cache hits are indistinguishable from recomputation
@@ -18,7 +20,7 @@
 
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bitline_cache::CacheConfig;
 use bitline_cmos::TechnologyNode;
@@ -40,11 +42,11 @@ fn trace_store() -> &'static TraceStore {
     STORE.get_or_init(TraceStore::new)
 }
 
-fn accountant_cache(
-) -> &'static MemoCache<(TechnologyNode, usize), (EnergyAccountant, EnergyAccountant)> {
-    static CACHE: OnceLock<
-        MemoCache<(TechnologyNode, usize), (EnergyAccountant, EnergyAccountant)>,
-    > = OnceLock::new();
+/// The `(data, inst)` accountant pair of one node and subarray size.
+type AccountantPair = Arc<(EnergyAccountant, EnergyAccountant)>;
+
+fn accountant_cache() -> &'static MemoCache<(TechnologyNode, usize), AccountantPair> {
+    static CACHE: OnceLock<MemoCache<(TechnologyNode, usize), AccountantPair>> = OnceLock::new();
     CACHE.get_or_init(|| MemoCache::named("sim.accountants"))
 }
 
@@ -55,19 +57,17 @@ pub(crate) fn trace_cursor(benchmark: &str, seed: u64) -> Option<TraceCursor> {
 }
 
 /// The cached `(data, inst)` accountant pair for a node and subarray size.
-pub(crate) fn accountants(
-    node: TechnologyNode,
-    subarray_bytes: usize,
-) -> (EnergyAccountant, EnergyAccountant) {
+pub(crate) fn accountants(node: TechnologyNode, subarray_bytes: usize) -> AccountantPair {
     accountant_cache().get_or_insert_with((node, subarray_bytes), || {
         let d_cfg = CacheConfig::l1_data().with_subarray_bytes(subarray_bytes);
         let i_cfg = CacheConfig::l1_inst().with_subarray_bytes(subarray_bytes);
-        (EnergyAccountant::new(node, d_cfg), EnergyAccountant::new(node, i_cfg))
+        Arc::new((EnergyAccountant::new(node, d_cfg), EnergyAccountant::new(node, i_cfg)))
     })
 }
 
-fn level_accountant_cache() -> &'static MemoCache<(TechnologyNode, CacheConfig), EnergyAccountant> {
-    static CACHE: OnceLock<MemoCache<(TechnologyNode, CacheConfig), EnergyAccountant>> =
+fn level_accountant_cache(
+) -> &'static MemoCache<(TechnologyNode, CacheConfig), Arc<EnergyAccountant>> {
+    static CACHE: OnceLock<MemoCache<(TechnologyNode, CacheConfig), Arc<EnergyAccountant>>> =
         OnceLock::new();
     CACHE.get_or_init(|| MemoCache::named("sim.level_accountants"))
 }
@@ -75,8 +75,9 @@ fn level_accountant_cache() -> &'static MemoCache<(TechnologyNode, CacheConfig),
 /// The cached accountant for an arbitrary cache geometry — the outer
 /// hierarchy levels (L2/L3), whose subarray structure differs from both
 /// L1s. Memoized per `(node, geometry)` like [`accountants`].
-pub(crate) fn level_accountant(node: TechnologyNode, cfg: CacheConfig) -> EnergyAccountant {
-    level_accountant_cache().get_or_insert_with((node, cfg), || EnergyAccountant::new(node, cfg))
+pub(crate) fn level_accountant(node: TechnologyNode, cfg: CacheConfig) -> Arc<EnergyAccountant> {
+    level_accountant_cache()
+        .get_or_insert_with((node, cfg), || Arc::new(EnergyAccountant::new(node, cfg)))
 }
 
 /// The process-wide checkpoint journal, when `--checkpoint` is active.
@@ -298,6 +299,8 @@ pub fn clear_run_caches() {
 
 #[cfg(test)]
 mod tests {
+    use bitline_cache::{MemorySystem, MemorySystemConfig};
+
     use super::*;
     use crate::PolicyKind;
 
@@ -332,8 +335,15 @@ mod tests {
 
     #[test]
     fn accountants_are_shared_per_node_and_size() {
-        let (d1, i1) = accountants(TechnologyNode::N70, 1024);
-        let (d2, _) = accountants(TechnologyNode::N70, 1024);
+        let first = accountants(TechnologyNode::N70, 1024);
+        let second = accountants(TechnologyNode::N70, 1024);
+        assert!(Arc::ptr_eq(&first, &second), "a lookup shares the cached models");
+        let l2 = MemorySystem::l2_config(&MemorySystemConfig::default());
+        assert!(Arc::ptr_eq(
+            &level_accountant(TechnologyNode::N70, l2),
+            &level_accountant(TechnologyNode::N70, l2)
+        ));
+        let ((d1, i1), (d2, _)) = (&*first, &*second);
         // Same models, as priced: identical static baselines.
         let a = d1.static_baseline(10_000, 500, 100);
         let b = d2.static_baseline(10_000, 500, 100);

@@ -67,6 +67,7 @@ pub struct VoltageRow {
 }
 
 /// Suite totals for one (scale, mode) architectural run.
+#[derive(Clone, Copy)]
 struct SuiteTotals {
     cycles: u64,
     committed: u64,
@@ -92,13 +93,16 @@ fn suite_totals(runs: &[RunResult]) -> SuiteTotals {
     t
 }
 
-fn suite_l1_energy(runs: &[RunResult], node: TechnologyNode) -> f64 {
-    runs.iter()
-        .map(|run| {
-            let (policy, _) = run.energy(node);
-            policy.d.total_j() + policy.i.total_j()
-        })
-        .sum()
+/// Suite L1 (D+I) energy at each node, in [`TechnologyNode::ALL`] order.
+fn suite_l1_energy(runs: &[RunResult]) -> [f64; TechnologyNode::ALL.len()] {
+    TechnologyNode::ALL.map(|node| {
+        runs.iter()
+            .map(|run| {
+                let (policy, _) = run.energy(node);
+                policy.d.total_j() + policy.i.total_j()
+            })
+            .sum()
+    })
 }
 
 /// Builds the voltage table: one row per (scale, mode, node), scales in
@@ -122,22 +126,24 @@ pub fn run(instrs: u64) -> Result<Vec<VoltageRow>, SimError> {
     outcome.report_skipped("voltage");
     let nominal_runs = outcome.rows_or_error("voltage")?;
     let nominal = suite_totals(&nominal_runs);
+    // Priced once per node: the reference of every row, and the nominal
+    // row itself.
+    let nominal_energy = suite_l1_energy(&nominal_runs);
 
     let mut rows = Vec::new();
     for scale in VDD_STEPS {
         for governed in [false, true] {
             let spec = SystemSpec { vdd: VddSpec { scale, governor: governed }, ..nominal_spec };
-            let runs = if spec.vdd.is_default() {
-                nominal_runs.clone()
+            let (t, energy) = if spec.vdd.is_default() {
+                (nominal, nominal_energy)
             } else {
                 let outcome = harness::map_suite(|name| Ok(run_benchmark_cached(name, &spec)));
                 outcome.report_skipped("voltage");
-                outcome.rows_or_error("voltage")?
+                let runs = outcome.rows_or_error("voltage")?;
+                (suite_totals(&runs), suite_l1_energy(&runs))
             };
-            let t = suite_totals(&runs);
-            for node in TechnologyNode::ALL {
-                let energy_j = suite_l1_energy(&runs, node);
-                let nominal_j = suite_l1_energy(&nominal_runs, node);
+            let priced = TechnologyNode::ALL.into_iter().zip(energy).zip(nominal_energy);
+            for ((node, energy_j), nominal_j) in priced {
                 rows.push(VoltageRow {
                     node,
                     vdd_scale: scale,

@@ -192,15 +192,16 @@ impl RunResult {
     /// full-Vdd static-pull-up machine the modes compete against.
     #[must_use]
     pub fn energy_with_mode(&self, node: TechnologyNode, kind: LeakageKind) -> EnergyPair {
-        let (d_acct, i_acct) = execution::accountants(node, self.spec.subarray_bytes);
+        let accountants = execution::accountants(node, self.spec.subarray_bytes);
+        let (d_acct, i_acct) = &*accountants;
         let priced = |acct: &EnergyAccountant, level: &LevelRun| {
             let (reads, writes) = self.traffic(level);
             let protected = level.reliability.is_some();
             let baseline = acct.static_baseline_with_ecc(self.cycles(), reads, writes, protected);
             (self.price(acct, level, kind), baseline)
         };
-        let (d, d_base) = priced(&d_acct, self.l1d());
-        let (i, i_base) = priced(&i_acct, self.l1i());
+        let (d, d_base) = priced(d_acct, self.l1d());
+        let (i, i_base) = priced(i_acct, self.l1i());
         (RunEnergy { d, i }, RunEnergy { d: d_base, i: i_base })
     }
 
