@@ -3,8 +3,9 @@
 #
 #   ./ci.sh          full gate (also runs the bitline-perf benchmark's
 #                    tests, and one short full-size run each of headline,
-#                    voltage and long-gcc that must match the pinned
-#                    stdout digests and simulated cycle totals)
+#                    voltage, long-gcc and serve-mixed that must match the
+#                    pinned stdout digests, simulated cycle totals and
+#                    serve answer digest)
 #   ./ci.sh chaos    failpoint chaos gate: proves a run with every
 #                    failpoint armed at probability 0 is byte-identical
 #                    to one with BITLINE_FAILPOINTS unset, then runs the
@@ -801,8 +802,10 @@ cargo test --release -q --manifest-path perf/Cargo.toml
 
 # The pins: at full size each CLI workload's stdout digest and simulated
 # cycle total must equal the benchmark's pinned ones (long-gcc's at seed
-# 42), so a core change that moves one cycle fails here.
-for workload in headline voltage long-gcc; do
+# 42), so a core change that moves one cycle fails here; serve-mixed's
+# digest of the daemon's 64 prefill answers must equal its pinned one,
+# and the daemon's cold runs read freshly encoded traces.
+for workload in headline voltage long-gcc serve-mixed; do
     echo "==> bitline-perf --workload $workload --seed 42 --seconds 1 --trace 0"
     result=$(cargo run --quiet --release --offline --manifest-path perf/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)
