@@ -162,7 +162,7 @@ fn widen<T: Narrow>(d: T, escapes: &[u64], next: &mut usize, from: impl FnOnce(u
 /// A builder and every decoder of its segments start from
 /// [`StreamState::new`] and thread the state through the segments in
 /// stream order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamState {
     next_pc: u64,
     prev_addr: u64,
