@@ -6,8 +6,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use bitline_cache::{
-    ActivityReport, CacheConfig, L1Cache, MemorySystem, MemorySystemConfig, Mshr, PrechargePolicy,
-    ResizeRequest,
+    ActivityReport, CacheConfig, IdleHistogram, L1Cache, MemorySystem, MemorySystemConfig, Mshr,
+    PrechargePolicy, ResizeRequest, IDLE_BUCKETS,
 };
 
 struct NoDelay;
@@ -166,6 +166,70 @@ proptest! {
             let lat = mshr.request(line, cycle, 20);
             prop_assert!(lat >= 1, "latency must be positive");
             prop_assert!(mshr.outstanding(cycle) <= cap);
+        }
+    }
+}
+
+/// A dense bucket array of one of four shapes: `raw` itself (large counts
+/// included), all zeros, the last bucket alone, or `raw`'s first `cut`
+/// buckets with zeros above them.
+fn shaped(raw: &[u64], shape: usize, cut: usize) -> [u64; IDLE_BUCKETS] {
+    let mut dense = [0; IDLE_BUCKETS];
+    match shape {
+        0 => dense.copy_from_slice(raw),
+        1 => {}
+        2 => dense[IDLE_BUCKETS - 1] = raw[0].max(1),
+        _ => dense[..cut].copy_from_slice(&raw[..cut]),
+    }
+    dense
+}
+
+/// `(representative idle cycles, count)` of every non-empty dense bucket.
+fn dense_iter(dense: &[u64; IDLE_BUCKETS]) -> Vec<(f64, u64)> {
+    let filled = dense.iter().enumerate().filter(|&(_, &c)| c > 0);
+    filled.map(|(b, &c)| (1.5 * (1u64 << b) as f64, c)).collect()
+}
+
+proptest! {
+    /// An idle histogram reads back as the dense bucket array it was built
+    /// from, whatever its shape, and merging and iterating agree with the
+    /// same arithmetic on dense arrays.
+    #[test]
+    fn idle_histograms_match_their_dense_buckets(
+        raw in prop::collection::vec(any::<u64>(), IDLE_BUCKETS),
+        other in prop::collection::vec(0u64..(1 << 56), IDLE_BUCKETS),
+        shapes in (0usize..4, 0usize..4),
+        cuts in (0usize..=IDLE_BUCKETS, 0usize..=IDLE_BUCKETS),
+    ) {
+        let a = shaped(&raw, shapes.0, cuts.0);
+        let h = IdleHistogram::from_counts(a);
+        prop_assert_eq!(h.counts()[..], a[..]);
+        prop_assert_eq!(h.iter().collect::<Vec<_>>(), dense_iter(&a));
+
+        // Counts below 2^56 keep every sum and total inside a u64.
+        let small = raw.iter().map(|c| c >> 8).collect::<Vec<_>>();
+        let (x, y) = (shaped(&small, shapes.0, cuts.0), shaped(&other, shapes.1, cuts.1));
+        let sum: [u64; IDLE_BUCKETS] = std::array::from_fn(|b| x[b] + y[b]);
+        let mut merged = IdleHistogram::from_counts(x);
+        merged.merge(&IdleHistogram::from_counts(y));
+        prop_assert_eq!(merged.counts()[..], sum[..]);
+        prop_assert_eq!(merged.total(), sum.iter().sum::<u64>());
+        prop_assert_eq!(merged.iter().collect::<Vec<_>>(), dense_iter(&sum));
+        prop_assert_eq!(merged, IdleHistogram::from_counts(sum));
+    }
+
+    /// One recorded episode lands in the dense bucket of its log2 idle
+    /// time, zero counting as one cycle and anything past the last bucket
+    /// in the last.
+    #[test]
+    fn an_episode_lands_in_its_log2_bucket(cycles in any::<u64>()) {
+        for idle in [cycles, 0, 1, 2, 3, u64::MAX] {
+            let mut h = IdleHistogram::default();
+            h.record(idle);
+            let bucket = (idle.max(1).ilog2() as usize).min(IDLE_BUCKETS - 1);
+            let mut dense = [0; IDLE_BUCKETS];
+            dense[bucket] = 1;
+            prop_assert_eq!(h.counts()[..], dense[..], "record({})", idle);
         }
     }
 }

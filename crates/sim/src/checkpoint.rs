@@ -656,6 +656,30 @@ mod tests {
     }
 
     #[test]
+    fn v6_frames_are_frozen() {
+        // A journal written by any v6 binary must replay on every later one,
+        // so a v6 frame's bytes never move. The literals were computed
+        // before idle histograms stored only their filled buckets; never
+        // re-bless them.
+        let gated = PolicyKind::Gated { threshold: 100 };
+        let spec = SystemSpec {
+            d_policy: gated,
+            i_policy: gated,
+            instructions: 2_000,
+            ..SystemSpec::default()
+        };
+        let cases = [
+            (sample_run(), 0x94df_1864_badc_0ac9_u64),
+            (sample_hierarchy_run(), 0xbf67_f25b_6035_c4cc),
+            (sample_vdd_run(), 0x5103_a8e0_bd7c_7d35),
+            (crate::run_benchmark("mesa", &spec), 0x397d_a58e_4202_154e),
+        ];
+        for (run, digest) in cases {
+            assert_eq!(fnv64(&encode_run(&run)), digest, "{}", run.benchmark);
+        }
+    }
+
+    #[test]
     fn spec_key_discriminates_and_is_stable() {
         let a = SystemSpec::default();
         let b = SystemSpec { seed: 43, ..a };
