@@ -20,22 +20,26 @@ pub const IDLE_BUCKETS: usize = 28;
 /// Bucket `b` holds episodes whose idle time was in `[2^b, 2^(b+1))`
 /// cycles; the representative duration used for energy integration is
 /// `1.5 * 2^b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Only buckets up to the highest one recorded are stored, so an empty
+/// histogram allocates nothing: a run cache holds one per subarray of
+/// every run, and most stay empty or fill a few short buckets.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IdleHistogram {
-    counts: [u64; IDLE_BUCKETS],
-}
-
-impl Default for IdleHistogram {
-    fn default() -> Self {
-        IdleHistogram { counts: [0; IDLE_BUCKETS] }
-    }
+    /// Buckets `0..counts.len()`; the last one stored is never zero.
+    counts: Vec<u64>,
 }
 
 impl IdleHistogram {
     /// Records one isolation episode of `idle_cycles`.
     pub fn record(&mut self, idle_cycles: u64) {
-        let b = (64 - idle_cycles.max(1).leading_zeros() - 1) as usize;
-        self.counts[b.min(IDLE_BUCKETS - 1)] += 1;
+        let b = (idle_cycles.max(1).ilog2() as usize).min(IDLE_BUCKETS - 1);
+        if b >= self.counts.len() {
+            // Exact growth: a histogram lives on in the run's report.
+            self.counts.reserve_exact(b + 1 - self.counts.len());
+            self.counts.resize(b + 1, 0);
+        }
+        self.counts[b] += 1;
     }
 
     /// Total number of episodes.
@@ -57,20 +61,26 @@ impl IdleHistogram {
     /// Raw bucket counts, index `b` covering idle durations around
     /// `1.5 * 2^b` cycles (for external serialization).
     #[must_use]
-    pub fn counts(&self) -> &[u64; IDLE_BUCKETS] {
-        &self.counts
+    pub fn counts(&self) -> [u64; IDLE_BUCKETS] {
+        let mut dense = [0; IDLE_BUCKETS];
+        dense[..self.counts.len()].copy_from_slice(&self.counts);
+        dense
     }
 
     /// Rebuilds a histogram from raw bucket counts (the inverse of
     /// [`IdleHistogram::counts`]).
     #[must_use]
     pub fn from_counts(counts: [u64; IDLE_BUCKETS]) -> IdleHistogram {
-        IdleHistogram { counts }
+        let filled = counts.iter().rposition(|&c| c > 0).map_or(0, |b| b + 1);
+        IdleHistogram { counts: counts[..filled].to_vec() }
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &IdleHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
     }

@@ -226,7 +226,7 @@ impl Enc {
             self.f64(s.pulled_up_cycles);
             self.u64(s.precharge_events);
             self.f64(s.drowsy_cycles);
-            for &c in s.idle_histogram.counts() {
+            for c in s.idle_histogram.counts() {
                 self.u64(c);
             }
         }
