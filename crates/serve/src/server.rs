@@ -1,7 +1,9 @@
 //! The daemon: listeners, connection readers, and the worker pool.
 //!
-//! One thread per connection reads request lines and runs admission; a
-//! fixed pool of worker threads drains the queue. Every accepted request
+//! One thread per listener blocks in `accept`, so a new connection is
+//! served the moment it arrives; one thread per connection reads request
+//! lines and runs admission; a fixed pool of worker threads drains the
+//! queue. Every accepted request
 //! reaches exactly one terminal response because the worker that pops a
 //! job always completes it: the run itself is wrapped in
 //! `harness::isolated_supervised`, so a panicking or timed-out run comes
@@ -17,9 +19,12 @@
 //! repeats without recomputing.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bitline_cmos::TechnologyNode;
@@ -97,6 +102,8 @@ struct Ctx {
     request_budget: Option<Duration>,
     conn_queue_depth: usize,
     conn_label: String,
+    /// The next connection's number, counted across listeners.
+    conn_seq: AtomicU64,
 }
 
 /// The daemon. Construct with [`Server::new`], then [`Server::run`] —
@@ -127,6 +134,7 @@ impl Server {
                 request_budget,
                 conn_queue_depth: config.conn_queue_depth,
                 conn_label: config.conn_label.clone(),
+                conn_seq: AtomicU64::new(0),
             }),
             config,
         }
@@ -156,16 +164,8 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         let ctx = Arc::clone(&self.ctx);
         let _ = std::fs::remove_file(&self.config.socket);
-        let unix = std::os::unix::net::UnixListener::bind(&self.config.socket)?;
-        unix.set_nonblocking(true)?;
-        let tcp = match &self.config.tcp {
-            Some(addr) => {
-                let l = std::net::TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
+        let unix = UnixListener::bind(&self.config.socket)?;
+        let tcp = self.config.tcp.as_deref().map(TcpListener::bind).transpose()?;
 
         let workers: Vec<_> = (0..self.config.workers)
             .map(|w| {
@@ -178,40 +178,43 @@ impl Server {
             })
             .collect();
 
-        let mut conn_seq = 0u64;
-        loop {
-            if self.ctx.drain.load(Ordering::Relaxed) || crate::signal::termination_requested() {
-                break;
-            }
-            let mut accepted_any = false;
-            match unix.accept() {
-                Ok((stream, _)) => {
-                    accepted_any = true;
-                    // A connection that fails setup is dropped and logged;
-                    // it must never take the accept loop down with it.
-                    if let Err(e) = accept_unix(conn_seq, stream, &ctx) {
-                        eprintln!("bitline-serve: dropping connection {conn_seq}: {e}");
-                    }
-                    conn_seq += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(e),
-            }
-            if let Some(tcp) = &tcp {
-                match tcp.accept() {
-                    Ok((stream, _)) => {
-                        accepted_any = true;
-                        if let Err(e) = accept_tcp(conn_seq, stream, &ctx) {
-                            eprintln!("bitline-serve: dropping connection {conn_seq}: {e}");
-                        }
-                        conn_seq += 1;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            if !accepted_any {
-                std::thread::sleep(Duration::from_millis(20));
+        let socket = self.config.socket.clone();
+        let mut acceptors = vec![Acceptor::spawn(
+            "unix",
+            move || unix.accept().map(|(stream, _)| stream),
+            accept_unix,
+            Box::new(move || UnixStream::connect(&socket).map(drop)),
+            &ctx,
+        )];
+        if let Some(tcp) = tcp {
+            let addr = tcp.local_addr()?;
+            acceptors.push(Acceptor::spawn(
+                "tcp",
+                move || tcp.accept().map(|(stream, _)| stream),
+                accept_tcp,
+                Box::new(move || TcpStream::connect(addr).map(drop)),
+                &ctx,
+            ));
+        }
+
+        // The acceptors serve every connection; this thread only watches
+        // for the drain latch, SIGTERM, or an acceptor that failed.
+        while !ctx.drain.load(Ordering::Relaxed)
+            && !crate::signal::termination_requested()
+            && !acceptors.iter().any(|a| a.thread.is_finished())
+        {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        // Stop accepting first: latch the drain (SIGTERM and a failed
+        // acceptor arrive here without it), which each acceptor checks as
+        // soon as its `accept` returns.
+        ctx.drain.store(true, Ordering::SeqCst);
+        let mut accept_error = Ok(());
+        for acceptor in acceptors {
+            let stopped = acceptor.stop();
+            if accept_error.is_ok() {
+                accept_error = stopped;
             }
         }
 
@@ -224,12 +227,64 @@ impl Server {
             let _ = handle.join();
         }
         let _ = std::fs::remove_file(&self.config.socket);
-        Ok(())
+        accept_error
     }
 }
 
-fn accept_unix(seq: u64, stream: std::os::unix::net::UnixStream, ctx: &Arc<Ctx>) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
+/// The thread that blocks in one listener's `accept`.
+struct Acceptor {
+    thread: JoinHandle<io::Result<()>>,
+    /// Opens a connection to the listener, so a blocked `accept` returns.
+    wake: Box<dyn Fn() -> io::Result<()>>,
+}
+
+impl Acceptor {
+    /// Spawns a thread that accepts connections and hands each to `setup`
+    /// until the drain latch is set. An accept error ends the thread with
+    /// that error, and with it the daemon.
+    fn spawn<S: Send + 'static>(
+        name: &str,
+        mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
+        setup: fn(u64, S, &Arc<Ctx>) -> io::Result<()>,
+        wake: Box<dyn Fn() -> io::Result<()>>,
+        ctx: &Arc<Ctx>,
+    ) -> Acceptor {
+        let ctx = Arc::clone(ctx);
+        let thread = std::thread::Builder::new()
+            .name(format!("serve-accept-{name}"))
+            .spawn(move || loop {
+                let stream = accept()?;
+                if ctx.drain.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                let seq = ctx.conn_seq.fetch_add(1, Ordering::Relaxed);
+                // A connection that fails setup is dropped and logged; it
+                // must never take the acceptor down with it.
+                if let Err(e) = setup(seq, stream, &ctx) {
+                    eprintln!("bitline-serve: dropping connection {seq}: {e}");
+                }
+            })
+            .expect("spawn serve acceptor");
+        Acceptor { thread, wake }
+    }
+
+    /// Wakes the thread (the drain latch is already set) and joins it,
+    /// returning the accept error that ended it, if any.
+    fn stop(self) -> io::Result<()> {
+        if !self.thread.is_finished() {
+            if let Err(e) = (self.wake)() {
+                // Nothing reaches the listener any more (say, its socket
+                // file was removed), so nothing can wake the thread:
+                // leave it blocked rather than wait forever.
+                eprintln!("bitline-serve: cannot wake an acceptor to stop it: {e}");
+                return Ok(());
+            }
+        }
+        self.thread.join().unwrap_or_else(|_| Err(io::Error::other("acceptor thread panicked")))
+    }
+}
+
+fn accept_unix(seq: u64, stream: UnixStream, ctx: &Arc<Ctx>) -> io::Result<()> {
     let writer = stream.try_clone()?;
     let closer = stream.try_clone()?;
     let shutdown: ShutdownFn = Box::new(move || drop(closer.shutdown(std::net::Shutdown::Both)));
@@ -237,8 +292,7 @@ fn accept_unix(seq: u64, stream: std::os::unix::net::UnixStream, ctx: &Arc<Ctx>)
     Ok(())
 }
 
-fn accept_tcp(seq: u64, stream: std::net::TcpStream, ctx: &Arc<Ctx>) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
+fn accept_tcp(seq: u64, stream: TcpStream, ctx: &Arc<Ctx>) -> io::Result<()> {
     let writer = stream.try_clone()?;
     let closer = stream.try_clone()?;
     let shutdown: ShutdownFn = Box::new(move || drop(closer.shutdown(std::net::Shutdown::Both)));

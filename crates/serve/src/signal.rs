@@ -3,10 +3,11 @@
 //! The workspace is std-only, so instead of a signal-handling crate this
 //! module declares libc's `signal(2)` directly (std already links libc on
 //! unix) and installs a handler that only stores to an `AtomicBool` —
-//! the one thing that is unconditionally async-signal-safe. The accept
-//! loop polls [`termination_requested`] between nonblocking accepts, so
-//! glibc's default BSD `signal` semantics (`SA_RESTART`) never matter:
-//! no blocking call needs to be interrupted.
+//! the one thing that is unconditionally async-signal-safe. The daemon's
+//! main thread polls [`termination_requested`] while the acceptor threads
+//! block in `accept`, and it wakes them itself to drain, so glibc's
+//! default BSD `signal` semantics (`SA_RESTART`) never matter: no
+//! blocking call needs to be interrupted.
 //!
 //! SIGKILL needs no handler by design: every completed run was journaled
 //! before its response was sent, so a killed daemon restarts warm.

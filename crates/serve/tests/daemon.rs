@@ -106,6 +106,12 @@ fn str_field(v: &Json, key: &str) -> String {
     get_str(as_object(v).unwrap(), key).unwrap_or_else(|e| panic!("{e} in {v:?}")).to_owned()
 }
 
+/// Whether a `stats` response counts `accepted` and `deduped` requests.
+fn admitted(stats: &Json, accepted: u64, deduped: u64) -> bool {
+    let obj = as_object(field(stats, "stats")).unwrap();
+    get_u64(obj, "accepted") == Ok(accepted) && get_u64(obj, "deduped") == Ok(deduped)
+}
+
 fn ok_row(cycles: u64) -> bitline_serve::RunRow {
     bitline_serve::RunRow {
         cycles,
@@ -146,9 +152,12 @@ fn identical_requests_coalesce_to_one_computation() {
         c.send(r#"{"id":"r3","benchmark":"gcc"}"#);
         // Distinct spec: a separate computation.
         c.send(r#"{"id":"r4","benchmark":"gcc","spec":{"seed":9}}"#);
-        // Wait until the worker has picked up the first job, then let
-        // both jobs (dedup'd triple + distinct) run to completion.
-        while calls.load(Ordering::SeqCst) == 0 {
+        // Wait until the daemon has admitted all four (two computations,
+        // two coalesced), then let both jobs run to completion. Releasing
+        // as soon as the runner starts raced the connection's reader: a
+        // twin read after the first job completed queued a third job that
+        // no release would ever end.
+        while !admitted(&c.roundtrip(r#"{"id":"s","op":"stats"}"#), 2, 2) {
             std::thread::sleep(Duration::from_millis(2));
         }
         release_tx.send(()).unwrap();
@@ -164,10 +173,7 @@ fn identical_requests_coalesce_to_one_computation() {
         c.roundtrip(r#"{"id":"s","op":"stats"}"#)
     };
     assert_eq!(calls.load(Ordering::SeqCst), 2, "3 identical requests → 1 computation");
-    let stats = field(&stats, "stats");
-    let obj = as_object(stats).unwrap();
-    assert_eq!(get_u64(obj, "accepted"), Ok(2));
-    assert_eq!(get_u64(obj, "deduped"), Ok(2));
+    assert!(admitted(&stats, 2, 2), "{stats:?}");
     server.shutdown();
 }
 
@@ -221,6 +227,7 @@ fn overload_sheds_with_a_retry_hint_and_drain_sheds_pending() {
     assert_eq!(str_field(&resp, "status"), "ok");
     assert_eq!(str_field(&resp, "id"), "busy");
     server.handle.join().expect("join server thread").expect("server run");
+    assert!(!server.socket.exists(), "the drain op must remove the socket file");
 }
 
 #[test]
@@ -257,6 +264,24 @@ fn sigterm_drain_answers_in_flight_and_sheds_pending() {
     assert_eq!(str_field(&resp, "status"), "ok");
     // `run` returns Ok — the daemon's exit-0 path.
     server.handle.join().expect("join server thread").expect("server run");
+    assert!(!server.socket.exists(), "a latched drain must remove the socket file");
+}
+
+#[test]
+fn a_fresh_connection_is_served_as_soon_as_it_connects() {
+    // Twenty connections in turn, each opened, pinged and dropped: an
+    // accept loop that sleeps while idle makes each one wait for its
+    // next poll, about 20 ms apiece.
+    let runner: Runner = Arc::new(|_, _| Ok(ok_row(1)));
+    let server = TestServer::start("fresh-conn", 8, 1, runner);
+    let started = std::time::Instant::now();
+    for i in 0..20 {
+        let pong = server.connect().roundtrip(&format!(r#"{{"id":"p{i}","op":"ping"}}"#));
+        assert_eq!(field(&pong, "pong"), &Json::Bool(true));
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "20 fresh pings took {took:?}");
+    server.shutdown();
 }
 
 #[test]
