@@ -89,6 +89,7 @@ fn kind_code(kind: InstrKind) -> u8 {
     }
 }
 
+#[inline]
 fn kind_from_code(code: u8) -> InstrKind {
     match code {
         0 => InstrKind::IntAlu,
