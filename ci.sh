@@ -5,7 +5,8 @@
 #                    tests, and one short full-size run each of headline,
 #                    voltage, long-gcc and serve-mixed that must match the
 #                    pinned stdout digests, simulated cycle totals and
-#                    serve answer digest)
+#                    serve answer digest; lints and format-checks the
+#                    benchmark package as well as the workspace)
 #   ./ci.sh chaos    failpoint chaos gate: proves a run with every
 #                    failpoint armed at probability 0 is byte-identical
 #                    to one with BITLINE_FAILPOINTS unset, then runs the
@@ -818,7 +819,14 @@ done
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perf/ is its own workspace, so the root lint and format steps skip it.
+echo "==> cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo fmt --manifest-path perf/Cargo.toml --check"
+cargo fmt --manifest-path perf/Cargo.toml --check
 
 echo "==> ci.sh: all green"
