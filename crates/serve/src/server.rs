@@ -3,11 +3,11 @@
 //! One thread per listener blocks in `accept`, so a new connection is
 //! served the moment it arrives; one thread per connection reads request
 //! lines and runs admission; a fixed pool of worker threads drains the
-//! queue. Every accepted request
-//! reaches exactly one terminal response because the worker that pops a
-//! job always completes it: the run itself is wrapped in
-//! `harness::isolated_supervised`, so a panicking or timed-out run comes
-//! back as a value (`error` / `timeout`), never as a dead worker.
+//! queue. Every accepted request reaches exactly one terminal response
+//! because the worker that pops a job always completes it: the run itself
+//! is wrapped in `harness::isolated_supervised`, so a panicking or
+//! timed-out run comes back as a value (`error` / `timeout`), never as a
+//! dead worker.
 //!
 //! Crash tolerance is inherited rather than reimplemented: the production
 //! runner goes through `bitline_sim::try_run_benchmark_cached`, which
@@ -166,6 +166,7 @@ impl Server {
         let _ = std::fs::remove_file(&self.config.socket);
         let unix = UnixListener::bind(&self.config.socket)?;
         let tcp = self.config.tcp.as_deref().map(TcpListener::bind).transpose()?;
+        let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
 
         let workers: Vec<_> = (0..self.config.workers)
             .map(|w| {
@@ -186,8 +187,7 @@ impl Server {
             Box::new(move || UnixStream::connect(&socket).map(drop)),
             &ctx,
         )];
-        if let Some(tcp) = tcp {
-            let addr = tcp.local_addr()?;
+        if let (Some(tcp), Some(addr)) = (tcp, tcp_addr) {
             acceptors.push(Acceptor::spawn(
                 "tcp",
                 move || tcp.accept().map(|(stream, _)| stream),
