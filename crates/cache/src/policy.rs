@@ -58,7 +58,8 @@ impl IdleHistogram {
             .map(|(b, &c)| (1.5 * (1u64 << b) as f64, c))
     }
 
-    /// Raw bucket counts, index `b` covering idle durations around
+    /// All [`IDLE_BUCKETS`] raw bucket counts, zeros above the highest
+    /// recorded bucket included, index `b` covering idle durations around
     /// `1.5 * 2^b` cycles (for external serialization).
     #[must_use]
     pub fn counts(&self) -> [u64; IDLE_BUCKETS] {
