@@ -210,13 +210,7 @@ impl Server {
         // acceptor arrive here without it), which each acceptor checks as
         // soon as its `accept` returns.
         ctx.drain.store(true, Ordering::SeqCst);
-        let mut accept_error = Ok(());
-        for acceptor in acceptors {
-            let stopped = acceptor.stop();
-            if accept_error.is_ok() {
-                accept_error = stopped;
-            }
-        }
+        let stopped: Vec<io::Result<()>> = acceptors.into_iter().map(Acceptor::stop).collect();
 
         // Drain: stop admitting, shed the pending backlog with terminal
         // lines, let the workers finish in-flight runs, then leave
@@ -227,7 +221,8 @@ impl Server {
             let _ = handle.join();
         }
         let _ = std::fs::remove_file(&self.config.socket);
-        accept_error
+        // The first accept error, if an acceptor failed.
+        stopped.into_iter().collect()
     }
 }
 
