@@ -58,6 +58,13 @@ impl IdleHistogram {
             .map(|(b, &c)| (1.5 * (1u64 << b) as f64, c))
     }
 
+    /// The stored bucket counts: buckets `0..=b` for the highest bucket
+    /// `b` recorded, empty when nothing was. Every later bucket is zero.
+    #[must_use]
+    pub fn buckets(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// All [`IDLE_BUCKETS`] raw bucket counts, zeros above the highest
     /// recorded bucket included, index `b` covering idle durations around
     /// `1.5 * 2^b` cycles (for external serialization).

@@ -204,6 +204,8 @@ proptest! {
         let a = shaped(&raw, shapes.0, cuts.0);
         let h = IdleHistogram::from_counts(a);
         prop_assert_eq!(h.counts()[..], a[..]);
+        let filled = a.iter().rposition(|&c| c > 0).map_or(0, |b| b + 1);
+        prop_assert_eq!(h.buckets(), &a[..filled]);
         prop_assert_eq!(h.iter().collect::<Vec<_>>(), dense_iter(&a));
 
         // Counts below 2^56 keep every sum and total inside a u64.

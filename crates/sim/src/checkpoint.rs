@@ -226,9 +226,13 @@ impl Enc {
             self.f64(s.pulled_up_cycles);
             self.u64(s.precharge_events);
             self.f64(s.drowsy_cycles);
-            for c in s.idle_histogram.counts() {
+            // Every frame carries all IDLE_BUCKETS; the ones above the
+            // highest recorded bucket are zero.
+            let buckets = s.idle_histogram.buckets();
+            for &c in buckets {
                 self.u64(c);
             }
+            self.out.resize(self.out.len() + 8 * (IDLE_BUCKETS - buckets.len()), 0);
         }
     }
 
@@ -384,9 +388,10 @@ impl Dec<'_> {
             let pulled_up_cycles = self.f64()?;
             let precharge_events = self.u64()?;
             let drowsy_cycles = self.f64()?;
+            let block = self.take(8 * IDLE_BUCKETS)?;
             let mut counts = [0u64; IDLE_BUCKETS];
-            for c in &mut counts {
-                *c = self.u64()?;
+            for (c, bytes) in counts.iter_mut().zip(block.chunks_exact(8)) {
+                *c = u64::from_le_bytes(bytes.try_into().ok()?);
             }
             per_subarray.push(SubarrayActivity {
                 accesses,
