@@ -8,6 +8,7 @@ use bitline_cpu::SimStats;
 use bitline_ecc::{DegradationStage, ReliabilityReport, SubarrayReliability};
 use bitline_faults::{FaultReport, SubarrayFaults, SubarrayVdd, VddReport};
 use bitline_sim::checkpoint::{decode_run, encode_run, spec_key};
+use bitline_sim::supervise::fnv64;
 use bitline_sim::{
     FaultSpec, HierarchySpec, LeakageKind, Level, LevelRun, LocalityStats, PolicyKind, RunResult,
     SystemSpec, VddSpec,
@@ -276,6 +277,19 @@ fn runs() -> impl Strategy<Value = RunResult> {
                     .collect(),
             }
         })
+}
+
+/// A v6 frame's bytes never move. 256 random runs reach attachment
+/// combinations and degradation stages that the codec's four pinned frames
+/// do not; their concatenated frames must keep the digest computed when
+/// this test was added. Never re-bless it in a change that touches the
+/// codec.
+#[test]
+fn random_v6_frames_are_frozen() {
+    let mut rng = proptest::TestRng::deterministic("random_v6_frames_are_frozen");
+    let runs = runs();
+    let frames: Vec<u8> = (0..256).flat_map(|_| encode_run(&runs.sample(&mut rng))).collect();
+    assert_eq!((frames.len(), fnv64(&frames)), (609_420, 0xc781_55a0_a48c_afa4));
 }
 
 proptest! {
