@@ -9,10 +9,16 @@
 //! **bit-exact** — warm figure output is byte-identical to a cold
 //! computation, which is what the resume acceptance test diffs on.
 //!
+//! Each record declares its fields once, in frame order, in one
+//! `records!` list; the writer and the reader are both generated from it.
+//! Only the leaves (integers, floats, strings, arrays, vectors, options,
+//! the idle histogram and the degradation stage) are laid out by hand.
+//!
 //! The journal is a cache of recomputable runs, so decoding is total and
 //! unforgiving: any truncation, bad tag, implausible length, or version
-//! other than [`VERSION`] yields `None`, and the caller quarantines the
-//! entry and recomputes the run rather than reading an old layout.
+//! other than the current codec version yields `None`, and the caller
+//! quarantines the entry and recomputes the run rather than reading an
+//! old layout.
 
 use bitline_cache::{ActivityReport, IdleHistogram, SubarrayActivity, WayStats, IDLE_BUCKETS};
 use bitline_cpu::SimStats;
@@ -47,447 +53,311 @@ const MAX_VEC: usize = 1 << 20;
 /// non-default, so every existing key survives the new axis.
 #[must_use]
 pub fn spec_key(benchmark: &str, spec: &SystemSpec) -> String {
-    let mut enc = Enc::default();
-    enc.spec_canonical(spec);
-    format!("{benchmark}@{:016x}", fnv64(&enc.out))
+    let mut out = Vec::new();
+    spec_canonical(&mut out, spec);
+    format!("{benchmark}@{:016x}", fnv64(&out))
 }
 
 /// Encodes a run for the journal. One record per level follows the stats;
 /// the spec decides which levels there are ([`Level::of`]).
 #[must_use]
 pub fn encode_run(run: &RunResult) -> Vec<u8> {
-    let mut enc = Enc::default();
-    enc.u8(VERSION);
-    enc.str(&run.benchmark);
-    enc.str(&spec::canonical_text(&run.spec));
-    enc.stats(&run.stats);
+    let mut out = Vec::new();
+    VERSION.put(&mut out);
+    run.benchmark.put(&mut out);
+    spec::canonical_text(&run.spec).put(&mut out);
+    run.stats.put(&mut out);
     for level in &run.levels {
-        enc.level(level);
+        level.put(&mut out);
     }
-    enc.out
+    out
 }
 
 /// Decodes a journaled run; `None` on any corruption or version skew.
 #[must_use]
 pub fn decode_run(bytes: &[u8]) -> Option<RunResult> {
-    let mut dec = Dec { bytes, pos: 0 };
-    if dec.u8()? != VERSION {
+    let mut input = bytes;
+    if u8::take(&mut input)? != VERSION {
         return None;
     }
-    let benchmark = dec.str()?;
-    let spec = spec::parse_text(&dec.str()?)?;
-    let stats = dec.stats()?;
-    let levels =
-        Level::of(&spec.hierarchy)?.iter().map(|&l| dec.level(l)).collect::<Option<_>>()?;
+    let benchmark = String::take(&mut input)?;
+    let spec = spec::parse_text(&String::take(&mut input)?)?;
+    let stats = SimStats::take(&mut input)?;
+    let levels = Level::of(&spec.hierarchy)?
+        .iter()
+        .map(|&level| Some(LevelRun { level, ..LevelRun::take(&mut input)? }))
+        .collect::<Option<_>>()?;
     // Trailing garbage means the entry is not what we wrote.
-    (dec.pos == bytes.len()).then_some(RunResult { benchmark, spec, stats, levels })
+    input.is_empty().then_some(RunResult { benchmark, spec, stats, levels })
 }
 
-#[derive(Default)]
-struct Enc {
-    out: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
+/// The [`spec_key`] encoding: the original fields in a fixed layout, then
+/// one block per later axis, appended only when that axis is non-default
+/// (the hierarchy block predates tagging; the supply block leads with tag
+/// `0xD1`). A new axis follows the same rule with a fresh tag byte, so no
+/// existing key moves.
+fn spec_canonical(out: &mut Vec<u8>, s: &SystemSpec) {
+    put_policy(out, s.d_policy);
+    put_policy(out, s.i_policy);
+    s.subarray_bytes.put(out);
+    s.instructions.put(out);
+    s.seed.put(out);
+    s.way_prediction.put(out);
+    s.faults.rate.put(out);
+    s.faults.seed.put(out);
+    s.faults.fail_safe.put(out);
+    s.faults.ecc.put(out);
+    s.faults.scrub_period.put(out);
+    if !s.hierarchy.is_default() {
+        let h = &s.hierarchy;
+        h.levels.put(out);
+        put_policy(out, h.l2_policy);
+        let mode: u8 = match h.leakage_mode {
+            LeakageKind::FullVdd => 0,
+            LeakageKind::Drowsy => 1,
+            LeakageKind::GatedVdd => 2,
+            LeakageKind::LowPower6T => 3,
+        };
+        mode.put(out);
     }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.out.extend_from_slice(s.as_bytes());
-    }
-    fn opt<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut Enc, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                f(self, v);
-            }
-        }
-    }
-
-    fn policy(&mut self, p: &PolicyKind) {
-        match *p {
-            PolicyKind::StaticPullUp => self.u8(0),
-            PolicyKind::Oracle => self.u8(1),
-            PolicyKind::OnDemand => self.u8(2),
-            PolicyKind::Gated { threshold } => {
-                self.u8(3);
-                self.u64(threshold);
-            }
-            PolicyKind::GatedPredecode { threshold } => {
-                self.u8(4);
-                self.u64(threshold);
-            }
-            PolicyKind::AdaptiveGated { interval_accesses } => {
-                self.u8(5);
-                self.u64(interval_accesses);
-            }
-            // Tag 6 named leakage-biased bitlines, a copy of the oracle;
-            // it stays unused so no other policy's key can collide with an
-            // old one.
-            PolicyKind::Drowsy { threshold } => {
-                self.u8(7);
-                self.u64(threshold);
-            }
-            PolicyKind::Resizable { interval_accesses, slack } => {
-                self.u8(8);
-                self.u64(interval_accesses);
-                self.f64(slack);
-            }
-            PolicyKind::LocalityRecorder => self.u8(9),
-        }
-    }
-
-    /// The [`spec_key`] encoding: the original fields in a fixed layout,
-    /// then one block per later axis, appended only when that axis is
-    /// non-default (the hierarchy block predates tagging; the supply
-    /// block leads with tag `0xD1`). A new axis follows the same rule with
-    /// a fresh tag byte, so no existing key moves.
-    fn spec_canonical(&mut self, s: &SystemSpec) {
-        self.policy(&s.d_policy);
-        self.policy(&s.i_policy);
-        self.usize(s.subarray_bytes);
-        self.u64(s.instructions);
-        self.u64(s.seed);
-        self.bool(s.way_prediction);
-        self.f64(s.faults.rate);
-        self.u64(s.faults.seed);
-        self.bool(s.faults.fail_safe);
-        self.bool(s.faults.ecc);
-        self.opt(s.faults.scrub_period.as_ref(), |e, &p| e.u64(p));
-        if !s.hierarchy.is_default() {
-            let h = &s.hierarchy;
-            self.u8(h.levels);
-            self.policy(&h.l2_policy);
-            self.u8(match h.leakage_mode {
-                LeakageKind::FullVdd => 0,
-                LeakageKind::Drowsy => 1,
-                LeakageKind::GatedVdd => 2,
-                LeakageKind::LowPower6T => 3,
-            });
-        }
-        if !s.vdd.is_default() {
-            self.u8(0xD1);
-            self.f64(s.vdd.scale);
-            self.bool(s.vdd.governor);
-        }
-    }
-
-    fn level(&mut self, l: &LevelRun) {
-        self.report(&l.report);
-        self.u64(l.hits);
-        self.u64(l.misses);
-        self.u64(l.writebacks);
-        self.opt(l.locality.as_ref(), Enc::locality);
-        self.opt(l.way_stats.as_ref(), Enc::way_stats);
-        self.opt(l.faults.as_ref(), Enc::faults);
-        self.opt(l.reliability.as_ref(), Enc::reliability);
-        self.opt(l.vdd.as_ref(), Enc::vdd_report);
-    }
-
-    fn stats(&mut self, s: &SimStats) {
-        for v in [
-            s.cycles,
-            s.committed,
-            s.fetched,
-            s.branches,
-            s.mispredicts,
-            s.loads,
-            s.stores,
-            s.replays,
-            s.load_misspeculations,
-            s.fetch_stall_cycles,
-            s.hints,
-        ] {
-            self.u64(v);
-        }
-    }
-
-    fn report(&mut self, r: &ActivityReport) {
-        self.str(&r.policy);
-        self.u64(r.end_cycle);
-        self.usize(r.per_subarray.len());
-        for s in &r.per_subarray {
-            self.u64(s.accesses);
-            self.u64(s.delayed_accesses);
-            self.f64(s.pulled_up_cycles);
-            self.u64(s.precharge_events);
-            self.f64(s.drowsy_cycles);
-            // Every frame carries all IDLE_BUCKETS; the ones above the
-            // highest recorded bucket are zero.
-            let buckets = s.idle_histogram.buckets();
-            for &c in buckets {
-                self.u64(c);
-            }
-            self.out.resize(self.out.len() + 8 * (IDLE_BUCKETS - buckets.len()), 0);
-        }
-    }
-
-    fn locality(&mut self, l: &LocalityStats) {
-        for &c in &l.interval_counts {
-            self.u64(c);
-        }
-        self.u64(l.intervals_total);
-        for &h in &l.hot_cycles {
-            self.f64(h);
-        }
-        self.usize(l.subarrays);
-        self.u64(l.end_cycle);
-    }
-
-    fn way_stats(&mut self, w: &WayStats) {
-        self.u64(w.correct);
-        self.u64(w.wrong);
-    }
-
-    fn faults(&mut self, f: &FaultReport) {
-        self.usize(f.per_subarray.len());
-        for s in &f.per_subarray {
-            self.u64(s.injected);
-            self.u64(s.detected);
-            self.u64(s.silent);
-            self.u64(s.replayed);
-            self.u64(s.decay_flips);
-            self.bool(s.pinned);
-        }
-    }
-
-    fn vdd_report(&mut self, r: &VddReport) {
-        self.usize(r.per_subarray.len());
-        for s in &r.per_subarray {
-            self.u8(s.step);
-            self.u64(s.escalations);
-            self.u64(s.deescalations);
-            self.bool(s.pinned);
-        }
-        self.u64(r.upsets);
-        self.u64(r.replays);
-        self.u64(r.corrected);
-        self.u64(r.sdc);
-        self.usize(r.step_accesses.len());
-        for &a in &r.step_accesses {
-            self.u64(a);
-        }
-    }
-
-    fn reliability(&mut self, r: &ReliabilityReport) {
-        self.usize(r.per_subarray.len());
-        for s in &r.per_subarray {
-            self.u64(s.corrected);
-            self.u64(s.due);
-            self.u64(s.sdc);
-            self.u64(s.demand_scrubs);
-            self.u64(s.latent_cleared);
-            self.u8(s.stage.index());
-        }
-        self.u64(r.background_scrub_words);
-        self.u64(r.demand_scrub_words);
-        self.u64(r.pinned_residency_cycles);
-        self.u64(r.end_cycle);
+    if !s.vdd.is_default() {
+        0xD1_u8.put(out);
+        s.vdd.scale.put(out);
+        s.vdd.governor.put(out);
     }
 }
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A policy's key bytes: its tag, then its parameters.
+fn put_policy(out: &mut Vec<u8>, p: PolicyKind) {
+    match p {
+        PolicyKind::StaticPullUp => 0_u8.put(out),
+        PolicyKind::Oracle => 1_u8.put(out),
+        PolicyKind::OnDemand => 2_u8.put(out),
+        PolicyKind::Gated { threshold } => {
+            3_u8.put(out);
+            threshold.put(out);
+        }
+        PolicyKind::GatedPredecode { threshold } => {
+            4_u8.put(out);
+            threshold.put(out);
+        }
+        PolicyKind::AdaptiveGated { interval_accesses } => {
+            5_u8.put(out);
+            interval_accesses.put(out);
+        }
+        // Tag 6 named leakage-biased bitlines, a copy of the oracle; it
+        // stays unused so no other policy's key can collide with an old one.
+        PolicyKind::Drowsy { threshold } => {
+            7_u8.put(out);
+            threshold.put(out);
+        }
+        PolicyKind::Resizable { interval_accesses, slack } => {
+            8_u8.put(out);
+            interval_accesses.put(out);
+            slack.put(out);
+        }
+        PolicyKind::LocalityRecorder => 9_u8.put(out),
+    }
 }
 
-impl Dec<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
+/// A value with a fixed frame layout: `put` appends it and `take` reads it
+/// back from the front of `input`, advancing past it, or yields `None` on
+/// bytes `put` never writes.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(input: &mut &[u8]) -> Option<Self>;
+}
+
+/// Splits `N` bytes off the front of `input`.
+fn chunk<'a, const N: usize>(input: &mut &'a [u8]) -> Option<&'a [u8; N]> {
+    let (head, rest) = input.split_first_chunk()?;
+    *input = rest;
+    Some(head)
+}
+
+/// A collection length, bounded by [`MAX_VEC`].
+fn len(input: &mut &[u8]) -> Option<usize> {
+    usize::take(input).filter(|&n| n <= MAX_VEC)
+}
+
+impl Field for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
     }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        chunk::<1>(input).map(|b| b[0])
     }
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        chunk(input).map(|b| u64::from_le_bytes(*b))
+    }
+}
+
+impl Field for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        usize::try_from(u64::take(input)?).ok()
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        u64::take(input).map(f64::from_bits)
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        match u8::take(input)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
     }
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
-    }
-    fn len(&mut self) -> Option<usize> {
-        self.usize().filter(|&n| n <= MAX_VEC)
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Option<String> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        let n = len(input)?;
+        let (bytes, rest) = input.split_at_checked(n)?;
+        *input = rest;
         String::from_utf8(bytes.to_vec()).ok()
     }
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(f(self)?)),
-            _ => None,
+}
+
+impl<T: Field + Copy + Default, const N: usize> Field for [T; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
         }
     }
-
-    fn level(&mut self, level: Level) -> Option<LevelRun> {
-        Some(LevelRun {
-            level,
-            report: self.report()?,
-            hits: self.u64()?,
-            misses: self.u64()?,
-            writebacks: self.u64()?,
-            locality: self.opt(Dec::locality)?,
-            way_stats: self.opt(Dec::way_stats)?,
-            faults: self.opt(Dec::faults)?,
-            reliability: self.opt(Dec::reliability)?,
-            vdd: self.opt(Dec::vdd_report)?,
-        })
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        let mut array = [T::default(); N];
+        for v in &mut array {
+            *v = T::take(input)?;
+        }
+        Some(array)
     }
+}
 
-    fn stats(&mut self) -> Option<SimStats> {
-        Some(SimStats {
-            cycles: self.u64()?,
-            committed: self.u64()?,
-            fetched: self.u64()?,
-            branches: self.u64()?,
-            mispredicts: self.u64()?,
-            loads: self.u64()?,
-            stores: self.u64()?,
-            replays: self.u64()?,
-            load_misspeculations: self.u64()?,
-            fetch_stall_cycles: self.u64()?,
-            hints: self.u64()?,
-        })
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
     }
-
-    fn report(&mut self) -> Option<ActivityReport> {
-        let policy = self.str()?;
-        let end_cycle = self.u64()?;
-        let n = self.len()?;
-        let mut per_subarray = Vec::with_capacity(n);
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        let n = len(input)?;
+        let mut items = Vec::with_capacity(n);
         for _ in 0..n {
-            let accesses = self.u64()?;
-            let delayed_accesses = self.u64()?;
-            let pulled_up_cycles = self.f64()?;
-            let precharge_events = self.u64()?;
-            let drowsy_cycles = self.f64()?;
-            let block = self.take(8 * IDLE_BUCKETS)?;
-            let mut counts = [0u64; IDLE_BUCKETS];
-            for (c, bytes) in counts.iter_mut().zip(block.chunks_exact(8)) {
-                *c = u64::from_le_bytes(bytes.try_into().ok()?);
+            items.push(T::take(input)?);
+        }
+        Some(items)
+    }
+}
+
+/// A presence byte, then the value when there is one.
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        Some(if bool::take(input)? { Some(T::take(input)?) } else { None })
+    }
+}
+
+/// All [`IDLE_BUCKETS`] as one block: the buckets above the highest one
+/// recorded are zero.
+impl Field for IdleHistogram {
+    fn put(&self, out: &mut Vec<u8>) {
+        let buckets = self.buckets();
+        for c in buckets {
+            c.put(out);
+        }
+        out.resize(out.len() + 8 * (IDLE_BUCKETS - buckets.len()), 0);
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        let (words, _) = chunk::<{ 8 * IDLE_BUCKETS }>(input)?.as_chunks::<8>();
+        let mut counts = [0; IDLE_BUCKETS];
+        for (c, word) in counts.iter_mut().zip(words) {
+            *c = u64::from_le_bytes(*word);
+        }
+        Some(IdleHistogram::from_counts(counts))
+    }
+}
+
+impl Field for DegradationStage {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.index().put(out);
+    }
+    fn take(input: &mut &[u8]) -> Option<Self> {
+        DegradationStage::from_index(u8::take(input)?)
+    }
+}
+
+/// Implements [`Field`] for each record from its field list, in frame
+/// order. A field after `;` is not in the frame: `take` sets it to the
+/// value given.
+macro_rules! records {
+    ($($record:ident { $($field:ident),+ $(; $fixed:ident: $value:expr)? })+) => {$(
+        impl Field for $record {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
             }
-            per_subarray.push(SubarrayActivity {
-                accesses,
-                delayed_accesses,
-                pulled_up_cycles,
-                precharge_events,
-                drowsy_cycles,
-                idle_histogram: IdleHistogram::from_counts(counts),
-            });
+            fn take(input: &mut &[u8]) -> Option<Self> {
+                Some($record { $($field: Field::take(input)?,)+ $($fixed: $value)? })
+            }
         }
-        Some(ActivityReport { policy, end_cycle, per_subarray })
-    }
+    )+};
+}
 
-    fn locality(&mut self) -> Option<LocalityStats> {
-        let mut interval_counts = [0u64; 6];
-        for c in &mut interval_counts {
-            *c = self.u64()?;
-        }
-        let intervals_total = self.u64()?;
-        let mut hot_cycles = [0.0f64; 5];
-        for h in &mut hot_cycles {
-            *h = self.f64()?;
-        }
-        Some(LocalityStats {
-            interval_counts,
-            intervals_total,
-            hot_cycles,
-            subarrays: self.usize()?,
-            end_cycle: self.u64()?,
-        })
+records! {
+    SimStats {
+        cycles, committed, fetched, branches, mispredicts, loads, stores, replays,
+        load_misspeculations, fetch_stall_cycles, hints
     }
-
-    fn way_stats(&mut self) -> Option<WayStats> {
-        Some(WayStats { correct: self.u64()?, wrong: self.u64()? })
+    // The spec decides a record's level, and `decode_run` sets it.
+    LevelRun {
+        report, hits, misses, writebacks, locality, way_stats, faults, reliability, vdd;
+        level: Level::L1D
     }
-
-    fn faults(&mut self) -> Option<FaultReport> {
-        let n = self.len()?;
-        let mut per_subarray = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_subarray.push(SubarrayFaults {
-                injected: self.u64()?,
-                detected: self.u64()?,
-                silent: self.u64()?,
-                replayed: self.u64()?,
-                decay_flips: self.u64()?,
-                pinned: self.bool()?,
-            });
-        }
-        Some(FaultReport { per_subarray })
+    ActivityReport { policy, end_cycle, per_subarray }
+    SubarrayActivity {
+        accesses, delayed_accesses, pulled_up_cycles, precharge_events, drowsy_cycles,
+        idle_histogram
     }
-
-    fn vdd_report(&mut self) -> Option<VddReport> {
-        let n = self.len()?;
-        let mut per_subarray = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_subarray.push(SubarrayVdd {
-                step: self.u8()?,
-                escalations: self.u64()?,
-                deescalations: self.u64()?,
-                pinned: self.bool()?,
-            });
-        }
-        let upsets = self.u64()?;
-        let replays = self.u64()?;
-        let corrected = self.u64()?;
-        let sdc = self.u64()?;
-        let steps = self.len()?;
-        let mut step_accesses = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            step_accesses.push(self.u64()?);
-        }
-        Some(VddReport { per_subarray, upsets, replays, corrected, sdc, step_accesses })
+    LocalityStats { interval_counts, intervals_total, hot_cycles, subarrays, end_cycle }
+    WayStats { correct, wrong }
+    FaultReport { per_subarray }
+    SubarrayFaults { injected, detected, silent, replayed, decay_flips, pinned }
+    VddReport { per_subarray, upsets, replays, corrected, sdc, step_accesses }
+    SubarrayVdd { step, escalations, deescalations, pinned }
+    ReliabilityReport {
+        per_subarray, background_scrub_words, demand_scrub_words, pinned_residency_cycles,
+        end_cycle
     }
-
-    fn reliability(&mut self) -> Option<ReliabilityReport> {
-        let n = self.len()?;
-        let mut per_subarray = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_subarray.push(SubarrayReliability {
-                corrected: self.u64()?,
-                due: self.u64()?,
-                sdc: self.u64()?,
-                demand_scrubs: self.u64()?,
-                latent_cleared: self.u64()?,
-                stage: DegradationStage::from_index(self.u8()?)?,
-            });
-        }
-        Some(ReliabilityReport {
-            per_subarray,
-            background_scrub_words: self.u64()?,
-            demand_scrub_words: self.u64()?,
-            pinned_residency_cycles: self.u64()?,
-            end_cycle: self.u64()?,
-        })
-    }
+    SubarrayReliability { corrected, due, sdc, demand_scrubs, latent_cleared, stage }
 }
 
 #[cfg(test)]
@@ -803,12 +673,12 @@ mod tests {
         let text = spec::canonical_text(&run.spec);
         let tail = &bytes[1 + 8 + run.benchmark.len() + 8 + text.len()..];
         let frame = |text: &str| {
-            let mut enc = Enc::default();
-            enc.u8(VERSION);
-            enc.str(&run.benchmark);
-            enc.str(text);
-            enc.out.extend_from_slice(tail);
-            enc.out
+            let mut out = Vec::new();
+            VERSION.put(&mut out);
+            run.benchmark.put(&mut out);
+            text.to_owned().put(&mut out);
+            out.extend_from_slice(tail);
+            out
         };
         assert_eq!(frame(&text), bytes);
         for key in ["d_policy", "i_policy", "l2_policy"] {
