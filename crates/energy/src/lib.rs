@@ -72,141 +72,75 @@ pub const LOW_POWER_6T_ACCESS_FACTOR: f64 = 1.10;
 /// Modes are priced by [`EnergyAccountant::account_with_mode`]: the
 /// subarray idle episodes already collected in the activity report's
 /// isolation histogram double as the sleep windows, each costing one
-/// mode-transition on wakeup.
-pub trait LeakageMode: Sync {
+/// mode-transition on wakeup. [`LeakageKind::mode`] reads a mode's row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeakageMode {
     /// Short stable label (keys `.dat` rows and metrics).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// Cell leakage while a subarray is awake, as a fraction of the
     /// conventional full-Vdd cell.
-    fn active_leakage_factor(&self) -> f64;
-
+    pub active_leakage_factor: f64,
     /// Residual cell leakage during an idle (isolated) episode, as a
     /// fraction of the conventional full-Vdd cell.
-    fn idle_leakage_factor(&self) -> f64;
-
+    pub idle_leakage_factor: f64,
     /// Energy of one sleep-entry + wake transition, as a multiple of the
     /// precharge-device switching energy of one isolation episode.
-    fn transition_energy_factor(&self) -> f64;
-
-    /// Extra dynamic energy per access, as a multiplier on the
-    /// conventional cell's access energy (1.0 = no penalty).
-    fn access_energy_factor(&self) -> f64 {
-        1.0
-    }
-
-    /// Whether cell contents survive an idle episode. Gated-Vdd sleep
-    /// loses state; the accounting here prices the transition energy but
-    /// (like the related multi-level leakage studies) leaves the refetch
-    /// traffic to the architectural layer.
-    fn preserves_state(&self) -> bool {
-        true
-    }
-
-    /// The conventional full-Vdd cell: [`EnergyAccountant::account_with_mode`]
-    /// collapses to plain [`EnergyAccountant::account_with_ecc`], bit for
-    /// bit, when this is true.
-    fn is_full_vdd(&self) -> bool {
-        false
-    }
+    pub transition_energy_factor: f64,
+    /// Dynamic energy per access, as a multiplier on the conventional
+    /// cell's access energy (1.0 = no penalty).
+    pub access_energy_factor: f64,
 }
 
-/// Conventional full-Vdd cells — the do-nothing baseline of the zoo.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullVddCells;
-
-impl LeakageMode for FullVddCells {
-    fn name(&self) -> &'static str {
-        "full-vdd"
-    }
-    fn active_leakage_factor(&self) -> f64 {
-        1.0
-    }
-    fn idle_leakage_factor(&self) -> f64 {
-        1.0
-    }
-    fn transition_energy_factor(&self) -> f64 {
-        0.0
-    }
-    fn is_full_vdd(&self) -> bool {
-        true
-    }
-}
-
-/// State-preserving low-Vdd sleep (drowsy caches, Kim et al.): idle
-/// subarrays drop to the retention voltage and leak at
-/// [`DROWSY_LEAKAGE_FACTOR`]; waking costs a fraction of an episode's
-/// switching energy because only the supply rail moves, not the bitlines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DrowsyCells;
-
-impl LeakageMode for DrowsyCells {
-    fn name(&self) -> &'static str {
-        "drowsy"
-    }
-    fn active_leakage_factor(&self) -> f64 {
-        1.0
-    }
-    fn idle_leakage_factor(&self) -> f64 {
-        DROWSY_LEAKAGE_FACTOR
-    }
-    fn transition_energy_factor(&self) -> f64 {
-        0.25
-    }
-}
-
-/// Gated-Vdd sleep (Powell et al.): the supply is cut entirely during idle
-/// episodes — deepest leakage savings, full-swing rail transitions on
-/// every wake, and state loss.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GatedVddCells;
-
-impl LeakageMode for GatedVddCells {
-    fn name(&self) -> &'static str {
-        "gated-vdd"
-    }
-    fn active_leakage_factor(&self) -> f64 {
-        1.0
-    }
-    fn idle_leakage_factor(&self) -> f64 {
-        GATED_VDD_LEAKAGE_FACTOR
-    }
-    fn transition_energy_factor(&self) -> f64 {
-        1.0
-    }
-    fn preserves_state(&self) -> bool {
-        false
-    }
-}
-
-/// The 6T low-power cell variant (Khatti Dizabadi/Kaya): a process-level
-/// change, not a dynamic mode — leakage shrinks whether or not the
-/// subarray idles, there are no transitions, and each access pays a
-/// modest swing penalty.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LowPower6TCells;
-
-impl LeakageMode for LowPower6TCells {
-    fn name(&self) -> &'static str {
-        "6t-lp"
-    }
-    fn active_leakage_factor(&self) -> f64 {
-        LOW_POWER_6T_LEAKAGE_FACTOR
-    }
-    fn idle_leakage_factor(&self) -> f64 {
-        LOW_POWER_6T_LEAKAGE_FACTOR
-    }
-    fn transition_energy_factor(&self) -> f64 {
-        0.0
-    }
-    fn access_energy_factor(&self) -> f64 {
-        LOW_POWER_6T_ACCESS_FACTOR
-    }
-}
+/// The zoo, one row per [`LeakageKind`] in declaration order.
+static MODES: [LeakageMode; 4] = [
+    // Conventional full-Vdd cells: the do-nothing baseline.
+    LeakageMode {
+        name: "full-vdd",
+        active_leakage_factor: 1.0,
+        idle_leakage_factor: 1.0,
+        transition_energy_factor: 0.0,
+        access_energy_factor: 1.0,
+    },
+    // State-preserving low-Vdd sleep (drowsy caches, Kim et al.): idle
+    // subarrays drop to the retention voltage; waking costs a fraction of
+    // an episode's switching energy because only the supply rail moves,
+    // not the bitlines.
+    LeakageMode {
+        name: "drowsy",
+        active_leakage_factor: 1.0,
+        idle_leakage_factor: DROWSY_LEAKAGE_FACTOR,
+        transition_energy_factor: 0.25,
+        access_energy_factor: 1.0,
+    },
+    // Gated-Vdd sleep (Powell et al.): the supply is cut entirely during
+    // idle episodes, for the deepest leakage savings and a full-swing rail
+    // transition on every wake. Cell contents do not survive the episode;
+    // the transition energy is priced here, but (like the related
+    // multi-level leakage studies) the refetch traffic is left to the
+    // architectural layer.
+    LeakageMode {
+        name: "gated-vdd",
+        active_leakage_factor: 1.0,
+        idle_leakage_factor: GATED_VDD_LEAKAGE_FACTOR,
+        transition_energy_factor: 1.0,
+        access_energy_factor: 1.0,
+    },
+    // The 6T low-power cell variant (Khatti Dizabadi/Kaya): a process-level
+    // change, not a dynamic mode. Leakage shrinks whether or not the
+    // subarray idles, there are no transitions, and each access pays a
+    // modest swing penalty.
+    LeakageMode {
+        name: "6t-lp",
+        active_leakage_factor: LOW_POWER_6T_LEAKAGE_FACTOR,
+        idle_leakage_factor: LOW_POWER_6T_LEAKAGE_FACTOR,
+        transition_energy_factor: 0.0,
+        access_energy_factor: LOW_POWER_6T_ACCESS_FACTOR,
+    },
+];
 
 /// Spec-level selector for the leakage-mode zoo: the `Copy + Eq + Hash`
-/// face of [`LeakageMode`] so run specs, checkpoint journals and the CLI
-/// can name a mode without carrying trait objects.
+/// name of a [`LeakageMode`] row that run specs, checkpoint journals and
+/// the CLI carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum LeakageKind {
     /// Conventional full-Vdd cells (the inert default).
@@ -225,21 +159,16 @@ impl LeakageKind {
     pub const ALL: [LeakageKind; 4] =
         [LeakageKind::FullVdd, LeakageKind::Drowsy, LeakageKind::GatedVdd, LeakageKind::LowPower6T];
 
-    /// The mode implementation behind the selector.
+    /// The mode's row of factors.
     #[must_use]
-    pub fn mode(&self) -> &'static dyn LeakageMode {
-        match self {
-            LeakageKind::FullVdd => &FullVddCells,
-            LeakageKind::Drowsy => &DrowsyCells,
-            LeakageKind::GatedVdd => &GatedVddCells,
-            LeakageKind::LowPower6T => &LowPower6TCells,
-        }
+    pub fn mode(&self) -> &'static LeakageMode {
+        &MODES[*self as usize]
     }
 
-    /// Short stable label (same string the mode itself reports).
+    /// Short stable label (the mode's name).
     #[must_use]
     pub fn label(&self) -> &'static str {
-        self.mode().name()
+        self.mode().name
     }
 }
 
@@ -487,7 +416,7 @@ impl EnergyAccountant {
     /// leak at the mode's active factor, the isolation-histogram idle
     /// cycles leak at its idle factor, and every idle episode pays one
     /// sleep/wake transition. ECC, when armed, prices on top of the
-    /// mode-adjusted breakdown. For [`FullVddCells`] this collapses to
+    /// mode-adjusted breakdown. For [`LeakageKind::FullVdd`] this collapses to
     /// [`EnergyAccountant::account_with_ecc`], bit for bit, which is what
     /// keeps the paper's figures inert while the zoo exists.
     #[must_use]
@@ -500,11 +429,12 @@ impl EnergyAccountant {
         gated_counters: bool,
         way_stats: Option<WayStats>,
         ecc: Option<EccActivity>,
-        mode: &dyn LeakageMode,
+        kind: LeakageKind,
     ) -> CacheEnergyBreakdown {
-        if mode.is_full_vdd() {
+        if kind == LeakageKind::FullVdd {
             return self.account_with_ecc(report, reads, writes, gated_counters, way_stats, ecc);
         }
+        let mode = kind.mode();
         let mut breakdown = self.account(report, reads, writes, gated_counters, way_stats);
         let m = &self.model;
         let full_cell_cycles = report.per_subarray.len() as f64 * report.end_cycle as f64;
@@ -518,15 +448,15 @@ impl EnergyAccountant {
         }
         let idle_cycles = idle_cycles.min(full_cell_cycles);
         let active_cycles = full_cell_cycles - idle_cycles;
-        breakdown.cell_leak_j = (active_cycles * mode.active_leakage_factor()
-            + idle_cycles * mode.idle_leakage_factor())
+        breakdown.cell_leak_j = (active_cycles * mode.active_leakage_factor
+            + idle_cycles * mode.idle_leakage_factor)
             * m.cell_leakage_cycle_energy_j()
             * AVERAGE_CASE_LEAKAGE_FACTOR
             + episodes
                 * m.isolation_episode_energy_j(0)
-                * mode.transition_energy_factor()
+                * mode.transition_energy_factor
                 * AVERAGE_CASE_LEAKAGE_FACTOR;
-        breakdown.dynamic_j *= mode.access_energy_factor();
+        breakdown.dynamic_j *= mode.access_energy_factor;
         if let Some(activity) = ecc {
             breakdown.ecc_j = self.ecc_energy_j(&breakdown, activity);
         }

@@ -34,7 +34,7 @@ fn priced(
     }
     let report = policy.finalize(cycles);
     let acct = accountant(node);
-    acct.account_with_mode(&report, report.total_accesses(), 0, true, None, None, mode.mode())
+    acct.account_with_mode(&report, report.total_accesses(), 0, true, None, None, mode)
 }
 
 fn nodes() -> impl Strategy<Value = TechnologyNode> {
@@ -110,9 +110,9 @@ proptest! {
         let reads = report.total_accesses();
         let acct = accountant(node);
         let full = acct.account_with_mode(&report, reads, 0, false, None, None,
-            LeakageKind::FullVdd.mode());
+            LeakageKind::FullVdd);
         for kind in [LeakageKind::Drowsy, LeakageKind::GatedVdd] {
-            let slept = acct.account_with_mode(&report, reads, 0, false, None, None, kind.mode());
+            let slept = acct.account_with_mode(&report, reads, 0, false, None, None, kind);
             let savings = full.total_j() - slept.total_j();
             prop_assert!(
                 savings.abs() < full.total_j() * 1e-12,
@@ -180,8 +180,7 @@ fn full_vdd_mode_is_bit_identical_to_plain_accounting() {
     let reads = report.total_accesses();
     let acct = accountant(TechnologyNode::N70);
     let plain = acct.account_with_ecc(&report, reads, 0, true, None, None);
-    let moded =
-        acct.account_with_mode(&report, reads, 0, true, None, None, LeakageKind::FullVdd.mode());
+    let moded = acct.account_with_mode(&report, reads, 0, true, None, None, LeakageKind::FullVdd);
     assert_eq!(plain.total_j().to_bits(), moded.total_j().to_bits());
     assert_eq!(plain.cell_leak_j.to_bits(), moded.cell_leak_j.to_bits());
 }

@@ -257,7 +257,7 @@ impl RunResult {
             level.level.policy(&self.spec).has_decay_counters(),
             level.way_stats,
             ecc,
-            kind.mode(),
+            kind,
         );
         scale_breakdown(energy, self.vdd_energy_factors(level))
     }
