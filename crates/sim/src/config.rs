@@ -241,8 +241,8 @@ impl std::fmt::Display for PolicyKind {
 /// The CLI/protocol policy grammar: `static`, `oracle`, `ondemand` (or
 /// `on-demand`), `gated[:T]`, `gated-predecode[:T]` (or `predecode[:T]`),
 /// `adaptive[:INTERVAL]`, `drowsy[:T]`, `resizable[:INTERVAL[:SLACK]]`,
-/// `recorder`. Shared by every front end
-/// through the spec table, so they cannot drift.
+/// `recorder`; a policy without a parameter rejects one. Shared by every
+/// front end through the spec table, so they cannot drift.
 impl std::str::FromStr for PolicyKind {
     type Err = String;
 
@@ -254,10 +254,14 @@ impl std::str::FromStr for PolicyKind {
         let count = |default: u64, what: &str| -> Result<u64, String> {
             arg.map_or(Ok(default), |a| a.parse().map_err(|_| format!("bad {what} `{a}`")))
         };
+        let bare = |kind: PolicyKind| match arg {
+            None => Ok(kind),
+            Some(a) => Err(format!("policy `{name}` takes no parameter, got `{a}`")),
+        };
         match name {
-            "static" => Ok(PolicyKind::StaticPullUp),
-            "oracle" => Ok(PolicyKind::Oracle),
-            "ondemand" | "on-demand" => Ok(PolicyKind::OnDemand),
+            "static" => bare(PolicyKind::StaticPullUp),
+            "oracle" => bare(PolicyKind::Oracle),
+            "ondemand" | "on-demand" => bare(PolicyKind::OnDemand),
             "gated" => Ok(PolicyKind::Gated { threshold: count(100, "threshold")? }),
             "gated-predecode" | "predecode" => {
                 Ok(PolicyKind::GatedPredecode { threshold: count(100, "threshold")? })
@@ -279,7 +283,7 @@ impl std::str::FromStr for PolicyKind {
                     .map_or(Ok(10_000), |i| i.parse().map_err(|_| format!("bad interval `{i}`")))?;
                 Ok(PolicyKind::Resizable { interval_accesses, slack })
             }
-            "recorder" => Ok(PolicyKind::LocalityRecorder),
+            "recorder" => bare(PolicyKind::LocalityRecorder),
             other => Err(format!(
                 "unknown policy `{other}` (try static, oracle, ondemand, gated:T, \
                  gated-predecode:T, adaptive:INTERVAL, drowsy:T, resizable:INTERVAL:SLACK, \
@@ -1062,6 +1066,10 @@ mod tests {
             "",
             "lbb",
             "leakage-biased",
+            "static:5",
+            "oracle:junk",
+            "on-demand:1",
+            "recorder:",
         ] {
             assert!(bad.parse::<PolicyKind>().is_err(), "`{bad}` must not parse");
         }
