@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, test, lint, format. Run from the repo root.
+# Tier-1 CI gate: build, test, lint, docs, format. Run from the repo root.
 #
 #   ./ci.sh          full gate (also runs the bitline-perf benchmark's
 #                    tests, and one short full-size run each of headline,
 #                    voltage, long-gcc and serve-mixed that must match the
 #                    pinned stdout digests, simulated cycle totals and
 #                    serve answer digest; lints and format-checks the
-#                    benchmark package as well as the workspace)
+#                    benchmark package as well as the workspace; builds
+#                    the workspace docs with warnings denied)
 #   ./ci.sh chaos    failpoint chaos gate: proves a run with every
 #                    failpoint armed at probability 0 is byte-identical
 #                    to one with BITLINE_FAILPOINTS unset, then runs the
@@ -822,6 +823,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # perf/ is its own workspace, so the root lint and format steps skip it.
 echo "==> cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings"
 cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
+
+# Warnings denied, so a citation read as a link or a link to a private
+# or missing item fails here. The root workspace only: perf/ is not documented.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --check

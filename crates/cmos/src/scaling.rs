@@ -6,7 +6,7 @@
 //! and tests can assert that derived models respect them.
 
 /// Factor by which leakage *power* grows from one technology generation to
-/// the next (Borkar, IEEE Micro 1999; cited as [3] in the paper).
+/// the next (Borkar, IEEE Micro 1999; cited as \[3\] in the paper).
 ///
 /// # Examples
 ///

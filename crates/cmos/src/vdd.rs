@@ -99,7 +99,7 @@ pub fn delay_stretch(node: TechnologyNode, scale: f64) -> f64 {
 ///
 /// Zero while the delay stretch stays inside the designed guardband
 /// (in particular, exactly zero at and above nominal), then a quadratic
-/// ramp in the excess stretch, capped at [`MAX_UPSET_P`].
+/// ramp in the excess stretch, capped just below 1 (`MAX_UPSET_P`).
 ///
 /// # Examples
 ///

@@ -13,12 +13,12 @@
 //! | [`OraclePolicy`] | perfect | perfect | §4 (potential) |
 //! | [`OnDemandPolicy`] | **late** (+1 cycle/access) | perfect | §5 |
 //! | [`GatedPolicy`] | early (locality) | high | §6 (**contribution**) |
-//! | [`ResizablePolicy`] | early (coarse) | coarse | §6.4 baseline [22] |
+//! | [`ResizablePolicy`] | early (coarse) | coarse | §6.4 baseline \[22\] |
 //!
 //! Gated precharging keeps a subarray precharged for `threshold` cycles
 //! after its last access (a per-subarray decay counter + comparator); cold
 //! accesses pay one pull-up cycle. For data caches, *predecoding* hints
-//! (from base-register values, via [`GatedPolicy::hint`] /
+//! (from base-register values, via [`GatedPolicy`]'s
 //! [`bitline_cache::PrechargePolicy::hint`]) precharge the predicted
 //! subarray before the access arrives.
 //!

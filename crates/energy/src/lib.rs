@@ -46,7 +46,7 @@ pub const AVERAGE_CASE_LEAKAGE_FACTOR: f64 = 0.5;
 
 /// Residual cell leakage at the drowsy retention voltage, as a fraction of
 /// full-Vdd cell leakage (Kim et al. report ~6-10x reduction; the paper's
-/// reference [13]).
+/// reference \[13\]).
 pub const DROWSY_LEAKAGE_FACTOR: f64 = 0.15;
 
 /// Residual cell leakage with the supply gated off (gated-Vdd sleep): only

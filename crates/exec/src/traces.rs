@@ -174,7 +174,7 @@ impl TraceStore {
     }
 }
 
-/// A per-run replay position into a [`SharedTrace`].
+/// A per-run replay position into a `SharedTrace`.
 ///
 /// Implements [`TraceSource`] by decoding the current shared segment in
 /// place: the hot `next_instr` path touches only refcounted immutable

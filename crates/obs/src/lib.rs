@@ -3,14 +3,14 @@
 //!
 //! The design splits along the cost gradient of the simulator:
 //!
-//! * **Metrics** ([`registry`]) are atomic counters, gauges, and
+//! * **Metrics** ([`registry`](mod@registry)) are atomic counters, gauges, and
 //!   power-of-two histograms behind `Arc` handles. The [`counter!`],
 //!   [`gauge!`] and [`histo!`] macros cache their handle in a `static
 //!   OnceLock`, so a hot-path increment costs one `OnceLock` load plus one
 //!   relaxed atomic add — cheap enough for the simulator's
 //!   per-2048-instruction chunk boundary, the same cadence as the
 //!   cancel-token poll.
-//! * **Spans** ([`span`]) are coarse, allocating markers for unit-of-work
+//! * **Spans** ([`span`](mod@span)) are coarse, allocating markers for unit-of-work
 //!   scopes (a figure driver, one benchmark run). A dropped span records
 //!   its wall time into a bounded ring buffer; nothing in the simulator
 //!   hot loop ever opens a span.

@@ -16,9 +16,8 @@
 //!
 //! The journal is a cache of recomputable runs, so decoding is total and
 //! unforgiving: any truncation, bad tag, implausible length, or version
-//! other than the current codec version yields `None`, and the caller
-//! quarantines the entry and recomputes the run rather than reading an
-//! old layout.
+//! other than `VERSION` yields `None`, and the caller quarantines the
+//! entry and recomputes the run rather than reading an old layout.
 
 use bitline_cache::{ActivityReport, IdleHistogram, SubarrayActivity, WayStats, IDLE_BUCKETS};
 use bitline_cpu::SimStats;

@@ -46,13 +46,13 @@ pub enum PolicyKind {
         /// Accesses per adaptation interval.
         interval_accesses: u64,
     },
-    /// Drowsy subarrays (the paper's [13]): reduces *cell* leakage, not
+    /// Drowsy subarrays (the paper's \[13\]): reduces *cell* leakage, not
     /// bitline discharge — the contrast the related-work section draws.
     Drowsy {
         /// Idle cycles before a subarray drops to the retention voltage.
         threshold: u64,
     },
-    /// Resizable-cache baseline (Section 6.4, [22]).
+    /// Resizable-cache baseline (Section 6.4, \[22\]).
     Resizable {
         /// Accesses per monitoring interval.
         interval_accesses: u64,

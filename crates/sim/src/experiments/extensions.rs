@@ -5,7 +5,7 @@
 //! paper's constant threshold (`gated-predecode:100`), the profiled
 //! per-benchmark optimum that Figure 8 picks, the adaptive threshold
 //! controller (Section 6.2 leaves threshold selection open) and drowsy
-//! subarrays ([13]), which cut cell leakage but keep every bitline pulled
+//! subarrays (\[13\]), which cut cell leakage but keep every bitline pulled
 //! up. The L2 half sets on-demand precharging in a two-level machine's L2
 //! against a statically pulled-up L2 (Section 2: the 21164 hid the pull-up
 //! under its long L2 access), priced at every node.

@@ -279,7 +279,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`], inclusive of `min`, exclusive of `max`.
+    /// Length bounds for [`vec`](fn@vec), inclusive of `min`, exclusive of `max`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
