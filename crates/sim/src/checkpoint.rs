@@ -9,10 +9,11 @@
 //! **bit-exact** — warm figure output is byte-identical to a cold
 //! computation, which is what the resume acceptance test diffs on.
 //!
-//! Each record declares its fields once, in frame order, in one
-//! `records!` list; the writer and the reader are both generated from it.
-//! Only the leaves (integers, floats, strings, arrays, vectors, options,
-//! the idle histogram and the degradation stage) are laid out by hand.
+//! Each record lists its fields once, in frame order, in the `records!`
+//! invocation at the end of the codec; the writer and the reader are both
+//! generated from that list. Only the leaves (integers, floats, strings,
+//! arrays, vectors, options, the idle histogram and the degradation stage)
+//! are laid out by hand.
 //!
 //! The journal is a cache of recomputable runs, so decoding is total and
 //! unforgiving: any truncation, bad tag, implausible length, or version
