@@ -20,8 +20,10 @@
 #                    any figure differs, times each leg as its fastest
 #                    run, and writes wall-clock + run-cache stats to
 #                    BENCH_headline.json; then exercises run supervision:
-#                    a tiny --run-budget must surface as timed-out, and a
-#                    SIGKILL-interrupted --checkpoint sweep must resume to
+#                    a tiny --run-budget must surface as timed-out, for a
+#                    single run and for the fig9 experiment alike (never
+#                    as a caught panic), and a SIGKILL-interrupted
+#                    --checkpoint sweep must resume to
 #                    byte-identical output without recomputing journaled
 #                    runs; finally a metrics leg: an instrumented figure
 #                    run must export schema-valid bitline-obs/v1 JSONL
@@ -213,6 +215,19 @@ resume_smoke() {
     if ! grep -q "timed-out" "$to_err" || ! grep -q "2 attempt" "$to_err"; then
         echo "==> smoke: FAIL — timeout must be reported as timed-out after 2 attempts" >&2
         cat "$to_err" >&2
+        exit 1
+    fi
+
+    echo "==> smoke: an experiment over budget surfaces as timed-out, not as a panic"
+    local fig_err="$SMOKE_TMP/timeout-fig9.err"
+    if "$sim" --run-budget 0.001ms fig9 >/dev/null 2>"$fig_err"; then
+        echo "==> smoke: FAIL — a 1us budget cannot complete fig9" >&2
+        exit 1
+    fi
+    if ! grep -q "timed-out" "$fig_err" || ! grep -q "2 attempt" "$fig_err" ||
+        grep -q "panicked at" "$fig_err"; then
+        echo "==> smoke: FAIL — fig9's timeout must read timed-out after 2 attempts, with no panic" >&2
+        cat "$fig_err" >&2
         exit 1
     fi
 

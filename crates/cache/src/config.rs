@@ -68,22 +68,6 @@ impl CacheConfig {
         }
     }
 
-    /// Table 2's unified L2: 512 KB, 4-way, 12-cycle, single-ported, 4 KB
-    /// subarrays (the organisation the Alpha 21164's on-demand L2
-    /// precharging worked with; Section 2 of the paper).
-    #[must_use]
-    pub fn l2_unified() -> CacheConfig {
-        CacheConfig {
-            size_bytes: 512 * 1024,
-            assoc: 4,
-            line_bytes: 32,
-            subarray_bytes: 4096,
-            ports: 1,
-            hit_latency: 12,
-            way_prediction: false,
-        }
-    }
-
     /// Same configuration with MRU way prediction enabled.
     #[must_use]
     pub fn with_way_prediction(mut self) -> CacheConfig {

@@ -9,8 +9,9 @@
 //! * [`L1Cache`] — a set-associative tag/data model with per-subarray
 //!   activity accounting, pluggable [`PrechargePolicy`], and support for
 //!   dynamic resizing (for the resizable-cache baseline);
-//! * [`L2Cache`], [`Mshr`], [`MemorySystem`] — the rest of the hierarchy
-//!   (512 KB unified L2, 8 MSHRs, 100-cycle + 4-cycle/8 B memory);
+//! * [`Mshr`], [`MemorySystem`] — the rest of the hierarchy (a 512 KB
+//!   unified L2, itself an [`L1Cache`] behind static pull-up, 8 MSHRs,
+//!   100-cycle + 4-cycle/8 B memory);
 //! * [`PrechargePolicy`] and [`ActivityReport`] — the interface the
 //!   policies in the `gated-precharge` crate implement, and the activity
 //!   statistics the Wattch-like accounting in `bitline-energy` consumes.
@@ -32,7 +33,6 @@
 
 mod config;
 mod l1;
-mod l2;
 mod mshr;
 mod policy;
 mod system;
@@ -40,7 +40,6 @@ mod waypred;
 
 pub use config::CacheConfig;
 pub use l1::{AccessResult, L1Cache};
-pub use l2::L2Cache;
 pub use mshr::Mshr;
 pub use policy::{
     ActivityReport, AlwaysPrecharged, FaultEvent, IdleHistogram, PrechargePolicy, ResizeRequest,

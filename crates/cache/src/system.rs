@@ -350,6 +350,44 @@ mod tests {
         MemorySystem::new(MemorySystemConfig::default(), Box::new(Always), Box::new(Always))
     }
 
+    /// The stock L2 on its own: `l2_config`'s geometry behind static
+    /// pull-up, as [`MemorySystem::new`] builds it.
+    fn l2() -> L1Cache {
+        let cfg = MemorySystem::l2_config(&MemorySystemConfig::default());
+        L1Cache::new(cfg, Box::new(AlwaysPrecharged::new(cfg.subarrays())))
+    }
+
+    #[test]
+    fn l2_keeps_a_small_working_set() {
+        let mut l2 = l2();
+        let mut cycle = 0;
+        for pass in 0..2 {
+            for i in 0..1024u64 {
+                cycle += 1;
+                let hit = l2.access(i * 32, false, cycle).hit;
+                if pass == 1 {
+                    assert!(hit, "line {i} should be resident on the second pass");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn l2_evicts_a_stream_four_times_its_capacity() {
+        let mut l2 = l2();
+        // Stream 2 MB (4x the 512 KB capacity) twice: the second pass
+        // still misses.
+        let lines = 2 * 1024 * 1024 / 32;
+        let mut cycle = 0;
+        for _ in 0..2 {
+            for i in 0..lines {
+                cycle += 1;
+                l2.access(i * 32, false, cycle);
+            }
+        }
+        assert!(l2.miss_ratio() > 0.9, "miss ratio {}", l2.miss_ratio());
+    }
+
     #[test]
     fn l1_hit_latency_is_three_cycles() {
         let mut m = system();

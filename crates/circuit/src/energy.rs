@@ -138,12 +138,6 @@ impl SubarrayEnergyModel {
         self.geom
     }
 
-    /// The underlying bitline electrical model.
-    #[must_use]
-    pub fn bitline_model(&self) -> &BitlineModel {
-        &self.bitline
-    }
-
     /// The post-isolation transient simulator for this subarray.
     #[must_use]
     pub fn transient(&self) -> &TransientSim {

@@ -54,8 +54,3 @@ pub use on_demand::OnDemandPolicy;
 pub use oracle::OraclePolicy;
 pub use resizable::{ResizableConfig, ResizablePolicy};
 pub use static_pullup::StaticPullUp;
-
-/// Default decay threshold in cycles. The paper's per-benchmark optima are
-/// "on the order of 10 to 1000, with most clustered around 100"
-/// (Section 6.4); 100 is also its constant-threshold reference point.
-pub const DEFAULT_THRESHOLD: u64 = 100;

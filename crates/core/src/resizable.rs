@@ -125,12 +125,6 @@ impl ResizablePolicy {
         self.level
     }
 
-    /// `(active_sets, active_ways)` at the current level.
-    #[must_use]
-    pub fn active_config(&self) -> (usize, usize) {
-        self.ladder[self.level]
-    }
-
     /// Upsizes performed.
     #[must_use]
     pub fn resized_up(&self) -> u64 {

@@ -294,12 +294,6 @@ impl EnergyAccountant {
         self.node
     }
 
-    /// The underlying subarray energy model.
-    #[must_use]
-    pub fn subarray_model(&self) -> &SubarrayEnergyModel {
-        &self.model
-    }
-
     /// Average-case bitline discharge of the whole cache per cycle under
     /// static pull-up, in joules.
     #[must_use]

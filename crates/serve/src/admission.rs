@@ -270,12 +270,6 @@ impl Admission {
         self.work.notify_all();
         notices
     }
-
-    /// Whether drain has been latched.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
 }
 
 /// Floor on every `retry_after_ms` hint. A cold daemon (empty

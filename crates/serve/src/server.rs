@@ -5,7 +5,7 @@
 //! lines and runs admission; a fixed pool of worker threads drains the
 //! queue. Every accepted request reaches exactly one terminal response
 //! because the worker that pops a job always completes it: the run itself
-//! is wrapped in `harness::isolated_supervised`, so a panicking or
+//! is wrapped in `harness::isolated`, so a panicking or
 //! timed-out run comes back as a value (`error` / `timeout`), never as a
 //! dead worker.
 //!
@@ -465,8 +465,7 @@ fn worker_loop(ctx: &Ctx, runner: &Runner) {
         let started = Instant::now();
         // Panic isolation, retry-once, and timeout-doubling all come from
         // the harness; a worker thread never dies with a job in hand.
-        let result =
-            harness::isolated_supervised(&job.key, &token, || (runner)(&job.benchmark, &job.spec));
+        let result = harness::isolated(&job.key, &token, || (runner)(&job.benchmark, &job.spec));
         histo!("serve.request_wall_us").record_duration(started.elapsed());
         match &result {
             Ok(_) => {}

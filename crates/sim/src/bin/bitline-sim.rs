@@ -23,6 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bitline_cmos::TechnologyNode;
+use bitline_exec::CancelToken;
 use bitline_sim::experiments::{self, harness, Experiment};
 use bitline_sim::{
     exec_summary_line, set_checkpoint, spec, supervise, try_run_benchmark_cached, FaultSpec,
@@ -325,11 +326,10 @@ fn main() -> ExitCode {
         // with some timed-out or failed benchmarks still succeeds (with a
         // stderr warning); only an empty suite is a failure.
         let names = suite::names();
-        let outcome = harness::map_names(&names, |name| run_one(name, &args));
-        outcome.report_skipped("bitline-sim");
+        let reports = harness::map_names("bitline-sim", &names, |name| run_one(name, &args));
         eprintln!("{}", exec_summary_line());
         flush_metrics(&args);
-        match outcome.rows_or_error("bitline-sim") {
+        match reports {
             Ok(reports) => {
                 for report in reports {
                     print!("{report}");
@@ -339,7 +339,8 @@ fn main() -> ExitCode {
             Err(_) => ExitCode::FAILURE,
         }
     } else {
-        let result = harness::isolated(&args.benchmark, || run_one(&args.benchmark, &args));
+        let token = CancelToken::for_budget(supervise::run_budget());
+        let result = harness::isolated(&args.benchmark, &token, || run_one(&args.benchmark, &args));
         flush_metrics(&args);
         match result {
             Ok(report) => {

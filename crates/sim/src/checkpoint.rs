@@ -551,7 +551,7 @@ mod tests {
             (sample_run(), 0x94df_1864_badc_0ac9_u64),
             (sample_hierarchy_run(), 0xbf67_f25b_6035_c4cc),
             (sample_vdd_run(), 0x5103_a8e0_bd7c_7d35),
-            (crate::run_benchmark("mesa", &spec), 0x397d_a58e_4202_154e),
+            (crate::try_run_benchmark("mesa", &spec).expect("mesa runs"), 0x397d_a58e_4202_154e),
         ];
         for (run, digest) in cases {
             assert_eq!(fnv64(&encode_run(&run)), digest, "{}", run.benchmark);

@@ -563,16 +563,25 @@ impl HierarchySpec {
         *self == HierarchySpec::default()
     }
 
-    /// Rejects hierarchies the simulator cannot run.
+    /// Rejects hierarchies the simulator cannot run, and an L2 policy it
+    /// would ignore.
     ///
     /// # Errors
     ///
-    /// Returns a message when `levels` is outside `[1, 3]` or the outer
-    /// policy is the locality recorder (which needs a figure-5/6 sink the
-    /// outer levels do not carry).
+    /// Returns a message when `levels` is outside `[1, 3]`, when a single
+    /// level carries an L2 policy other than static pull-up (one level
+    /// keeps the stock static L2, so the policy would change the run's key
+    /// but not the run), or when the outer policy is the locality recorder
+    /// (which needs a figure-5/6 sink the outer levels do not carry).
     pub fn validate(&self) -> Result<(), String> {
         if !(1..=3).contains(&self.levels) {
             return Err(format!("levels = {}; must be 1, 2 or 3", self.levels));
+        }
+        if !self.active() && self.l2_policy != PolicyKind::StaticPullUp {
+            return Err(format!(
+                "l2_policy = {}; one level keeps the static L2 (set levels to 2 or 3)",
+                self.l2_policy
+            ));
         }
         if self.l2_policy == PolicyKind::LocalityRecorder {
             return Err("the locality recorder cannot drive an outer level".into());
@@ -772,9 +781,11 @@ mod tests {
                 }
                 let one: PolicyKind = grammar.replace(":0", ":1").parse().expect("parses");
                 let spec = SystemSpec { d_policy: one, i_policy: one, ..base };
+                assert!(spec.validate().is_ok(), "{levels} levels, {one}");
+                // Only a managed L2 takes a policy.
                 let spec =
                     SystemSpec { hierarchy: HierarchySpec { l2_policy: one, ..hierarchy }, ..spec };
-                assert!(spec.validate().is_ok(), "{levels} levels, {one}");
+                assert_eq!(spec.validate().is_ok(), levels >= 2, "{levels} levels, L2 {one}");
             }
         }
     }
@@ -939,6 +950,34 @@ mod tests {
         assert!(ok.validate().is_ok());
         assert!(ok.hierarchy.active());
         assert!(!ok.hierarchy.is_default());
+    }
+
+    #[test]
+    fn an_l2_policy_on_one_level_is_rejected_naming_the_field() {
+        for grammar in ["gated:100", "predecode:100", "ondemand", "oracle", "drowsy:50", "recorder"]
+        {
+            let l2_policy: PolicyKind = grammar.parse().expect("parses");
+            let one_level = SystemSpec {
+                hierarchy: HierarchySpec { l2_policy, ..HierarchySpec::default() },
+                ..SystemSpec::default()
+            };
+            match one_level.validate() {
+                Err(SimError::InvalidSpec(msg)) => {
+                    assert!(msg.starts_with(&format!("l2_policy = {l2_policy};")), "{msg}");
+                    assert!(msg.contains("levels to 2 or 3"), "{msg}");
+                }
+                other => panic!("L2 {grammar} at one level: got {other:?}"),
+            }
+            if l2_policy != PolicyKind::LocalityRecorder {
+                let two_levels = SystemSpec {
+                    hierarchy: HierarchySpec { levels: 2, ..one_level.hierarchy },
+                    ..one_level
+                };
+                assert!(two_levels.validate().is_ok(), "L2 {grammar} at two levels");
+            }
+        }
+        // The stock static L2 is what one level means.
+        assert!(SystemSpec::default().validate().is_ok());
     }
 
     #[test]

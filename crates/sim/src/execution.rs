@@ -248,16 +248,6 @@ pub fn try_run_benchmark_cached(name: &str, spec: &SystemSpec) -> Result<RunResu
     })
 }
 
-/// Memoized [`run_benchmark`](crate::run_benchmark).
-///
-/// # Panics
-///
-/// Panics when [`try_run_benchmark_cached`] would return an error.
-#[must_use]
-pub fn run_benchmark_cached(name: &str, spec: &SystemSpec) -> RunResult {
-    try_run_benchmark_cached(name, spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Counters of the process-wide run cache.
 #[must_use]
 pub fn run_cache_stats() -> CacheStats {

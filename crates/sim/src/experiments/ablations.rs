@@ -34,7 +34,8 @@ const WAY_NAMES: [&str; 3] = ["gcc", "mesa", "mcf"];
 ///
 /// # Errors
 ///
-/// The first [`SimError`] of a baseline or way-prediction run.
+/// The first [`SimError`] of a baseline, threshold-sweep or way-prediction
+/// run.
 pub fn run(instrs: u64) -> Result<String, SimError> {
     let _span = bitline_obs::span("ablations/run").field("instrs", instrs);
     let node = TechnologyNode::N70;
@@ -54,9 +55,9 @@ pub fn run(instrs: u64) -> Result<String, SimError> {
     let mut sum = [0.0; 4];
     for benchmark in NAMES {
         let baseline = try_run_benchmark_cached(benchmark, &spec(PolicyKind::StaticPullUp, false))?;
-        let with = optimal_gated(benchmark, SweptCache::Data, node, &baseline, instrs);
+        let with = optimal_gated(benchmark, SweptCache::Data, node, &baseline, instrs)?;
         let without =
-            optimal_gated(benchmark, SweptCache::DataNoPredecode, node, &baseline, instrs);
+            optimal_gated(benchmark, SweptCache::DataNoPredecode, node, &baseline, instrs)?;
         let row =
             [with.relative_discharge, without.relative_discharge, with.slowdown, without.slowdown];
         write_row(&mut out, "predecode", benchmark, row);

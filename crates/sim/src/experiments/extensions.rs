@@ -76,7 +76,7 @@ fn policy_rows(name: &str, instrs: u64) -> Result<Vec<PolicyRow>, SimError> {
     let node = TechnologyNode::N70;
     let spec = |d_policy| SystemSpec { d_policy, instructions: instrs, ..SystemSpec::default() };
     let baseline = try_run_benchmark_cached(name, &spec(PolicyKind::StaticPullUp))?;
-    let profiled = optimal_gated(name, SweptCache::Data, node, &baseline, instrs).run;
+    let profiled = optimal_gated(name, SweptCache::Data, node, &baseline, instrs)?.run;
     let constant =
         try_run_benchmark_cached(name, &spec(PolicyKind::GatedPredecode { threshold: 100 }))?;
     let adaptive = try_run_benchmark_cached(
@@ -122,15 +122,14 @@ pub fn run(instrs: u64) -> Result<Extensions, SimError> {
         hierarchy: HierarchySpec { levels: 2, l2_policy, leakage_mode: LeakageKind::FullVdd },
         ..SystemSpec::default()
     };
-    let outcome = harness::map_suite(|name| {
+    let per_benchmark = harness::map_suite("extensions", |name| {
         let rows = policy_rows(name, instrs)?;
         let stat = try_run_benchmark_cached(name, &l2_spec(PolicyKind::StaticPullUp))?;
         let ondemand = try_run_benchmark_cached(name, &l2_spec(PolicyKind::OnDemand))?;
         Ok((rows, stat, ondemand))
-    });
-    outcome.report_skipped("extensions");
+    })?;
     let (mut policies, mut stat, mut ondemand) = (Vec::new(), Vec::new(), Vec::new());
-    for (rows, s, o) in outcome.rows_or_error("extensions")? {
+    for (rows, s, o) in per_benchmark {
         policies.extend(rows);
         stat.push(s);
         ondemand.push(o);

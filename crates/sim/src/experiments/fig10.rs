@@ -1,12 +1,13 @@
-//! Figure 10: effect of subarray size on gated precharging.
+//! Figure 10: effect of subarray size on gated precharging, each
+//! benchmark at the shared D/I threshold `sweep::pick` chooses per size.
 
 use std::fmt::Write as _;
 
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
-use crate::experiments::sweep::MAX_SLOWDOWN;
-use crate::{run_benchmark_cached, PolicyKind, SimError, SystemSpec};
+use crate::experiments::sweep::pick;
+use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// Subarray sizes swept by the figure.
 pub const SIZES: [usize; 4] = [4096, 1024, 256, 64];
@@ -42,48 +43,34 @@ pub fn run(instrs: u64) -> Result<Vec<Fig10Row>, SimError> {
     SIZES
         .into_iter()
         .map(|subarray_bytes| {
-            let outcome = harness::map_suite(|name| {
-                let baseline = run_benchmark_cached(
-                    name,
-                    &SystemSpec { subarray_bytes, instructions: instrs, ..SystemSpec::default() },
-                );
+            let fracs = harness::map_suite("fig10", |name| {
+                let spec =
+                    SystemSpec { subarray_bytes, instructions: instrs, ..SystemSpec::default() };
+                let baseline = try_run_benchmark_cached(name, &spec)?;
                 // Gate both caches with a shared threshold and pick the
                 // best-energy point within the slowdown budget.
-                let mut best: Option<(f64, f64, f64)> = None; // (discharge, d_frac, i_frac)
-                let mut fallback: Option<(f64, f64, f64, f64)> = None; // +slowdown
-                for &threshold in &THRESHOLDS {
-                    let run = run_benchmark_cached(
-                        name,
-                        &SystemSpec {
-                            d_policy: PolicyKind::GatedPredecode { threshold },
-                            i_policy: PolicyKind::Gated { threshold },
-                            subarray_bytes,
-                            instructions: instrs,
-                            ..SystemSpec::default()
-                        },
-                    );
-                    let slowdown = run.slowdown_vs(&baseline);
-                    let (policy, base) = run.energy(node);
-                    let discharge =
-                        policy.d.relative_discharge(&base.d) + policy.i.relative_discharge(&base.i);
-                    let d_frac = run.l1d().report.precharged_fraction();
-                    let i_frac = run.l1i().report.precharged_fraction();
-                    if slowdown <= MAX_SLOWDOWN {
-                        if best.is_none_or(|(b, _, _)| discharge < b) {
-                            best = Some((discharge, d_frac, i_frac));
-                        }
-                    } else if fallback.is_none_or(|(_, _, _, s)| slowdown < s) {
-                        fallback = Some((discharge, d_frac, i_frac, slowdown));
-                    }
-                }
-                match (best, fallback) {
-                    (Some((_, d, i)), _) => Ok((d, i)),
-                    (None, Some((_, d, i, _))) => Ok((d, i)),
-                    (None, None) => unreachable!("threshold ladder is non-empty"),
-                }
-            });
-            outcome.report_skipped("fig10");
-            let fracs = outcome.rows_or_error("fig10")?;
+                let candidates = THRESHOLDS
+                    .iter()
+                    .map(|&threshold| {
+                        let run = try_run_benchmark_cached(
+                            name,
+                            &SystemSpec {
+                                d_policy: PolicyKind::GatedPredecode { threshold },
+                                i_policy: PolicyKind::Gated { threshold },
+                                ..spec
+                            },
+                        )?;
+                        let (policy, base) = run.energy(node);
+                        let discharge = policy.d.relative_discharge(&base.d)
+                            + policy.i.relative_discharge(&base.i);
+                        let d_frac = run.l1d().report.precharged_fraction();
+                        let i_frac = run.l1i().report.precharged_fraction();
+                        Ok((run.slowdown_vs(&baseline), discharge, d_frac, i_frac))
+                    })
+                    .collect::<Result<Vec<_>, SimError>>()?;
+                let (_, _, d_frac, i_frac) = pick(candidates, |c| c.0, |c| c.1);
+                Ok((d_frac, i_frac))
+            })?;
             let n = fracs.len() as f64;
             Ok(Fig10Row {
                 subarray_bytes,

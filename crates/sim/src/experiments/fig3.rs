@@ -28,7 +28,7 @@ pub struct Fig3Row {
 pub fn run(instrs: u64) -> Result<(Vec<Fig3Row>, Fig3Row), SimError> {
     let _span = bitline_obs::span("fig3/run").field("instrs", instrs);
     let node = TechnologyNode::N70;
-    let outcome = harness::map_suite(|name| {
+    let rows = harness::map_suite("fig3", |name| {
         let spec = SystemSpec {
             d_policy: PolicyKind::Oracle,
             i_policy: PolicyKind::Oracle,
@@ -42,9 +42,7 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig3Row>, Fig3Row), SimError> {
             d_relative: policy.d.relative_discharge(&baseline.d),
             i_relative: policy.i.relative_discharge(&baseline.i),
         })
-    });
-    outcome.report_skipped("fig3");
-    let rows = outcome.rows_or_error("fig3")?;
+    })?;
     let avg = Fig3Row {
         benchmark: "AVG".into(),
         d_relative: rows.iter().map(|r| r.d_relative).sum::<f64>() / rows.len() as f64,

@@ -66,15 +66,15 @@ fn precharged_fraction(sweep: &GatedSweep, which: SweptCache) -> f64 {
 pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
     let _span = bitline_obs::span("fig8/run").field("instrs", instrs);
     let node = TechnologyNode::N70;
-    let outcome = harness::map_suite(|name| {
+    let per_benchmark = harness::map_suite("fig8", |name| {
         let baseline = try_run_benchmark_cached(
             name,
             &SystemSpec { instructions: instrs, ..SystemSpec::default() },
         )?;
-        let d = optimal_gated(name, SweptCache::Data, node, &baseline, instrs);
-        let i = optimal_gated(name, SweptCache::Inst, node, &baseline, instrs);
-        let dc = fixed_gated(name, SweptCache::Data, node, &baseline, 100, instrs);
-        let ic = fixed_gated(name, SweptCache::Inst, node, &baseline, 100, instrs);
+        let d = optimal_gated(name, SweptCache::Data, node, &baseline, instrs)?;
+        let i = optimal_gated(name, SweptCache::Inst, node, &baseline, instrs)?;
+        let dc = fixed_gated(name, SweptCache::Data, node, &baseline, 100, instrs)?;
+        let ic = fixed_gated(name, SweptCache::Inst, node, &baseline, 100, instrs)?;
         // The sweep already priced its winning runs at `node`; reuse those
         // energies instead of re-pricing.
         let (d_pol, d_base) = &d.energy;
@@ -93,12 +93,11 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
             i_overall_reduction: i_pol.i.overall_reduction(&i_base.i),
         };
         Ok((row, dc.relative_discharge, ic.relative_discharge))
-    });
-    outcome.report_skipped("fig8");
+    })?;
     let mut rows = Vec::new();
     let mut const_d = 0.0;
     let mut const_i = 0.0;
-    for (row, dc, ic) in outcome.rows_or_error("fig8")? {
+    for (row, dc, ic) in per_benchmark {
         rows.push(row);
         const_d += dc;
         const_i += ic;

@@ -4,16 +4,16 @@
 //! The architectural runs are node-independent (8-FO4 scaling), so each
 //! benchmark is simulated once per candidate configuration and the energy
 //! is re-priced per node; the per-benchmark "as aggressive as possible
-//! within 1% slowdown" selection is then made independently at every node,
-//! exactly as the paper tunes each point.
+//! within 1% slowdown" selection (`sweep::pick`) is then made
+//! independently at every node, exactly as the paper tunes each point.
 
 use std::fmt::Write as _;
 
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
-use crate::experiments::sweep::{MAX_SLOWDOWN, THRESHOLDS};
-use crate::{run_benchmark_cached, PolicyKind, RunResult, SimError, SystemSpec};
+use crate::experiments::sweep::{pick, THRESHOLDS};
+use crate::{try_run_benchmark_cached, PolicyKind, RunResult, SimError, SystemSpec};
 
 /// Average relative bitline discharge at one node.
 #[derive(Debug, Clone, Copy)]
@@ -45,78 +45,43 @@ struct Candidates {
 }
 
 impl Candidates {
-    /// Best relative discharge at `node` within the slowdown budget;
-    /// least-slowing candidate otherwise.
+    /// The runs of `policies` on `cache` of benchmark `name`, each with its
+    /// slowdown against `baseline`.
+    fn simulate(
+        name: &str,
+        cache: Cache,
+        policies: impl IntoIterator<Item = PolicyKind>,
+        baseline: &RunResult,
+        instrs: u64,
+    ) -> Result<Candidates, SimError> {
+        let spec = SystemSpec { instructions: instrs, ..SystemSpec::default() };
+        let runs = policies
+            .into_iter()
+            .map(|policy| {
+                let spec = match cache {
+                    Cache::D => SystemSpec { d_policy: policy, ..spec },
+                    Cache::I => SystemSpec { i_policy: policy, ..spec },
+                };
+                let run = try_run_benchmark_cached(name, &spec)?;
+                let slowdown = run.slowdown_vs(baseline);
+                Ok((run, slowdown))
+            })
+            .collect::<Result<_, SimError>>()?;
+        Ok(Candidates { runs })
+    }
+
+    /// The relative discharge at `node` of the candidate [`pick`] chooses.
     fn best_at(&self, node: TechnologyNode, cache: Cache) -> f64 {
-        let rel = |run: &RunResult| {
+        let priced = self.runs.iter().map(|(run, slowdown)| {
             let (policy, baseline) = run.energy(node);
-            match cache {
+            let relative = match cache {
                 Cache::D => policy.d.relative_discharge(&baseline.d),
                 Cache::I => policy.i.relative_discharge(&baseline.i),
-            }
-        };
-        let within: Vec<&(RunResult, f64)> =
-            self.runs.iter().filter(|(_, s)| *s <= MAX_SLOWDOWN).collect();
-        if within.is_empty() {
-            let (run, _) = self
-                .runs
-                .iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("candidate set is non-empty");
-            rel(run)
-        } else {
-            within.iter().map(|(run, _)| rel(run)).fold(f64::INFINITY, f64::min)
-        }
+            };
+            (*slowdown, relative)
+        });
+        pick(priced, |c| c.0, |c| c.1).1
     }
-}
-
-fn gated_candidates(name: &str, cache: Cache, baseline: &RunResult, instrs: u64) -> Candidates {
-    let runs = THRESHOLDS
-        .iter()
-        .map(|&threshold| {
-            let spec = match cache {
-                Cache::D => SystemSpec {
-                    d_policy: PolicyKind::GatedPredecode { threshold },
-                    instructions: instrs,
-                    ..SystemSpec::default()
-                },
-                Cache::I => SystemSpec {
-                    i_policy: PolicyKind::Gated { threshold },
-                    instructions: instrs,
-                    ..SystemSpec::default()
-                },
-            };
-            let run = run_benchmark_cached(name, &spec);
-            let slowdown = run.slowdown_vs(baseline);
-            (run, slowdown)
-        })
-        .collect();
-    Candidates { runs }
-}
-
-fn resizable_candidates(name: &str, cache: Cache, baseline: &RunResult, instrs: u64) -> Candidates {
-    // Scaled so short runs still give the controller ~30-40 decision
-    // points (the paper's 1M-instruction interval assumes SimPoint-length
-    // runs).
-    let interval_accesses = (instrs / 40).max(400);
-    let runs = SLACKS
-        .iter()
-        .map(|&slack| {
-            let policy = PolicyKind::Resizable { interval_accesses, slack };
-            let spec = match cache {
-                Cache::D => {
-                    SystemSpec { d_policy: policy, instructions: instrs, ..SystemSpec::default() }
-                }
-                Cache::I => {
-                    SystemSpec { i_policy: policy, instructions: instrs, ..SystemSpec::default() }
-                }
-            };
-            let run = run_benchmark_cached(name, &spec);
-            let slowdown = run.slowdown_vs(baseline);
-            (run, slowdown)
-        })
-        .collect();
-    Candidates { runs }
 }
 
 /// Reproduces Figure 9: suite-average relative bitline discharge for gated
@@ -136,20 +101,33 @@ pub fn run(instrs: u64) -> Result<Vec<Fig9Row>, SimError> {
         resz_d: Candidates,
         resz_i: Candidates,
     }
-    let outcome = harness::map_suite(|name| {
-        let baseline = run_benchmark_cached(
+    let per_benchmark = harness::map_suite("fig9", |name| {
+        let baseline = try_run_benchmark_cached(
             name,
             &SystemSpec { instructions: instrs, ..SystemSpec::default() },
-        );
+        )?;
+        let gated = |cache| {
+            let policy = |threshold| match cache {
+                Cache::D => PolicyKind::GatedPredecode { threshold },
+                Cache::I => PolicyKind::Gated { threshold },
+            };
+            Candidates::simulate(name, cache, THRESHOLDS.map(policy), &baseline, instrs)
+        };
+        // Scaled so short runs still give the resizable controller ~30-40
+        // decision points (the paper's 1M-instruction interval assumes
+        // SimPoint-length runs).
+        let interval_accesses = (instrs / 40).max(400);
+        let resizable = |cache| {
+            let policy = |slack| PolicyKind::Resizable { interval_accesses, slack };
+            Candidates::simulate(name, cache, SLACKS.map(policy), &baseline, instrs)
+        };
         Ok(PerBenchmark {
-            gated_d: gated_candidates(name, Cache::D, &baseline, instrs),
-            gated_i: gated_candidates(name, Cache::I, &baseline, instrs),
-            resz_d: resizable_candidates(name, Cache::D, &baseline, instrs),
-            resz_i: resizable_candidates(name, Cache::I, &baseline, instrs),
+            gated_d: gated(Cache::D)?,
+            gated_i: gated(Cache::I)?,
+            resz_d: resizable(Cache::D)?,
+            resz_i: resizable(Cache::I)?,
         })
-    });
-    outcome.report_skipped("fig9");
-    let per_benchmark = outcome.rows_or_error("fig9")?;
+    })?;
 
     // Per-node selection and averaging.
     Ok(TechnologyNode::ALL

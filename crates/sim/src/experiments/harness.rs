@@ -11,11 +11,13 @@
 //! 2× budget), and lets the driver finish with partial results plus an
 //! explicit skip summary.
 //!
-//! [`map_suite`]/[`map_names`] additionally fan the units of work out over
-//! the `bitline-exec` work pool (`BITLINE_JOBS` jobs). Rows come back in
-//! suite order whatever the job count, each unit keeps the same
-//! panic-isolation and retry semantics it had serially, and a process-wide
-//! panic hook records the panic *location and thread* so a failure on
+//! There is one failure path. A driver's unit of work returns its
+//! [`SimError`] with `?`; [`map_suite`]/[`map_names`] fan the units out
+//! over the `bitline-exec` work pool (`BITLINE_JOBS` jobs), run each
+//! through [`isolated`], print the skipped units and the suite tail, and
+//! hand back the completed rows in suite order whatever the job count —
+//! or the first error when no unit completed. A process-wide panic hook
+//! records the panic *location and thread* so a failure on
 //! `exec-worker-3` is still attributable in the skip summary.
 
 use std::cell::RefCell;
@@ -31,8 +33,8 @@ use crate::supervise;
 /// A run the harness gave up on.
 #[derive(Debug, Clone)]
 pub struct SkippedRun {
-    /// Which unit of work was skipped (benchmark name, or
-    /// `benchmark@threshold` for sweeps).
+    /// Which unit of work was skipped (a benchmark name, or the spec key
+    /// of a served request).
     pub name: String,
     /// Attempts made before giving up (1 for deterministic spec errors,
     /// 2 after a retried panic or timeout).
@@ -63,27 +65,27 @@ impl std::fmt::Display for SkippedRun {
 
 /// Attempt accounting for one isolated unit, successful or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunAttempts {
+struct RunAttempts {
     /// Total attempts made (1, or 2 after a retry).
-    pub attempts: u32,
+    attempts: u32,
     /// Attempts that ended in a timeout. A unit can time out once and
     /// still succeed on its doubled-budget retry; such a unit is *ok*, not
     /// *timed out*, in the suite tail.
-    pub timed_out: u32,
+    timed_out: u32,
 }
 
-/// Results of a suite-wide experiment: the rows that completed plus the
-/// runs that did not.
+/// Results of a suite-wide map: the rows that completed plus the units
+/// that did not.
 #[derive(Debug, Clone)]
-pub struct SuiteOutcome<T> {
+struct SuiteOutcome<T> {
     /// One entry per completed unit of work, in suite order.
-    pub rows: Vec<T>,
+    rows: Vec<T>,
     /// Units of work that failed terminally, in suite order.
-    pub skipped: Vec<SkippedRun>,
+    skipped: Vec<SkippedRun>,
     /// Units that timed out on an attempt but completed on the retry.
     /// Tracked separately so the tail never double-counts them as both
     /// "ok" and "timed out".
-    pub recovered_timeouts: usize,
+    recovered_timeouts: usize,
 }
 
 /// The deduplicated suite tail: every unit is counted exactly once, by its
@@ -92,15 +94,15 @@ pub struct SuiteOutcome<T> {
 /// timeout-then-success unit lands in `ok` (and `recovered_timeouts`),
 /// never in `timed_out`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SuiteTail {
+struct SuiteTail {
     /// Units that completed.
-    pub ok: usize,
+    ok: usize,
     /// Units that failed terminally.
-    pub skipped: usize,
+    skipped: usize,
     /// Skipped units whose terminal error was a timeout.
-    pub timed_out: usize,
+    timed_out: usize,
     /// Completed units that needed a timeout retry to get there.
-    pub recovered_timeouts: usize,
+    recovered_timeouts: usize,
 }
 
 impl std::fmt::Display for SuiteTail {
@@ -114,49 +116,32 @@ impl std::fmt::Display for SuiteTail {
 }
 
 impl<T> SuiteOutcome<T> {
-    /// Whether every unit of work completed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.skipped.is_empty()
-    }
-
-    /// Skipped runs whose terminal error was a timeout.
-    #[must_use]
-    pub fn timed_out(&self) -> usize {
-        self.skipped.iter().filter(|s| matches!(s.error, SimError::TimedOut { .. })).count()
-    }
-
     /// The suite tail, computed in one place so every report line agrees
     /// on the arithmetic (see [`SuiteTail`]).
-    #[must_use]
-    pub fn tail(&self) -> SuiteTail {
+    fn tail(&self) -> SuiteTail {
         SuiteTail {
             ok: self.rows.len(),
             skipped: self.skipped.len(),
-            timed_out: self.timed_out(),
+            timed_out: self
+                .skipped
+                .iter()
+                .filter(|s| matches!(s.error, SimError::TimedOut { .. }))
+                .count(),
             recovered_timeouts: self.recovered_timeouts,
         }
     }
 
-    /// Prints one line per skipped run plus the one-line suite tail
-    /// (`N ok, M skipped, K timed out`) to stderr; no-op when complete.
-    pub fn report_skipped(&self, what: &str) {
+    /// Prints one stderr line per skipped unit plus the suite tail (`N
+    /// ok, M skipped, K timed out`), then returns the completed rows — or
+    /// the first skip's error when *no* unit completed: partial results
+    /// are useful, an empty figure is not.
+    fn into_rows(self, what: &str) -> Result<Vec<T>, SimError> {
         for s in &self.skipped {
             eprintln!("warning: {what}: skipped {s}");
         }
         if !self.skipped.is_empty() {
             eprintln!("warning: {what}: suite degraded: {}", self.tail());
         }
-    }
-
-    /// The completed rows, or the first skip's error when *no* unit of
-    /// work completed — partial results are useful, an empty figure is
-    /// not.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SkippedRun`]'s error when there are skips but no rows.
-    pub fn rows_or_error(self, what: &str) -> Result<Vec<T>, SimError> {
         if self.rows.is_empty() {
             if let Some(first) = self.skipped.into_iter().next() {
                 eprintln!("error: {what}: every run failed");
@@ -164,22 +149,6 @@ impl<T> SuiteOutcome<T> {
             }
         }
         Ok(self.rows)
-    }
-
-    /// The completed rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when *no* unit of work completed.
-    #[deprecated(since = "0.4.0", note = "use rows_or_error so sibling figures keep running")]
-    #[must_use]
-    pub fn expect_rows(self, what: &str) -> Vec<T> {
-        assert!(
-            !self.rows.is_empty() || self.skipped.is_empty(),
-            "{what}: every run failed; first error: {}",
-            self.skipped.first().map_or_else(|| "none recorded".into(), ToString::to_string)
-        );
-        self.rows
     }
 }
 
@@ -229,9 +198,9 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` with panic isolation and a single retry, supervised by a
-/// token armed with the process-wide run budget (see
-/// [`supervise::run_budget`]).
+/// Runs `f` with panic isolation and a single retry, its first attempt
+/// supervised by `token` (the work pool arms one per unit when a worker
+/// picks it up, so queue wait is not charged to the budget).
 ///
 /// Panics become [`SimError::RunFailed`] — carrying the originating panic
 /// location and thread — and are retried once after a deterministic
@@ -245,17 +214,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// The [`SkippedRun`] (name, attempt count, per-attempt wall clock,
 /// terminal error) when every attempt fails.
-pub fn isolated<T>(name: &str, f: impl Fn() -> Result<T, SimError>) -> Result<T, SkippedRun> {
-    isolated_supervised(name, &CancelToken::for_budget(supervise::run_budget()), f)
-}
-
-/// [`isolated`] under an explicit first-attempt [`CancelToken`] (the work
-/// pool arms one per unit so queue wait is not charged to the budget).
-///
-/// # Errors
-///
-/// As [`isolated`].
-pub fn isolated_supervised<T>(
+pub fn isolated<T>(
     name: &str,
     token: &CancelToken,
     f: impl Fn() -> Result<T, SimError>,
@@ -263,9 +222,9 @@ pub fn isolated_supervised<T>(
     isolated_tracked(name, token, f).0
 }
 
-/// [`isolated_supervised`] that also reports attempt accounting, so suite
-/// mappers can distinguish a clean success from a timeout-then-success.
-pub fn isolated_tracked<T>(
+/// [`isolated`] that also reports attempt accounting, so the suite mapper
+/// can tell a clean success from a timeout-then-success.
+fn isolated_tracked<T>(
     name: &str,
     token: &CancelToken,
     f: impl Fn() -> Result<T, SimError>,
@@ -311,13 +270,14 @@ pub fn isolated_tracked<T>(
         }
         // One more try: timeouts get a doubled budget (the run was making
         // progress, just slowly); panics retry under a fresh token with
-        // the original budget.
+        // the original budget. The token is armed after the backoff, so
+        // the sleep is not charged to the retry's budget.
         bitline_obs::counter!("sim.harness.retries").incr();
+        std::thread::sleep(supervise::retry_backoff(name));
         token = match (&error, token.budget()) {
             (SimError::TimedOut { .. }, Some(b)) => CancelToken::with_budget(b * 2),
             (_, b) => CancelToken::for_budget(b),
         };
-        std::thread::sleep(supervise::retry_backoff(name));
     }
 }
 
@@ -356,25 +316,37 @@ fn parse_suite(list: &str) -> Result<Vec<&'static str>, String> {
     Ok(all.into_iter().filter(|n| wanted.contains(n)).collect())
 }
 
-/// Maps `f` over the benchmark suite (see [`suite_names`]) in parallel
-/// with per-run isolation, collecting completed rows and skipped runs in
-/// suite order.
-pub fn map_suite<T: Send>(f: impl Fn(&str) -> Result<T, SimError> + Sync) -> SuiteOutcome<T> {
-    map_names(&suite_names(), f)
+/// Maps `f` over the benchmark suite (see [`suite_names`]) in parallel,
+/// each benchmark one isolated unit of work: see [`map_names`].
+///
+/// # Errors
+///
+/// As [`map_names`].
+pub fn map_suite<T: Send>(
+    what: &str,
+    f: impl Fn(&str) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    map_names(what, &suite_names(), f)
 }
 
-/// [`map_suite`] over an explicit name list (sweeps label units of work
-/// `benchmark@threshold` and pass those here).
+/// Maps `f` over `names`, each name one unit of work run through
+/// [`isolated`], and returns the completed rows in `names` order.
 ///
 /// Units run on the `bitline-exec` pool — `BITLINE_JOBS` workers, default
-/// available parallelism — but `rows` and `skipped` always come back in
-/// `names` order, so driver output is independent of the job count. Each
-/// unit receives its own [`CancelToken`] armed with the process-wide run
-/// budget when the worker picks it up.
+/// available parallelism — but rows always come back in `names` order, so
+/// driver output is independent of the job count. Each unit receives its
+/// own [`CancelToken`] armed with the process-wide run budget when the
+/// worker picks it up. A failed unit is skipped: the skips and the suite
+/// tail go to stderr, prefixed with `what`.
+///
+/// # Errors
+///
+/// The first skipped unit's [`SimError`] when no unit completed.
 pub fn map_names<T: Send>(
+    what: &str,
     names: &[&str],
     f: impl Fn(&str) -> Result<T, SimError> + Sync,
-) -> SuiteOutcome<T> {
+) -> Result<Vec<T>, SimError> {
     let started = Instant::now();
     let results = bitline_exec::pool::run_indexed_supervised(
         names.len(),
@@ -382,19 +354,21 @@ pub fn map_names<T: Send>(
         |i, token| isolated_tracked(names[i], token, || f(names[i])),
     );
     bitline_obs::histo!("sim.harness.suite_wall_us").record_duration(started.elapsed());
-    let mut rows = Vec::with_capacity(names.len());
-    let mut skipped = Vec::new();
-    let mut recovered_timeouts = 0;
+    let mut outcome = SuiteOutcome {
+        rows: Vec::with_capacity(names.len()),
+        skipped: Vec::new(),
+        recovered_timeouts: 0,
+    };
     for (result, attempts) in results {
-        if result.is_ok() && attempts.timed_out > 0 {
-            recovered_timeouts += 1;
-        }
         match result {
-            Ok(row) => rows.push(row),
-            Err(skip) => skipped.push(skip),
+            Ok(row) => {
+                outcome.recovered_timeouts += usize::from(attempts.timed_out > 0);
+                outcome.rows.push(row);
+            }
+            Err(skip) => outcome.skipped.push(skip),
         }
     }
-    SuiteOutcome { rows, skipped, recovered_timeouts }
+    outcome.into_rows(what)
 }
 
 #[cfg(test)]
@@ -418,13 +392,13 @@ mod tests {
 
     #[test]
     fn isolated_passes_values_through() {
-        assert_eq!(isolated("ok", || Ok::<_, SimError>(7)).unwrap(), 7);
+        assert_eq!(isolated("ok", &CancelToken::unbounded(), || Ok::<_, SimError>(7)).unwrap(), 7);
     }
 
     #[test]
     fn isolated_retries_panics_once() {
         let calls = Cell::new(0u32);
-        let out = isolated("flaky", || {
+        let out = isolated("flaky", &CancelToken::unbounded(), || {
             calls.set(calls.get() + 1);
             if calls.get() == 1 {
                 panic!("transient");
@@ -437,7 +411,10 @@ mod tests {
 
     #[test]
     fn isolated_gives_up_after_two_panics() {
-        let skip = isolated("poisoned", || -> Result<(), SimError> { panic!("boom") }).unwrap_err();
+        let skip = isolated("poisoned", &CancelToken::unbounded(), || -> Result<(), SimError> {
+            panic!("boom")
+        })
+        .unwrap_err();
         assert_eq!(skip.attempts, 2);
         assert_eq!(skip.wall.len(), 2, "one wall-clock sample per attempt");
         assert_eq!(skip.kind(), "run-failed");
@@ -447,8 +424,10 @@ mod tests {
 
     #[test]
     fn panic_reasons_carry_the_originating_location() {
-        let skip =
-            isolated("located", || -> Result<(), SimError> { panic!("find me") }).unwrap_err();
+        let skip = isolated("located", &CancelToken::unbounded(), || -> Result<(), SimError> {
+            panic!("find me")
+        })
+        .unwrap_err();
         let SimError::RunFailed { reason, .. } = skip.error else {
             panic!("expected RunFailed, got {:?}", skip.error)
         };
@@ -460,7 +439,7 @@ mod tests {
     #[test]
     fn deterministic_errors_are_not_retried() {
         let calls = Cell::new(0u32);
-        let skip = isolated("bad", || -> Result<(), SimError> {
+        let skip = isolated("bad", &CancelToken::unbounded(), || -> Result<(), SimError> {
             calls.set(calls.get() + 1);
             Err(SimError::InvalidSpec("subarray_bytes = 48".into()))
         })
@@ -474,10 +453,8 @@ mod tests {
     fn timeouts_retry_once_at_double_budget() {
         let budget = Duration::from_millis(40);
         let budgets = RefCell::new(Vec::new());
-        let skip = isolated_supervised(
-            "slowpoke",
-            &CancelToken::with_budget(budget),
-            || -> Result<(), SimError> {
+        let skip =
+            isolated("slowpoke", &CancelToken::with_budget(budget), || -> Result<(), SimError> {
                 let token = supervise::ambient_token();
                 budgets.borrow_mut().push(token.budget());
                 Err(SimError::TimedOut {
@@ -485,9 +462,8 @@ mod tests {
                     budget: token.budget().unwrap_or_default(),
                     progress: 10,
                 })
-            },
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         assert_eq!(skip.attempts, 2);
         assert_eq!(skip.kind(), "timed-out");
         assert_eq!(*budgets.borrow(), vec![Some(budget), Some(budget * 2)]);
@@ -499,7 +475,25 @@ mod tests {
     }
 
     #[test]
-    fn rows_or_error_keeps_partial_results() {
+    fn a_retry_is_not_charged_for_its_backoff() {
+        // The backoff before retrying "sleeper" outlasts the doubled
+        // budget, so a token armed before the sleep would be spent before
+        // the retry began.
+        let budget = Duration::from_millis(8);
+        assert!(supervise::retry_backoff("sleeper") > budget * 2);
+        let live = RefCell::new(Vec::new());
+        let skip =
+            isolated("sleeper", &CancelToken::with_budget(budget), || -> Result<(), SimError> {
+                live.borrow_mut().push(!supervise::ambient_token().cancelled());
+                Err(SimError::TimedOut { benchmark: "sleeper".into(), budget, progress: 0 })
+            })
+            .unwrap_err();
+        assert_eq!(skip.attempts, 2);
+        assert_eq!(*live.borrow(), vec![true, true], "each attempt starts with budget left");
+    }
+
+    #[test]
+    fn into_rows_keeps_partial_results() {
         let outcome = SuiteOutcome {
             rows: vec![1, 2],
             skipped: vec![SkippedRun {
@@ -510,11 +504,11 @@ mod tests {
             }],
             recovered_timeouts: 0,
         };
-        assert_eq!(outcome.rows_or_error("probe").expect("partial is ok"), vec![1, 2]);
+        assert_eq!(outcome.into_rows("probe").expect("partial is ok"), vec![1, 2]);
     }
 
     #[test]
-    fn rows_or_error_surfaces_the_first_error_when_empty() {
+    fn into_rows_surfaces_the_first_error_when_empty() {
         let outcome: SuiteOutcome<u32> = SuiteOutcome {
             rows: vec![],
             skipped: vec![SkippedRun {
@@ -525,25 +519,14 @@ mod tests {
             }],
             recovered_timeouts: 0,
         };
-        assert_eq!(
-            outcome.rows_or_error("probe").unwrap_err(),
-            SimError::InvalidSpec("bad".into())
-        );
+        assert_eq!(outcome.into_rows("probe").unwrap_err(), SimError::InvalidSpec("bad".into()));
     }
 
     #[test]
-    fn rows_or_error_accepts_an_entirely_empty_outcome() {
+    fn into_rows_accepts_an_entirely_empty_outcome() {
         let outcome: SuiteOutcome<u32> =
             SuiteOutcome { rows: vec![], skipped: vec![], recovered_timeouts: 0 };
-        assert_eq!(outcome.rows_or_error("probe").expect("nothing asked, nothing failed"), vec![]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn expect_rows_shim_still_passes_rows_through() {
-        let outcome: SuiteOutcome<u32> =
-            SuiteOutcome { rows: vec![9], skipped: vec![], recovered_timeouts: 0 };
-        assert_eq!(outcome.expect_rows("probe"), vec![9]);
+        assert_eq!(outcome.into_rows("probe").expect("nothing asked, nothing failed"), vec![]);
     }
 
     #[test]
@@ -632,25 +615,20 @@ mod tests {
 
     #[test]
     fn map_names_collects_partial_results_around_a_poisoned_run() {
-        let outcome = map_names(&["a", "b", "c"], |name| {
+        let rows = map_names("probe", &["a", "b", "c"], |name| {
             if name == "b" {
                 panic!("poisoned");
             }
             Ok(name.to_owned())
         });
-        assert_eq!(outcome.rows, vec!["a", "c"]);
-        assert_eq!(outcome.skipped.len(), 1);
-        assert_eq!(outcome.skipped[0].name, "b");
-        assert_eq!(outcome.skipped[0].attempts, 2);
-        assert_eq!(outcome.timed_out(), 0);
-        assert!(!outcome.is_complete());
+        assert_eq!(rows, Ok(vec!["a".to_owned(), "c".to_owned()]));
     }
 
     #[test]
     fn map_names_order_is_job_count_independent() {
         let run = |jobs| {
             bitline_exec::pool::with_jobs(jobs, || {
-                map_names(&["w", "x", "y", "z"], |name| {
+                map_names("probe", &["w", "x", "y", "z"], |name| {
                     if name == "y" {
                         return Err(SimError::InvalidSpec("y is bad".into()));
                     }
@@ -658,11 +636,8 @@ mod tests {
                 })
             })
         };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial.rows, vec!["w", "x", "z"]);
-        assert_eq!(parallel.rows, serial.rows);
-        assert_eq!(parallel.skipped.len(), 1);
-        assert_eq!(parallel.skipped[0].name, "y");
+        let serial = run(1).expect("three units complete");
+        assert_eq!(serial, vec!["w", "x", "z"]);
+        assert_eq!(run(4), Ok(serial));
     }
 }

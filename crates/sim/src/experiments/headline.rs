@@ -7,7 +7,7 @@ use bitline_energy::ProcessorEnergyModel;
 use bitline_workloads::suite;
 
 use crate::experiments::fig8;
-use crate::{run_benchmark_cached, PolicyKind, SimError, SystemSpec};
+use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// The headline numbers at 70 nm.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +42,7 @@ pub struct Headline {
 /// # Errors
 ///
 /// Propagates [`fig8::run`]'s error when the underlying suite produced no
-/// rows at all.
+/// rows at all, and the first error of a processor-context run.
 pub fn run(instrs: u64) -> Result<Headline, SimError> {
     let _span = bitline_obs::span("headline/run").field("instrs", instrs);
     let (_, summary) = fig8::run(instrs)?;
@@ -56,7 +56,7 @@ pub fn run(instrs: u64) -> Result<Headline, SimError> {
     let mut replay_ovh = 0.0;
     let context_names: Vec<&str> = suite::names().into_iter().step_by(4).collect();
     for name in &context_names {
-        let gated = run_benchmark_cached(
+        let gated = try_run_benchmark_cached(
             name,
             &SystemSpec {
                 d_policy: PolicyKind::GatedPredecode { threshold: 100 },
@@ -64,7 +64,7 @@ pub fn run(instrs: u64) -> Result<Headline, SimError> {
                 instructions: instrs,
                 ..SystemSpec::default()
             },
-        );
+        )?;
         let (policy, baseline) = gated.energy(node);
         let static_proc = pmodel.assess(gated.stats.committed, 0, baseline.d, baseline.i);
         cache_frac += static_proc.cache_fraction();

@@ -24,7 +24,7 @@ use bitline_energy::LeakageKind;
 use crate::config::HierarchySpec;
 use crate::experiments::harness;
 use crate::runner::{Level, RunResult};
-use crate::{run_benchmark_cached, PolicyKind, SimError, SystemSpec};
+use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// The level counts the table sweeps: L1+L2, then L1+L2+L3.
 pub const LEVELS: [u8; 2] = [2, 3];
@@ -104,9 +104,7 @@ pub fn run(instrs: u64) -> Result<Vec<HierarchyRow>, SimError> {
             },
             ..SystemSpec::default()
         };
-        let outcome = harness::map_suite(|name| Ok(run_benchmark_cached(name, &spec)));
-        outcome.report_skipped("hierarchy");
-        let runs = outcome.rows_or_error("hierarchy")?;
+        let runs = harness::map_suite("hierarchy", |name| try_run_benchmark_cached(name, &spec))?;
         for node in TechnologyNode::ALL {
             let full = cell_totals(&runs, node, LeakageKind::FullVdd);
             let full_total = full.l1_j + full.l2_j + full.l3_j;

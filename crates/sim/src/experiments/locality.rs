@@ -46,7 +46,7 @@ fn row(benchmark: &str, stats: &LocalityStats) -> LocalityRow {
 /// partial suites degrade to fewer rows with a stderr warning.
 pub fn run(instrs: u64) -> Result<LocalityResult, SimError> {
     let _span = bitline_obs::span("locality/run").field("instrs", instrs);
-    let outcome = harness::map_suite(|name| {
+    let rows = harness::map_suite("locality", |name| {
         let spec = SystemSpec {
             d_policy: PolicyKind::LocalityRecorder,
             i_policy: PolicyKind::LocalityRecorder,
@@ -57,9 +57,8 @@ pub fn run(instrs: u64) -> Result<LocalityResult, SimError> {
         let d = row(name, result.l1d().locality.as_ref().expect("recorder attached"));
         let i = row(name, result.l1i().locality.as_ref().expect("recorder attached"));
         Ok((d, i))
-    });
-    outcome.report_skipped("locality");
-    let (data, inst) = outcome.rows_or_error("locality")?.into_iter().unzip();
+    })?;
+    let (data, inst) = rows.into_iter().unzip();
     Ok(LocalityResult { data, inst })
 }
 

@@ -26,7 +26,7 @@ pub struct OnDemandRow {
 /// partial suites degrade to fewer rows with a stderr warning.
 pub fn run(instrs: u64) -> Result<(Vec<OnDemandRow>, OnDemandRow), SimError> {
     let _span = bitline_obs::span("ondemand/run").field("instrs", instrs);
-    let outcome = harness::map_suite(|name| {
+    let rows = harness::map_suite("ondemand", |name| {
         let base = try_run_benchmark_cached(
             name,
             &SystemSpec { instructions: instrs, ..SystemSpec::default() },
@@ -52,9 +52,7 @@ pub fn run(instrs: u64) -> Result<(Vec<OnDemandRow>, OnDemandRow), SimError> {
             d_slowdown: d.slowdown_vs(&base),
             i_slowdown: i.slowdown_vs(&base),
         })
-    });
-    outcome.report_skipped("ondemand");
-    let rows = outcome.rows_or_error("ondemand")?;
+    })?;
     let avg = OnDemandRow {
         benchmark: "AVG".into(),
         d_slowdown: rows.iter().map(|r| r.d_slowdown).sum::<f64>() / rows.len() as f64,

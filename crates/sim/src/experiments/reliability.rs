@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
-use crate::{run_benchmark_cached, FaultSpec, PolicyKind, SimError, SystemSpec};
+use crate::{try_run_benchmark_cached, FaultSpec, PolicyKind, SimError, SystemSpec};
 
 /// Upset probability per cold access at 70 nm when the caller does not
 /// supply one (`--fault-rate`). High enough that short CI runs still see
@@ -143,9 +143,9 @@ fn cell_totals(
         ..SystemSpec::default()
     };
     let clean_spec = SystemSpec { faults: FaultSpec { rate: 0.0, ..spec.faults }, ..spec };
-    let outcome = harness::map_suite(|name| {
-        let run = run_benchmark_cached(name, &spec);
-        let clean = run_benchmark_cached(name, &clean_spec);
+    let cells = harness::map_suite("reliability", |name| {
+        let run = try_run_benchmark_cached(name, &spec)?;
+        let clean = try_run_benchmark_cached(name, &clean_spec)?;
         let (energy, _) = run.energy(node);
         let (clean_energy, _) = clean.energy(node);
         let mut t = CellTotals {
@@ -172,9 +172,7 @@ fn cell_totals(
             }
         }
         Ok(t)
-    });
-    outcome.report_skipped("reliability");
-    let cells = outcome.rows_or_error("reliability")?;
+    })?;
     Ok(cells.into_iter().fold(
         CellTotals {
             corrected: 0,

@@ -3,15 +3,13 @@
 //! The paper evaluates gated precharging with "the statically-found
 //! per-benchmark optimum thresholds with a 1% performance degradation"
 //! (Section 6.4). This module reproduces that search: sweep a threshold
-//! ladder, keep candidates within the slowdown budget, and pick the one
-//! with the least bitline discharge at the node of interest.
+//! ladder and `pick` the candidate with the least bitline discharge at
+//! the node of interest among those within the slowdown budget. `pick` is
+//! the one statement of that rule; Figures 9 and 10 select with it too.
 
 use bitline_cmos::TechnologyNode;
 
-use crate::experiments::harness;
-use crate::{
-    run_benchmark_cached, try_run_benchmark_cached, EnergyPair, PolicyKind, RunResult, SystemSpec,
-};
+use crate::{try_run_benchmark_cached, EnergyPair, PolicyKind, RunResult, SimError, SystemSpec};
 
 /// Threshold ladder swept for the per-benchmark optimum. The paper's
 /// optima are "on the order of 10 to 1000, with most clustered around 100".
@@ -70,63 +68,62 @@ fn priced_at(run: &RunResult, which: SweptCache, node: TechnologyNode) -> (Energ
     (energy, relative)
 }
 
-/// Finds the per-benchmark optimum threshold for one cache at one node:
-/// minimum relative discharge subject to `MAX_SLOWDOWN`; if no threshold
-/// meets the budget, the least-slowing candidate wins (matching how an
-/// aggressive profile-based tuner would back off). Individual threshold
-/// runs are panic-isolated: a poisoned point is skipped (with a stderr
-/// warning) and the sweep picks among the survivors.
+/// The Section 6.4 selection: the candidate of least `cost` among those
+/// whose `slowdown` is within [`MAX_SLOWDOWN`]; when none is, the
+/// least-slowing candidate (matching how an aggressive profile-based
+/// tuner would back off). Ties go to the earlier candidate.
 ///
 /// # Panics
 ///
-/// Panics only when *every* threshold run fails.
-#[must_use]
+/// Panics when `candidates` is empty.
+pub(super) fn pick<T>(
+    candidates: impl IntoIterator<Item = T>,
+    slowdown: impl Fn(&T) -> f64,
+    cost: impl Fn(&T) -> f64,
+) -> T {
+    let mut within: Option<(f64, T)> = None;
+    let mut fallback: Option<(f64, T)> = None;
+    for candidate in candidates {
+        let s = slowdown(&candidate);
+        let (best, key) =
+            if s <= MAX_SLOWDOWN { (&mut within, cost(&candidate)) } else { (&mut fallback, s) };
+        if best.as_ref().is_none_or(|(k, _)| key < *k) {
+            *best = Some((key, candidate));
+        }
+    }
+    within.or(fallback).expect("a selection needs at least one candidate").1
+}
+
+/// Finds the per-benchmark optimum threshold for one cache at one node:
+/// every [`THRESHOLDS`] point, chosen by `pick` on relative discharge.
+///
+/// # Errors
+///
+/// The first [`SimError`] of a threshold run: a failed point fails the
+/// whole sweep, and with it the benchmark's unit of work.
 pub fn optimal_gated(
     benchmark: &str,
     which: SweptCache,
     node: TechnologyNode,
     baseline: &RunResult,
     instrs: u64,
-) -> GatedSweep {
-    let mut best: Option<GatedSweep> = None;
+) -> Result<GatedSweep, SimError> {
     let _span = bitline_obs::span("sweep/optimal_gated")
         .field("benchmark", benchmark)
         .field("cache", format!("{which:?}"));
-    let mut fallback: Option<GatedSweep> = None;
-    for &threshold in &THRESHOLDS {
-        let label = format!("{benchmark}@{threshold}");
-        let run = match harness::isolated(&label, || {
-            try_run_benchmark_cached(benchmark, &spec_for(which, threshold, instrs))
-        }) {
-            Ok(run) => run,
-            Err(skip) => {
-                eprintln!("warning: gated sweep: skipped {skip}");
-                continue;
-            }
-        };
-        let slowdown = run.slowdown_vs(baseline);
-        let (energy, relative_discharge) = priced_at(&run, which, node);
-        let candidate = GatedSweep { threshold, run, slowdown, relative_discharge, energy };
-        if slowdown <= MAX_SLOWDOWN {
-            let better =
-                best.as_ref().is_none_or(|b| candidate.relative_discharge < b.relative_discharge);
-            if better {
-                best = Some(candidate);
-                continue;
-            }
-        } else {
-            let better = fallback.as_ref().is_none_or(|f| candidate.slowdown < f.slowdown);
-            if better {
-                fallback = Some(candidate);
-            }
-        }
-    }
-    best.or(fallback).unwrap_or_else(|| panic!("every threshold run of `{benchmark}` failed"))
+    let candidates = THRESHOLDS
+        .iter()
+        .map(|&threshold| fixed_gated(benchmark, which, node, baseline, threshold, instrs))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(pick(candidates, |c| c.slowdown, |c| c.relative_discharge))
 }
 
 /// Runs gated precharging at one fixed threshold (the paper's constant-100
 /// reference).
-#[must_use]
+///
+/// # Errors
+///
+/// The run's [`SimError`].
 pub fn fixed_gated(
     benchmark: &str,
     which: SweptCache,
@@ -134,27 +131,46 @@ pub fn fixed_gated(
     baseline: &RunResult,
     threshold: u64,
     instrs: u64,
-) -> GatedSweep {
-    let run = run_benchmark_cached(benchmark, &spec_for(which, threshold, instrs));
+) -> Result<GatedSweep, SimError> {
+    let run = try_run_benchmark_cached(benchmark, &spec_for(which, threshold, instrs))?;
     let slowdown = run.slowdown_vs(baseline);
     let (energy, relative_discharge) = priced_at(&run, which, node);
-    GatedSweep { threshold, run, slowdown, relative_discharge, energy }
+    Ok(GatedSweep { threshold, run, slowdown, relative_discharge, energy })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SystemSpec;
 
     #[test]
     fn sweep_respects_the_slowdown_budget_when_possible() {
         let instrs = 6_000;
-        let baseline = run_benchmark_cached(
+        let baseline = try_run_benchmark_cached(
             "mesa",
             &SystemSpec { instructions: instrs, ..SystemSpec::default() },
-        );
-        let best = optimal_gated("mesa", SweptCache::Inst, TechnologyNode::N70, &baseline, instrs);
+        )
+        .expect("baseline completes");
+        let best = optimal_gated("mesa", SweptCache::Inst, TechnologyNode::N70, &baseline, instrs)
+            .expect("sweep completes");
         assert!(best.relative_discharge < 1.0, "must save something");
         assert!(THRESHOLDS.contains(&best.threshold));
+    }
+
+    #[test]
+    fn pick_prefers_least_cost_within_budget_else_least_slowdown() {
+        let over = MAX_SLOWDOWN * 2.0;
+        // (name, slowdown, cost)
+        let pick_of = |c: &[(&'static str, f64, f64)]| pick(c.iter().copied(), |c| c.1, |c| c.2).0;
+        // Least cost among the candidates within budget, even when an
+        // over-budget one costs less.
+        assert_eq!(pick_of(&[("a", 0.0, 0.5), ("b", over, 0.1), ("c", MAX_SLOWDOWN, 0.3)]), "c");
+        // Nothing within budget: the least-slowing candidate, whatever it costs.
+        assert_eq!(
+            pick_of(&[("a", over * 2.0, 0.1), ("b", over, 0.9), ("c", over * 3.0, 0.0)]),
+            "b"
+        );
+        // Ties go to the earlier candidate, on either rule.
+        assert_eq!(pick_of(&[("a", 0.0, 0.2), ("b", 0.0, 0.2)]), "a");
+        assert_eq!(pick_of(&[("a", over, 0.2), ("b", over, 0.1)]), "a");
     }
 }

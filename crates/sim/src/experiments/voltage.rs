@@ -28,7 +28,7 @@ use bitline_cmos::TechnologyNode;
 use crate::config::VddSpec;
 use crate::experiments::harness;
 use crate::runner::RunResult;
-use crate::{run_benchmark_cached, PolicyKind, SimError, SystemSpec};
+use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// Supply scales the table sweeps, nominal first so the baseline row
 /// leads each group: inside the guardband (0.95), at its edge (0.9), and
@@ -122,9 +122,8 @@ pub fn run(instrs: u64) -> Result<Vec<VoltageRow>, SimError> {
         instructions: instrs,
         ..SystemSpec::default()
     };
-    let outcome = harness::map_suite(|name| Ok(run_benchmark_cached(name, &nominal_spec)));
-    outcome.report_skipped("voltage");
-    let nominal_runs = outcome.rows_or_error("voltage")?;
+    let nominal_runs =
+        harness::map_suite("voltage", |name| try_run_benchmark_cached(name, &nominal_spec))?;
     let nominal = suite_totals(&nominal_runs);
     // Priced once per node: the reference of every row, and the nominal
     // row itself.
@@ -137,9 +136,8 @@ pub fn run(instrs: u64) -> Result<Vec<VoltageRow>, SimError> {
             let (t, energy) = if spec.vdd.is_default() {
                 (nominal, nominal_energy)
             } else {
-                let outcome = harness::map_suite(|name| Ok(run_benchmark_cached(name, &spec)));
-                outcome.report_skipped("voltage");
-                let runs = outcome.rows_or_error("voltage")?;
+                let runs =
+                    harness::map_suite("voltage", |name| try_run_benchmark_cached(name, &spec))?;
                 (suite_totals(&runs), suite_l1_energy(&runs))
             };
             let priced = TechnologyNode::ALL.into_iter().zip(energy).zip(nominal_energy);

@@ -32,9 +32,10 @@
 //!     instructions: 5_000,
 //!     ..SystemSpec::default()
 //! };
-//! let run = bitline_sim::run_benchmark("health", &spec);
+//! let run = bitline_sim::try_run_benchmark("health", &spec)?;
 //! let (policy, baseline) = run.energy(TechnologyNode::N70);
 //! assert!(policy.d.bitline_discharge_j() < baseline.d.bitline_discharge_j());
+//! # Ok::<(), bitline_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,13 +56,13 @@ pub use bitline_energy::LeakageKind;
 pub use config::{FaultSpec, HierarchySpec, PolicyKind, SystemSpec, VddSpec};
 pub use error::SimError;
 pub use execution::{
-    checkpoint_stats, clear_checkpoint, clear_run_caches, exec_summary_line, run_benchmark_cached,
-    run_cache_stats, set_checkpoint, trace_store_stats, try_run_benchmark_cached, CheckpointStats,
+    checkpoint_stats, clear_checkpoint, clear_run_caches, exec_summary_line, run_cache_stats,
+    set_checkpoint, trace_store_stats, try_run_benchmark_cached, CheckpointStats,
 };
 pub use recorder::{LocalityRecorder, LocalityStats, FIG5_BUCKETS, FIG6_THRESHOLDS};
 pub use runner::{
-    run_benchmark, try_run_benchmark, try_run_benchmark_supervised, EnergyPair, Level, LevelRun,
-    RunEnergy, RunResult,
+    try_run_benchmark, try_run_benchmark_supervised, EnergyPair, Level, LevelRun, RunEnergy,
+    RunResult,
 };
 
 /// Applies the supervision environment variables: `BITLINE_RUN_BUDGET`

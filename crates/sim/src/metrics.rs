@@ -9,6 +9,9 @@
 
 use std::path::Path;
 
+use bitline_ecc::ReliabilityReport;
+use bitline_faults::{FaultReport, VddReport};
+
 /// Counter names every export carries, even at zero: consumers (the CI
 /// smoke, dashboards) can rely on the taxonomy being present without
 /// special-casing runs that never touched a subsystem (e.g. a
@@ -50,46 +53,22 @@ const DECLARED_COUNTERS: &[&str] = &[
     "sim.harness.retries",
     "sim.harness.timeout_attempts",
     "sim.harness.recovered_timeouts",
-    "faults.d.injected",
-    "faults.d.detected",
-    "faults.d.replayed",
-    "faults.d.silent",
-    "faults.i.injected",
-    "faults.i.detected",
-    "faults.i.replayed",
-    "faults.i.silent",
-    "ecc.d.corrected",
-    "ecc.d.due",
-    "ecc.d.sdc",
-    "ecc.d.scrub_words",
-    "ecc.d.latent_cleared",
-    "ecc.d.fail_safe_subarrays",
-    "ecc.i.corrected",
-    "ecc.i.due",
-    "ecc.i.sdc",
-    "ecc.i.scrub_words",
-    "ecc.i.latent_cleared",
-    "ecc.i.fail_safe_subarrays",
-    "vdd.d.upsets",
-    "vdd.d.replays",
-    "vdd.d.sdc",
-    "vdd.d.escalations",
-    "vdd.d.deescalations",
-    "vdd.d.pinned_subarrays",
-    "vdd.i.upsets",
-    "vdd.i.replays",
-    "vdd.i.sdc",
-    "vdd.i.escalations",
-    "vdd.i.deescalations",
-    "vdd.i.pinned_subarrays",
 ];
 
 /// Interns the canonical counter taxonomy into the registry so every
-/// export carries the full set of names, zeros included.
+/// export carries the full set of names, zeros included. The per-level
+/// report families (`faults.*`, `ecc.*`, `vdd.*`) are declared by
+/// recording an empty report of each kind under both L1s, so they name
+/// exactly what a run records.
 pub fn declare_baseline() {
     let registry = bitline_obs::registry();
     for name in DECLARED_COUNTERS {
         let _ = registry.counter(name);
+    }
+    for cache in ["d", "i"] {
+        FaultReport::new(0).record_metrics(cache);
+        ReliabilityReport::new(0).record_metrics(cache);
+        VddReport::new(0, 0).record_metrics(cache);
     }
 }
 

@@ -568,18 +568,6 @@ pub fn try_run_benchmark_supervised(
     Ok(RunResult { benchmark: name.to_owned(), spec: *spec, stats, levels })
 }
 
-/// Runs one benchmark under a system spec.
-///
-/// # Panics
-///
-/// Panics when [`try_run_benchmark`] would return an error (unknown
-/// benchmark or invalid spec). Use the fallible variant in drivers that
-/// want to keep going.
-#[must_use]
-pub fn run_benchmark(name: &str, spec: &SystemSpec) -> RunResult {
-    try_run_benchmark(name, spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,11 +576,15 @@ mod tests {
         SystemSpec { d_policy: d, i_policy: i, instructions: 8_000, ..SystemSpec::default() }
     }
 
+    /// Runs `name` under `spec`; a test has no use for a failed run.
+    fn simulate(name: &str, spec: &SystemSpec) -> RunResult {
+        try_run_benchmark(name, spec).unwrap_or_else(|e| panic!("{name}: {e}"))
+    }
+
     #[test]
     fn oracle_never_slows_down_and_saves_discharge() {
-        let base =
-            run_benchmark("health", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
-        let oracle = run_benchmark("health", &spec(PolicyKind::Oracle, PolicyKind::Oracle));
+        let base = simulate("health", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
+        let oracle = simulate("health", &spec(PolicyKind::Oracle, PolicyKind::Oracle));
         assert_eq!(oracle.cycles(), base.cycles(), "the oracle is delay-free");
         let (pol, basln) = oracle.energy(TechnologyNode::N70);
         assert!(pol.d.relative_discharge(&basln.d) < 0.5);
@@ -601,15 +593,15 @@ mod tests {
 
     #[test]
     fn on_demand_slows_execution() {
-        let base = run_benchmark("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
-        let od = run_benchmark("mesa", &spec(PolicyKind::OnDemand, PolicyKind::StaticPullUp));
+        let base = simulate("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
+        let od = simulate("mesa", &spec(PolicyKind::OnDemand, PolicyKind::StaticPullUp));
         assert!(od.slowdown_vs(&base) > 0.005, "slowdown {}", od.slowdown_vs(&base));
     }
 
     #[test]
     fn gated_saves_discharge_with_small_slowdown() {
-        let base = run_benchmark("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
-        let gated = run_benchmark(
+        let base = simulate("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
+        let gated = simulate(
             "mesa",
             &spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 }),
         );
@@ -621,10 +613,8 @@ mod tests {
 
     #[test]
     fn recorder_produces_locality_stats() {
-        let run = run_benchmark(
-            "health",
-            &spec(PolicyKind::LocalityRecorder, PolicyKind::LocalityRecorder),
-        );
+        let run =
+            simulate("health", &spec(PolicyKind::LocalityRecorder, PolicyKind::LocalityRecorder));
         let d = run.l1d().locality.clone().expect("d locality recorded");
         assert!(d.intervals_total > 0);
         let cdf = d.cumulative_access_fraction();
@@ -648,8 +638,8 @@ mod tests {
     #[test]
     fn zero_fault_rate_is_cycle_identical() {
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let plain = run_benchmark("mesa", &s);
-        let zeroed = run_benchmark(
+        let plain = simulate("mesa", &s);
+        let zeroed = simulate(
             "mesa",
             &SystemSpec {
                 faults: crate::FaultSpec {
@@ -680,13 +670,13 @@ mod tests {
             },
             ..spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 })
         };
-        let run = run_benchmark("mesa", &s);
+        let run = simulate("mesa", &s);
         let d = run.l1d().faults.as_ref().expect("fault report present");
         assert!(d.is_consistent(), "{}", d.summary());
         assert!(d.injected() > 0, "{}", d.summary());
         assert!(d.replayed() > 0, "{}", d.summary());
         // Replays cost cycles: the faulty run is slower than the clean one.
-        let clean = run_benchmark(
+        let clean = simulate(
             "mesa",
             &spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 }),
         );
@@ -705,7 +695,7 @@ mod tests {
             },
             ..spec(PolicyKind::Gated { threshold: 50 }, PolicyKind::Gated { threshold: 50 })
         };
-        let run = run_benchmark("health", &s);
+        let run = simulate("health", &s);
         let d = run.l1d().faults.clone().expect("fault report present");
         assert!(d.degraded_subarrays() > 0, "{}", d.summary());
         assert!(d.is_consistent(), "{}", d.summary());
@@ -725,7 +715,7 @@ mod tests {
             },
             ..gated
         };
-        let run = run_benchmark("mesa", &s);
+        let run = simulate("mesa", &s);
         let rel = run.l1d().reliability.as_ref().expect("reliability report present");
         let faults = run.l1d().faults.as_ref().expect("fault report present");
         assert!(faults.is_consistent(), "{}", faults.summary());
@@ -738,7 +728,7 @@ mod tests {
         let (pol, _) = run.energy(TechnologyNode::N70);
         assert!(pol.d.ecc_j > 0.0, "protected run pays codec + check columns");
         // The same spec without ECC pays nothing into the ECC meter.
-        let bare = run_benchmark(
+        let bare = simulate(
             "mesa",
             &SystemSpec {
                 faults: crate::FaultSpec { ecc: false, scrub_period: None, ..s.faults },
@@ -752,7 +742,7 @@ mod tests {
 
     #[test]
     fn stock_runs_carry_no_hierarchy_state() {
-        let run = run_benchmark("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
+        let run = simulate("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
         let levels: Vec<Level> = run.levels.iter().map(|l| l.level).collect();
         assert_eq!(levels, [Level::L1D, Level::L1I]);
         assert!(run.outer_energy(Level::L2, TechnologyNode::N70, LeakageKind::Drowsy).is_none());
@@ -762,8 +752,8 @@ mod tests {
     fn managed_static_l2_is_cycle_identical_to_stock() {
         use crate::HierarchySpec;
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let stock = run_benchmark("mesa", &s);
-        let managed = run_benchmark(
+        let stock = simulate("mesa", &s);
+        let managed = simulate(
             "mesa",
             &SystemSpec { hierarchy: HierarchySpec { levels: 2, ..HierarchySpec::default() }, ..s },
         );
@@ -780,11 +770,11 @@ mod tests {
     fn three_levels_interpose_the_l3_and_price_it() {
         use crate::HierarchySpec;
         let s = spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp);
-        let two = run_benchmark(
+        let two = simulate(
             "mesa",
             &SystemSpec { hierarchy: HierarchySpec { levels: 2, ..HierarchySpec::default() }, ..s },
         );
-        let three = run_benchmark(
+        let three = simulate(
             "mesa",
             &SystemSpec { hierarchy: HierarchySpec { levels: 3, ..HierarchySpec::default() }, ..s },
         );
@@ -802,8 +792,8 @@ mod tests {
     fn leakage_mode_reprices_energy_but_never_touches_cycles() {
         use crate::HierarchySpec;
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let plain = run_benchmark("mesa", &s);
-        let drowsy = run_benchmark(
+        let plain = simulate("mesa", &s);
+        let drowsy = simulate(
             "mesa",
             &SystemSpec {
                 hierarchy: HierarchySpec {
@@ -831,8 +821,8 @@ mod tests {
     fn nominal_vdd_is_bit_identical_to_stock() {
         use crate::VddSpec;
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let plain = run_benchmark("mesa", &s);
-        let nominal = run_benchmark("mesa", &SystemSpec { vdd: VddSpec::nominal(), ..s });
+        let plain = simulate("mesa", &s);
+        let nominal = simulate("mesa", &SystemSpec { vdd: VddSpec::nominal(), ..s });
         assert_eq!(format!("{plain:?}"), format!("{nominal:?}"));
         let (p, _) = plain.energy(TechnologyNode::N70);
         let (n, _) = nominal.energy(TechnologyNode::N70);
@@ -844,13 +834,11 @@ mod tests {
     fn guardband_safe_undervolt_is_pricing_only() {
         use crate::VddSpec;
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let plain = run_benchmark("mesa", &s);
+        let plain = simulate("mesa", &s);
         // 0.98 of nominal stretches delay well inside the 8% guardband:
         // no speculation, no decorator, identical cycles — only joules move.
-        let safe = run_benchmark(
-            "mesa",
-            &SystemSpec { vdd: VddSpec { scale: 0.98, governor: false }, ..s },
-        );
+        let safe =
+            simulate("mesa", &SystemSpec { vdd: VddSpec { scale: 0.98, governor: false }, ..s });
         assert_eq!(plain.cycles(), safe.cycles());
         assert_eq!(plain.l1d().report, safe.l1d().report);
         assert!(safe.l1d().vdd.is_none(), "in-guardband supply arms no decorator");
@@ -865,11 +853,9 @@ mod tests {
     fn deep_undervolt_speculates_replays_and_costs_cycles() {
         use crate::VddSpec;
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 });
-        let clean = run_benchmark("mesa", &s);
-        let hot = run_benchmark(
-            "mesa",
-            &SystemSpec { vdd: VddSpec { scale: 0.8, governor: false }, ..s },
-        );
+        let clean = simulate("mesa", &s);
+        let hot =
+            simulate("mesa", &SystemSpec { vdd: VddSpec { scale: 0.8, governor: false }, ..s });
         let d = hot.l1d().vdd.as_ref().expect("speculative run carries a vdd report");
         assert!(d.accesses() > 0, "cold reads must be censused");
         assert!(d.upsets > 0, "0.8 Vdd at 70nm mis-senses");
@@ -894,7 +880,7 @@ mod tests {
             ..spec(PolicyKind::Gated { threshold: 50 }, PolicyKind::Gated { threshold: 50 })
         };
         let governed =
-            run_benchmark("mesa", &SystemSpec { vdd: VddSpec { scale: 0.8, governor: true }, ..s });
+            simulate("mesa", &SystemSpec { vdd: VddSpec { scale: 0.8, governor: true }, ..s });
         let d = governed.l1d().vdd.as_ref().expect("governed run carries a vdd report");
         assert!(d.is_consistent(), "{}", d.summary());
         assert!(d.escalations() > 0, "a 40%-upset rung must escalate");
@@ -904,10 +890,8 @@ mod tests {
             d.step_accesses
         );
         // The governor holds the replay rate below the static ladder's.
-        let hot = run_benchmark(
-            "mesa",
-            &SystemSpec { vdd: VddSpec { scale: 0.8, governor: false }, ..s },
-        );
+        let hot =
+            simulate("mesa", &SystemSpec { vdd: VddSpec { scale: 0.8, governor: false }, ..s });
         let hot_d = hot.l1d().vdd.as_ref().expect("static run carries a vdd report");
         assert!(
             d.upsets * hot_d.accesses() < hot_d.upsets * d.accesses(),
@@ -920,7 +904,7 @@ mod tests {
         // Governed pricing sits between the aggressive rung and nominal.
         let (gov_e, _) = governed.energy(TechnologyNode::N70);
         let (hot_e, _) = hot.energy(TechnologyNode::N70);
-        let (nom_e, _) = run_benchmark("mesa", &s).energy(TechnologyNode::N70);
+        let (nom_e, _) = simulate("mesa", &s).energy(TechnologyNode::N70);
         assert!(gov_e.d.dynamic_j > hot_e.d.dynamic_j * 0.99);
         assert!(gov_e.d.total_j() < nom_e.d.total_j() * 1.05);
     }
@@ -933,7 +917,7 @@ mod tests {
             vdd: VddSpec { scale: 0.8, governor: false },
             ..spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::Gated { threshold: 100 })
         };
-        let run = run_benchmark("mesa", &s);
+        let run = simulate("mesa", &s);
         let d = run.l1d().vdd.as_ref().expect("vdd report present");
         let rel = run.l1d().reliability.as_ref().expect("ecc run carries reliability");
         assert!(d.upsets > 0);
@@ -961,7 +945,7 @@ mod tests {
         ];
         let count = |name: &str| bitline_obs::registry().counter(name).get();
         let before = names.map(count);
-        let run = run_benchmark("mesa", &s);
+        let run = simulate("mesa", &s);
         let (d, i) = (run.l1d(), run.l1i());
         let own = [
             d.faults.as_ref().map_or(0, FaultReport::injected),
@@ -981,7 +965,7 @@ mod tests {
         use crate::HierarchySpec;
         let s = spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp);
         let three = HierarchySpec { levels: 3, ..HierarchySpec::default() };
-        let run = run_benchmark("mesa", &SystemSpec { hierarchy: three, ..s });
+        let run = simulate("mesa", &SystemSpec { hierarchy: three, ..s });
         for (i, as_access) in (0..run.levels.len()).flat_map(|i| [(i, false), (i, true)]) {
             // An extra miss breaks hits + misses = accesses; counted as an
             // access too, it breaks this level's or the next one's traffic.
@@ -996,8 +980,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let s = spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::StaticPullUp);
-        let a = run_benchmark("tsp", &s);
-        let b = run_benchmark("tsp", &s);
+        let a = simulate("tsp", &s);
+        let b = simulate("tsp", &s);
         assert_eq!(a.cycles(), b.cycles());
         assert_eq!(a.stats.committed, b.stats.committed);
         assert_eq!(format!("{:?}", a.levels), format!("{:?}", b.levels));
@@ -1014,8 +998,9 @@ mod debug_probe {
         for name in ["mesa", "health", "gcc"] {
             for n in [8_000u64, 40_000] {
                 let s = SystemSpec { instructions: n, ..SystemSpec::default() };
-                let base = run_benchmark(name, &s);
-                let od = run_benchmark(name, &SystemSpec { d_policy: PolicyKind::OnDemand, ..s });
+                let base = try_run_benchmark(name, &s).expect("static run");
+                let od = SystemSpec { d_policy: PolicyKind::OnDemand, ..s };
+                let od = try_run_benchmark(name, &od).expect("on-demand run");
                 println!(
                     "{name} n={n}: base {} cyc (fstall {} mispred {} dmiss {:.3} loads {}), od {} cyc (fstall {} mispred {} dmiss {:.3} loads {}), slowdown {:.3}",
                     base.cycles(), base.stats.fetch_stall_cycles, base.stats.mispredicts, base.l1d().miss_ratio(), base.stats.loads,

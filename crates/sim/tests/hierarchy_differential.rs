@@ -12,9 +12,16 @@
 
 use bitline_cmos::TechnologyNode;
 use bitline_sim::experiments::{fig3, headline, hierarchy};
-use bitline_sim::{clear_run_caches, run_benchmark, HierarchySpec, LeakageKind, SystemSpec};
+use bitline_sim::{
+    clear_run_caches, try_run_benchmark, HierarchySpec, LeakageKind, RunResult, SystemSpec,
+};
 
 const INSTRS: u64 = 2_000;
+
+/// Runs `name` under `spec`; a test has no use for a failed run.
+fn simulate(name: &str, spec: &SystemSpec) -> RunResult {
+    try_run_benchmark(name, spec).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
 
 fn fig3_bytes() -> String {
     let (rows, avg) = fig3::run(INSTRS).expect("fig3 completes");
@@ -59,8 +66,8 @@ fn single_level_figures_are_unchanged_by_hierarchy_activity() {
         instructions: INSTRS,
         ..SystemSpec::default()
     };
-    let stock = run_benchmark("mesa", &gated);
-    let drowsy = run_benchmark(
+    let stock = simulate("mesa", &gated);
+    let drowsy = simulate(
         "mesa",
         &SystemSpec {
             hierarchy: HierarchySpec {

@@ -8,20 +8,19 @@
 
 use bitline_exec::pool;
 use bitline_sim::experiments::{fig8, harness};
-use bitline_sim::{clear_run_caches, run_benchmark_cached, run_cache_stats, SystemSpec};
+use bitline_sim::{clear_run_caches, run_cache_stats, try_run_benchmark_cached, SystemSpec};
 
 const INSTRS: u64 = 2_500;
 
 fn suite_rows(jobs: usize) -> Vec<String> {
     pool::with_jobs(jobs, || {
-        harness::map_suite(|name| {
-            let run = run_benchmark_cached(
+        harness::map_suite("determinism probe", |name| {
+            let run = try_run_benchmark_cached(
                 name,
                 &SystemSpec { instructions: INSTRS, ..SystemSpec::default() },
-            );
+            )?;
             Ok(format!("{name}: cycles={} ipc={:.6}", run.cycles(), run.stats.ipc()))
         })
-        .rows_or_error("determinism probe")
         .expect("suite completes")
     })
 }

@@ -47,7 +47,8 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     // (1 ns, not zero: a zero duration means "unset" in the process-global
     // budget encoding.)
     supervise::set_run_budget(Some(Duration::from_nanos(1)));
-    let skip = harness::isolated("gcc", || try_run_benchmark("gcc", &spec).map(|_| ()))
+    let token = CancelToken::for_budget(supervise::run_budget());
+    let skip = harness::isolated("gcc", &token, || try_run_benchmark("gcc", &spec).map(|_| ()))
         .expect_err("a zero budget cannot complete");
     assert_eq!(skip.kind(), "timed-out");
     assert_eq!(skip.attempts, 2, "timeouts are retried exactly once");

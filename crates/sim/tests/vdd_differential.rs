@@ -13,9 +13,14 @@
 
 use bitline_cmos::TechnologyNode;
 use bitline_sim::experiments::{fig3, headline, voltage};
-use bitline_sim::{clear_run_caches, run_benchmark, SystemSpec, VddSpec};
+use bitline_sim::{clear_run_caches, try_run_benchmark, RunResult, SystemSpec, VddSpec};
 
 const INSTRS: u64 = 2_000;
+
+/// Runs `name` under `spec`; a test has no use for a failed run.
+fn simulate(name: &str, spec: &SystemSpec) -> RunResult {
+    try_run_benchmark(name, spec).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
 
 fn fig3_bytes() -> String {
     let (rows, avg) = fig3::run(INSTRS).expect("fig3 completes");
@@ -58,8 +63,8 @@ fn nominal_supply_figures_are_unchanged_by_voltage_activity() {
         instructions: INSTRS,
         ..SystemSpec::default()
     };
-    let stock = run_benchmark("mesa", &gated);
-    let nominal = run_benchmark("mesa", &SystemSpec { vdd: VddSpec::nominal(), ..gated });
+    let stock = simulate("mesa", &gated);
+    let nominal = simulate("mesa", &SystemSpec { vdd: VddSpec::nominal(), ..gated });
     assert_eq!(
         format!("{stock:?}"),
         format!("{nominal:?}"),
@@ -67,10 +72,8 @@ fn nominal_supply_figures_are_unchanged_by_voltage_activity() {
     );
 
     // --- an in-guardband undervolt is pricing-only: zero cycle movement ---
-    let safe = run_benchmark(
-        "mesa",
-        &SystemSpec { vdd: VddSpec { scale: 0.98, governor: false }, ..gated },
-    );
+    let safe =
+        simulate("mesa", &SystemSpec { vdd: VddSpec { scale: 0.98, governor: false }, ..gated });
     assert_eq!(safe.cycles(), stock.cycles(), "a guardband-safe supply must never touch cycles");
     assert_eq!(
         format!("{:?}", safe.stats),

@@ -2,10 +2,15 @@
 //! facade crate the way a downstream user would.
 
 use bitline::cmos::TechnologyNode;
-use bitline::sim::{run_benchmark, PolicyKind, SystemSpec};
+use bitline::sim::{try_run_benchmark, PolicyKind, RunResult, SystemSpec};
 
 fn spec(d: PolicyKind, i: PolicyKind, instructions: u64) -> SystemSpec {
     SystemSpec { d_policy: d, i_policy: i, instructions, ..SystemSpec::default() }
+}
+
+/// Runs `name` under `spec`; a test has no use for a failed run.
+fn simulate(name: &str, spec: &SystemSpec) -> RunResult {
+    try_run_benchmark(name, spec).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 /// The paper's policy ordering must hold end-to-end on every benchmark
@@ -15,10 +20,9 @@ fn spec(d: PolicyKind, i: PolicyKind, instructions: u64) -> SystemSpec {
 fn policy_ordering_holds_end_to_end() {
     for name in ["health", "mesa", "mcf"] {
         let n = 12_000;
-        let baseline =
-            run_benchmark(name, &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp, n));
-        let oracle = run_benchmark(name, &spec(PolicyKind::Oracle, PolicyKind::Oracle, n));
-        let gated = run_benchmark(
+        let baseline = simulate(name, &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp, n));
+        let oracle = simulate(name, &spec(PolicyKind::Oracle, PolicyKind::Oracle, n));
+        let gated = simulate(
             name,
             &spec(
                 PolicyKind::GatedPredecode { threshold: 100 },
@@ -43,7 +47,7 @@ fn policy_ordering_holds_end_to_end() {
 /// the same gated run saves much more at 70 nm than at 180 nm.
 #[test]
 fn scaling_flips_the_isolation_verdict() {
-    let gated = run_benchmark(
+    let gated = simulate(
         "tsp",
         &spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::StaticPullUp, 12_000),
     );
@@ -62,9 +66,8 @@ fn scaling_flips_the_isolation_verdict() {
 fn on_demand_is_accurate_but_late() {
     let n = 12_000;
     for name in ["mesa", "bzip2"] {
-        let baseline =
-            run_benchmark(name, &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp, n));
-        let od = run_benchmark(name, &spec(PolicyKind::OnDemand, PolicyKind::StaticPullUp, n));
+        let baseline = simulate(name, &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp, n));
+        let od = simulate(name, &spec(PolicyKind::OnDemand, PolicyKind::StaticPullUp, n));
         assert!(od.slowdown_vs(&baseline) > 0.0, "{name} must slow down");
         let (p, b) = od.energy(TechnologyNode::N70);
         assert!(p.d.relative_discharge(&b.d) < 0.4, "{name}: on-demand discharge");
@@ -77,11 +80,11 @@ fn on_demand_is_accurate_but_late() {
 fn resizable_cannot_match_gated_at_70nm() {
     let n = 30_000;
     let name = "health"; // small hot footprint: resizing CAN shrink safely
-    let gated = run_benchmark(
+    let gated = simulate(
         name,
         &spec(PolicyKind::GatedPredecode { threshold: 100 }, PolicyKind::StaticPullUp, n),
     );
-    let resizable = run_benchmark(
+    let resizable = simulate(
         name,
         &spec(
             PolicyKind::Resizable { interval_accesses: 2_000, slack: 0.01 },
@@ -105,11 +108,11 @@ fn resizable_cannot_match_gated_at_70nm() {
 fn predecoding_reduces_delayed_accesses() {
     let n = 20_000;
     for name in ["gcc", "mcf"] {
-        let plain = run_benchmark(
+        let plain = simulate(
             name,
             &spec(PolicyKind::Gated { threshold: 100 }, PolicyKind::StaticPullUp, n),
         );
-        let predecode = run_benchmark(
+        let predecode = simulate(
             name,
             &spec(PolicyKind::GatedPredecode { threshold: 100 }, PolicyKind::StaticPullUp, n),
         );
@@ -130,8 +133,8 @@ fn end_to_end_determinism() {
         PolicyKind::Gated { threshold: 200 },
         10_000,
     );
-    let a = run_benchmark("vortex", &s);
-    let b = run_benchmark("vortex", &s);
+    let a = simulate("vortex", &s);
+    let b = simulate("vortex", &s);
     assert_eq!(a.cycles(), b.cycles());
     assert_eq!(a.stats.replays, b.stats.replays);
     assert_eq!(a.l1d().report.total_precharge_events(), b.l1d().report.total_precharge_events());
