@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, test, lint, docs, format. Run from the repo root.
 #
-#   ./ci.sh          full gate (also runs the bitline-perf benchmark's
-#                    tests, and one short full-size run each of headline,
+#   ./ci.sh          full gate (also runs the codec totality check over
+#                    all 256 values per frame byte in release, the
+#                    bitline-perf benchmark's tests, and one short
+#                    full-size run each of headline,
 #                    voltage, long-gcc and serve-mixed that must match the
 #                    pinned stdout digests, simulated cycle totals and
 #                    serve answer digest; lints and format-checks the
@@ -809,6 +811,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The codec totality check replaces every byte of three frames. The debug
+# run above tries a fixed value set per byte; a release build tries all 256.
+totality=checkpoint::tests::any_single_byte_mutation_decodes_or_is_rejected_without_panicking
+echo "==> cargo test --release -q -p bitline-sim --lib $totality"
+cargo test --release -q -p bitline-sim --lib "$totality" -- --exact
 
 # The benchmark's own tests include a --quick run of every workload that
 # must end "correct": true and carry every declared metric. At --quick

@@ -83,6 +83,15 @@ impl IdleHistogram {
         IdleHistogram { counts: counts[..filled].to_vec() }
     }
 
+    /// Rebuilds a histogram from its stored buckets (the inverse of
+    /// [`IdleHistogram::buckets`]): `None` for more than [`IDLE_BUCKETS`]
+    /// or a zero last bucket, which `buckets` never returns.
+    #[must_use]
+    pub fn from_buckets(buckets: Vec<u64>) -> Option<IdleHistogram> {
+        (buckets.len() <= IDLE_BUCKETS && buckets.last() != Some(&0))
+            .then_some(IdleHistogram { counts: buckets })
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &IdleHistogram) {
         if other.counts.len() > self.counts.len() {

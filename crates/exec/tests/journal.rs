@@ -47,6 +47,7 @@ fn entry_sets() -> impl Strategy<Value = Vec<(String, Vec<u8>)>> {
 proptest! {
     /// Whatever was appended comes back verbatim, in order, with nothing
     /// quarantined.
+    #[test]
     fn roundtrip_preserves_every_entry(entries in entry_sets()) {
         let dir = scratch("roundtrip");
         write_journal(&dir, &entries);

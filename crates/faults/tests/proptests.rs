@@ -34,6 +34,7 @@ fn drive(policy: &mut dyn PrechargePolicy, accesses: &[(usize, u64)]) -> (Vec<u3
 proptest! {
     /// With rate 0 the decorator is bit-identical to the undecorated
     /// policy: same per-access latencies, same finalize report, no events.
+    #[test]
     fn rate_zero_is_transparent(accesses in access_stream()) {
         let mut plain = gated();
         let mut wrapped =
@@ -53,6 +54,7 @@ proptest! {
 
     /// A fixed fault seed gives a reproducible run: identical latencies and
     /// identical fault counters.
+    #[test]
     fn fixed_seed_is_deterministic(accesses in access_stream(), seed in any::<u64>()) {
         let cfg = FaultConfig::with_rate(0.2, seed);
         let mut a = FaultInjectingPolicy::new(gated(), cfg, SUBARRAYS);
@@ -65,6 +67,7 @@ proptest! {
 
     /// Counter invariant under any stream, rate, and seed:
     /// detected + silent == injected and replayed == detected.
+    #[test]
     fn counters_are_consistent(
         accesses in access_stream(),
         seed in any::<u64>(),
@@ -78,6 +81,7 @@ proptest! {
 
     /// Different fault seeds leave the leakage multipliers different (the
     /// log-normal draw actually depends on the seed).
+    #[test]
     fn multipliers_depend_on_seed(seed in any::<u64>()) {
         let a = FaultInjectingPolicy::new(gated(), FaultConfig::with_rate(0.1, seed), SUBARRAYS);
         let b = FaultInjectingPolicy::new(
@@ -136,6 +140,7 @@ proptest! {
     /// With ECC armed the counters stay consistent and the reliability
     /// report partitions exactly onto the fault report: every injected
     /// upset is corrected, a DUE, or SDC; only DUEs replay.
+    #[test]
     fn ecc_counters_partition_the_fault_report(
         accesses in access_stream(),
         seed in any::<u64>(),
@@ -154,6 +159,7 @@ proptest! {
     }
 
     /// ECC runs are seed-deterministic, scrub or no scrub.
+    #[test]
     fn ecc_runs_are_deterministic(accesses in access_stream(), seed in any::<u64>()) {
         let cfg = FaultConfig::with_rate(0.3, seed).with_secded().with_scrub(2_048);
         let mut a = FaultInjectingPolicy::new(gated(), cfg, SUBARRAYS);

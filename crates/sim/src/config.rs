@@ -1075,6 +1075,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
         /// `Display` is the canonical spelling: parsing it gives the
         /// policy back bit for bit.
+        #[test]
         fn policy_display_parses_back_exactly(p in any_policy()) {
             prop_assert_eq!(p.to_string().parse::<PolicyKind>(), Ok(p));
         }

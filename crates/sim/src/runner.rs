@@ -987,27 +987,3 @@ mod tests {
         assert_eq!(format!("{:?}", a.levels), format!("{:?}", b.levels));
     }
 }
-
-#[cfg(test)]
-mod debug_probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_ondemand() {
-        for name in ["mesa", "health", "gcc"] {
-            for n in [8_000u64, 40_000] {
-                let s = SystemSpec { instructions: n, ..SystemSpec::default() };
-                let base = try_run_benchmark(name, &s).expect("static run");
-                let od = SystemSpec { d_policy: PolicyKind::OnDemand, ..s };
-                let od = try_run_benchmark(name, &od).expect("on-demand run");
-                println!(
-                    "{name} n={n}: base {} cyc (fstall {} mispred {} dmiss {:.3} loads {}), od {} cyc (fstall {} mispred {} dmiss {:.3} loads {}), slowdown {:.3}",
-                    base.cycles(), base.stats.fetch_stall_cycles, base.stats.mispredicts, base.l1d().miss_ratio(), base.stats.loads,
-                    od.cycles(), od.stats.fetch_stall_cycles, od.stats.mispredicts, od.l1d().miss_ratio(), od.stats.loads,
-                    od.slowdown_vs(&base)
-                );
-            }
-        }
-    }
-}

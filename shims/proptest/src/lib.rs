@@ -365,6 +365,9 @@ pub mod prelude {
     }
 }
 
+/// Declares property tests. As in the real crate, each property's
+/// attributes pass through and none is added: a property registers as a
+/// test only through the `#[test]` it writes, so it registers once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -383,7 +386,6 @@ macro_rules! __proptest_impl {
         fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
             let mut __rng =
