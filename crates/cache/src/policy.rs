@@ -399,4 +399,24 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 3);
     }
+
+    #[test]
+    fn from_buckets_inverts_buckets() {
+        let mut h = IdleHistogram::default();
+        assert_eq!(IdleHistogram::from_buckets(h.buckets().to_vec()), Some(h.clone()));
+        for idle in [0, 5, 5, 700, u64::MAX] {
+            h.record(idle);
+            assert_eq!(IdleHistogram::from_buckets(h.buckets().to_vec()), Some(h.clone()));
+        }
+        assert_eq!(h.buckets().len(), IDLE_BUCKETS, "u64::MAX fills the last bucket");
+    }
+
+    #[test]
+    fn from_buckets_rejects_what_buckets_never_returns() {
+        assert_eq!(IdleHistogram::from_buckets(vec![1; IDLE_BUCKETS + 1]), None, "too many");
+        assert_eq!(IdleHistogram::from_buckets(vec![3, 0]), None, "a zero last bucket");
+        assert_eq!(IdleHistogram::from_buckets(vec![0]), None, "a lone zero bucket");
+        let inner_zero = IdleHistogram::from_buckets(vec![0, 0, 2]).expect("zeros below the top");
+        assert_eq!(inner_zero, IdleHistogram::from_counts(inner_zero.counts()));
+    }
 }

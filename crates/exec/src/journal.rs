@@ -430,6 +430,36 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        // zlib's `crc32` (an independent implementation) of the first n
+        // bytes of one pattern, n = 0..=17: every byte tail, with no
+        // sliced word before it and with one or two.
+        let pattern: Vec<u8> = (0..17_u32).map(|i| (i * 37 + 11) as u8).collect();
+        let zlib = [
+            0x0000_0000,
+            0x45D0_3605,
+            0x84F4_FB98,
+            0x3753_A57B,
+            0xA532_8CBE,
+            0x9ECE_CD5F,
+            0xB541_6B8C,
+            0xEF6F_3B31,
+            0x648B_AD8B,
+            0x17DC_5F9E,
+            0xA012_5457,
+            0x0919_340F,
+            0x7A6C_29EC,
+            0x7EC4_7AE4,
+            0xDCA7_A3C5,
+            0x5360_5EE3,
+            0x24E8_A988,
+            0xCDFC_844A,
+        ];
+        for (n, want) in zlib.into_iter().enumerate() {
+            assert_eq!(crc32(&pattern[..n]), want, "first {n} bytes");
+        }
+        assert_eq!(crc32(&[0; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFF; 32]), 0xFF6C_AB0B);
+        assert_eq!(crc32(&(0..=255).collect::<Vec<u8>>()), 0x2905_8C73);
     }
 
     /// The byte-at-a-time loop the sliced [`crc32`] replaced: the reference
@@ -450,26 +480,223 @@ mod tests {
         !crc
     }
 
+    /// A seeded xorshift64 stream of test bytes and choices.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// `len` bytes drawn from `next`.
+    fn random_bytes(next: &mut impl FnMut() -> u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| next() as u8).collect()
+    }
+
     #[test]
     fn sliced_crc32_matches_the_bytewise_reference() {
         // Seeded inputs of 0-4 KiB, every length up to 64 among them, each
         // checked from every start offset mod 8: every split between
         // sliced words and the byte tail, at every alignment.
-        let mut state = 0x2545_F491_4F6C_DD1D_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
         let lens = (0..=64).chain((0..128).map(|_| next() as usize % 4097)).collect::<Vec<_>>();
         for len in lens {
-            let bytes: Vec<u8> = (0..len + 8).map(|_| next() as u8).collect();
+            let bytes = random_bytes(&mut next, len + 8);
             for offset in 0..8 {
                 let input = &bytes[offset..offset + len];
                 assert_eq!(crc32(input), crc32_bytewise(input), "{len} bytes at offset {offset}");
             }
         }
+    }
+
+    #[test]
+    fn every_burst_of_up_to_32_bits_changes_the_crc32() {
+        // A degree-32 CRC detects every error burst no longer than 32
+        // bits, single-bit flips among them: the guarantee behind every
+        // quarantined frame. The reflected CRC reads each byte low bit
+        // first, so bit `8 * byte + k` is the stream's bit order.
+        let mut next = xorshift(0x1405_7B7E_F767_814F);
+        let bytes = random_bytes(&mut next, 40);
+        let crc = crc32(&bytes);
+        let bits = bytes.len() * 8;
+        for burst in 1..=32 {
+            for start in 0..=bits - burst {
+                let middle = next();
+                let mut damaged = bytes.clone();
+                for i in 0..burst {
+                    if i == 0 || i == burst - 1 || middle >> i & 1 == 1 {
+                        let at = start + i;
+                        damaged[at / 8] ^= 1 << (at % 8);
+                    }
+                }
+                assert_ne!(crc32(&damaged), crc, "{burst}-bit burst at bit {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_slice_table_row_carries_a_byte_through_more_zero_bytes() {
+        // Row k, entry i is the register (from zero, no inversions) after
+        // byte i and then k zero bytes, shifted through the polynomial a
+        // bit at a time: a swapped or miscomputed row shows here by name.
+        let step = |mut reg: u32, byte: u8| {
+            reg ^= u32::from(byte);
+            for _ in 0..8 {
+                reg = if reg & 1 != 0 { 0xEDB8_8320 ^ (reg >> 1) } else { reg >> 1 };
+            }
+            reg
+        };
+        for (k, row) in CRC_TABLES.iter().enumerate() {
+            for (i, &entry) in row.iter().enumerate() {
+                let reg = std::iter::repeat_n(0, k).fold(step(0, i as u8), step);
+                assert_eq!(entry, reg, "row {k}, byte {i:#04x}");
+            }
+        }
+    }
+
+    /// A journal image: the magic, then `frames` back to back.
+    fn image(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for f in frames {
+            bytes.extend_from_slice(f);
+        }
+        bytes
+    }
+
+    /// A frame around an arbitrary payload with its true CRC, so a scan
+    /// gets past the checksum to the payload's own framing.
+    fn payload_frame(payload: &[u8]) -> Vec<u8> {
+        let len = u32::try_from(payload.len()).expect("test payload fits in u32");
+        let mut out = len.to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn entry(key: &str, value: &[u8]) -> JournalEntry {
+        JournalEntry { key: key.into(), value: value.to_vec() }
+    }
+
+    #[test]
+    fn a_frame_is_its_length_crc_and_payload() {
+        // len = 4 + klen + vlen; the CRC (zlib's, for an independent
+        // value) covers the payload only; every integer is little-endian.
+        let mut want = vec![10, 0, 0, 0];
+        want.extend_from_slice(&0x45F5_58B0_u32.to_le_bytes());
+        want.extend_from_slice(&[3, 0, 0, 0]);
+        want.extend_from_slice(b"keyval");
+        assert_eq!(frame("key", b"val"), want);
+    }
+
+    #[test]
+    fn an_empty_or_magic_only_file_scans_clean() {
+        for bytes in [&[][..], &MAGIC[..]] {
+            assert_eq!(scan(bytes), (Vec::new(), LoadReport::default()), "{} bytes", bytes.len());
+        }
+    }
+
+    #[test]
+    fn a_foreign_magic_quarantines_the_whole_file() {
+        let mut bytes = image(&[frame("k", b"v")]);
+        bytes[6] = b'2'; // "BLJRNL2\n": a format this build cannot read
+        let (entries, report) = scan(&bytes);
+        assert!(entries.is_empty());
+        assert_eq!(report, LoadReport { quarantined: 1, ..LoadReport::default() });
+    }
+
+    #[test]
+    fn a_file_cut_inside_its_magic_is_a_torn_tail() {
+        let (entries, report) = scan(&MAGIC[..5]);
+        assert!(entries.is_empty());
+        assert!(report.truncated_tail);
+        assert_eq!((report.loaded, report.quarantined), (0, 1));
+    }
+
+    #[test]
+    fn a_header_cut_short_is_a_torn_tail() {
+        let second = frame("b", b"beta");
+        for cut in 1..8 {
+            let (entries, report) = scan(&image(&[frame("a", b"alpha"), second[..cut].to_vec()]));
+            assert_eq!(entries, [entry("a", b"alpha")], "{cut} header bytes");
+            assert!(report.truncated_tail, "{cut} header bytes");
+            assert_eq!(report.quarantined, 0, "{cut} header bytes");
+        }
+    }
+
+    #[test]
+    fn an_implausible_length_ends_the_scan() {
+        // Three bytes cannot hold the key length, and no entry is larger
+        // than the cap: nothing after such a frame can be framed again,
+        // so the scan stops there.
+        let mut short = 3_u32.to_le_bytes().to_vec();
+        short.extend_from_slice(&crc32(&[1, 2, 3]).to_le_bytes());
+        short.extend_from_slice(&[1, 2, 3]);
+        let mut huge = (MAX_ENTRY_BYTES + 1).to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0; 12]);
+        for bad in [short, huge] {
+            let (entries, report) = scan(&image(&[frame("a", b"alpha"), bad, frame("b", b"beta")]));
+            assert_eq!(entries, [entry("a", b"alpha")]);
+            assert_eq!(report, LoadReport { loaded: 1, quarantined: 1, ..LoadReport::default() });
+        }
+    }
+
+    #[test]
+    fn a_key_running_past_its_payload_is_quarantined_and_the_scan_goes_on() {
+        let mut payload = 100_u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(b"short");
+        let (entries, report) =
+            scan(&image(&[frame("a", b"alpha"), payload_frame(&payload), frame("b", b"beta")]));
+        assert_eq!(entries, [entry("a", b"alpha"), entry("b", b"beta")]);
+        assert_eq!(report, LoadReport { loaded: 2, quarantined: 1, ..LoadReport::default() });
+    }
+
+    #[test]
+    fn a_key_that_is_not_utf8_is_quarantined_and_the_scan_goes_on() {
+        let mut payload = 2_u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0xC3, 0x28]); // a lead byte, then no continuation
+        payload.extend_from_slice(b"value");
+        let (entries, report) =
+            scan(&image(&[frame("a", b"alpha"), payload_frame(&payload), frame("b", b"beta")]));
+        assert_eq!(entries, [entry("a", b"alpha"), entry("b", b"beta")]);
+        assert_eq!(report, LoadReport { loaded: 2, quarantined: 1, ..LoadReport::default() });
+    }
+
+    #[test]
+    fn duplicate_keys_come_back_in_file_order() {
+        // The scan keeps every copy; the caller lets the last one win.
+        let (entries, report) =
+            scan(&image(&[frame("k", b"old"), frame("other", b"x"), frame("k", b"new")]));
+        assert_eq!(entries, [entry("k", b"old"), entry("other", b"x"), entry("k", b"new")]);
+        assert_eq!(report.loaded, 3);
+    }
+
+    #[test]
+    fn an_empty_key_and_value_frame_and_scan_back() {
+        let empty = frame("", b"");
+        assert_eq!(empty.len(), 8 + 4, "a header and the zero key length");
+        let (entries, report) = scan(&image(&[empty, frame("", b"v"), frame("k", b"")]));
+        assert_eq!(entries, [entry("", b""), entry("", b"v"), entry("k", b"")]);
+        assert_eq!(report, LoadReport { loaded: 3, ..LoadReport::default() });
+    }
+
+    #[test]
+    fn a_missing_journal_reads_as_empty() {
+        let dir = tmp_dir("missing");
+        let read = read_entries(&dir.join(JOURNAL_FILE)).expect("a missing file is no error");
+        assert_eq!(read, (Vec::new(), LoadReport::default()));
+        assert!(!dir.exists(), "reading creates nothing");
+    }
+
+    #[test]
+    fn a_new_journal_holds_only_its_magic() {
+        let dir = tmp_dir("new");
+        let (j, entries, report) = Journal::open(&dir).expect("open");
+        assert!(entries.is_empty() && j.is_empty());
+        assert_eq!(report, LoadReport::default(), "a new file is not a compaction");
+        assert_eq!(fs::read(j.path()).expect("read"), MAGIC);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! shedding, panic isolation, deadlines, drain, and fail-fast
 //! validation.
 
+mod listening;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -43,18 +45,11 @@ impl TestServer {
         let server = Server::new(config, runner);
         let drain = server.drain_flag();
         let handle = std::thread::spawn(move || server.run());
-        // Wait for the listener to come up.
-        for _ in 0..200 {
-            if socket.exists() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
         TestServer { socket, drain, handle }
     }
 
     fn connect(&self) -> Client {
-        let stream = UnixStream::connect(&self.socket).expect("connect test daemon");
+        let stream = listening::connect(&self.socket);
         let reader = BufReader::new(stream.try_clone().expect("clone test stream"));
         Client { stream, reader }
     }

@@ -6,6 +6,8 @@
 //! line or a clean disconnect, bounded in time. Never a panic, never a
 //! hang, and the daemon must keep serving well-formed clients afterward.
 
+mod listening;
+
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
@@ -96,18 +98,12 @@ fn start_server(tag: &str) -> FuzzServer {
     let server = Server::new(config, runner);
     let drain = server.drain_flag();
     let handle = std::thread::spawn(move || server.run());
-    for _ in 0..400 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
     FuzzServer { socket, drain, handle }
 }
 
 impl FuzzServer {
     fn connect(&self) -> UnixStream {
-        let stream = UnixStream::connect(&self.socket).expect("connect fuzz daemon");
+        let stream = listening::connect(&self.socket);
         stream.set_read_timeout(Some(READ_TIMEOUT)).expect("set read timeout");
         stream
     }

@@ -6,10 +6,10 @@
 //! run cache are process-global; sharing a process with other tests
 //! would let their cache fills leak into the replay accounting.
 
+mod listening;
+
 use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use bitline_cmos::TechnologyNode;
 use bitline_obs::json::{self, as_object, get_u64, try_get};
@@ -18,7 +18,7 @@ use bitline_serve::{production_runner, ServeConfig, Server};
 const REQUEST: &str = r#"{"id":"warm","benchmark":"health","spec":{"instructions":4000}}"#;
 
 fn roundtrip(socket: &std::path::Path, lines: &[&str]) -> Vec<String> {
-    let stream = UnixStream::connect(socket).expect("connect daemon");
+    let stream = listening::connect(socket);
     let mut writer = stream.try_clone().expect("clone stream");
     for line in lines {
         writer.write_all(line.as_bytes()).expect("send");
@@ -40,12 +40,6 @@ fn serve_once(socket: &std::path::Path, lines: &[&str]) -> Vec<String> {
     let server = Server::new(config, production_runner(TechnologyNode::N70));
     let drain = server.drain_flag();
     let handle = std::thread::spawn(move || server.run());
-    for _ in 0..400 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
     let responses = roundtrip(socket, lines);
     drain.store(true, Ordering::Relaxed);
     handle.join().expect("join server").expect("server run");

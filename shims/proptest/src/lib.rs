@@ -368,6 +368,9 @@ pub mod prelude {
 /// Declares property tests. As in the real crate, each property's
 /// attributes pass through and none is added: a property registers as a
 /// test only through the `#[test]` it writes, so it registers once.
+/// Unlike the real crate, that `#[test]` is required (after the doc
+/// comment, before any other attribute): a property without one would
+/// compile without a warning and never run, so it is a compile error.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -382,9 +385,13 @@ macro_rules! proptest {
 #[macro_export]
 macro_rules! __proptest_impl {
     (config = ($cfg:expr); $(
+        $(#[doc = $doc:expr])*
+        #[test]
         $(#[$meta:meta])*
         fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
+        $(#[doc = $doc])*
+        #[test]
         $(#[$meta])*
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
@@ -408,6 +415,12 @@ macro_rules! __proptest_impl {
             }
         }
     )*};
+    (config = ($cfg:expr); $($rest:tt)*) => {
+        ::core::compile_error!(
+            "each property in `proptest!` needs `#[test]` after its doc comment: \
+             without one it would compile and never run"
+        );
+    };
 }
 
 #[macro_export]
