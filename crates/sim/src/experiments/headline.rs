@@ -4,9 +4,8 @@ use std::fmt::Write as _;
 
 use bitline_cmos::TechnologyNode;
 use bitline_energy::ProcessorEnergyModel;
-use bitline_workloads::suite;
 
-use crate::experiments::fig8;
+use crate::experiments::{fig8, harness};
 use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// The headline numbers at 70 nm.
@@ -42,20 +41,19 @@ pub struct Headline {
 /// # Errors
 ///
 /// Propagates [`fig8::run`]'s error when the underlying suite produced no
-/// rows at all, and the first error of a processor-context run.
+/// rows at all, and the processor context's first error when none of its
+/// runs completed.
 pub fn run(instrs: u64) -> Result<Headline, SimError> {
     let _span = bitline_obs::span("headline/run").field("instrs", instrs);
     let (_, summary) = fig8::run(instrs)?;
     let avg = &summary.avg;
 
-    // Processor-level context at the constant threshold, averaged over a
-    // representative subset.
+    // Processor-level context at the constant threshold, averaged over
+    // every fourth benchmark of the active suite.
     let node = TechnologyNode::N70;
     let pmodel = ProcessorEnergyModel::new(node);
-    let mut cache_frac = 0.0;
-    let mut replay_ovh = 0.0;
-    let context_names: Vec<&str> = suite::names().into_iter().step_by(4).collect();
-    for name in &context_names {
+    let context_names: Vec<&str> = harness::suite_names().into_iter().step_by(4).collect();
+    let context = harness::map_names("headline", &context_names, |name| {
         let gated = try_run_benchmark_cached(
             name,
             &SystemSpec {
@@ -67,12 +65,14 @@ pub fn run(instrs: u64) -> Result<Headline, SimError> {
         )?;
         let (policy, baseline) = gated.energy(node);
         let static_proc = pmodel.assess(gated.stats.committed, 0, baseline.d, baseline.i);
-        cache_frac += static_proc.cache_fraction();
         let gated_proc =
             pmodel.assess(gated.stats.committed, gated.stats.replays, policy.d, policy.i);
-        replay_ovh += gated_proc.replay_overhead();
-    }
-    let n = context_names.len() as f64;
+        Ok((static_proc.cache_fraction(), gated_proc.replay_overhead()))
+    })?;
+    // Summed in suite order, as the serial loop did, so every bit agrees.
+    let (cache_frac, replay_ovh) =
+        context.iter().fold((0.0, 0.0), |(c, r), &(cache, replay)| (c + cache, r + replay));
+    let n = context.len() as f64;
 
     Ok(Headline {
         d_discharge_reduction: 1.0 - avg.d_discharge,
