@@ -21,7 +21,9 @@
 #                    headline 3 times each at jobs=1 and jobs=N, fails if
 #                    any figure differs, times each leg as its fastest
 #                    run, and writes wall-clock + run-cache stats to
-#                    BENCH_headline.json; then exercises run supervision:
+#                    BENCH_headline.json; then a 400k-instruction -b gcc
+#                    run must hold at most 2 trace segments in its
+#                    window; then exercises run supervision:
 #                    a tiny --run-budget must surface as timed-out, for a
 #                    single run and for the fig9 experiment alike (never
 #                    as a caught panic), and a SIGKILL-interrupted
@@ -174,7 +176,35 @@ ${secs_parallel}s at jobs=${jobs_n}, scaling efficiency ${scaling_efficiency} \
         "parallel(${jobs_n}) ${secs_parallel}s (efficiency ${scaling_efficiency})"
     echo "==> smoke: wrote BENCH_headline.json"
 
+    window_smoke "$sim"
     resume_smoke "$instrs" "$jobs_n"
+}
+
+# A single-benchmark run reads its trace through one window shared by the
+# policy run and its static baseline: however long the run, the window
+# holds at most the two segments between the slower run and the faster.
+window_smoke() {
+    local sim="$1"
+    echo "==> smoke: a 400k-instruction -b gcc run holds at most 2 trace segments"
+    local win_json="$SMOKE_TMP/window.jsonl" win_err="$SMOKE_TMP/window.err"
+    if ! "$sim" -b gcc -i 400000 --metrics "$win_json" >/dev/null 2>"$win_err"; then
+        echo "==> smoke: FAIL — the 400k-instruction gcc run exited non-zero" >&2
+        cat "$win_err" >&2
+        exit 1
+    fi
+    local segments
+    segments=$(metric_value "$win_json" exec.traces.window_peak_segments)
+    if [[ "$segments" -lt 1 || "$segments" -gt 2 ]]; then
+        echo "==> smoke: FAIL — the gcc pair's window held $segments segments (want 1 or 2)" >&2
+        cat "$win_err" >&2
+        exit 1
+    fi
+    if ! grep -q "1 windowed, at most $segments segments" "$win_err"; then
+        echo "==> smoke: FAIL — the exec line on stderr does not report the window" >&2
+        cat "$win_err" >&2
+        exit 1
+    fi
+    echo "==> smoke: window OK — at most $segments segments held"
 }
 
 # Runs the headline 3 times at JOBS workers with metrics on, and prints the

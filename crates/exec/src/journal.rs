@@ -25,7 +25,9 @@
 //!   in the same directory plus an atomic rename — so damage cannot
 //!   accumulate.
 //! * **Duplicate keys resolve to the newest entry**, letting a writer
-//!   re-append rather than rewrite in place.
+//!   re-append rather than rewrite in place. The reader that decides which
+//!   frames are still live drops the rest with [`Journal::retain`], the
+//!   same temp-file + rename rewrite, so dead frames are read only once.
 //!
 //! The journal stores opaque byte values; serialization of the domain type
 //! (`RunResult` in `bitline-sim`) lives with the domain.
@@ -177,6 +179,31 @@ impl Journal {
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Rewrites the journal with only the entries `keep` selects, by their
+    /// index in the order [`Journal::open`] returned them, via temp file +
+    /// rename like damage compaction. The caller drops the frames it found
+    /// dead (superseded, stale or undecodable), so no later open reads
+    /// them again; a crash mid-rewrite leaves the old file whole.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure reading, rewriting or reopening the journal.
+    pub fn retain(&mut self, keep: impl Fn(usize) -> bool) -> std::io::Result<()> {
+        let (entries, _) = scan(&fs::read(&self.path)?);
+        let mut clean = MAGIC.to_vec();
+        let mut keys = HashSet::new();
+        for (_, e) in entries.iter().enumerate().filter(|&(i, _)| keep(i)) {
+            clean.extend_from_slice(&frame(&e.key, &e.value));
+            keys.insert(e.key.clone());
+        }
+        atomic_write(&self.path, &clean)?;
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.good_len = clean.len() as u64;
+        self.keys = keys;
+        counter!("exec.journal.compactions").incr();
+        Ok(())
     }
 
     /// Appends one entry and syncs it to disk before returning; a crash
@@ -785,6 +812,26 @@ mod tests {
         assert_eq!(report.quarantined, 1);
         assert!(report.compacted);
         assert!(!j.contains("bad"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retain_keeps_only_the_selected_frames_and_appends_after_them() {
+        let dir = tmp_dir("retain");
+        {
+            let (mut j, _, _) = Journal::open(&dir).expect("open");
+            for (key, value) in [("a", "old"), ("b", "dead"), ("a", "new")] {
+                j.append(key, value.as_bytes()).expect("append");
+            }
+        }
+        let (mut j, entries, _) = Journal::open(&dir).expect("reopen");
+        assert_eq!(entries.len(), 3);
+        j.retain(|i| i == 2).expect("retain");
+        assert!(j.contains("a") && !j.contains("b"));
+        j.append("c", b"later").expect("append after a rewrite");
+        let (_, entries, report) = Journal::open(&dir).expect("re-reopen");
+        assert_eq!(entries, [entry("a", b"new"), entry("c", b"later")]);
+        assert_eq!(report, LoadReport { loaded: 2, ..LoadReport::default() });
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -117,6 +117,70 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
         Ok(v)
     }
 
+    /// [`MemoCache::get_or_try_insert_with`] for several keys at once: one
+    /// call of `f` computes the values of the distinct keys not cached yet,
+    /// in first-occurrence order, and the result holds one value per key,
+    /// in `keys` order. `Err` results are returned and nothing is stored.
+    ///
+    /// The counters move as they would for one lookup per key in order:
+    /// each distinct key not cached yet is a miss, and every other lookup,
+    /// a repeat included, is a hit. The slots of all the keys stay locked
+    /// while `f` runs; they are taken in one fixed order (their addresses),
+    /// so callers whose key sets overlap cannot deadlock.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `f` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `f` returns a value count other than the number of
+    /// keys it was given.
+    pub fn get_or_try_insert_all<E>(
+        &self,
+        keys: &[K],
+        f: impl FnOnce(&[&K]) -> Result<Vec<V>, E>,
+    ) -> Result<Vec<V>, E>
+    where
+        K: Clone,
+    {
+        let slots: Vec<Arc<Slot<V>>> = {
+            let mut map = relock(self.slots.lock());
+            keys.iter().map(|k| Arc::clone(map.entry(k.clone()).or_default())).collect()
+        };
+        // Each key's first occurrence: a repeated key reads that slot.
+        let first: Vec<usize> =
+            (0..keys.len()).map(|i| (0..i).find(|&j| keys[j] == keys[i]).unwrap_or(i)).collect();
+        let mut order: Vec<usize> = (0..keys.len()).filter(|&i| first[i] == i).collect();
+        order.sort_unstable_by_key(|&i| Arc::as_ptr(&slots[i]) as usize);
+        let mut guards: Vec<Option<MutexGuard<'_, Option<V>>>> =
+            keys.iter().map(|_| None).collect();
+        for i in order {
+            guards[i] = Some(relock(slots[i].lock()));
+        }
+        let missing: Vec<usize> =
+            (0..keys.len()).filter(|&i| guards[i].as_ref().is_some_and(|v| v.is_none())).collect();
+        let misses = missing.len() as u64;
+        let hits = keys.len() as u64 - misses;
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        if let Some((hit_counter, miss_counter)) = &self.obs {
+            hit_counter.add(hits);
+            miss_counter.add(misses);
+        }
+        if !missing.is_empty() {
+            let computed = f(&missing.iter().map(|&i| &keys[i]).collect::<Vec<_>>())?;
+            assert_eq!(computed.len(), missing.len(), "one value per missing key");
+            for (i, v) in missing.into_iter().zip(computed) {
+                if let Some(slot) = guards[i].as_mut() {
+                    **slot = Some(v);
+                }
+            }
+        }
+        let value = |&i: &usize| guards[i].as_ref().and_then(|v| (**v).clone());
+        Ok(first.iter().map(|i| value(i).expect("a filled slot")).collect())
+    }
+
     /// Infallible [`MemoCache::get_or_try_insert_with`].
     pub fn get_or_insert_with(&self, key: K, f: impl FnOnce() -> V) -> V {
         self.get_or_try_insert_with(key, || Ok::<V, std::convert::Infallible>(f()))
@@ -159,6 +223,8 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::pool;
 
@@ -196,6 +262,55 @@ mod tests {
         assert_eq!(computed.load(Ordering::Relaxed), 1, "one computation for 32 requests");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (31, 1, 1));
+    }
+
+    #[test]
+    fn a_batch_computes_each_missing_key_once_and_counts_like_single_lookups() {
+        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let _ = cache.get_or_insert_with(1, || 10);
+        let asked = RefCell::new(Vec::new());
+        let got = cache.get_or_try_insert_all(&[2, 1, 2, 3], |missing| {
+            asked.borrow_mut().extend(missing.iter().map(|&&k| k));
+            Ok::<_, ()>(missing.iter().map(|&&k| k * 10).collect())
+        });
+        assert_eq!(got, Ok(vec![20, 10, 20, 30]));
+        assert_eq!(*asked.borrow(), [2, 3], "distinct missing keys, first occurrence order");
+        // 1 miss for the seed, then 2 and 3 miss; 1 and the repeated 2 hit.
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3, entries: 3 });
+        let warm = cache.get_or_try_insert_all(&[3, 3], |_| -> Result<Vec<u32>, ()> {
+            unreachable!("nothing is missing")
+        });
+        assert_eq!(warm, Ok(vec![30, 30]));
+    }
+
+    #[test]
+    fn a_failed_batch_stores_nothing() {
+        let cache: MemoCache<u32, u32> = MemoCache::new();
+        assert_eq!(cache.get_or_try_insert_all(&[1, 2], |_| Err("budget")), Err("budget"));
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(
+            cache.get_or_try_insert_all(&[2, 1], |m| Ok::<_, ()>(vec![7; m.len()])),
+            Ok(vec![7, 7])
+        );
+    }
+
+    #[test]
+    fn overlapping_batches_in_opposite_orders_compute_each_key_once() {
+        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let computed = AtomicU64::new(0);
+        let keys = |i: usize| [[1, 2], [2, 1]][i % 2];
+        let out = pool::with_jobs(4, || {
+            pool::run_indexed(16, |i| {
+                cache.get_or_try_insert_all(&keys(i), |missing| {
+                    computed.fetch_add(missing.len() as u64, Ordering::Relaxed);
+                    Ok::<_, ()>(missing.iter().map(|&&k| k + 100).collect())
+                })
+            })
+        });
+        for (i, got) in out.into_iter().enumerate() {
+            assert_eq!(got, Ok(keys(i).map(|k| k + 100).to_vec()), "batch {i}");
+        }
+        assert_eq!(computed.load(Ordering::Relaxed), 2, "each key computed once");
     }
 
     #[test]

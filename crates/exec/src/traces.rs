@@ -16,8 +16,21 @@
 //! dimension of the key: a run that consumes more instructions simply
 //! extends the shared stream segment by segment, and every other reader
 //! sees the identical prefix it would have generated itself.
+//!
+//! A stream comes in one of two kinds, built from the same producer,
+//! segments and cursor:
+//!
+//! * **retained** ([`TraceStore::cursor`]): every segment stays for the
+//!   life of the store, so any number of cursors, opened at any time, can
+//!   replay it from the start. Sweeps read each stream many times.
+//! * **windowed** ([`TraceStore::window`]): a fixed set of cursors, all
+//!   opened together, reads the stream front to back, and a segment is
+//!   dropped once every cursor has moved past it. Cursors that advance in
+//!   lockstep keep only the segments between the slowest and the fastest
+//!   of them, however long the stream.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use bitline_trace::columnar::{Segment, SegmentBuilder, SegmentCursor, StreamState};
@@ -37,27 +50,117 @@ struct Producer {
     builder: SegmentBuilder,
 }
 
-/// One benchmark's shared stream for one seed.
+/// The segments a stream holds.
+#[derive(Debug, Default)]
+struct Segments {
+    /// Stream index of `held[0]`; a windowed stream has dropped every
+    /// segment before it.
+    first: usize,
+    /// Segments materialised and still held, in stream order. Each one is
+    /// immutable and shared with cursors by refcount.
+    held: VecDeque<Arc<Segment>>,
+    /// Heap bytes of `held`.
+    bytes: u64,
+    /// A windowed stream's cursors: the index of the segment each one
+    /// reads, `usize::MAX` once it is dropped. Empty for a retained
+    /// stream, which drops nothing.
+    readers: Vec<usize>,
+}
+
+impl Segments {
+    fn get(&self, idx: usize) -> Option<&Arc<Segment>> {
+        self.held.get(idx.checked_sub(self.first)?)
+    }
+
+    /// Stream index one past the last materialised segment.
+    fn end(&self) -> usize {
+        self.first + self.held.len()
+    }
+
+    /// Moves windowed `reader` to segment `idx` and drops every segment
+    /// that no reader still needs.
+    fn move_reader(&mut self, reader: usize, idx: usize) {
+        self.readers[reader] = idx;
+        let needed = self.readers.iter().copied().min().unwrap_or(usize::MAX);
+        while self.first < needed {
+            let Some(seg) = self.held.pop_front() else { break };
+            self.bytes -= seg.heap_bytes() as u64;
+            self.first += 1;
+        }
+    }
+}
+
+/// The most any one windowed stream of a store has held, and how much the
+/// store's windowed streams have materialised. Each windowed stream
+/// reports here as it grows.
+#[derive(Debug, Default)]
+struct WindowTally {
+    streams: AtomicU64,
+    instructions: AtomicU64,
+    peak_segments: AtomicU64,
+    peak_bytes: AtomicU64,
+}
+
+impl WindowTally {
+    fn reset(&self) {
+        for n in [&self.streams, &self.instructions, &self.peak_segments, &self.peak_bytes] {
+            n.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one freshly materialised segment of a windowed stream that
+    /// now holds `segments`.
+    fn record(&self, segments: &Segments) {
+        self.instructions.fetch_add(SEG_LEN as u64, Ordering::Relaxed);
+        let held = segments.held.len() as u64;
+        self.peak_segments.fetch_max(held, Ordering::Relaxed);
+        self.peak_bytes.fetch_max(segments.bytes, Ordering::Relaxed);
+        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+        bitline_obs::gauge!("exec.traces.window_peak_segments").set_max(gauge(held));
+        bitline_obs::gauge!("exec.traces.window_peak_bytes").set_max(gauge(segments.bytes));
+    }
+}
+
+/// One benchmark's stream for one seed, retained or windowed.
 #[derive(Debug)]
 struct SharedTrace {
     name: String,
     /// Locked only while generating and encoding the next segment.
     producer: Mutex<Producer>,
-    /// Everything materialised so far, in stream order. Each segment is
-    /// immutable and shared with cursors by refcount.
-    segments: RwLock<Vec<Arc<Segment>>>,
+    segments: RwLock<Segments>,
+    /// Where a windowed stream reports its size; `None` when retained.
+    window: Option<Arc<WindowTally>>,
 }
 
 impl SharedTrace {
-    /// The segment at `idx`, materialising the stream up to it if needed.
-    fn segment(&self, idx: usize) -> Arc<Segment> {
+    fn new(name: &str, generator: SyntheticWorkload, window: Option<Arc<WindowTally>>) -> Self {
+        bitline_obs::counter!("exec.traces.streams").incr();
+        SharedTrace {
+            name: name.to_owned(),
+            producer: Mutex::new(Producer { generator, builder: SegmentBuilder::new() }),
+            segments: RwLock::new(Segments::default()),
+            window,
+        }
+    }
+
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Segments> {
+        self.segments.read().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Segments> {
+        self.segments.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The segment at `idx` for a cursor that has read every segment
+    /// before it, materialising the stream up to it if needed. `reader`
+    /// is the cursor's slot in a windowed stream.
+    fn segment(&self, idx: usize, reader: Option<usize>) -> Arc<Segment> {
+        if let Some(reader) = reader {
+            self.write().move_reader(reader, idx);
+        }
         loop {
-            {
-                let segments =
-                    self.segments.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(seg) = segments.get(idx) {
-                    return Arc::clone(seg);
-                }
+            if let Some(seg) = self.read().get(idx) {
+                return Arc::clone(seg);
             }
             // Lock order is always producer → segments, and appends happen
             // in stream order under the producer lock, so the segment list
@@ -65,9 +168,12 @@ impl SharedTrace {
             // first.
             let mut producer =
                 self.producer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let have =
-                self.segments.read().unwrap_or_else(std::sync::PoisonError::into_inner).len();
             // Another thread may have produced it while we waited.
+            let have = {
+                let segments = self.read();
+                assert!(idx >= segments.first, "{}: segment {idx} dropped unread", self.name);
+                segments.end()
+            };
             for _ in have..=idx {
                 // Materialisation seam: delay/stall here model a slow
                 // producer with readers queued on the segment lock.
@@ -80,31 +186,46 @@ impl SharedTrace {
                 let seg = Arc::new(producer.builder.finish_segment());
                 bitline_obs::counter!("exec.traces.materialised").add(SEG_LEN as u64);
                 // Readers only ever stall for this one push.
-                self.segments.write().unwrap_or_else(std::sync::PoisonError::into_inner).push(seg);
+                let mut segments = self.write();
+                segments.bytes += seg.heap_bytes() as u64;
+                segments.held.push_back(seg);
+                if let Some(tally) = &self.window {
+                    tally.record(&segments);
+                }
             }
         }
     }
 
-    fn len(&self) -> u64 {
-        let segments = self.segments.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        segments.iter().map(|s| s.len() as u64).sum()
+    /// Releases a windowed stream's `reader`: what only it still needed
+    /// is dropped.
+    fn release(&self, reader: usize) {
+        self.write().move_reader(reader, usize::MAX);
     }
 
-    fn heap_bytes(&self) -> u64 {
-        let segments = self.segments.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        segments.iter().map(|s| s.heap_bytes() as u64).sum()
+    fn len(&self) -> u64 {
+        let segments = self.read();
+        segments.held.iter().map(|s| s.len() as u64).sum()
     }
 }
 
 /// Size and coverage of a [`TraceStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStoreStats {
-    /// Distinct `(benchmark, seed)` streams materialised.
+    /// Distinct streams materialised: every retained `(benchmark, seed)`
+    /// stream plus every windowed stream.
     pub traces: usize,
-    /// Total instructions held across all streams.
+    /// Of `traces`, the windowed streams.
+    pub windows: usize,
+    /// Instructions materialised: those the retained streams hold plus
+    /// every one the windowed streams produced.
     pub instructions: u64,
-    /// Heap bytes held by the columnar segments (shared across cursors).
+    /// Heap bytes held by the retained streams' columnar segments (shared
+    /// across cursors).
     pub bytes: u64,
+    /// The most segments any one windowed stream held at once.
+    pub window_peak_segments: u64,
+    /// The most heap bytes any one windowed stream held at once.
+    pub window_peak_bytes: u64,
 }
 
 impl std::fmt::Display for TraceStoreStats {
@@ -115,7 +236,17 @@ impl std::fmt::Display for TraceStoreStats {
             self.traces,
             self.instructions,
             self.bytes / 1024
-        )
+        )?;
+        if self.windows > 0 {
+            write!(
+                f,
+                "; {} windowed, at most {} segments ({} KiB) in one window",
+                self.windows,
+                self.window_peak_segments,
+                self.window_peak_bytes / 1024
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -123,6 +254,7 @@ impl std::fmt::Display for TraceStoreStats {
 #[derive(Debug, Default)]
 pub struct TraceStore {
     traces: Mutex<HashMap<(String, u64), Arc<SharedTrace>>>,
+    windows: Arc<WindowTally>,
 }
 
 impl TraceStore {
@@ -132,8 +264,8 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// A cursor over the shared stream of `benchmark` at `seed`, or `None`
-    /// when the benchmark is not in the suite.
+    /// A cursor over the retained stream of `benchmark` at `seed`, or
+    /// `None` when the benchmark is not in the suite.
     #[must_use]
     pub fn cursor(&self, benchmark: &str, seed: u64) -> Option<TraceCursor> {
         let mut traces = self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -141,40 +273,58 @@ impl TraceStore {
             Some(t) => Arc::clone(t),
             None => {
                 let spec = suite::by_name(benchmark)?;
-                let t = Arc::new(SharedTrace {
-                    name: benchmark.to_owned(),
-                    producer: Mutex::new(Producer {
-                        generator: spec.build(seed),
-                        builder: SegmentBuilder::new(),
-                    }),
-                    segments: RwLock::new(Vec::new()),
-                });
+                let t = Arc::new(SharedTrace::new(benchmark, spec.build(seed), None));
                 traces.insert((benchmark.to_owned(), seed), Arc::clone(&t));
-                bitline_obs::counter!("exec.traces.streams").incr();
                 t
             }
         };
-        Some(TraceCursor { trace, seg: None, seg_idx: 0, state: StreamState::new() })
+        Some(TraceCursor::new(trace, None))
     }
 
-    /// Stream count, total materialised instructions, and columnar bytes.
+    /// `readers` cursors over a new windowed stream of `benchmark` at
+    /// `seed`, or `None` when the benchmark is not in the suite. The
+    /// stream is generated afresh, shared with no other caller, and drops
+    /// each segment once every one of these cursors has moved past it (or
+    /// been dropped).
+    #[must_use]
+    pub fn window(&self, benchmark: &str, seed: u64, readers: usize) -> Option<Vec<TraceCursor>> {
+        let spec = suite::by_name(benchmark)?;
+        let trace = Arc::new(SharedTrace::new(
+            benchmark,
+            spec.build(seed),
+            Some(Arc::clone(&self.windows)),
+        ));
+        trace.write().readers = vec![0; readers];
+        self.windows.streams.fetch_add(1, Ordering::Relaxed);
+        Some((0..readers).map(|r| TraceCursor::new(Arc::clone(&trace), Some(r))).collect())
+    }
+
+    /// Stream count, materialised instructions, columnar bytes, and the
+    /// largest window.
     #[must_use]
     pub fn stats(&self) -> TraceStoreStats {
         let traces = self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let windows = self.windows.streams.load(Ordering::Relaxed) as usize;
         TraceStoreStats {
-            traces: traces.len(),
-            instructions: traces.values().map(|t| t.len()).sum(),
-            bytes: traces.values().map(|t| t.heap_bytes()).sum(),
+            traces: traces.len() + windows,
+            windows,
+            instructions: traces.values().map(|t| t.len()).sum::<u64>()
+                + self.windows.instructions.load(Ordering::Relaxed),
+            bytes: traces.values().map(|t| t.read().bytes).sum(),
+            window_peak_segments: self.windows.peak_segments.load(Ordering::Relaxed),
+            window_peak_bytes: self.windows.peak_bytes.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops every stream (for cold-vs-warm comparisons in tests).
+    /// Drops every retained stream and zeroes the window tallies (for
+    /// cold-vs-warm comparisons in tests).
     pub fn clear(&self) {
         self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.windows.reset();
     }
 }
 
-/// A per-run replay position into a `SharedTrace`.
+/// A per-run replay position into a stream.
 ///
 /// Implements [`TraceSource`] by decoding the current shared segment in
 /// place: the hot `next_instr` path touches only refcounted immutable
@@ -184,6 +334,9 @@ impl TraceStore {
 #[derive(Debug)]
 pub struct TraceCursor {
     trace: Arc<SharedTrace>,
+    /// This cursor's slot among a windowed stream's readers; `None` on a
+    /// retained stream.
+    reader: Option<usize>,
     /// Current segment, shared by refcount, and the position in it
     /// (`None` before the first read).
     seg: Option<(Arc<Segment>, SegmentCursor)>,
@@ -191,6 +344,12 @@ pub struct TraceCursor {
     seg_idx: usize,
     /// Carried from each segment into the next.
     state: StreamState,
+}
+
+impl TraceCursor {
+    fn new(trace: Arc<SharedTrace>, reader: Option<usize>) -> TraceCursor {
+        TraceCursor { trace, reader, seg: None, seg_idx: 0, state: StreamState::new() }
+    }
 }
 
 impl TraceSource for TraceCursor {
@@ -202,7 +361,7 @@ impl TraceSource for TraceCursor {
                 }
                 self.seg_idx += 1;
             }
-            let seg = self.trace.segment(self.seg_idx);
+            let seg = self.trace.segment(self.seg_idx, self.reader);
             let cur = seg.cursor();
             self.seg = Some((seg, cur));
         }
@@ -210,6 +369,14 @@ impl TraceSource for TraceCursor {
 
     fn name(&self) -> &str {
         &self.trace.name
+    }
+}
+
+impl Drop for TraceCursor {
+    fn drop(&mut self) {
+        if let Some(reader) = self.reader {
+            self.trace.release(reader);
+        }
     }
 }
 
@@ -316,5 +483,45 @@ mod tests {
         assert!(Arc::ptr_eq(sa, sb), "both cursors decode the same shared segment");
         // One segment materialised once, not per cursor.
         assert_eq!(store.stats().instructions, SEG_LEN as u64);
+    }
+
+    #[test]
+    fn lockstep_cursors_replay_exactly_through_a_two_segment_window() {
+        let store = TraceStore::new();
+        let spec = suite::by_name("gcc").unwrap();
+        let mut cursors = store.window("gcc", 9, 2).expect("gcc is in the suite");
+        let mut direct = [spec.build(9), spec.build(9)];
+        // Alternating 2 048-instruction chunks, as the runner steps a pair.
+        let chunk = 2_048;
+        for turn in 0..(100 * SEG_LEN / chunk) {
+            for (k, (cursor, direct)) in cursors.iter_mut().zip(&mut direct).enumerate() {
+                for i in 0..chunk {
+                    let at = turn * chunk + i;
+                    assert_eq!(cursor.next_instr(), direct.next_instr(), "cursor {k} instr {at}");
+                }
+            }
+            let held = store.stats().window_peak_segments;
+            assert!(held <= 2, "the window held {held} segments by turn {turn}");
+        }
+        let stats = store.stats();
+        assert_eq!((stats.traces, stats.windows), (1, 1));
+        assert_eq!(stats.instructions, 100 * SEG_LEN as u64);
+        assert_eq!(stats.window_peak_segments, 2, "the leader's segment and the laggard's");
+        assert_eq!(stats.bytes, 0, "a window is not retained");
+        let trace = Arc::clone(&cursors[0].trace);
+        drop(cursors);
+        assert!(trace.read().held.is_empty(), "the last reader's drop frees the window");
+    }
+
+    #[test]
+    fn a_dropped_reader_holds_no_segment_back() {
+        let store = TraceStore::new();
+        let mut cursors = store.window("mesa", 1, 2).expect("mesa is in the suite");
+        drop(cursors.pop());
+        for _ in 0..(10 * SEG_LEN) {
+            let _ = cursors[0].next_instr();
+        }
+        assert_eq!(store.stats().window_peak_segments, 1);
+        assert!(store.window("linpack", 1, 2).is_none());
     }
 }

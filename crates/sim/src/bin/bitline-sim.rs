@@ -26,8 +26,8 @@ use bitline_cmos::TechnologyNode;
 use bitline_exec::CancelToken;
 use bitline_sim::experiments::{self, harness, Experiment};
 use bitline_sim::{
-    exec_summary_line, set_checkpoint, spec, supervise, try_run_benchmark_cached, FaultSpec,
-    HierarchySpec, LevelRun, PolicyKind, SimError, SystemSpec, VddSpec,
+    exec_summary_line, set_checkpoint, spec, supervise, try_run_lockstep_cached, LevelRun,
+    RunResult, SimError, SystemSpec,
 };
 use bitline_workloads::suite;
 
@@ -153,19 +153,12 @@ type Summary = fn(&LevelRun) -> Option<String>;
 /// pool and still print reports in suite order.
 fn run_one(name: &str, args: &Args) -> Result<String, SimError> {
     let spec = args.spec;
-    // The slowdown/energy reference is the clean static-pull-up machine:
-    // faults model leakage upsets in *gated* bitlines, so the baseline
-    // runs fault-free, single-level, at full Vdd.
-    let baseline_spec = SystemSpec {
-        d_policy: PolicyKind::StaticPullUp,
-        i_policy: PolicyKind::StaticPullUp,
-        faults: FaultSpec { rate: 0.0, ..spec.faults },
-        hierarchy: HierarchySpec::default(),
-        vdd: VddSpec::nominal(),
-        ..spec
-    };
-    let run = try_run_benchmark_cached(name, &spec)?;
-    let baseline = try_run_benchmark_cached(name, &baseline_spec)?;
+    // Both runs read the benchmark's stream in lockstep through one
+    // window, so the trace held stays flat however long the runs.
+    let [run, baseline]: [RunResult; 2] =
+        try_run_lockstep_cached(name, &[spec, spec.static_baseline()])?
+            .try_into()
+            .expect("one result per spec");
     let (policy, base) = run.energy(args.node);
 
     let mut out = String::new();
@@ -341,6 +334,7 @@ fn main() -> ExitCode {
     } else {
         let token = CancelToken::for_budget(supervise::run_budget());
         let result = harness::isolated(&args.benchmark, &token, || run_one(&args.benchmark, &args));
+        eprintln!("{}", exec_summary_line());
         flush_metrics(&args);
         match result {
             Ok(report) => {

@@ -666,6 +666,23 @@ impl SystemSpec {
         Ok(())
     }
 
+    /// The clean static-pull-up machine a run's slowdown and energy are
+    /// read against: both L1s statically pulled up, fault-free (faults
+    /// model leakage upsets in *gated* bitlines), single-level and at full
+    /// Vdd. Length, seed, geometry, way prediction and the ECC settings
+    /// stay as in `self`.
+    #[must_use]
+    pub fn static_baseline(&self) -> SystemSpec {
+        SystemSpec {
+            d_policy: PolicyKind::StaticPullUp,
+            i_policy: PolicyKind::StaticPullUp,
+            faults: FaultSpec { rate: 0.0, ..self.faults },
+            hierarchy: HierarchySpec::default(),
+            vdd: VddSpec::nominal(),
+            ..*self
+        }
+    }
+
     /// 64-bit words per subarray (the ECC latent-error denominator and
     /// per-subarray scrub cost).
     #[must_use]

@@ -7,7 +7,9 @@
 //!   recomputes and the repeated points of a threshold sweep are simulated
 //!   once per process;
 //! * the **trace store** — each `(benchmark, seed)` synthetic instruction
-//!   stream, generated once and replayed into concurrent runs;
+//!   stream, generated once and replayed into concurrent runs, plus the
+//!   windowed streams a lockstep set of runs reads once and drops behind
+//!   it;
 //! * the **accountant cache** — the `(d, i)` [`EnergyAccountant`] pair per
 //!   `(node, subarray bytes)`, so re-pricing a run at another node does
 //!   not rebuild cache geometry and energy models. Entries are `Arc`s:
@@ -30,7 +32,8 @@ use bitline_exec::{CacheStats, Journal, MemoCache, TraceCursor, TraceStore, Trac
 use crate::checkpoint;
 use crate::config::SystemSpec;
 use crate::error::SimError;
-use crate::runner::{try_run_benchmark, RunResult};
+use crate::runner::{try_run_benchmark, try_run_lockstep_supervised, RunResult};
+use crate::supervise;
 
 fn run_cache() -> &'static MemoCache<(String, SystemSpec), RunResult> {
     static CACHE: OnceLock<MemoCache<(String, SystemSpec), RunResult>> = OnceLock::new();
@@ -54,6 +57,12 @@ fn accountant_cache() -> &'static MemoCache<(TechnologyNode, usize), AccountantP
 /// `None` when the benchmark is not in the suite.
 pub(crate) fn trace_cursor(benchmark: &str, seed: u64) -> Option<TraceCursor> {
     trace_store().cursor(benchmark, seed)
+}
+
+/// `readers` cursors over a fresh windowed stream of `benchmark` at
+/// `seed`, or `None` when the benchmark is not in the suite.
+pub(crate) fn trace_window(benchmark: &str, seed: u64, readers: usize) -> Option<Vec<TraceCursor>> {
+    trace_store().window(benchmark, seed, readers)
 }
 
 /// The cached `(data, inst)` accountant pair for a node and subarray size.
@@ -83,9 +92,6 @@ pub(crate) fn level_accountant(node: TechnologyNode, cfg: CacheConfig) -> Arc<En
 /// The process-wide checkpoint journal, when `--checkpoint` is active.
 struct CheckpointState {
     journal: Journal,
-    /// Keys whose newest frame was quarantined: their runs are journaled
-    /// afresh when recomputed.
-    quarantined_keys: HashSet<String>,
     stats: CheckpointStats,
 }
 
@@ -121,27 +127,37 @@ pub struct CheckpointStats {
 /// are quarantined, never trusted, and their runs are recomputed and
 /// journaled again.
 ///
+/// Only a key's newest frame, decoded and matching its key, is live. When
+/// any other frame is found — superseded, from another codec version, or
+/// undecodable — the journal is rewritten with the live frames alone
+/// (temp file + rename, as damage compaction does), so no later open reads
+/// a dead frame again.
+///
 /// # Errors
 ///
-/// A human-readable message on I/O failure opening the journal.
+/// A human-readable message on I/O failure opening or compacting the
+/// journal.
 pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, String> {
     let mut state = lock_checkpoint();
-    let (journal, entries, report) = if resume {
-        Journal::open(dir).map_err(|e| format!("checkpoint {}: {e}", dir.display()))?
+    let io_error = |e: std::io::Error| format!("checkpoint {}: {e}", dir.display());
+    let (mut journal, entries, report) = if resume {
+        Journal::open(dir).map_err(io_error)?
     } else {
-        let j =
-            Journal::open_fresh(dir).map_err(|e| format!("checkpoint {}: {e}", dir.display()))?;
-        (j, Vec::new(), bitline_exec::LoadReport::default())
+        (
+            Journal::open_fresh(dir).map_err(io_error)?,
+            Vec::new(),
+            bitline_exec::LoadReport::default(),
+        )
     };
 
     let mut replayed = 0u64;
     let mut quarantined = u64::try_from(report.quarantined).unwrap_or(u64::MAX);
     let mut version_skew = 0u64;
     let mut seen = HashSet::new();
-    let mut quarantined_keys = HashSet::new();
+    let mut live = vec![false; entries.len()];
     // Newest first, so a key's newest frame supersedes older ones; each
     // frame is dropped once decoded, as decoded runs fill the cache.
-    for entry in entries.into_iter().rev() {
+    for (i, entry) in entries.into_iter().enumerate().rev() {
         if !seen.insert(entry.key.clone()) {
             continue;
         }
@@ -151,6 +167,7 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
             Some(run) if checkpoint::spec_key(&run.benchmark, &run.spec) == entry.key => {
                 run_cache().insert((run.benchmark.clone(), run.spec), run);
                 replayed += 1;
+                live[i] = true;
             }
             _ => {
                 // The CRC passed (the journal layer already dropped torn
@@ -161,9 +178,11 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
                     version_skew += 1;
                 }
                 quarantined += 1;
-                quarantined_keys.insert(entry.key);
             }
         }
+    }
+    if live.contains(&false) {
+        journal.retain(|i| live[i]).map_err(io_error)?;
     }
     if version_skew > 0 {
         eprintln!(
@@ -178,7 +197,7 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
     bitline_obs::counter!("sim.checkpoint.quarantined").add(quarantined);
     bitline_obs::counter!("sim.checkpoint.version_skew").add(version_skew);
     let stats = CheckpointStats { replayed, quarantined, version_skew, appended: 0, recomputed: 0 };
-    *state = Some(CheckpointState { journal, quarantined_keys, stats });
+    *state = Some(CheckpointState { journal, stats });
     Ok(stats)
 }
 
@@ -197,9 +216,10 @@ fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
     let mut state = lock_checkpoint();
     let Some(cp) = state.as_mut() else { return };
     let key = checkpoint::spec_key(name, spec);
-    if cp.journal.contains(&key) && !cp.quarantined_keys.contains(&key) {
-        // A fresh compute of a trusted journaled key: the warm path failed
-        // to serve it. Counted so CI can assert resume actually resumes.
+    if cp.journal.contains(&key) {
+        // A fresh compute of a journaled key — every one the journal still
+        // holds was replayed — means the warm path failed to serve it.
+        // Counted so CI can assert resume actually resumes.
         cp.stats.recomputed += 1;
         bitline_obs::counter!("sim.checkpoint.recomputed").incr();
         return;
@@ -212,7 +232,6 @@ fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
     }
     match cp.journal.append(&key, &checkpoint::encode_run(run)) {
         Ok(()) => {
-            cp.quarantined_keys.remove(&key);
             cp.stats.appended += 1;
             bitline_obs::counter!("sim.checkpoint.appended").incr();
         }
@@ -245,6 +264,38 @@ pub fn try_run_benchmark_cached(name: &str, spec: &SystemSpec) -> Result<RunResu
         let run = try_run_benchmark(name, spec)?;
         journal_record(name, spec, &run);
         Ok(run)
+    })
+}
+
+/// Memoized lockstep runs of several specs of benchmark `name` at one
+/// seed, one result per spec in `specs` order. Only the specs missing from
+/// the run cache are simulated, equal specs once, one chunk of each in
+/// turn over one windowed trace, so the trace held stays a couple of
+/// segments however long the runs. Each result is identical to a
+/// [`try_run_benchmark`] of its spec. Each fresh result enters the run
+/// cache and the checkpoint journal exactly as [`try_run_benchmark_cached`]
+/// would put it there, once every run of the set has finished: a process
+/// killed mid-set recomputes all of them.
+///
+/// # Errors
+///
+/// Those of [`try_run_benchmark`] for any spec, and
+/// [`SimError::InvalidSpec`] when the specs to simulate name different
+/// seeds; on an error no spec is cached or journaled.
+pub fn try_run_lockstep_cached(
+    name: &str,
+    specs: &[SystemSpec],
+) -> Result<Vec<RunResult>, SimError> {
+    let keys: Vec<(String, SystemSpec)> = specs.iter().map(|s| (name.to_owned(), *s)).collect();
+    run_cache().get_or_try_insert_all(&keys, |missing| {
+        let specs: Vec<SystemSpec> = missing.iter().map(|(_, spec)| *spec).collect();
+        let _span =
+            bitline_obs::span("sim/lockstep").field("benchmark", name).field("runs", specs.len());
+        let runs = try_run_lockstep_supervised(name, &specs, &supervise::ambient_token())?;
+        for run in &runs {
+            journal_record(name, &run.spec, run);
+        }
+        Ok(runs)
     })
 }
 
@@ -321,6 +372,88 @@ mod tests {
         assert_eq!(err, SimError::UnknownBenchmark("nosuch".into()));
         let bad = SystemSpec { subarray_bytes: 48, ..SystemSpec::default() };
         assert!(matches!(try_run_benchmark_cached("mesa", &bad), Err(SimError::InvalidSpec(_))));
+    }
+
+    #[test]
+    fn lockstep_pairs_match_independent_runs() {
+        use crate::{FaultSpec, HierarchySpec, VddSpec};
+        let gated = PolicyKind::Gated { threshold: 100 };
+        let both = |p: PolicyKind| SystemSpec { d_policy: p, i_policy: p, ..SystemSpec::default() };
+        let specs = [
+            both(PolicyKind::StaticPullUp),
+            both(gated),
+            SystemSpec { d_policy: PolicyKind::GatedPredecode { threshold: 100 }, ..both(gated) },
+            both(PolicyKind::Oracle),
+            both(PolicyKind::OnDemand),
+            both(PolicyKind::Drowsy { threshold: 100 }),
+            both(PolicyKind::Resizable { interval_accesses: 1_000, slack: 0.005 }),
+            SystemSpec {
+                faults: FaultSpec {
+                    rate: 0.05,
+                    seed: 7,
+                    fail_safe: false,
+                    ecc: true,
+                    scrub_period: Some(4_096),
+                },
+                ..both(gated)
+            },
+            SystemSpec { vdd: VddSpec { scale: 0.8, governor: true }, ..both(gated) },
+            SystemSpec {
+                hierarchy: HierarchySpec {
+                    levels: 3,
+                    l2_policy: gated,
+                    ..HierarchySpec::default()
+                },
+                ..both(gated)
+            },
+            SystemSpec { way_prediction: true, ..both(gated) },
+            SystemSpec { subarray_bytes: 64, ..both(gated) },
+        ];
+        for (k, spec) in specs.into_iter().enumerate() {
+            // A seed of its own, so the run cache holds neither spec yet
+            // and the pair is simulated in lockstep, three segments long.
+            let spec = SystemSpec { instructions: 9_000, seed: 27_100 + k as u64, ..spec };
+            let pair = [spec, spec.static_baseline()];
+            let lockstep = try_run_lockstep_cached("mesa", &pair).expect("the pair runs");
+            for (run, spec) in lockstep.iter().zip(&pair) {
+                let alone = try_run_benchmark("mesa", spec).expect("the run alone");
+                assert_eq!(format!("{run:?}"), format!("{alone:?}"), "{spec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_budget_that_expires_mid_pair_caches_neither_run() {
+        use std::time::Duration;
+
+        use bitline_exec::CancelToken;
+
+        let spec = SystemSpec {
+            d_policy: PolicyKind::Gated { threshold: 100 },
+            instructions: 400_000,
+            seed: 27_200,
+            ..SystemSpec::default()
+        };
+        let pair = [spec, spec.static_baseline()];
+        let budget = CancelToken::with_budget(Duration::from_millis(20));
+        let err = supervise::with_token(&budget, || try_run_lockstep_cached("mesa", &pair))
+            .expect_err("400k instructions outlast 20 ms");
+        assert!(
+            matches!(err, SimError::TimedOut { progress, .. } if progress < spec.instructions),
+            "{err:?}"
+        );
+        // Under a cancelled token, a spec the cache lacks times out before
+        // its first chunk; a cached one would be returned.
+        let cancelled = CancelToken::unbounded();
+        cancelled.cancel();
+        for spec in &pair {
+            let probe =
+                supervise::with_token(&cancelled, || try_run_benchmark_cached("mesa", spec));
+            assert!(
+                matches!(probe, Err(SimError::TimedOut { progress: 0, .. })),
+                "{spec:?} entered the run cache"
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub use config::{FaultSpec, HierarchySpec, PolicyKind, SystemSpec, VddSpec};
 pub use error::SimError;
 pub use execution::{
     checkpoint_stats, clear_checkpoint, clear_run_caches, exec_summary_line, run_cache_stats,
-    set_checkpoint, trace_store_stats, try_run_benchmark_cached, CheckpointStats,
+    set_checkpoint, trace_store_stats, try_run_benchmark_cached, try_run_lockstep_cached,
+    CheckpointStats,
 };
 pub use recorder::{LocalityRecorder, LocalityStats, FIG5_BUCKETS, FIG6_THRESHOLDS};
 pub use runner::{

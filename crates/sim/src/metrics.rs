@@ -55,8 +55,13 @@ const DECLARED_COUNTERS: &[&str] = &[
     "sim.harness.recovered_timeouts",
 ];
 
-/// Interns the canonical counter taxonomy into the registry so every
-/// export carries the full set of names, zeros included. The per-level
+/// Gauge names every export carries, even at zero: the largest trace
+/// window any lockstep set of runs held (zero when no run read one).
+const DECLARED_GAUGES: &[&str] =
+    &["exec.traces.window_peak_segments", "exec.traces.window_peak_bytes"];
+
+/// Interns the canonical counter and gauge taxonomy into the registry so
+/// every export carries the full set of names, zeros included. The per-level
 /// report families (`faults.*`, `ecc.*`, `vdd.*`) are declared by
 /// recording an empty report of each kind under both L1s, so they name
 /// exactly what a run records.
@@ -64,6 +69,9 @@ pub fn declare_baseline() {
     let registry = bitline_obs::registry();
     for name in DECLARED_COUNTERS {
         let _ = registry.counter(name);
+    }
+    for name in DECLARED_GAUGES {
+        let _ = registry.gauge(name);
     }
     for cache in ["d", "i"] {
         FaultReport::new(0).record_metrics(cache);
@@ -95,9 +103,9 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("file exists");
         let report = bitline_obs::validate_jsonl(&text).expect("schema-valid");
         assert!(report.counters >= DECLARED_COUNTERS.len());
-        for name in DECLARED_COUNTERS {
+        for name in DECLARED_COUNTERS.iter().chain(DECLARED_GAUGES) {
             let needle = format!("\"name\":\"{name}\"");
-            assert!(text.contains(&needle), "declared counter {name} missing from export");
+            assert!(text.contains(&needle), "declared metric {name} missing from export");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use bitline_cache::{
     ActivityReport, CacheConfig, L1Cache, MemorySystem, MemorySystemConfig, WayStats,
@@ -11,7 +12,7 @@ use bitline_cmos::TechnologyNode;
 use bitline_cpu::{Cpu, CpuConfig, SimStats};
 use bitline_ecc::ReliabilityReport;
 use bitline_energy::{CacheEnergyBreakdown, EccActivity, EnergyAccountant, LeakageKind};
-use bitline_exec::CancelToken;
+use bitline_exec::{CancelToken, TraceCursor};
 use bitline_faults::{FaultInjectingPolicy, FaultReport, VddConfig, VddReport};
 
 use crate::config::{HierarchySpec, PolicyKind, SystemSpec};
@@ -403,6 +404,198 @@ fn check_level_laws(stats: &SimStats, levels: &[LevelRun]) {
     }
 }
 
+/// One simulation in progress: [`Run::start`] builds the machine over a
+/// trace cursor, [`Run::advance`] commits the next chunk of at most
+/// [`CANCEL_POLL_INSTRS`] instructions, and [`Run::finish`] finalises the
+/// caches into the [`RunResult`]. `Cpu::run` is incremental (it runs until
+/// `committed + n`), so a run advanced chunk by chunk, alone or
+/// interleaved with others, is cycle-identical to one long call.
+struct Run {
+    spec: SystemSpec,
+    trace: TraceCursor,
+    cpu: Cpu,
+    d_sinks: Sinks,
+    i_sinks: Sinks,
+    stats: SimStats,
+    /// Wall time spent inside `Cpu::run` proper — the data-oriented hot
+    /// loop — excluding setup, energy modelling and reporting. This is
+    /// what the MIPS throughput gauge measures.
+    busy: Duration,
+}
+
+impl Run {
+    /// Builds the machine `spec` describes (already validated) over
+    /// `trace`.
+    fn start(spec: &SystemSpec, trace: TraceCursor) -> Run {
+        // The architectural pipeline is node-independent; build policies at
+        // the newest node (their cycle penalties are identical across
+        // nodes).
+        let node = TechnologyNode::N70;
+        let mut d_cfg = CacheConfig::l1_data().with_subarray_bytes(spec.subarray_bytes);
+        let mut i_cfg = CacheConfig::l1_inst().with_subarray_bytes(spec.subarray_bytes);
+        if spec.way_prediction {
+            d_cfg = d_cfg.with_way_prediction();
+            i_cfg = i_cfg.with_way_prediction();
+        }
+        // A supply below the sense guardband turns cold reads speculative —
+        // that arms the fault decorator even with the leakage-fault source
+        // off. An undervolt still *inside* the guardband never mis-senses,
+        // so it is pricing-only: no decorator, trivially cycle-identical.
+        let vdd = spec.vdd.to_config(node).filter(VddConfig::speculating);
+        let (d_policy, d_sinks) = arm_l1(spec, spec.d_policy, &d_cfg, node, vdd.as_ref(), 0);
+        let (i_policy, i_sinks) = arm_l1(spec, spec.i_policy, &i_cfg, node, vdd.as_ref(), 1);
+
+        let mem_cfg =
+            MemorySystemConfig { l1d: d_cfg, l1i: i_cfg, ..MemorySystemConfig::default() };
+        // An inert hierarchy spec builds the stock two-level system through
+        // the exact constructor the pre-hierarchy code used; only an
+        // explicit `levels >= 2` swaps in managed outer levels (the L3
+        // shares the L2's policy kind — outer levels see the same filtered
+        // miss stream).
+        let mem = if spec.hierarchy.active() {
+            let l2_policy =
+                spec.hierarchy.l2_policy.build(&MemorySystem::l2_config(&mem_cfg), node, None);
+            let l3_policy = (spec.hierarchy.levels >= 3).then(|| {
+                spec.hierarchy.l2_policy.build(&MemorySystem::l3_config(&mem_cfg), node, None)
+            });
+            MemorySystem::with_hierarchy(mem_cfg, d_policy, i_policy, l2_policy, l3_policy)
+        } else {
+            MemorySystem::new(mem_cfg, d_policy, i_policy)
+        };
+        let cpu_cfg =
+            CpuConfig { predecode_hints: spec.d_policy.wants_predecode(), ..CpuConfig::default() };
+        let cpu = Cpu::new(cpu_cfg, mem);
+        let stats = cpu.stats();
+        Run { spec: *spec, trace, cpu, d_sinks, i_sinks, stats, busy: Duration::ZERO }
+    }
+
+    /// Whether every instruction the spec asks for has committed.
+    fn done(&self) -> bool {
+        self.stats.committed >= self.spec.instructions
+    }
+
+    /// Commits the next chunk of instructions.
+    fn advance(&mut self) {
+        let chunk = (self.spec.instructions - self.stats.committed).min(CANCEL_POLL_INSTRS);
+        let t = Instant::now();
+        self.stats = self.cpu.run(&mut self.trace, chunk);
+        self.busy += t.elapsed();
+        // Chunk-boundary instrumentation: one interned-handle counter add
+        // per chunk, the same cadence as the cancel poll.
+        bitline_obs::counter!("sim.runner.chunks").incr();
+    }
+
+    /// Finalises the caches, records the run's counters and returns its
+    /// result. Dropping the trace cursor here lets a windowed stream drop
+    /// what only this run still needed.
+    fn finish(self, name: &str) -> RunResult {
+        let Run { spec, trace, cpu, d_sinks, i_sinks, stats, busy } = self;
+        drop(trace);
+        let end_cycle = stats.cycles;
+        let work = cpu.work();
+        let mut mem = cpu.into_memory();
+        let (d_report, i_report) = mem.finalize(end_cycle);
+        let mut levels = vec![
+            d_sinks.into_level(Level::L1D, mem.l1d(), d_report),
+            i_sinks.into_level(Level::L1I, mem.l1i(), i_report),
+        ];
+        if spec.hierarchy.active() {
+            let report = mem.finalize_l2(end_cycle);
+            levels.push(Sinks::default().into_level(Level::L2, mem.l2(), report));
+        }
+        if let Some(report) = mem.finalize_l3(end_cycle) {
+            let l3 = mem.l3().expect("a finalised L3 exists");
+            levels.push(Sinks::default().into_level(Level::L3, l3, report));
+        }
+        check_level_laws(&stats, &levels);
+
+        // Run-completion accounting: every counter below except the
+        // wall-time `busy_micros` is a pure function of (benchmark, spec),
+        // so their totals are identical across job counts. `busy_micros`
+        // is timing telemetry (how long the hot loop actually ran) and is
+        // excluded from the cross-jobs differential alongside `exec.pool.*`.
+        bitline_obs::counter!("sim.runner.runs").incr();
+        let committed_counter = bitline_obs::counter!("sim.runner.committed_instructions");
+        committed_counter.add(stats.committed);
+        bitline_obs::counter!("sim.runner.cycles").add(stats.cycles);
+        // What the core's loop did to simulate those cycles (see `CoreWork`).
+        bitline_obs::counter!("sim.core.stepped_cycles").add(work.stepped_cycles);
+        bitline_obs::counter!("sim.core.skipped_cycles").add(work.skipped_cycles);
+        bitline_obs::counter!("sim.core.awake_visits").add(work.awake_visits);
+        bitline_obs::counter!("sim.core.operand_checks").add(work.operand_checks);
+        bitline_obs::counter!("sim.core.wheel_events").add(work.wheel_events);
+        bitline_obs::counter!("sim.core.replay_slots").add(work.replay_slots);
+        let busy_counter = bitline_obs::counter!("sim.runner.busy_micros");
+        busy_counter.add(u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
+        // Cumulative simulation throughput: committed instructions per
+        // microsecond of hot-loop time is exactly MIPS; the gauge carries
+        // thousandths of a MIPS (milli-MIPS) so integer storage keeps three
+        // decimal places. Under a parallel sweep this is per-worker
+        // throughput, since each worker's busy time accumulates.
+        if let Some(milli_mips) =
+            committed_counter.get().saturating_mul(1000).checked_div(busy_counter.get())
+        {
+            bitline_obs::gauge!("sim.runner.mips")
+                .set(i64::try_from(milli_mips).unwrap_or(i64::MAX));
+        }
+        let registry = bitline_obs::registry();
+        for l in &levels {
+            let label = l.level.label();
+            if matches!(l.level, Level::L1D | Level::L1I) {
+                let policy = l.level.policy(&spec).label();
+                registry
+                    .counter(&format!("sim.runner.precharges.{label}.{policy}"))
+                    .add(l.report.total_precharge_events());
+            }
+            if let Some(faults) = &l.faults {
+                faults.record_metrics(label);
+            }
+            if let Some(rel) = &l.reliability {
+                rel.record_metrics(label);
+            }
+            if let Some(vdd) = &l.vdd {
+                vdd.record_metrics(label);
+            }
+        }
+
+        RunResult { benchmark: name.to_owned(), spec, stats, levels }
+    }
+}
+
+/// Advances `runs` of benchmark `name` round-robin, one chunk each per
+/// turn, polling `token` before every chunk, and finishes each run as it
+/// completes. The one stepping loop: a single run is a set of one.
+fn step_until_done(
+    name: &str,
+    runs: Vec<Run>,
+    token: &CancelToken,
+) -> Result<Vec<RunResult>, SimError> {
+    let mut runs: Vec<Option<Run>> = runs.into_iter().map(Some).collect();
+    let mut results: Vec<Option<RunResult>> = runs.iter().map(|_| None).collect();
+    loop {
+        for (slot, result) in runs.iter_mut().zip(&mut results) {
+            if slot.as_ref().is_some_and(Run::done) {
+                *result = slot.take().map(|run| run.finish(name));
+            }
+        }
+        if runs.iter().all(Option::is_none) {
+            break;
+        }
+        for run in runs.iter_mut().flatten() {
+            if token.cancelled() {
+                bitline_obs::counter!("sim.runner.timeouts").incr();
+                return Err(SimError::TimedOut {
+                    benchmark: name.to_owned(),
+                    budget: token.budget().unwrap_or_default(),
+                    progress: run.stats.committed,
+                });
+            }
+            run.advance();
+        }
+    }
+    Ok(results.into_iter().map(|r| r.expect("every run finished")).collect())
+}
+
 /// Runs one benchmark under a system spec, reporting failures as values.
 ///
 /// The run is supervised by the *ambient* cancel token — the one the
@@ -432,140 +625,45 @@ pub fn try_run_benchmark_supervised(
     token: &CancelToken,
 ) -> Result<RunResult, SimError> {
     spec.validate()?;
-    // Replay the benchmark's shared trace: the synthetic stream for this
+    // Replay the benchmark's retained trace: the synthetic stream for this
     // (benchmark, seed) is generated once per process and every run —
     // concurrent or repeated — reads the same materialised prefix.
-    let mut trace = execution::trace_cursor(name, spec.seed)
+    let trace = execution::trace_cursor(name, spec.seed)
         .ok_or_else(|| SimError::UnknownBenchmark(name.to_owned()))?;
+    let mut runs = step_until_done(name, vec![Run::start(spec, trace)], token)?;
+    Ok(runs.pop().expect("one run in, one result out"))
+}
 
-    // The architectural pipeline is node-independent; build policies at the
-    // newest node (their cycle penalties are identical across nodes).
-    let node = TechnologyNode::N70;
-    let mut d_cfg = CacheConfig::l1_data().with_subarray_bytes(spec.subarray_bytes);
-    let mut i_cfg = CacheConfig::l1_inst().with_subarray_bytes(spec.subarray_bytes);
-    if spec.way_prediction {
-        d_cfg = d_cfg.with_way_prediction();
-        i_cfg = i_cfg.with_way_prediction();
-    }
-    // A supply below the sense guardband turns cold reads speculative —
-    // that arms the fault decorator even with the leakage-fault source
-    // off. An undervolt still *inside* the guardband never mis-senses, so
-    // it is pricing-only: no decorator, trivially cycle-identical.
-    let vdd = spec.vdd.to_config(node).filter(VddConfig::speculating);
-    let (d_policy, d_sinks) = arm_l1(spec, spec.d_policy, &d_cfg, node, vdd.as_ref(), 0);
-    let (i_policy, i_sinks) = arm_l1(spec, spec.i_policy, &i_cfg, node, vdd.as_ref(), 1);
-
-    let mem_cfg = MemorySystemConfig { l1d: d_cfg, l1i: i_cfg, ..MemorySystemConfig::default() };
-    // An inert hierarchy spec builds the stock two-level system through the
-    // exact constructor the pre-hierarchy code used; only an explicit
-    // `levels >= 2` swaps in managed outer levels (the L3 shares the L2's
-    // policy kind — outer levels see the same filtered miss stream).
-    let mem = if spec.hierarchy.active() {
-        let l2_policy =
-            spec.hierarchy.l2_policy.build(&MemorySystem::l2_config(&mem_cfg), node, None);
-        let l3_policy = (spec.hierarchy.levels >= 3).then(|| {
-            spec.hierarchy.l2_policy.build(&MemorySystem::l3_config(&mem_cfg), node, None)
-        });
-        MemorySystem::with_hierarchy(mem_cfg, d_policy, i_policy, l2_policy, l3_policy)
-    } else {
-        MemorySystem::new(mem_cfg, d_policy, i_policy)
-    };
-    let cpu_cfg =
-        CpuConfig { predecode_hints: spec.d_policy.wants_predecode(), ..CpuConfig::default() };
-    let mut cpu = Cpu::new(cpu_cfg, mem);
-    // Run in chunks of committed instructions, polling the cancel token
-    // between chunks. `Cpu::run` is incremental (it runs until `committed
-    // + n`), so chunked execution is cycle-identical to one long call.
-    let mut stats = cpu.stats();
-    // Chunk-boundary instrumentation: one interned-handle counter add per
-    // 2048 committed instructions, the same cadence as the cancel poll.
-    let chunk_counter = bitline_obs::counter!("sim.runner.chunks");
-    // Wall time spent inside `Cpu::run` proper — the data-oriented hot
-    // loop — excluding setup, energy modelling and reporting. This is
-    // what the MIPS throughput gauge measures.
-    let mut busy = std::time::Duration::ZERO;
-    while stats.committed < spec.instructions {
-        if token.cancelled() {
-            bitline_obs::counter!("sim.runner.timeouts").incr();
-            return Err(SimError::TimedOut {
-                benchmark: name.to_owned(),
-                budget: token.budget().unwrap_or_default(),
-                progress: stats.committed,
-            });
-        }
-        let chunk = (spec.instructions - stats.committed).min(CANCEL_POLL_INSTRS);
-        let t = std::time::Instant::now();
-        stats = cpu.run(&mut trace, chunk);
-        busy += t.elapsed();
-        chunk_counter.incr();
-    }
-    let end_cycle = stats.cycles;
-    let work = cpu.work();
-    let mut mem = cpu.into_memory();
-    let (d_report, i_report) = mem.finalize(end_cycle);
-    let mut levels = vec![
-        d_sinks.into_level(Level::L1D, mem.l1d(), d_report),
-        i_sinks.into_level(Level::L1I, mem.l1i(), i_report),
-    ];
-    if spec.hierarchy.active() {
-        let report = mem.finalize_l2(end_cycle);
-        levels.push(Sinks::default().into_level(Level::L2, mem.l2(), report));
-    }
-    if let Some(report) = mem.finalize_l3(end_cycle) {
-        let l3 = mem.l3().expect("a finalised L3 exists");
-        levels.push(Sinks::default().into_level(Level::L3, l3, report));
-    }
-    check_level_laws(&stats, &levels);
-
-    // Run-completion accounting: every counter below except the wall-time
-    // `busy_micros` is a pure function of (benchmark, spec), so their
-    // totals are identical across job counts. `busy_micros` is timing
-    // telemetry (how long the hot loop actually ran) and is excluded from
-    // the cross-jobs differential alongside `exec.pool.*`.
-    bitline_obs::counter!("sim.runner.runs").incr();
-    let committed_counter = bitline_obs::counter!("sim.runner.committed_instructions");
-    committed_counter.add(stats.committed);
-    bitline_obs::counter!("sim.runner.cycles").add(stats.cycles);
-    // What the core's loop did to simulate those cycles (see `CoreWork`).
-    bitline_obs::counter!("sim.core.stepped_cycles").add(work.stepped_cycles);
-    bitline_obs::counter!("sim.core.skipped_cycles").add(work.skipped_cycles);
-    bitline_obs::counter!("sim.core.awake_visits").add(work.awake_visits);
-    bitline_obs::counter!("sim.core.operand_checks").add(work.operand_checks);
-    bitline_obs::counter!("sim.core.wheel_events").add(work.wheel_events);
-    bitline_obs::counter!("sim.core.replay_slots").add(work.replay_slots);
-    let busy_counter = bitline_obs::counter!("sim.runner.busy_micros");
-    busy_counter.add(u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
-    // Cumulative simulation throughput: committed instructions per
-    // microsecond of hot-loop time is exactly MIPS; the gauge carries
-    // thousandths of a MIPS (milli-MIPS) so integer storage keeps three
-    // decimal places. Under a parallel sweep this is per-worker
-    // throughput, since each worker's busy time accumulates.
-    if let Some(milli_mips) =
-        committed_counter.get().saturating_mul(1000).checked_div(busy_counter.get())
-    {
-        bitline_obs::gauge!("sim.runner.mips").set(i64::try_from(milli_mips).unwrap_or(i64::MAX));
-    }
-    let registry = bitline_obs::registry();
-    for l in &levels {
-        let label = l.level.label();
-        if matches!(l.level, Level::L1D | Level::L1I) {
-            let policy = l.level.policy(spec).label();
-            registry
-                .counter(&format!("sim.runner.precharges.{label}.{policy}"))
-                .add(l.report.total_precharge_events());
-        }
-        if let Some(faults) = &l.faults {
-            faults.record_metrics(label);
-        }
-        if let Some(rel) = &l.reliability {
-            rel.record_metrics(label);
-        }
-        if let Some(vdd) = &l.vdd {
-            vdd.record_metrics(label);
+/// Runs several specs of benchmark `name` at one seed in lockstep, one
+/// chunk of each in turn, over one windowed stream: the runs read the
+/// stream together, so it holds only the segments between the slowest
+/// run and the fastest, however long the runs. Each result is identical
+/// to a [`try_run_benchmark_supervised`] call of its spec.
+///
+/// # Errors
+///
+/// As [`try_run_benchmark`], for any of the specs, and
+/// [`SimError::InvalidSpec`] when the specs name different seeds, which
+/// are different streams; a timeout returns no result at all.
+pub(crate) fn try_run_lockstep_supervised(
+    name: &str,
+    specs: &[SystemSpec],
+    token: &CancelToken,
+) -> Result<Vec<RunResult>, SimError> {
+    let Some(seed) = specs.first().map(|s| s.seed) else { return Ok(Vec::new()) };
+    for spec in specs {
+        spec.validate()?;
+        if spec.seed != seed {
+            return Err(SimError::InvalidSpec(format!(
+                "seed = {}; a lockstep set reads one stream, at seed {seed}",
+                spec.seed
+            )));
         }
     }
-
-    Ok(RunResult { benchmark: name.to_owned(), spec: *spec, stats, levels })
+    let cursors = execution::trace_window(name, seed, specs.len())
+        .ok_or_else(|| SimError::UnknownBenchmark(name.to_owned()))?;
+    let runs = specs.iter().zip(cursors).map(|(spec, trace)| Run::start(spec, trace)).collect();
+    step_until_done(name, runs, token)
 }
 
 #[cfg(test)]

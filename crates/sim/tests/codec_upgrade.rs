@@ -165,8 +165,11 @@ fn a_v6_journal_is_recomputed_once_then_replays() {
     assert_eq!(count(&first, "sim.runner.runs"), 2, "each run is recomputed once");
     assert_eq!(count(&first, "sim.checkpoint.appended"), 2, "and journaled again");
     assert_eq!(count(&first, "sim.checkpoint.recomputed"), 0);
+    let size = std::fs::metadata(dir.join(JOURNAL_FILE)).expect("the journal").len();
+    assert_eq!(size, 9_162, "the magic and the two v7 frames: the dead v6 frames are dropped");
 
     let (replayed, second) = resume(&dir);
+    assert_eq!(count(&second, "exec.journal.loaded"), 2, "only the live frames are read");
     assert_eq!(count(&second, "sim.checkpoint.replayed"), 2, "both v7 frames replay");
     assert_eq!(count(&second, "sim.checkpoint.quarantined"), 0);
     assert_eq!(count(&second, "sim.checkpoint.version_skew"), 0);

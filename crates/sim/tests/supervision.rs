@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use bitline_exec::journal::JOURNAL_FILE;
+use bitline_exec::journal::{read_entries, JOURNAL_FILE};
 use bitline_exec::CancelToken;
 use bitline_sim::experiments::harness;
 use bitline_sim::{
@@ -120,6 +120,9 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     assert_eq!(future_stats.replayed, 2, "both understood entries still replay");
     assert_eq!(future_stats.quarantined, 1, "the v99 frame is quarantined");
     assert_eq!(future_stats.version_skew, 1, "and counted as version skew, not damage");
+    // The dead v99 frame is compacted away: only the two live frames stay.
+    let (left, _) = read_entries(&path).expect("journal reads");
+    assert_eq!(left.len(), 2, "a dead frame is read once, not on every resume");
 
     // --- An older-codec frame is quarantined, recomputed and re-journaled ---
     // Supersede gcc's frame with a CRC-valid copy stamped codec v4, as an
@@ -138,8 +141,8 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     }
     let old_stats = set_checkpoint(&dir, true).expect("an old frame must not abort resume");
     assert_eq!(old_stats.replayed, 1, "mcf still replays");
-    assert_eq!(old_stats.quarantined, 2, "the v4 gcc frame and the v99 frame");
-    assert_eq!(old_stats.version_skew, 2);
+    assert_eq!(old_stats.quarantined, 1, "the v4 gcc frame; the v99 one is gone");
+    assert_eq!(old_stats.version_skew, 1);
     let gcc_again = try_run_benchmark_cached("gcc", &spec).expect("gcc recomputes");
     assert_eq!(format!("{gcc_cold:?}"), format!("{gcc_again:?}"));
     let after_recompute = checkpoint_stats().expect("checkpoint armed");
@@ -149,7 +152,7 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     clear_run_caches();
     let healed = set_checkpoint(&dir, true).expect("arm healed checkpoint");
     assert_eq!(healed.replayed, 2, "the fresh gcc frame supersedes the v4 one");
-    assert_eq!(healed.version_skew, 1, "only the v99 frame remains skewed");
+    assert_eq!(healed.version_skew, 0, "no skewed frame is left");
 
     // --- --no-resume: journal restarts empty but keeps recording ---
     clear_checkpoint();
