@@ -51,7 +51,10 @@
 #                    bytes whether the binary carries the hierarchy
 #                    flags at their defaults or not at all; a journaled
 #                    3-level undervolted ECC sweep must replay every run
-#                    warm to the same bytes
+#                    warm to the same bytes; and a drowsy:100 policy on
+#                    mesa must save D and I energy under every leakage
+#                    mode, drowsy and gated-vdd cells no less than
+#                    full-vdd ones
 #   ./ci.sh voltage  supply gate: the voltage table (node x Vdd step x
 #                    static/governor) must be byte-identical to the
 #                    blessed golden and across jobs=1 vs jobs=N; an
@@ -668,6 +671,28 @@ hierarchy() {
         exit 1
     fi
 
+    # A leakage mode composes with a drowsy precharge policy: the cells a
+    # policy holds at retention voltage leak less under every mode, so each
+    # mode saves energy, and the sleep modes, which leave retention cycles
+    # as they are, save no less than full-Vdd cells.
+    echo "==> hierarchy: a drowsy policy keeps its savings under every leakage mode"
+    local mode d i full_d="" full_i=""
+    for mode in full-vdd drowsy gated-vdd 6t-lp; do
+        read -r d i < <("$sim" -b mesa -i 20000 -p drowsy:100 --levels 2 --leakage-mode "$mode" \
+            2>/dev/null | awk '$1 == "D:" || $1 == "I:" { sub("%", "", $NF); printf "%s ", $NF }
+                END { print "" }')
+        echo "    $mode: D / I energy saved ${d:-?}% / ${i:-?}%"
+        if [[ "$mode" == full-vdd ]]; then full_d="$d" full_i="$i"; fi
+        if ! awk -v d="$d" -v i="$i" -v full_d="$full_d" -v full_i="$full_i" -v mode="$mode" 'BEGIN {
+            if (d == "" || i == "" || d <= 0 || i <= 0) exit 1
+            if ((mode == "drowsy" || mode == "gated-vdd") && (d < full_d || i < full_i)) exit 1
+        }'; then
+            echo "==> hierarchy: FAIL — $mode cells lose a drowsy policy's savings" \
+                "(D / I $d% / $i% vs full-vdd $full_d% / $full_i%)" >&2
+            exit 1
+        fi
+    done
+
     # Every per-level record (L2/L3, faults, ECC, Vdd, way prediction) must
     # survive the journal codec: a warm rerun replays every run to the
     # bytes of an unjournaled one.
@@ -686,7 +711,7 @@ hierarchy() {
         cat "$HIER_TMP/cold.err" "$HIER_TMP/warm.err" >&2
         exit 1
     fi
-    echo "==> hierarchy: OK — golden, job-count identity, inertness, depth and journal replay verified"
+    echo "==> hierarchy: OK — golden, job-count identity, inertness, depth, drowsy savings under every mode and journal replay verified"
 }
 
 if [[ "${1:-}" == "smoke" ]]; then

@@ -112,11 +112,13 @@ mod tests {
             cycles,
             cycles / 6,
             cycles / 16,
+            false,
         );
         let i = EnergyAccountant::new(node, CacheConfig::l1_inst()).static_baseline(
             cycles,
             cycles / 3,
             0,
+            false,
         );
         (d, i)
     }

@@ -2,29 +2,23 @@
 //! trace, total energy is non-negative and monotone in trace length, and
 //! the sleep modes (drowsy, gated-Vdd) never report less leakage savings
 //! than the static full-Vdd baseline when the trace has zero idle time.
+//! A mode composes with a drowsy precharge policy instead of erasing its
+//! retention savings, and the one pricing pass matches the layered
+//! formula it replaced, bit for bit, wherever that formula was right.
 
-use bitline_cache::{CacheConfig, PrechargePolicy};
+use bitline_cache::{ActivityReport, CacheConfig, PrechargePolicy, WayStats};
 use bitline_cmos::TechnologyNode;
-use bitline_energy::{EnergyAccountant, LeakageKind};
-use gated_precharge::{GatedPolicy, StaticPullUp};
+use bitline_energy::{CacheEnergyBreakdown, EccActivity, EnergyAccountant, LeakageKind, LevelUse};
+use gated_precharge::{DrowsyPolicy, GatedPolicy, OraclePolicy, StaticPullUp};
 use proptest::prelude::*;
 
 fn accountant(node: TechnologyNode) -> EnergyAccountant {
     EnergyAccountant::new(node, CacheConfig::l1_data())
 }
 
-/// Drives a gated policy with a synthetic stream — one access every
-/// `stride` cycles, round-robin over `hot` subarrays — and prices the
-/// resulting report under `mode`.
-fn priced(
-    node: TechnologyNode,
-    mode: LeakageKind,
-    cycles: u64,
-    stride: u64,
-    hot: usize,
-    threshold: u64,
-) -> bitline_energy::CacheEnergyBreakdown {
-    let mut policy = GatedPolicy::new(32, threshold, 1);
+/// Drives `policy` with a synthetic stream — one access every `stride`
+/// cycles, round-robin over `hot` subarrays — and closes its report.
+fn drive(mut policy: impl PrechargePolicy, cycles: u64, stride: u64, hot: usize) -> ActivityReport {
     let mut c = 0;
     let mut i = 0usize;
     while c < cycles {
@@ -32,9 +26,22 @@ fn priced(
         i += 1;
         c += stride;
     }
-    let report = policy.finalize(cycles);
-    let acct = accountant(node);
-    acct.account_with_mode(&report, report.total_accesses(), 0, true, None, None, mode)
+    policy.finalize(cycles)
+}
+
+/// Drives a gated policy (see [`drive`]) and prices the resulting report
+/// under `mode`.
+fn priced(
+    node: TechnologyNode,
+    mode: LeakageKind,
+    cycles: u64,
+    stride: u64,
+    hot: usize,
+    threshold: u64,
+) -> CacheEnergyBreakdown {
+    let report = drive(GatedPolicy::new(32, threshold, 1), cycles, stride, hot);
+    let usage = LevelUse::new(&report, report.total_accesses(), 0);
+    accountant(node).price(&LevelUse { decay_counters: true, leakage: mode, ..usage })
 }
 
 fn nodes() -> impl Strategy<Value = TechnologyNode> {
@@ -43,6 +50,162 @@ fn nodes() -> impl Strategy<Value = TechnologyNode> {
 
 fn modes() -> impl Strategy<Value = LeakageKind> {
     proptest::sample::select(LeakageKind::ALL.to_vec())
+}
+
+/// The pricing formula the one pass replaced, kept as a reference: the
+/// plain accounting, then ECC on top of it, then the leakage mode
+/// re-pricing cell leakage from the idle histograms (with full-Vdd
+/// returning the ECC layer untouched), then the supply factors scaling
+/// every term. It drops a drowsy policy's retention cycles under any mode
+/// but full-Vdd, so it is the reference only where that does not arise.
+mod layered {
+    use bitline_cache::CacheConfig;
+    use bitline_circuit::SubarrayEnergyModel;
+    use bitline_cmos::TechnologyNode;
+    use bitline_energy::{
+        CacheEnergyBreakdown, EccActivity, LeakageKind, LevelUse,
+        AVERAGE_CASE_LEAKAGE_FACTOR as AVG, DROWSY_LEAKAGE_FACTOR,
+    };
+
+    fn account(m: &SubarrayEnergyModel, assoc: f64, u: &LevelUse<'_>) -> CacheEnergyBreakdown {
+        let report = u.report;
+        let per_way = m.read_access_energy_j();
+        let read_array = match u.way_stats {
+            None => u.reads as f64 * assoc * per_way,
+            Some(ws) => {
+                let resolved = ws.correct + ws.wrong;
+                let unpredicted = u.reads.saturating_sub(resolved) as f64;
+                (ws.correct as f64 + ws.wrong as f64 * (assoc + 1.0) + unpredicted * assoc)
+                    * per_way
+            }
+        };
+        let dynamic_j = read_array
+            + u.reads as f64 * m.peripheral_access_energy_j()
+            + u.writes as f64 * (m.write_access_energy_j() + m.peripheral_access_energy_j());
+        let pullup_leak_j = report.total_pulled_up_cycles() * m.pulled_up_cycle_energy_j() * AVG;
+        let mut episode_j = 0.0;
+        for s in &report.per_subarray {
+            for (idle_cycles, count) in s.idle_histogram.iter() {
+                episode_j += count as f64 * m.isolation_episode_energy_j(idle_cycles as u64) * AVG;
+            }
+        }
+        let full_cell_cycles = report.per_subarray.len() as f64 * report.end_cycle as f64;
+        let drowsy_cycles = report.total_drowsy_cycles().min(full_cell_cycles);
+        let cell_leak_j = (full_cell_cycles - drowsy_cycles
+            + drowsy_cycles * DROWSY_LEAKAGE_FACTOR)
+            * m.cell_leakage_cycle_energy_j()
+            * AVG;
+        let counter_j = if u.decay_counters {
+            report.total_accesses() as f64 * m.decay_counter_energy_j()
+        } else {
+            0.0
+        };
+        CacheEnergyBreakdown {
+            dynamic_j,
+            pullup_leak_j,
+            episode_j,
+            cell_leak_j,
+            counter_j,
+            ecc_j: 0.0,
+        }
+    }
+
+    fn with_ecc(
+        m: &SubarrayEnergyModel,
+        mut b: CacheEnergyBreakdown,
+        ecc: Option<EccActivity>,
+    ) -> CacheEnergyBreakdown {
+        if let Some(activity) = ecc {
+            b.ecc_j = m.ecc_check_column_fraction()
+                * (b.pullup_leak_j + b.episode_j + b.cell_leak_j)
+                + activity.protected_accesses as f64 * m.ecc_codec_energy_j()
+                + activity.scrub_words as f64 * m.ecc_scrub_word_energy_j();
+        }
+        b
+    }
+
+    fn with_mode(m: &SubarrayEnergyModel, assoc: f64, u: &LevelUse<'_>) -> CacheEnergyBreakdown {
+        let mut b = account(m, assoc, u);
+        if u.leakage == LeakageKind::FullVdd {
+            return with_ecc(m, b, u.ecc);
+        }
+        let mode = u.leakage.mode();
+        let full_cell_cycles = u.report.per_subarray.len() as f64 * u.report.end_cycle as f64;
+        let mut idle_cycles = 0.0;
+        let mut episodes = 0.0;
+        for s in &u.report.per_subarray {
+            for (idle, count) in s.idle_histogram.iter() {
+                idle_cycles += idle * count as f64;
+                episodes += count as f64;
+            }
+        }
+        let idle_cycles = idle_cycles.min(full_cell_cycles);
+        let active_cycles = full_cell_cycles - idle_cycles;
+        b.cell_leak_j = (active_cycles * mode.active_leakage_factor
+            + idle_cycles * mode.idle_leakage_factor)
+            * m.cell_leakage_cycle_energy_j()
+            * AVG
+            + episodes * m.isolation_episode_energy_j(0) * mode.transition_energy_factor * AVG;
+        b.dynamic_j *= mode.access_energy_factor;
+        with_ecc(m, b, u.ecc)
+    }
+
+    /// `u` priced the layered way.
+    pub fn price(
+        node: TechnologyNode,
+        cache: CacheConfig,
+        u: &LevelUse<'_>,
+    ) -> CacheEnergyBreakdown {
+        let m = SubarrayEnergyModel::new(node, cache.geometry());
+        let b = with_mode(&m, cache.assoc as f64, u);
+        let (f_dyn, f_leak) = u.supply;
+        if f_dyn == 1.0 && f_leak == 1.0 {
+            return b;
+        }
+        CacheEnergyBreakdown {
+            dynamic_j: b.dynamic_j * f_dyn,
+            episode_j: b.episode_j * f_dyn,
+            counter_j: b.counter_j * f_dyn,
+            ecc_j: b.ecc_j * f_dyn,
+            pullup_leak_j: b.pullup_leak_j * f_leak,
+            cell_leak_j: b.cell_leak_j * f_leak,
+        }
+    }
+
+    /// The static baseline, protected or not, priced the layered way.
+    pub fn static_baseline(
+        node: TechnologyNode,
+        cache: CacheConfig,
+        end_cycle: u64,
+        reads: u64,
+        writes: u64,
+        protected: bool,
+    ) -> CacheEnergyBreakdown {
+        let m = SubarrayEnergyModel::new(node, cache.geometry());
+        let dynamic_j = reads as f64 * cache.assoc as f64 * m.read_access_energy_j()
+            + reads as f64 * m.peripheral_access_energy_j()
+            + writes as f64 * (m.write_access_energy_j() + m.peripheral_access_energy_j());
+        let baseline = CacheEnergyBreakdown {
+            dynamic_j,
+            pullup_leak_j: end_cycle as f64
+                * (cache.subarrays() as f64 * m.pulled_up_cycle_energy_j() * AVG),
+            episode_j: 0.0,
+            cell_leak_j: cache.subarrays() as f64
+                * end_cycle as f64
+                * m.cell_leakage_cycle_energy_j()
+                * AVG,
+            counter_j: 0.0,
+            ecc_j: 0.0,
+        };
+        let activity = EccActivity { protected_accesses: reads + writes, scrub_words: 0 };
+        with_ecc(&m, baseline, protected.then_some(activity))
+    }
+}
+
+/// The six components of a breakdown as bits, for exact comparison.
+fn bits(b: &CacheEnergyBreakdown) -> [u64; 6] {
+    [b.dynamic_j, b.pullup_leak_j, b.episode_j, b.cell_leak_j, b.counter_j, b.ecc_j]
+        .map(f64::to_bits)
 }
 
 proptest! {
@@ -98,21 +261,12 @@ proptest! {
         stride in 1u64..50,
         hot in 1usize..32,
     ) {
-        let mut policy = StaticPullUp::new(32);
-        let mut c = 0;
-        let mut i = 0usize;
-        while c < cycles {
-            policy.access(i % hot, c);
-            i += 1;
-            c += stride;
-        }
-        let report = policy.finalize(cycles);
-        let reads = report.total_accesses();
+        let report = drive(StaticPullUp::new(32), cycles, stride, hot);
+        let usage = LevelUse::new(&report, report.total_accesses(), 0);
         let acct = accountant(node);
-        let full = acct.account_with_mode(&report, reads, 0, false, None, None,
-            LeakageKind::FullVdd);
+        let full = acct.price(&usage);
         for kind in [LeakageKind::Drowsy, LeakageKind::GatedVdd] {
-            let slept = acct.account_with_mode(&report, reads, 0, false, None, None, kind);
+            let slept = acct.price(&LevelUse { leakage: kind, ..usage });
             let savings = full.total_j() - slept.total_j();
             prop_assert!(
                 savings.abs() < full.total_j() * 1e-12,
@@ -164,25 +318,92 @@ proptest! {
         prop_assert!(drowsy.cell_leak_j < full.cell_leak_j);
         prop_assert!(gated.cell_leak_j < full.cell_leak_j);
     }
-}
 
-#[test]
-fn full_vdd_mode_is_bit_identical_to_plain_accounting() {
-    let mut policy = GatedPolicy::new(32, 100, 1);
-    let mut c = 0;
-    let mut i = 0usize;
-    while c < 50_000 {
-        policy.access(i % 4, c);
-        i += 1;
-        c += 3;
+    /// A drowsy precharge policy's retention cycles leak less than awake
+    /// ones under every cell mode: the mode composes with the policy. On
+    /// any trace longer than the threshold some subarray goes drowsy (at
+    /// least one of the 32 is never touched), and its report, priced as
+    /// is, leaks less than the same report with its drowsy cycles zeroed.
+    #[test]
+    fn a_drowsy_policy_keeps_its_retention_savings_under_every_mode(
+        node in nodes(),
+        threshold in 1u64..500,
+        extra in 1u64..60_000,
+        stride in 1u64..200,
+        hot in 1usize..32,
+    ) {
+        let cycles = threshold + extra;
+        let report = drive(DrowsyPolicy::new(32, threshold, 1), cycles, stride, hot);
+        prop_assert!(report.total_drowsy_cycles() > 0.0);
+        let mut awake = report.clone();
+        for s in &mut awake.per_subarray {
+            s.drowsy_cycles = 0.0;
+        }
+        let acct = accountant(node);
+        let reads = report.total_accesses();
+        for mode in LeakageKind::ALL {
+            let kept = acct.price(&LevelUse { leakage: mode, ..LevelUse::new(&report, reads, 0) });
+            let lost = acct.price(&LevelUse { leakage: mode, ..LevelUse::new(&awake, reads, 0) });
+            prop_assert!(
+                kept.cell_leak_j < lost.cell_leak_j,
+                "{mode}: drowsy cycles priced as awake ({} J vs {} J)",
+                kept.cell_leak_j, lost.cell_leak_j
+            );
+        }
     }
-    let report = policy.finalize(50_000);
-    let reads = report.total_accesses();
-    let acct = accountant(TechnologyNode::N70);
-    let plain = acct.account_with_ecc(&report, reads, 0, true, None, None);
-    let moded = acct.account_with_mode(&report, reads, 0, true, None, None, LeakageKind::FullVdd);
-    assert_eq!(plain.total_j().to_bits(), moded.total_j().to_bits());
-    assert_eq!(plain.cell_leak_j.to_bits(), moded.cell_leak_j.to_bits());
+
+    /// The one pass equals the layered formula it replaced, component by
+    /// component and bit for bit: gated, oracle and static reports under
+    /// every mode, drowsy-policy reports under full-Vdd, with or without
+    /// decay counters, way prediction and ECC, at nominal supply or
+    /// scaled; and the static baseline, protected or not.
+    #[test]
+    fn the_one_pass_matches_the_layered_reference_bit_for_bit(
+        node in nodes(),
+        mode in modes(),
+        policy in proptest::sample::select(vec!["gated", "oracle", "static", "drowsy"]),
+        cycles in 1u64..60_000,
+        stride in 1u64..100,
+        hot in 1usize..32,
+        threshold in 1u64..500,
+        writes in 0u64..5_000,
+        counters in any::<bool>(),
+        way in (any::<bool>(), 0u64..1_000, 0u64..1_000),
+        ecc in (any::<bool>(), 0u64..10_000),
+        supply in (any::<bool>(), 0.5f64..1.0, 0.2f64..1.0),
+    ) {
+        let report = match policy {
+            "gated" => drive(GatedPolicy::new(32, threshold, 1), cycles, stride, hot),
+            "oracle" => drive(OraclePolicy::new(32), cycles, stride, hot),
+            "static" => drive(StaticPullUp::new(32), cycles, stride, hot),
+            _ => drive(DrowsyPolicy::new(32, threshold, 1), cycles, stride, hot),
+        };
+        let reads = report.total_accesses();
+        let usage = LevelUse {
+            report: &report,
+            reads,
+            writes,
+            decay_counters: counters,
+            way_stats: way.0.then_some(WayStats { correct: way.1.min(reads), wrong: way.2 }),
+            ecc: ecc.0.then_some(EccActivity {
+                protected_accesses: reads + writes,
+                scrub_words: ecc.1,
+            }),
+            // The layered formula is wrong for a drowsy policy under any
+            // other mode: that is the defect the one pass fixes.
+            leakage: if policy == "drowsy" { LeakageKind::FullVdd } else { mode },
+            supply: if supply.0 { (1.0, 1.0) } else { (supply.1, supply.2) },
+        };
+        let cache = CacheConfig::l1_data();
+        let acct = accountant(node);
+        prop_assert_eq!(bits(&acct.price(&usage)), bits(&layered::price(node, cache, &usage)));
+        for protected in [false, true] {
+            prop_assert_eq!(
+                bits(&acct.static_baseline(cycles, reads, writes, protected)),
+                bits(&layered::static_baseline(node, cache, cycles, reads, writes, protected))
+            );
+        }
+    }
 }
 
 #[test]

@@ -314,6 +314,56 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_waiting_on_a_held_slot_leaves_the_higher_slot_free() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+
+        let cache: MemoCache<u32, u32> = MemoCache::new();
+        for key in [1, 2] {
+            let _ = cache.get_or_try_insert_with(key, || Err::<u32, ()>(()));
+        }
+        let slot = |key: u32| Arc::clone(&relock(cache.slots.lock())[&key]);
+        let (low, high) =
+            if Arc::as_ptr(&slot(1)) < Arc::as_ptr(&slot(2)) { (1, 2) } else { (2, 1) };
+        let high_slot = slot(high);
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let cache = &cache;
+        std::thread::scope(|s| {
+            // One lookup computes the lower-address key and holds its slot.
+            let holder = s.spawn(move || {
+                cache.get_or_insert_with(low, || {
+                    held_tx.send(()).expect("the test waits");
+                    release_rx.recv().expect("the test releases");
+                    10
+                })
+            });
+            held_rx.recv().expect("the holder computes");
+            // A batch listing the higher-address key first must wait for
+            // the lower slot without taking the higher one.
+            let refs = Arc::strong_count(&high_slot);
+            let batch = s.spawn(|| {
+                cache.get_or_try_insert_all(&[high, low], |missing| {
+                    Ok::<_, ()>(missing.iter().map(|&&k| k * 10).collect())
+                })
+            });
+            while Arc::strong_count(&high_slot) == refs {
+                std::thread::yield_now();
+            }
+            let deadline = Instant::now() + Duration::from_millis(250);
+            let mut free = true;
+            while free && Instant::now() < deadline {
+                free = high_slot.try_lock().is_ok();
+                std::thread::yield_now();
+            }
+            release_tx.send(()).expect("the holder waits");
+            assert_eq!(holder.join().expect("holder"), 10);
+            assert_eq!(batch.join().expect("batch"), Ok(vec![high * 10, 10]));
+            assert!(free, "a batch waiting for slot {low} held slot {high}");
+        });
+    }
+
+    #[test]
     fn panicking_fill_leaves_the_slot_retryable() {
         let cache: MemoCache<u32, u32> = MemoCache::new();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -26,7 +26,7 @@ use bitline_cmos::TechnologyNode;
 use bitline_exec::CancelToken;
 use bitline_sim::experiments::{self, harness, Experiment};
 use bitline_sim::{
-    exec_summary_line, set_checkpoint, spec, supervise, try_run_lockstep_cached, LevelRun,
+    exec_summary_line, set_checkpoint, spec, supervise, try_run_lockstep_cached, Level, LevelRun,
     RunResult, SimError, SystemSpec,
 };
 use bitline_workloads::suite;
@@ -201,8 +201,8 @@ fn run_one(name: &str, args: &Args) -> Result<String, SimError> {
         }
     }
     let mode = spec.hierarchy.leakage_mode;
-    for level in &run.levels {
-        let Some(energy) = run.outer_energy(level.level, args.node, mode) else { continue };
+    for level in run.levels.iter().filter(|l| matches!(l.level, Level::L2 | Level::L3)) {
+        let Some(energy) = run.level_energy(level.level, args.node, mode) else { continue };
         let _ = writeln!(
             out,
             "  {}: miss {:>5.1}%  writebacks {:>6}  energy {:.3e} J  ({} cells)",

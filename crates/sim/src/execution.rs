@@ -468,10 +468,10 @@ mod tests {
         ));
         let ((d1, i1), (d2, _)) = (&*first, &*second);
         // Same models, as priced: identical static baselines.
-        let a = d1.static_baseline(10_000, 500, 100);
-        let b = d2.static_baseline(10_000, 500, 100);
+        let a = d1.static_baseline(10_000, 500, 100, false);
+        let b = d2.static_baseline(10_000, 500, 100, false);
         assert!((a.total_j() - b.total_j()).abs() < 1e-18);
-        let c = i1.static_baseline(10_000, 500, 0);
+        let c = i1.static_baseline(10_000, 500, 0, false);
         assert!(c.total_j() > 0.0);
     }
 }

@@ -105,7 +105,7 @@ fn policy_rows(name: &str, instrs: u64) -> Result<Vec<PolicyRow>, SimError> {
 /// Suite-total L2 energy of `runs` at `node`.
 fn l2_energy(runs: &[RunResult], node: TechnologyNode) -> f64 {
     runs.iter()
-        .filter_map(|run| run.outer_energy(Level::L2, node, LeakageKind::FullVdd))
+        .filter_map(|run| run.level_energy(Level::L2, node, LeakageKind::FullVdd))
         .map(|e| e.total_j())
         .sum()
 }

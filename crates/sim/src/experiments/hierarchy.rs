@@ -69,10 +69,10 @@ struct CellTotals {
 fn cell_totals(runs: &[RunResult], node: TechnologyNode, mode: LeakageKind) -> CellTotals {
     let mut t = CellTotals { l1_j: 0.0, l2_j: 0.0, l3_j: 0.0, l2_hits: 0, l2_misses: 0 };
     for run in runs {
-        let (policy, _) = run.energy_with_mode(node, mode);
-        t.l1_j += policy.d.total_j() + policy.i.total_j();
-        t.l2_j += run.outer_energy(Level::L2, node, mode).map_or(0.0, |b| b.total_j());
-        t.l3_j += run.outer_energy(Level::L3, node, mode).map_or(0.0, |b| b.total_j());
+        let priced = |level| run.level_energy(level, node, mode).map_or(0.0, |b| b.total_j());
+        t.l1_j += priced(Level::L1D) + priced(Level::L1I);
+        t.l2_j += priced(Level::L2);
+        t.l3_j += priced(Level::L3);
         if let Some(l2) = run.level(Level::L2) {
             t.l2_hits += l2.hits;
             t.l2_misses += l2.misses;

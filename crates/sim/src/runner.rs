@@ -11,7 +11,7 @@ use bitline_circuit::{vdd_dynamic_energy_factor, vdd_leakage_energy_factor, Deco
 use bitline_cmos::TechnologyNode;
 use bitline_cpu::{Cpu, CpuConfig, SimStats};
 use bitline_ecc::ReliabilityReport;
-use bitline_energy::{CacheEnergyBreakdown, EccActivity, EnergyAccountant, LeakageKind};
+use bitline_energy::{CacheEnergyBreakdown, EccActivity, EnergyAccountant, LeakageKind, LevelUse};
 use bitline_exec::{CancelToken, TraceCursor};
 use bitline_faults::{FaultInjectingPolicy, FaultReport, VddConfig, VddReport};
 
@@ -173,104 +173,87 @@ impl RunResult {
         self.cycles() as f64 / baseline.cycles() as f64 - 1.0
     }
 
-    /// Prices both caches at `node`, returning `(policy, baseline)` where
-    /// the baseline is the analytic static-pull-up cache over the same
-    /// cycles and access counts.
+    /// Prices both L1s at `node` under the spec's leakage mode, returning
+    /// `(policy, baseline)` where the baseline is the analytic
+    /// static-pull-up, full-Vdd cache over the same cycles and access
+    /// counts, at nominal supply.
     ///
     /// The accountants (cache geometry + energy models) are memoized per
     /// `(node, subarray_bytes)` process-wide: sweeps re-pricing hundreds
     /// of runs across nodes build each model once.
     #[must_use]
     pub fn energy(&self, node: TechnologyNode) -> EnergyPair {
-        self.energy_with_mode(node, self.spec.hierarchy.leakage_mode)
-    }
-
-    /// [`RunResult::energy`] under an explicit cell [`LeakageKind`],
-    /// regardless of what the spec asked for — the hierarchy experiment
-    /// prices one architectural run under every mode in the zoo without
-    /// re-simulating. The full-Vdd mode collapses to the historical
-    /// accounting, bit for bit; the baseline is always the conventional
-    /// full-Vdd static-pull-up machine the modes compete against.
-    #[must_use]
-    pub fn energy_with_mode(&self, node: TechnologyNode, kind: LeakageKind) -> EnergyPair {
         let accountants = execution::accountants(node, self.spec.subarray_bytes);
-        let (d_acct, i_acct) = &*accountants;
         let priced = |acct: &EnergyAccountant, level: &LevelRun| {
-            let (reads, writes) = self.traffic(level);
-            let protected = level.reliability.is_some();
-            let baseline = acct.static_baseline_with_ecc(self.cycles(), reads, writes, protected);
-            (self.price(acct, level, kind), baseline)
+            let usage = self.level_use(level, self.spec.hierarchy.leakage_mode);
+            let protected = usage.ecc.is_some();
+            let baseline =
+                acct.static_baseline(self.cycles(), usage.reads, usage.writes, protected);
+            (acct.price(&usage), baseline)
         };
-        let (d, d_base) = priced(d_acct, self.l1d());
-        let (i, i_base) = priced(i_acct, self.l1i());
+        let (d, d_base) = priced(&accountants.0, self.l1d());
+        let (i, i_base) = priced(&accountants.1, self.l1i());
         (RunEnergy { d, i }, RunEnergy { d: d_base, i: i_base })
     }
 
-    /// Prices an outer level (the L2 or the L3) at `node` under a leakage
-    /// mode; `None` for an L1 or a level the run did not have.
+    /// Prices `level` at `node` under an explicit cell [`LeakageKind`],
+    /// whatever the spec asked for, at the supply the level sensed at;
+    /// `None` for a level the run did not have. Leakage modes never touch
+    /// cycles, so the hierarchy experiment prices one architectural run
+    /// under every mode in the zoo without re-simulating.
     #[must_use]
-    pub fn outer_energy(
+    pub fn level_energy(
         &self,
         level: Level,
         node: TechnologyNode,
-        kind: LeakageKind,
+        mode: LeakageKind,
     ) -> Option<CacheEnergyBreakdown> {
-        let cfg = match level {
-            Level::L1D | Level::L1I => return None,
-            Level::L2 => MemorySystem::l2_config(&MemorySystemConfig::default()),
-            Level::L3 => MemorySystem::l3_config(&MemorySystemConfig::default()),
-        };
-        let run = self.level(level)?;
-        Some(self.price(&execution::level_accountant(node, cfg), run, kind))
+        let usage = self.level_use(self.level(level)?, mode);
+        let outer = |cfg| execution::level_accountant(node, cfg).price(&usage);
+        let l1s = || execution::accountants(node, self.spec.subarray_bytes);
+        Some(match level {
+            Level::L1D => l1s().0.price(&usage),
+            Level::L1I => l1s().1.price(&usage),
+            Level::L2 => outer(MemorySystem::l2_config(&MemorySystemConfig::default())),
+            Level::L3 => outer(MemorySystem::l3_config(&MemorySystemConfig::default())),
+        })
     }
 
-    /// The `(reads, writes)` a level is priced on: the core's loads and
-    /// stores at the L1D, fetch lookups at the L1I, and at an outer level
-    /// its lookups, each miss filling a line.
-    fn traffic(&self, level: &LevelRun) -> (u64, u64) {
-        match level.level {
+    /// What one level's joules depend on, under a leakage mode. A level
+    /// is priced on its `(reads, writes)`: the core's loads and stores at
+    /// the L1D, fetch lookups at the L1I, and at an outer level its
+    /// lookups, each miss filling a line. ECC is priced only when the run
+    /// actually carried SECDED state.
+    fn level_use<'a>(&self, level: &'a LevelRun, leakage: LeakageKind) -> LevelUse<'a> {
+        let (reads, writes) = match level.level {
             Level::L1D => (self.stats.loads, self.stats.stores),
             Level::L1I => (level.lookups(), 0),
             Level::L2 | Level::L3 => (level.lookups(), level.misses),
-        }
-    }
-
-    /// Prices one level's activity with `acct` under a leakage mode, at the
-    /// supply the level sensed at.
-    fn price(
-        &self,
-        acct: &EnergyAccountant,
-        level: &LevelRun,
-        kind: LeakageKind,
-    ) -> CacheEnergyBreakdown {
-        let (reads, writes) = self.traffic(level);
-        // ECC is priced only when the run actually carried SECDED state;
-        // unprotected runs hit the plain accounting path and stay
-        // bit-identical to the pre-ECC model.
-        let ecc = level.reliability.as_ref().map(|rel| EccActivity {
-            protected_accesses: reads + writes,
-            scrub_words: rel.scrub_words(),
-        });
-        let energy = acct.account_with_mode(
-            &level.report,
+        };
+        LevelUse {
+            report: &level.report,
             reads,
             writes,
-            level.level.policy(&self.spec).has_decay_counters(),
-            level.way_stats,
-            ecc,
-            kind,
-        );
-        scale_breakdown(energy, self.vdd_energy_factors(level))
+            decay_counters: level.level.policy(&self.spec).has_decay_counters(),
+            way_stats: level.way_stats,
+            ecc: level.reliability.as_ref().map(|rel| EccActivity {
+                protected_accesses: reads + writes,
+                scrub_words: rel.scrub_words(),
+            }),
+            leakage,
+            supply: self.vdd_energy_factors(level),
+        }
     }
 
     /// Per-cache `(dynamic, leakage)` energy multipliers for the supply
     /// the run actually sensed at. Exactly `(1, 1)` for the inert nominal
-    /// spec (no arithmetic at all, so every pre-voltage figure stays
-    /// bit-identical). A static undervolted run prices at the requested
-    /// scale; a governed run prices each speculative access at the ladder
-    /// rung it was actually sensed at, via the integer per-step census —
-    /// deterministic and identical across job counts. The L2/L3 are not
-    /// undervolted (the ladder is an L1 mechanism) and stay at nominal.
+    /// spec, which multiplies every term exactly, so every pre-voltage
+    /// figure stays bit-identical. A static undervolted run prices at the
+    /// requested scale; a governed run prices each speculative access at
+    /// the ladder rung it was actually sensed at, via the integer per-step
+    /// census — deterministic and identical across job counts. The L2/L3
+    /// are not undervolted (the ladder is an L1 mechanism) and stay at
+    /// nominal.
     fn vdd_energy_factors(&self, level: &LevelRun) -> (f64, f64) {
         if self.spec.vdd.is_default() || matches!(level.level, Level::L2 | Level::L3) {
             return (1.0, 1.0);
@@ -286,25 +269,6 @@ impl RunResult {
             }
             None => (vdd_dynamic_energy_factor(scale), vdd_leakage_energy_factor(scale)),
         }
-    }
-}
-
-/// Applies the `(dynamic, leakage)` supply factors to one breakdown.
-/// Switching energy (reads/writes, isolation episodes, decay counters,
-/// codec) scales with the dynamic factor; both leakage terms scale with
-/// the steeper leakage factor (DIBL). An exactly-unity pair returns the
-/// breakdown untouched, preserving bit-identity at nominal.
-fn scale_breakdown(b: CacheEnergyBreakdown, (f_dyn, f_leak): (f64, f64)) -> CacheEnergyBreakdown {
-    if f_dyn == 1.0 && f_leak == 1.0 {
-        return b;
-    }
-    CacheEnergyBreakdown {
-        dynamic_j: b.dynamic_j * f_dyn,
-        episode_j: b.episode_j * f_dyn,
-        counter_j: b.counter_j * f_dyn,
-        ecc_j: b.ecc_j * f_dyn,
-        pullup_leak_j: b.pullup_leak_j * f_leak,
-        cell_leak_j: b.cell_leak_j * f_leak,
     }
 }
 
@@ -843,7 +807,7 @@ mod tests {
         let run = simulate("mesa", &spec(PolicyKind::StaticPullUp, PolicyKind::StaticPullUp));
         let levels: Vec<Level> = run.levels.iter().map(|l| l.level).collect();
         assert_eq!(levels, [Level::L1D, Level::L1I]);
-        assert!(run.outer_energy(Level::L2, TechnologyNode::N70, LeakageKind::Drowsy).is_none());
+        assert!(run.level_energy(Level::L2, TechnologyNode::N70, LeakageKind::Drowsy).is_none());
     }
 
     #[test]
@@ -880,10 +844,10 @@ mod tests {
         // memory (and some fills it spares), so cycles move.
         let l3 = three.level(Level::L3).expect("three levels record the L3");
         assert!(l3.lookups() > 0, "L2 misses must reach the L3");
-        let l3_energy = three.outer_energy(Level::L3, TechnologyNode::N70, LeakageKind::FullVdd);
+        let l3_energy = three.level_energy(Level::L3, TechnologyNode::N70, LeakageKind::FullVdd);
         assert!(l3_energy.expect("L3 priced").total_j() > 0.0);
         assert!(two.level(Level::L3).is_none());
-        assert!(three.outer_energy(Level::L2, TechnologyNode::N70, LeakageKind::FullVdd).is_some());
+        assert!(three.level_energy(Level::L2, TechnologyNode::N70, LeakageKind::FullVdd).is_some());
     }
 
     #[test]
@@ -911,8 +875,8 @@ mod tests {
         );
         // Explicit-mode pricing of the plain run matches the spec-driven
         // pricing of the drowsy run: the mode is orthogonal to simulation.
-        let (explicit, _) = plain.energy_with_mode(TechnologyNode::N70, LeakageKind::Drowsy);
-        assert_eq!(explicit.d.total_j().to_bits(), d.d.total_j().to_bits());
+        let explicit = plain.level_energy(Level::L1D, TechnologyNode::N70, LeakageKind::Drowsy);
+        assert_eq!(explicit.map(|e| e.total_j().to_bits()), Some(d.d.total_j().to_bits()));
     }
 
     #[test]

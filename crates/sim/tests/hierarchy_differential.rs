@@ -59,7 +59,7 @@ fn single_level_figures_are_unchanged_by_hierarchy_activity() {
 
     // --- a leakage mode alone is pricing-only: zero cycle movement ---
     // Gated precharging, so the subarrays actually accumulate the idle
-    // time a drowsy mode saves on.
+    // time a sleep mode saves on.
     let gated = SystemSpec {
         d_policy: bitline_sim::PolicyKind::Gated { threshold: 100 },
         i_policy: bitline_sim::PolicyKind::Gated { threshold: 100 },
@@ -67,33 +67,33 @@ fn single_level_figures_are_unchanged_by_hierarchy_activity() {
         ..SystemSpec::default()
     };
     let stock = simulate("mesa", &gated);
-    let drowsy = simulate(
-        "mesa",
-        &SystemSpec {
-            hierarchy: HierarchySpec {
-                leakage_mode: LeakageKind::Drowsy,
-                ..HierarchySpec::default()
-            },
-            ..gated
-        },
-    );
-    assert_eq!(drowsy.cycles(), stock.cycles(), "a leakage mode must never touch cycles");
-    assert_eq!(
-        format!("{:?}", drowsy.stats),
-        format!("{:?}", stock.stats),
-        "pipeline statistics must be leakage-mode-invariant"
-    );
-    assert_eq!(
-        format!("{:?}", drowsy.l1d().report),
-        format!("{:?}", stock.l1d().report),
-        "subarray activity must be leakage-mode-invariant"
-    );
     let (stock_e, _) = stock.energy(TechnologyNode::N70);
-    let (drowsy_e, _) = drowsy.energy(TechnologyNode::N70);
-    assert!(
-        drowsy_e.d.cell_leak_j < stock_e.d.cell_leak_j,
-        "the drowsy mode must re-price cell leakage downward"
-    );
+    for mode in LeakageKind::ALL {
+        let hierarchy = HierarchySpec { leakage_mode: mode, ..HierarchySpec::default() };
+        let moded = simulate("mesa", &SystemSpec { hierarchy, ..gated });
+        assert_eq!(
+            moded.cycles(),
+            stock.cycles(),
+            "{mode}: a leakage mode must never touch cycles"
+        );
+        assert_eq!(
+            format!("{:?}", moded.stats),
+            format!("{:?}", stock.stats),
+            "{mode}: pipeline statistics must be leakage-mode-invariant"
+        );
+        assert_eq!(
+            format!("{:?}", moded.l1d().report),
+            format!("{:?}", stock.l1d().report),
+            "{mode}: subarray activity must be leakage-mode-invariant"
+        );
+        if mode != LeakageKind::FullVdd {
+            let (moded_e, _) = moded.energy(TechnologyNode::N70);
+            assert!(
+                moded_e.d.cell_leak_j < stock_e.d.cell_leak_j,
+                "{mode}: the mode must re-price cell leakage downward"
+            );
+        }
+    }
 
     std::env::remove_var("BITLINE_SUITE");
 }

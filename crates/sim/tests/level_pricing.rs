@@ -17,7 +17,7 @@ use std::path::Path;
 use std::process::Command;
 
 use bitline_cmos::TechnologyNode;
-use bitline_sim::{spec, try_run_benchmark, LeakageKind, SystemSpec};
+use bitline_sim::{spec, try_run_benchmark, LeakageKind, Level, SystemSpec};
 
 const INSTRS: &str = "3000";
 
@@ -59,14 +59,16 @@ fn render_pricing(out: &mut String, label: &str, bench: &str, flags: &str) {
         .unwrap_or_else(|e| panic!("{label}/{bench}: {e}"));
     writeln!(out, "{label} {bench} cycles={}", run.cycles()).unwrap();
     for node in NODES {
+        // The static baseline is the same under every mode.
+        let (_, base) = run.energy(node);
         for mode in LeakageKind::ALL {
-            let (policy, base) = run.energy_with_mode(node, mode);
-            let [pd, bd, pi, bi] = [policy.d, base.d, policy.i, base.i].map(|e| e.total_j());
+            let priced = |level| run.level_energy(level, node, mode).expect("a recorded level");
+            let [pd, bd, pi, bi] =
+                [priced(Level::L1D), base.d, priced(Level::L1I), base.i].map(|e| e.total_j());
             write!(out, "  {node} {mode} d={pd:?}/{bd:?} i={pi:?}/{bi:?}").unwrap();
-            for level in &run.levels {
-                if let Some(energy) = run.outer_energy(level.level, node, mode) {
-                    write!(out, " {}={:?}", level.level.label(), energy.total_j()).unwrap();
-                }
+            for level in &run.levels[2..] {
+                write!(out, " {}={:?}", level.level.label(), priced(level.level).total_j())
+                    .unwrap();
             }
             out.push('\n');
         }

@@ -61,7 +61,7 @@ fn bitline_share_grows_towards_70nm() {
     for node in TechnologyNode::ALL {
         let acct = EnergyAccountant::new(node, CacheConfig::l1_data());
         // Fixed activity: 0.3 reads/cycle, 0.1 writes/cycle over 100k cycles.
-        let b = acct.static_baseline(100_000, 30_000, 10_000);
+        let b = acct.static_baseline(100_000, 30_000, 10_000, false);
         let share = b.bitline_share();
         assert!(share > prev, "{node}: share {share:.3} must grow");
         prev = share;
