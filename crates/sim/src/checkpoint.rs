@@ -5,9 +5,11 @@
 //! encoding of a completed run. The spec travels as the spec table's
 //! canonical `key=value` text ([`crate::spec::canonical_text`]), read
 //! back by the same row parsers the CLI and serve use; everything else is
-//! binary, with floats as `f64::to_bits`. A replayed run is therefore
-//! **bit-exact** — warm figure output is byte-identical to a cold
-//! computation, which is what the resume acceptance test diffs on.
+//! binary. A replayed run is therefore **bit-exact** — warm figure output
+//! is byte-identical to a cold computation, which is what the resume
+//! acceptance test diffs on. The process-wide run cache holds each run as
+//! this frame too ([`crate::execution`]), so a cached result is decoded
+//! from the same bytes a journal would replay.
 //!
 //! Each record lists its fields once, in frame order, in the `records!`
 //! invocation at the end of the codec; the writer and the reader are both
@@ -15,17 +17,31 @@
 //! arrays, vectors, options, the idle histogram and the degradation stage)
 //! are laid out by hand.
 //!
-//! Version 7 writes each subarray's idle histogram as a bucket-count byte
-//! and the buckets the run filled; version 6 wrote all 28, zeros included,
-//! and was otherwise the same layout. Over 64 runs (16 benchmarks under
-//! static, gated:100, gated-predecode:100 and oracle on both L1s, 8 000
-//! instructions, 1 KB subarrays) a frame averages 5 809 bytes, where a v6
-//! frame averaged 17 373.
+//! Version 8 writes every integer leaf (`u64`, `usize`, collection and
+//! string lengths, idle buckets) as a minimal LEB128 varint, and every
+//! `f64` as the varint `v << 1` when it is a whole number `v` in
+//! `[0, 2^53)` other than −0.0 (most cycle totals are), else as the
+//! varint 1 and its 8 raw bytes. Bytes, flags and tags stay one byte
+//! each. The reader rejects a varint with a trailing zero byte or past 64
+//! bits and a long-form float the short form covers, so every value has
+//! exactly one encoding and a decoded frame re-encodes to its own bytes.
+//! Over 64 runs (16 benchmarks under static, gated:100,
+//! gated-predecode:100 and oracle on both L1s, 8 000 instructions) a frame
+//! averages 1 104 bytes at 1 KB subarrays, where a v7 frame averaged
+//! 5 388, and 12 245 at 64 B subarrays, where a v7 frame averaged 76 344.
+//! Version 7 wrote each integer and float as 8 fixed bytes and each idle
+//! histogram as a bucket-count byte and the buckets the run filled;
+//! version 6 wrote all 28 buckets.
+//!
+//! [`spec_key`] keeps fixed-width words of its own ([`KeyWord`]): a key
+//! names a run in every journal and serve answer, so its bytes never move
+//! with the frame layout.
 //!
 //! The journal is a cache of recomputable runs, so decoding is total and
-//! unforgiving: any truncation, bad tag, implausible length, or version
-//! other than `VERSION` yields `None`, and the caller quarantines the
-//! entry and recomputes the run rather than reading an old layout.
+//! unforgiving: any truncation, bad tag, non-minimal varint, implausible
+//! length, or version other than `VERSION` yields `None`, and the caller
+//! quarantines the entry and recomputes the run rather than reading an old
+//! layout.
 
 use bitline_cache::{ActivityReport, IdleHistogram, SubarrayActivity, WayStats};
 use bitline_cpu::SimStats;
@@ -43,8 +59,9 @@ use crate::supervise::fnv64;
 /// Codec version; bump on any layout change and older frames are
 /// quarantined and recomputed. Version 5 journals the spec as text;
 /// version 6 writes one record per cache level; version 7 writes only the
-/// idle buckets a histogram stores.
-pub(crate) const VERSION: u8 = 7;
+/// idle buckets a histogram stores; version 8 writes integers as varints
+/// and whole floats in their short form.
+pub(crate) const VERSION: u8 = 8;
 
 /// Upper bound for decoded collection lengths — far above any real cache
 /// (a 32 KB L1 has at most 1024 subarrays) but small enough that a
@@ -107,18 +124,18 @@ pub fn decode_run(bytes: &[u8]) -> Option<RunResult> {
 fn spec_canonical(out: &mut Vec<u8>, s: &SystemSpec) {
     put_policy(out, s.d_policy);
     put_policy(out, s.i_policy);
-    s.subarray_bytes.put(out);
-    s.instructions.put(out);
-    s.seed.put(out);
-    s.way_prediction.put(out);
-    s.faults.rate.put(out);
-    s.faults.seed.put(out);
-    s.faults.fail_safe.put(out);
-    s.faults.ecc.put(out);
-    s.faults.scrub_period.put(out);
+    s.subarray_bytes.key(out);
+    s.instructions.key(out);
+    s.seed.key(out);
+    s.way_prediction.key(out);
+    s.faults.rate.key(out);
+    s.faults.seed.key(out);
+    s.faults.fail_safe.key(out);
+    s.faults.ecc.key(out);
+    s.faults.scrub_period.key(out);
     if !s.hierarchy.is_default() {
         let h = &s.hierarchy;
-        h.levels.put(out);
+        h.levels.key(out);
         put_policy(out, h.l2_policy);
         let mode: u8 = match h.leakage_mode {
             LeakageKind::FullVdd => 0,
@@ -126,45 +143,92 @@ fn spec_canonical(out: &mut Vec<u8>, s: &SystemSpec) {
             LeakageKind::GatedVdd => 2,
             LeakageKind::LowPower6T => 3,
         };
-        mode.put(out);
+        mode.key(out);
     }
     if !s.vdd.is_default() {
-        0xD1_u8.put(out);
-        s.vdd.scale.put(out);
-        s.vdd.governor.put(out);
+        0xD1_u8.key(out);
+        s.vdd.scale.key(out);
+        s.vdd.governor.key(out);
     }
 }
 
 /// A policy's key bytes: its tag, then its parameters.
 fn put_policy(out: &mut Vec<u8>, p: PolicyKind) {
     match p {
-        PolicyKind::StaticPullUp => 0_u8.put(out),
-        PolicyKind::Oracle => 1_u8.put(out),
-        PolicyKind::OnDemand => 2_u8.put(out),
+        PolicyKind::StaticPullUp => 0_u8.key(out),
+        PolicyKind::Oracle => 1_u8.key(out),
+        PolicyKind::OnDemand => 2_u8.key(out),
         PolicyKind::Gated { threshold } => {
-            3_u8.put(out);
-            threshold.put(out);
+            3_u8.key(out);
+            threshold.key(out);
         }
         PolicyKind::GatedPredecode { threshold } => {
-            4_u8.put(out);
-            threshold.put(out);
+            4_u8.key(out);
+            threshold.key(out);
         }
         PolicyKind::AdaptiveGated { interval_accesses } => {
-            5_u8.put(out);
-            interval_accesses.put(out);
+            5_u8.key(out);
+            interval_accesses.key(out);
         }
         // Tag 6 named leakage-biased bitlines, a copy of the oracle; it
         // stays unused so no other policy's key can collide with an old one.
         PolicyKind::Drowsy { threshold } => {
-            7_u8.put(out);
-            threshold.put(out);
+            7_u8.key(out);
+            threshold.key(out);
         }
         PolicyKind::Resizable { interval_accesses, slack } => {
-            8_u8.put(out);
-            interval_accesses.put(out);
-            slack.put(out);
+            8_u8.key(out);
+            interval_accesses.key(out);
+            slack.key(out);
         }
-        PolicyKind::LocalityRecorder => 9_u8.put(out),
+        PolicyKind::LocalityRecorder => 9_u8.key(out),
+    }
+}
+
+/// A [`spec_key`] word, laid out as the key has always been: a byte for a
+/// `u8` or a flag, 8 little-endian bytes for an integer or a float's bits,
+/// a presence byte before an option's value. The frame's leaves may change
+/// with the codec version; these never do.
+trait KeyWord {
+    fn key(&self, out: &mut Vec<u8>);
+}
+
+impl KeyWord for u8 {
+    fn key(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+}
+
+impl KeyWord for bool {
+    fn key(&self, out: &mut Vec<u8>) {
+        u8::from(*self).key(out);
+    }
+}
+
+impl KeyWord for u64 {
+    fn key(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+}
+
+impl KeyWord for usize {
+    fn key(&self, out: &mut Vec<u8>) {
+        (*self as u64).key(out);
+    }
+}
+
+impl KeyWord for f64 {
+    fn key(&self, out: &mut Vec<u8>) {
+        self.to_bits().key(out);
+    }
+}
+
+impl<T: KeyWord> KeyWord for Option<T> {
+    fn key(&self, out: &mut Vec<u8>) {
+        self.is_some().key(out);
+        if let Some(v) = self {
+            v.key(out);
+        }
     }
 }
 
@@ -183,6 +247,38 @@ fn chunk<'a, const N: usize>(input: &mut &'a [u8]) -> Option<&'a [u8; N]> {
     Some(head)
 }
 
+/// Appends `v` as a minimal LEB128 varint: seven bits a byte, lowest
+/// first, the top bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7F) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads a varint [`put_varint`] writes: `None` when the bytes run out, run
+/// past 64 bits, or end in a zero byte after the first (a longer spelling
+/// of a value with a shorter one).
+fn take_varint(input: &mut &[u8]) -> Option<u64> {
+    let mut v = 0;
+    for (i, &byte) in input.iter().enumerate() {
+        // The tenth byte holds bit 63 alone.
+        if i == 9 && byte > 1 {
+            return None;
+        }
+        v |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            if byte == 0 && i > 0 {
+                return None;
+            }
+            *input = &input[i + 1..];
+            return Some(v);
+        }
+    }
+    None
+}
+
 /// A collection length, bounded by [`MAX_VEC`].
 fn len(input: &mut &[u8]) -> Option<usize> {
     usize::take(input).filter(|&n| n <= MAX_VEC)
@@ -199,10 +295,10 @@ impl Field for u8 {
 
 impl Field for u64 {
     fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        put_varint(out, *self);
     }
     fn take(input: &mut &[u8]) -> Option<Self> {
-        chunk(input).map(|b| u64::from_le_bytes(*b))
+        take_varint(input)
     }
 }
 
@@ -215,12 +311,40 @@ impl Field for usize {
     }
 }
 
+/// The largest whole float the short form holds, plus one: every `u64`
+/// below it converts to `f64` and back exactly.
+const SHORT_FLOAT_END: u64 = 1 << 53;
+
+/// The whole number `f` is, when the short form holds it: `f` in
+/// `[0, 2^53)` with no fraction, and not −0.0, whose sign a whole number
+/// would drop.
+fn short_float(f: f64) -> Option<u64> {
+    // `as` saturates: NaN and negatives give 0, which only ±0.0 equal.
+    let whole = f as u64;
+    (whole < SHORT_FLOAT_END && whole as f64 == f && f.is_sign_positive()).then_some(whole)
+}
+
+/// A whole number `v` (see [`short_float`]) as the varint `v << 1`; any
+/// other value as the varint 1, then its 8 raw bytes.
 impl Field for f64 {
     fn put(&self, out: &mut Vec<u8>) {
-        self.to_bits().put(out);
+        match short_float(*self) {
+            Some(whole) => put_varint(out, whole << 1),
+            None => {
+                out.push(1);
+                out.extend_from_slice(&self.to_bits().to_le_bytes());
+            }
+        }
     }
     fn take(input: &mut &[u8]) -> Option<Self> {
-        u64::take(input).map(f64::from_bits)
+        match take_varint(input)? {
+            1 => {
+                let f = f64::from_bits(u64::from_le_bytes(*chunk(input)?));
+                short_float(f).is_none().then_some(f)
+            }
+            v if v & 1 == 0 && v >> 1 < SHORT_FLOAT_END => Some((v >> 1) as f64),
+            _ => None,
+        }
     }
 }
 
@@ -274,7 +398,9 @@ impl<T: Field> Field for Vec<T> {
     }
     fn take(input: &mut &[u8]) -> Option<Self> {
         let n = len(input)?;
-        let mut items = Vec::with_capacity(n);
+        // Every item takes a byte or more, so a length past the input's
+        // reserves no more than a well-formed frame could fill.
+        let mut items = Vec::with_capacity(n.min(input.len()));
         for _ in 0..n {
             items.push(T::take(input)?);
         }
@@ -295,9 +421,9 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
-/// A bucket count, then the stored buckets ([`IdleHistogram::buckets`]),
-/// read back as one block. Each histogram has exactly one encoding:
-/// [`IdleHistogram::from_buckets`] rejects a count above
+/// A bucket count byte, then the stored buckets
+/// ([`IdleHistogram::buckets`]) as varints. Each histogram has exactly one
+/// encoding: [`IdleHistogram::from_buckets`] rejects a count above
 /// [`IDLE_BUCKETS`](bitline_cache::IDLE_BUCKETS) and a zero top bucket,
 /// neither of which `put` writes.
 impl Field for IdleHistogram {
@@ -310,10 +436,14 @@ impl Field for IdleHistogram {
     }
     fn take(input: &mut &[u8]) -> Option<Self> {
         let n = usize::from(u8::take(input)?);
-        let (block, rest) = input.split_at_checked(8 * n)?;
-        *input = rest;
-        let words = block.as_chunks::<8>().0;
-        IdleHistogram::from_buckets(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+        if n > bitline_cache::IDLE_BUCKETS {
+            return None;
+        }
+        let mut buckets = Vec::with_capacity(n);
+        for _ in 0..n {
+            buckets.push(u64::take(input)?);
+        }
+        IdleHistogram::from_buckets(buckets)
     }
 }
 
@@ -560,15 +690,15 @@ mod tests {
     }
 
     #[test]
-    fn v7_frames_are_frozen() {
-        // A journal written by any v7 binary must replay on every later one,
-        // so a v7 frame's bytes never move. The literals were computed on
-        // the v7 codec when it was introduced; never re-bless them.
+    fn v8_frames_are_frozen() {
+        // A journal written by any v8 binary must replay on every later one,
+        // so a v8 frame's bytes never move. The literals were computed on
+        // the v8 codec when it was introduced; never re-bless them.
         let cases = [
-            (sample_run(), 0x9a96_c3da_e336_bfe2_u64),
-            (sample_hierarchy_run(), 0x1a55_a6ad_613f_4209),
-            (sample_vdd_run(), 0xff42_bbc1_fa69_cca4),
-            (simulated_run(), 0xbb83_50af_9118_72c0),
+            (sample_run(), 0xca8f_6785_3d5b_6f13_u64),
+            (sample_hierarchy_run(), 0x8085_061e_c2b9_970f),
+            (sample_vdd_run(), 0x2098_ad0d_a872_13df),
+            (simulated_run(), 0x3bf9_a59d_a0da_ad74),
         ];
         for (run, digest) in cases {
             assert_eq!(fnv64(&encode_run(&run)), digest, "{}", run.benchmark);
@@ -664,7 +794,7 @@ mod tests {
         // must yield `None` even when the rest of the bytes happen to
         // parse — the resume path quarantines it, counts it under
         // `sim.checkpoint.version_skew`, and recomputes the run.
-        for version in [2, 3, 4, 5, 6, 99] {
+        for version in [2, 3, 4, 5, 6, 7, 99] {
             let mut bytes = encode_run(&sample_run());
             bytes[0] = version;
             assert!(decode_run(&bytes).is_none(), "v{version}");
@@ -678,7 +808,7 @@ mod tests {
         hist.record(700);
         let mut bytes = Vec::new();
         hist.put(&mut bytes);
-        assert_eq!(bytes.len(), 1 + 8 * 10, "700 cycles land in bucket 9");
+        assert_eq!(bytes.len(), 1 + 10, "700 cycles land in bucket 9, each count one byte");
         assert_eq!(bytes[0], 10);
         assert_eq!(IdleHistogram::take(&mut &bytes[..]), Some(hist));
         let mut empty = Vec::new();
@@ -745,7 +875,11 @@ mod tests {
         let run = sample_hierarchy_run();
         let bytes = encode_run(&run);
         let text = spec::canonical_text(&run.spec);
-        let tail = &bytes[1 + 8 + run.benchmark.len() + 8 + text.len()..];
+        let mut head = Vec::new();
+        VERSION.put(&mut head);
+        run.benchmark.put(&mut head);
+        text.clone().put(&mut head);
+        let tail = &bytes[head.len()..];
         let frame = |text: &str| {
             let mut out = Vec::new();
             VERSION.put(&mut out);
@@ -779,6 +913,88 @@ mod tests {
         fewer.spec.hierarchy.levels = 3;
         for run in [more, fewer] {
             assert!(decode_run(&encode_run(&run)).is_none(), "{:?}", run.spec.hierarchy);
+        }
+    }
+
+    /// `value`'s frame bytes.
+    fn frame_of<T: Field>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.put(&mut out);
+        out
+    }
+
+    /// `T` read from the whole of `bytes`: `None` unless it reads every
+    /// byte.
+    fn read_all<T: Field>(mut bytes: &[u8]) -> Option<T> {
+        T::take(&mut bytes).filter(|_| bytes.is_empty())
+    }
+
+    #[test]
+    fn integers_are_minimal_varints() {
+        for (v, bytes) in [
+            (0_u64, &[0x00][..]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xAC, 0x02]),
+            (u64::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]),
+        ] {
+            assert_eq!(frame_of(&v), bytes, "{v}");
+            assert_eq!(read_all::<u64>(bytes), Some(v), "{v}");
+        }
+    }
+
+    #[test]
+    fn a_non_minimal_varint_is_rejected() {
+        // Zero, 1 and 300 spelt with a trailing zero byte: each value keeps
+        // one encoding, so these are not it.
+        for bytes in [&[0x80, 0x00][..], &[0x81, 0x00], &[0xAC, 0x82, 0x00]] {
+            assert_eq!(read_all::<u64>(bytes), None, "{bytes:02x?}");
+        }
+        assert_eq!(read_all::<u64>(&[0x80]), None, "a varint cut short");
+    }
+
+    #[test]
+    fn a_varint_past_64_bits_is_rejected() {
+        let mut bytes = vec![0xFF; 9];
+        bytes.push(0x02);
+        assert_eq!(read_all::<u64>(&bytes), None, "bit 64 set in the tenth byte");
+        bytes[9] = 0x81;
+        bytes.push(0x01);
+        assert_eq!(read_all::<u64>(&bytes), None, "an eleventh byte");
+        bytes.truncate(9);
+        bytes.push(0x01);
+        assert_eq!(read_all::<u64>(&bytes), Some(u64::MAX));
+    }
+
+    #[test]
+    fn a_long_form_float_the_short_form_covers_is_rejected() {
+        for f in [0.0_f64, 1.0, 101.0, 2f64.powi(53) - 1.0] {
+            let mut long = vec![1];
+            long.extend_from_slice(&f.to_bits().to_le_bytes());
+            assert_eq!(read_all::<f64>(&long), None, "{f}");
+            assert_eq!(read_all::<f64>(&frame_of(&f)), Some(f), "{f}");
+        }
+        // An odd varint other than 1, and an even one at or past 2^53, are
+        // no float at all.
+        assert_eq!(read_all::<f64>(&[0x03]), None);
+        assert_eq!(read_all::<f64>(&frame_of(&(1_u64 << 54))), None);
+    }
+
+    #[test]
+    fn whole_cycle_counts_take_the_short_form() {
+        assert_eq!(frame_of(&0.0_f64), [0x00]);
+        assert_eq!(frame_of(&63.0_f64), [0x7E]);
+        assert_eq!(frame_of(&8_270.0_f64), frame_of(&16_540_u64));
+    }
+
+    #[test]
+    fn floats_the_short_form_cannot_hold_round_trip_bit_exactly() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_0001);
+        for f in [-0.0, nan, f64::NAN, 2f64.powi(53), 64.5, -3.0, f64::INFINITY, 1e300] {
+            let bytes = frame_of(&f);
+            assert_eq!(bytes.len(), 9, "{f}: the long form");
+            let back = read_all::<f64>(&bytes).expect("decodes");
+            assert_eq!(back.to_bits(), f.to_bits(), "{f}");
         }
     }
 

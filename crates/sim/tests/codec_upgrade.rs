@@ -2,10 +2,11 @@
 //!
 //! `journals/v6-mesa/runs.journal` holds the two v6 frames that
 //! `bitline-sim -b mesa -i 2000 --checkpoint DIR` wrote before codec v7:
-//! the run and its static baseline. Resuming a copy with the same command
-//! must count both frames as version skew, recompute each run once and
-//! journal it again; resuming it a second time must replay both and
-//! recompute nothing.
+//! the run and its static baseline. `journals/v7-mesa/runs.journal` holds
+//! the two v7 frames the same command wrote before codec v8. Resuming a
+//! copy of either with the same command must count both frames as version
+//! skew, recompute each run once and journal it again; resuming it a
+//! second time must replay both and recompute nothing.
 //!
 //! The same command checks how a resume treats current-version frames it
 //! cannot trust: a frame filed under another run's key, and a key whose
@@ -148,29 +149,33 @@ fn a_newest_frame_that_does_not_decode_is_damage_not_version_skew() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn a_v6_journal_is_recomputed_once_then_replays() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/journals/v6-mesa");
+/// Resumes a copy of the two-frame journal `journals/<fixture>`, whose
+/// frames an older codec `version` wrote, twice.
+fn upgrades_once_then_replays(fixture: &str, version: u8) {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/journals").join(fixture);
     let (entries, report) = read_entries(&fixture.join(JOURNAL_FILE)).expect("fixture reads");
     assert_eq!((report.loaded, report.quarantined), (2, 0), "two intact frames");
-    assert!(entries.iter().all(|e| e.value.first() == Some(&6)), "both stamped v6");
+    assert!(entries.iter().all(|e| e.value.first() == Some(&version)), "both stamped v{version}");
 
-    let dir = scratch("upgrade");
+    let dir = scratch(&format!("upgrade-v{version}"));
     std::fs::copy(fixture.join(JOURNAL_FILE), dir.join(JOURNAL_FILE)).expect("copy the journal");
 
     let (recomputed, first) = resume(&dir);
-    assert_eq!(count(&first, "sim.checkpoint.version_skew"), 2, "both frames are v6");
+    assert_eq!(count(&first, "sim.checkpoint.version_skew"), 2, "both frames are v{version}");
     assert_eq!(count(&first, "sim.checkpoint.quarantined"), 2);
     assert_eq!(count(&first, "sim.checkpoint.replayed"), 0);
     assert_eq!(count(&first, "sim.runner.runs"), 2, "each run is recomputed once");
     assert_eq!(count(&first, "sim.checkpoint.appended"), 2, "and journaled again");
     assert_eq!(count(&first, "sim.checkpoint.recomputed"), 0);
     let size = std::fs::metadata(dir.join(JOURNAL_FILE)).expect("the journal").len();
-    assert_eq!(size, 9_162, "the magic and the two v7 frames: the dead v6 frames are dropped");
+    assert_eq!(
+        size, 2_041,
+        "the magic and the two v8 frames: the dead v{version} frames are dropped"
+    );
 
     let (replayed, second) = resume(&dir);
     assert_eq!(count(&second, "exec.journal.loaded"), 2, "only the live frames are read");
-    assert_eq!(count(&second, "sim.checkpoint.replayed"), 2, "both v7 frames replay");
+    assert_eq!(count(&second, "sim.checkpoint.replayed"), 2, "both v8 frames replay");
     assert_eq!(count(&second, "sim.checkpoint.quarantined"), 0);
     assert_eq!(count(&second, "sim.checkpoint.version_skew"), 0);
     assert_eq!(count(&second, "sim.runner.runs"), 0, "nothing is simulated");
@@ -179,4 +184,14 @@ fn a_v6_journal_is_recomputed_once_then_replays() {
     assert_eq!(replayed, recomputed, "a replayed run prints what its computation did");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_v6_journal_is_recomputed_once_then_replays() {
+    upgrades_once_then_replays("v6-mesa", 6);
+}
+
+#[test]
+fn a_v7_journal_is_recomputed_once_then_replays() {
+    upgrades_once_then_replays("v7-mesa", 7);
 }
