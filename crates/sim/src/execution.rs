@@ -5,7 +5,9 @@
 //! * the **run cache** — completed [`RunResult`]s keyed by
 //!   `(benchmark, SystemSpec)`, so the static baseline every figure
 //!   recomputes and the repeated points of a threshold sweep are simulated
-//!   once per process;
+//!   once per process. Each run is held as its journal frame
+//!   ([`checkpoint::encode_run`]), a fifth of the decoded run's heap, and
+//!   every lookup decodes it;
 //! * the **trace store** — each `(benchmark, seed)` synthetic instruction
 //!   stream, generated once and replayed into concurrent runs, plus the
 //!   windowed streams a lockstep set of runs reads once and drops behind
@@ -35,9 +37,25 @@ use crate::error::SimError;
 use crate::runner::{try_run_benchmark, try_run_lockstep_supervised, RunResult};
 use crate::supervise;
 
-fn run_cache() -> &'static MemoCache<(String, SystemSpec), RunResult> {
-    static CACHE: OnceLock<MemoCache<(String, SystemSpec), RunResult>> = OnceLock::new();
+/// A run as the run cache holds it: its codec frame, the bytes the journal
+/// stores.
+type Frame = Arc<[u8]>;
+
+fn run_cache() -> &'static MemoCache<(String, SystemSpec), Frame> {
+    static CACHE: OnceLock<MemoCache<(String, SystemSpec), Frame>> = OnceLock::new();
     CACHE.get_or_init(|| MemoCache::named("sim.run_cache"))
+}
+
+/// Encodes a fresh run once, for the run cache and the journal alike.
+fn frame(run: &RunResult) -> Frame {
+    checkpoint::encode_run(run).into()
+}
+
+/// The run a cached frame holds. Every result the cache returns comes from
+/// here, a fresh run's as much as a hit's or a replayed one's, so none of
+/// them can differ.
+fn unframe(frame: &[u8]) -> RunResult {
+    checkpoint::decode_run(frame).expect("a frame the codec wrote or checked decodes")
 }
 
 fn trace_store() -> &'static TraceStore {
@@ -155,8 +173,8 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
     let mut version_skew = 0u64;
     let mut seen = HashSet::new();
     let mut live = vec![false; entries.len()];
-    // Newest first, so a key's newest frame supersedes older ones; each
-    // frame is dropped once decoded, as decoded runs fill the cache.
+    // Newest first, so a key's newest frame supersedes older ones. Each
+    // frame is decoded once, to check it, and its bytes fill the cache.
     for (i, entry) in entries.into_iter().enumerate().rev() {
         if !seen.insert(entry.key.clone()) {
             continue;
@@ -165,7 +183,7 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
         // recomputation of the decoded run's identity.
         match checkpoint::decode_run(&entry.value) {
             Some(run) if checkpoint::spec_key(&run.benchmark, &run.spec) == entry.key => {
-                run_cache().insert((run.benchmark.clone(), run.spec), run);
+                run_cache().insert((run.benchmark, run.spec), entry.value.into());
                 replayed += 1;
                 live[i] = true;
             }
@@ -210,9 +228,9 @@ fn lock_checkpoint() -> std::sync::MutexGuard<'static, Option<CheckpointState>> 
     checkpoint_state().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Journals a freshly computed run, if a checkpoint is armed. Failures to
-/// write are reported on stderr but never fail the run itself.
-fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
+/// Journals the frame of a freshly computed run, if a checkpoint is armed.
+/// Failures to write are reported on stderr but never fail the run itself.
+fn journal_record(name: &str, spec: &SystemSpec, frame: &[u8]) {
     let mut state = lock_checkpoint();
     let Some(cp) = state.as_mut() else { return };
     let key = checkpoint::spec_key(name, spec);
@@ -230,7 +248,7 @@ fn journal_record(name: &str, spec: &SystemSpec, run: &RunResult) {
         eprintln!("[exec] warning: checkpoint append failed for {key}: {e}");
         return;
     }
-    match cp.journal.append(&key, &checkpoint::encode_run(run)) {
+    match cp.journal.append(&key, frame) {
         Ok(()) => {
             cp.stats.appended += 1;
             bitline_obs::counter!("sim.checkpoint.appended").incr();
@@ -246,25 +264,27 @@ pub fn checkpoint_stats() -> Option<CheckpointStats> {
 }
 
 /// Memoized [`try_run_benchmark`]: the first request for a
-/// `(benchmark, spec)` pair simulates it, every later request returns the
-/// stored result. Errors are returned but never cached.
+/// `(benchmark, spec)` pair simulates it and stores its frame, and every
+/// request, the first included, returns the run decoded from that frame.
+/// Errors are returned but never cached.
 ///
 /// When a checkpoint journal is armed ([`set_checkpoint`]), every fresh
-/// computation is appended to it before the result is returned, so a
-/// crash after this function returns cannot lose the run.
+/// computation's frame is appended to it before the result is returned, so
+/// a crash after this function returns cannot lose the run.
 ///
 /// # Errors
 ///
 /// Exactly those of [`try_run_benchmark`].
 pub fn try_run_benchmark_cached(name: &str, spec: &SystemSpec) -> Result<RunResult, SimError> {
-    run_cache().get_or_try_insert_with((name.to_owned(), *spec), || {
+    let frame = run_cache().get_or_try_insert_with((name.to_owned(), *spec), || {
         let _span = bitline_obs::span("sim/run")
             .field("benchmark", name)
             .field("spec_key", checkpoint::spec_key(name, spec));
-        let run = try_run_benchmark(name, spec)?;
-        journal_record(name, spec, &run);
-        Ok(run)
-    })
+        let frame = frame(&try_run_benchmark(name, spec)?);
+        journal_record(name, spec, &frame);
+        Ok(frame)
+    })?;
+    Ok(unframe(&frame))
 }
 
 /// Memoized lockstep runs of several specs of benchmark `name` at one
@@ -287,16 +307,21 @@ pub fn try_run_lockstep_cached(
     specs: &[SystemSpec],
 ) -> Result<Vec<RunResult>, SimError> {
     let keys: Vec<(String, SystemSpec)> = specs.iter().map(|s| (name.to_owned(), *s)).collect();
-    run_cache().get_or_try_insert_all(&keys, |missing| {
+    let frames = run_cache().get_or_try_insert_all(&keys, |missing| {
         let specs: Vec<SystemSpec> = missing.iter().map(|(_, spec)| *spec).collect();
         let _span =
             bitline_obs::span("sim/lockstep").field("benchmark", name).field("runs", specs.len());
         let runs = try_run_lockstep_supervised(name, &specs, &supervise::ambient_token())?;
-        for run in &runs {
-            journal_record(name, &run.spec, run);
-        }
-        Ok(runs)
-    })
+        Ok(runs
+            .iter()
+            .map(|run| {
+                let frame = frame(run);
+                journal_record(name, &run.spec, &frame);
+                frame
+            })
+            .collect())
+    })?;
+    Ok(frames.iter().map(|f| unframe(f)).collect())
 }
 
 /// Counters of the process-wide run cache.
@@ -347,22 +372,70 @@ mod tests {
 
     #[test]
     fn cached_run_equals_cold_run_and_counts_hits() {
-        let spec = SystemSpec {
-            d_policy: PolicyKind::Gated { threshold: 75 },
+        use bitline_exec::CancelToken;
+
+        use crate::{FaultSpec, HierarchySpec, VddSpec};
+
+        // A spec per record kind a frame carries, each run three ways: a
+        // miss, a hit, and a frame replayed from a journal.
+        let gated = PolicyKind::Gated { threshold: 75 };
+        let drowsy = PolicyKind::Drowsy { threshold: 100 };
+        let base = SystemSpec {
+            d_policy: gated,
             instructions: 3_000,
             seed: 1234,
             ..SystemSpec::default()
         };
-        let cold = try_run_benchmark("tsp", &spec).expect("cold run");
-        let first = try_run_benchmark_cached("tsp", &spec).expect("fill");
-        let before = run_cache_stats();
-        let second = try_run_benchmark_cached("tsp", &spec).expect("hit");
-        let after = run_cache_stats();
-        assert!(after.hits > before.hits, "second lookup must hit");
-        for run in [&first, &second] {
-            assert_eq!(run.cycles(), cold.cycles());
-            assert_eq!(run.stats.committed, cold.stats.committed);
-            assert_eq!(format!("{:?}", run.levels), format!("{:?}", cold.levels));
+        let ecc =
+            FaultSpec { rate: 0.05, seed: 7, fail_safe: false, ecc: true, scrub_period: None };
+        let specs = [
+            base,
+            SystemSpec { faults: ecc, ..base },
+            SystemSpec { vdd: VddSpec { scale: 0.8, governor: true }, ..base },
+            SystemSpec {
+                hierarchy: HierarchySpec {
+                    levels: 3,
+                    l2_policy: gated,
+                    ..HierarchySpec::default()
+                },
+                ..base
+            },
+            SystemSpec { way_prediction: true, ..base },
+            SystemSpec { subarray_bytes: 64, ..base },
+            SystemSpec { d_policy: PolicyKind::LocalityRecorder, ..base },
+            SystemSpec { d_policy: drowsy, i_policy: drowsy, ..base },
+        ];
+        let dir = std::env::temp_dir().join(format!("bitline-run-cache-{}", std::process::id()));
+        let mut journal = Journal::open_fresh(&dir).expect("a scratch journal");
+        let mut journaled = Vec::new();
+        for (k, spec) in specs.into_iter().enumerate() {
+            let cold = format!("{:?}", try_run_benchmark("tsp", &spec).expect("cold run"));
+            let miss = try_run_benchmark_cached("tsp", &spec).expect("fill");
+            let before = run_cache_stats();
+            let hit = try_run_benchmark_cached("tsp", &spec).expect("hit");
+            assert!(run_cache_stats().hits > before.hits, "second lookup must hit");
+            assert_eq!(format!("{miss:?}"), cold, "miss: {spec:?}");
+            assert_eq!(format!("{hit:?}"), cold, "hit: {spec:?}");
+            // The same spec at a seed of its own, which nothing has cached.
+            let spec = SystemSpec { seed: 31_000 + k as u64, ..spec };
+            let run = try_run_benchmark("tsp", &spec).expect("cold run");
+            let key = checkpoint::spec_key("tsp", &spec);
+            journal.append(&key, &checkpoint::encode_run(&run)).expect("the frame appends");
+            journaled.push((spec, format!("{run:?}")));
+        }
+        drop(journal);
+        let stats = set_checkpoint(&dir, true).expect("the journal opens");
+        clear_checkpoint();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(stats.replayed, journaled.len() as u64);
+        // Under a cancelled token only the run cache can answer.
+        let cancelled = CancelToken::unbounded();
+        cancelled.cancel();
+        for (spec, cold) in journaled {
+            let replayed =
+                supervise::with_token(&cancelled, || try_run_benchmark_cached("tsp", &spec))
+                    .expect("the replayed frame answers");
+            assert_eq!(format!("{replayed:?}"), cold, "replayed: {spec:?}");
         }
     }
 
