@@ -35,6 +35,7 @@ mod config;
 mod l1;
 mod mshr;
 mod policy;
+mod static_pullup;
 mod system;
 mod waypred;
 
@@ -42,8 +43,9 @@ pub use config::CacheConfig;
 pub use l1::{AccessResult, L1Cache};
 pub use mshr::Mshr;
 pub use policy::{
-    ActivityReport, AlwaysPrecharged, FaultEvent, IdleHistogram, PrechargePolicy, ResizeRequest,
-    SubarrayActivity, IDLE_BUCKETS,
+    ActivityReport, FaultEvent, IdleHistogram, PrechargePolicy, ResizeRequest, SubarrayActivity,
+    IDLE_BUCKETS,
 };
+pub use static_pullup::StaticPullUp;
 pub use system::{AccessOutcome, MemorySystem, MemorySystemConfig};
 pub use waypred::{WayPredictor, WayStats};

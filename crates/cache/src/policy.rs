@@ -236,7 +236,8 @@ impl ActivityReport {
 
 /// A bitline precharge controller for one cache.
 ///
-/// Implementations live in the `gated-precharge` crate: static pull-up,
+/// Static pull-up ([`StaticPullUp`](crate::StaticPullUp)) lives here; the
+/// `gated-precharge` crate re-exports it beside the policies under study:
 /// oracle, on-demand, gated (with predecode hints) and resizable. The cache
 /// drives the policy through this interface:
 ///
@@ -294,61 +295,9 @@ pub trait PrechargePolicy {
     fn finalize(&mut self, end_cycle: u64) -> ActivityReport;
 }
 
-/// The trivial policy: every subarray statically pulled up, no delays.
-///
-/// This is the in-crate primitive used as the default for caches whose
-/// precharge behaviour is not under study (e.g. the L2); the
-/// `gated-precharge` crate's `StaticPullUp` is the instrumented equivalent
-/// for L1 baselines.
-#[derive(Debug, Clone)]
-pub struct AlwaysPrecharged {
-    acts: Vec<SubarrayActivity>,
-}
-
-impl AlwaysPrecharged {
-    /// Creates the policy for `subarrays` subarrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subarrays` is zero.
-    #[must_use]
-    pub fn new(subarrays: usize) -> AlwaysPrecharged {
-        assert!(subarrays > 0, "cache must have at least one subarray");
-        AlwaysPrecharged { acts: vec![SubarrayActivity::default(); subarrays] }
-    }
-}
-
-impl PrechargePolicy for AlwaysPrecharged {
-    fn name(&self) -> String {
-        "always-precharged".into()
-    }
-
-    fn access(&mut self, subarray: usize, _cycle: u64) -> u32 {
-        self.acts[subarray].accesses += 1;
-        0
-    }
-
-    fn finalize(&mut self, end_cycle: u64) -> ActivityReport {
-        let mut per_subarray = std::mem::take(&mut self.acts);
-        for s in &mut per_subarray {
-            s.pulled_up_cycles = end_cycle as f64;
-        }
-        ActivityReport { policy: self.name(), end_cycle, per_subarray }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn always_precharged_reports_full_pullup() {
-        let mut p = AlwaysPrecharged::new(4);
-        p.access(1, 5);
-        let r = p.finalize(100);
-        assert_eq!(r.total_accesses(), 1);
-        assert!((r.precharged_fraction() - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn idle_histogram_buckets_by_log2() {

@@ -1,17 +1,18 @@
 //! The conventional baseline: every subarray statically pulled up.
 
-use bitline_cache::{ActivityReport, PrechargePolicy, SubarrayActivity};
+use crate::policy::{ActivityReport, PrechargePolicy, SubarrayActivity};
 
 /// Static pull-up: precharge devices always on, in every subarray.
 ///
 /// This is the conventional high-performance design the paper measures
-/// against: zero delay, maximal bitline discharge.
+/// against: zero delay, maximal bitline discharge. It is also the policy
+/// of every cache whose precharge is not under study, such as the stock
+/// L2 [`MemorySystem::new`](crate::MemorySystem::new) builds.
 ///
 /// # Examples
 ///
 /// ```
-/// use bitline_cache::PrechargePolicy;
-/// use gated_precharge::StaticPullUp;
+/// use bitline_cache::{PrechargePolicy, StaticPullUp};
 ///
 /// let mut p = StaticPullUp::new(32);
 /// assert_eq!(p.access(3, 7), 0);

@@ -3,7 +3,8 @@
 use crate::config::CacheConfig;
 use crate::l1::L1Cache;
 use crate::mshr::Mshr;
-use crate::policy::{ActivityReport, AlwaysPrecharged, PrechargePolicy};
+use crate::policy::{ActivityReport, PrechargePolicy};
+use crate::static_pullup::StaticPullUp;
 
 /// Hierarchy parameters (Table 2 defaults).
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +123,7 @@ impl MemorySystem {
         i_policy: Box<dyn PrechargePolicy>,
     ) -> MemorySystem {
         let l2_cfg = Self::l2_config(&cfg);
-        let l2_policy = Box::new(AlwaysPrecharged::new(l2_cfg.subarrays()));
+        let l2_policy = Box::new(StaticPullUp::new(l2_cfg.subarrays()));
         Self::with_hierarchy(cfg, d_policy, i_policy, l2_policy, None)
     }
 
@@ -354,7 +355,7 @@ mod tests {
     /// pull-up, as [`MemorySystem::new`] builds it.
     fn l2() -> L1Cache {
         let cfg = MemorySystem::l2_config(&MemorySystemConfig::default());
-        L1Cache::new(cfg, Box::new(AlwaysPrecharged::new(cfg.subarrays())))
+        L1Cache::new(cfg, Box::new(StaticPullUp::new(cfg.subarrays())))
     }
 
     #[test]

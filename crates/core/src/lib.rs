@@ -45,12 +45,11 @@ mod gated;
 mod on_demand;
 mod oracle;
 mod resizable;
-mod static_pullup;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveGatedPolicy};
+pub use bitline_cache::StaticPullUp;
 pub use drowsy::DrowsyPolicy;
 pub use gated::{GatedPolicy, HINT_WINDOW};
 pub use on_demand::OnDemandPolicy;
 pub use oracle::OraclePolicy;
 pub use resizable::{ResizableConfig, ResizablePolicy};
-pub use static_pullup::StaticPullUp;

@@ -28,10 +28,10 @@
 //! # Examples
 //!
 //! ```
-//! use bitline_cache::{AlwaysPrecharged, PrechargePolicy};
+//! use bitline_cache::{PrechargePolicy, StaticPullUp};
 //! use bitline_faults::{FaultConfig, FaultInjectingPolicy};
 //!
-//! let inner = Box::new(AlwaysPrecharged::new(8));
+//! let inner = Box::new(StaticPullUp::new(8));
 //! let mut p = FaultInjectingPolicy::new(inner, FaultConfig::disabled(), 8);
 //! // Disabled injection is fully transparent.
 //! assert_eq!(p.access(3, 10), 0);
