@@ -29,7 +29,9 @@
 #                    as a caught panic), and a SIGKILL-interrupted
 #                    --checkpoint sweep must resume to
 #                    byte-identical output without recomputing journaled
-#                    runs; finally a metrics leg: an instrumented figure
+#                    runs, its journal at most 1.5x the bytes per frame
+#                    codec v8 writes there (so a return to fixed-width
+#                    frame leaves fails); finally a metrics leg: an instrumented figure
 #                    run must export schema-valid bitline-obs/v1 JSONL
 #                    with the expected counter families moving, produce
 #                    identical stdout, and cost no more than 2% (+ fixed
@@ -304,6 +306,18 @@ resume_smoke() {
     if [[ -z "$recomputed" || "$recomputed" -ne 0 ]]; then
         echo "==> smoke: FAIL — warm sweep recomputed ${recomputed:-?} journaled run(s)" >&2
         cat "$warm_err" >&2
+        exit 1
+    fi
+    # Codec v8 frames (varint integers, short whole floats) take 1 052 B
+    # each here with their keys and framing, v7's fixed-width leaves took
+    # 4 816: a journal above 1.5x the v8 average has lost the dense leaves.
+    local appended frames per_frame
+    appended=$(sed -n 's/.*replayed, \([0-9]*\) appended.*/\1/p' "$warm_err" | tail -n 1)
+    frames=$((replayed + appended))
+    per_frame=$((($(wc -c <"$ckpt/runs.journal") - 8) / frames))
+    echo "==> smoke: resume — journal holds $frames frames, $per_frame B per frame"
+    if [[ "$per_frame" -gt 1578 ]]; then
+        echo "==> smoke: FAIL — $per_frame B per journal frame, above 1.5x codec v8's 1052 B" >&2
         exit 1
     fi
     echo "==> smoke: resume OK — $replayed runs replayed, 0 recomputed"

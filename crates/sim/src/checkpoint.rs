@@ -27,8 +27,8 @@
 //! exactly one encoding and a decoded frame re-encodes to its own bytes.
 //! Over 64 runs (16 benchmarks under static, gated:100,
 //! gated-predecode:100 and oracle on both L1s, 8 000 instructions) a frame
-//! averages 1 104 bytes at 1 KB subarrays, where a v7 frame averaged
-//! 5 388, and 12 245 at 64 B subarrays, where a v7 frame averaged 76 344.
+//! averages 1 126 bytes at 1 KB subarrays, where a v7 frame averaged
+//! 5 806, and 12 163 at 64 B subarrays, where a v7 frame averaged 79 741.
 //! Version 7 wrote each integer and float as 8 fixed bytes and each idle
 //! histogram as a bucket-count byte and the buckets the run filled;
 //! version 6 wrote all 28 buckets.

@@ -6,8 +6,8 @@
 //!   `(benchmark, SystemSpec)`, so the static baseline every figure
 //!   recomputes and the repeated points of a threshold sweep are simulated
 //!   once per process. Each run is held as its journal frame
-//!   ([`checkpoint::encode_run`]), a fifth of the decoded run's heap, and
-//!   every lookup decodes it;
+//!   ([`checkpoint::encode_run`]), a fraction of the decoded run's heap,
+//!   and every lookup decodes it;
 //! * the **trace store** — each `(benchmark, seed)` synthetic instruction
 //!   stream, generated once and replayed into concurrent runs, plus the
 //!   windowed streams a lockstep set of runs reads once and drops behind
