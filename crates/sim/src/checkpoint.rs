@@ -7,9 +7,9 @@
 //! back by the same row parsers the CLI and serve use; everything else is
 //! binary. A replayed run is therefore **bit-exact** — warm figure output
 //! is byte-identical to a cold computation, which is what the resume
-//! acceptance test diffs on. The process-wide run cache holds each run as
-//! this frame too ([`crate::execution`]), so a cached result is decoded
-//! from the same bytes a journal would replay.
+//! acceptance test diffs on. The process-wide run cache behind
+//! [`crate::try_run_benchmark_cached`] holds each run as this frame too,
+//! so a cached result is decoded from the bytes a journal would replay.
 //!
 //! Each record lists its fields once, in frame order, in the `records!`
 //! invocation at the end of the codec; the writer and the reader are both
@@ -33,7 +33,7 @@
 //! histogram as a bucket-count byte and the buckets the run filled;
 //! version 6 wrote all 28 buckets.
 //!
-//! [`spec_key`] keeps fixed-width words of its own ([`KeyWord`]): a key
+//! [`spec_key`] keeps fixed-width words of its own (`KeyWord`): a key
 //! names a run in every journal and serve answer, so its bytes never move
 //! with the frame layout.
 //!
