@@ -10,11 +10,12 @@
 //!   activity accounting, pluggable [`PrechargePolicy`], and support for
 //!   dynamic resizing (for the resizable-cache baseline);
 //! * [`Mshr`], [`MemorySystem`] — the rest of the hierarchy (a 512 KB
-//!   unified L2, itself an [`L1Cache`] behind static pull-up, 8 MSHRs,
+//!   unified L2, itself an [`L1Cache`] behind [`StaticPullUp`], 8 MSHRs,
 //!   100-cycle + 4-cycle/8 B memory);
 //! * [`PrechargePolicy`] and [`ActivityReport`] — the interface the
 //!   policies in the `gated-precharge` crate implement, and the activity
 //!   statistics the Wattch-like accounting in `bitline-energy` consumes.
+//!   [`StaticPullUp`], the conventional baseline, lives here.
 //!
 //! # Examples
 //!
