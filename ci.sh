@@ -9,7 +9,17 @@
 #                    pinned stdout digests, simulated cycle totals and
 #                    serve answer digest; lints and format-checks the
 #                    benchmark package as well as the workspace; builds
-#                    the workspace docs with warnings denied)
+#                    the workspace docs with warnings denied; and, next
+#                    to clippy, fails when a Rust source outside a tests/
+#                    directory reads a BITLINE_* variable through
+#                    env::var/var_os other than BITLINE_INSTRS,
+#                    BITLINE_SUITE, BITLINE_FAILPOINTS and
+#                    BITLINE_FAILPOINT_SEED: every other run setting is a
+#                    flag, and the retired variables BITLINE_JOBS,
+#                    BITLINE_RUN_BUDGET, BITLINE_CHECKPOINT and
+#                    BITLINE_NO_RESUME are only looked up by name, from
+#                    one list (RETIRED_ENV in crates/sim/src/lib.rs), so
+#                    the binaries can refuse them)
 #   ./ci.sh chaos    failpoint chaos gate: proves a run with every
 #                    failpoint armed at probability 0 is byte-identical
 #                    to one with BITLINE_FAILPOINTS unset, then runs the
@@ -911,6 +921,19 @@ done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# One source per run setting: only these four BITLINE_* variables may be
+# read outside tests/. A read split over lines still matches (-z reads a
+# file as one record; tr turns a match's newlines into spaces).
+echo "==> BITLINE_* reads outside tests/"
+env_reads=$(grep -rnoPz --include='*.rs' --exclude-dir=tests --exclude-dir=target \
+    'env::var(_os)?\(\s*"BITLINE_\w*"' . | tr '\n\0' ' \n' |
+    grep -vE '"BITLINE_(INSTRS|SUITE|FAILPOINTS|FAILPOINT_SEED)"$' || true)
+if [[ -n "$env_reads" ]]; then
+    echo "==> ci.sh: FAIL — a run setting read from the environment; make it a flag:" >&2
+    echo "${env_reads//:1:/: }" >&2
+    exit 1
+fi
 
 # perf/ is its own workspace, so the root lint and format steps skip it.
 echo "==> cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings"

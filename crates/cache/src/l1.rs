@@ -116,10 +116,6 @@ pub struct L1Cache {
     misses: u64,
     writebacks: u64,
     resizes: u64,
-    upset_replays: u64,
-    silent_upsets: u64,
-    ecc_corrections: u64,
-    fault_retry_cycles: u64,
 }
 
 impl std::fmt::Debug for L1Cache {
@@ -166,10 +162,6 @@ impl L1Cache {
             misses: 0,
             writebacks: 0,
             resizes: 0,
-            upset_replays: 0,
-            silent_upsets: 0,
-            ecc_corrections: 0,
-            fault_retry_cycles: 0,
         }
     }
 
@@ -270,19 +262,11 @@ impl L1Cache {
         // `extra_latency`, so dependent instructions see it exactly like a
         // slow pull-up (and the core's load-hit speculation replays them).
         if let Some(fault) = self.policy.take_fault() {
-            match fault {
-                FaultEvent::DetectedUpset { retry_cycles } => {
-                    self.upset_replays += 1;
-                    self.fault_retry_cycles += u64::from(retry_cycles);
-                    extra_latency += retry_cycles;
-                }
-                FaultEvent::CorrectedUpset { correction_cycles } => {
-                    self.ecc_corrections += 1;
-                    self.fault_retry_cycles += u64::from(correction_cycles);
-                    extra_latency += correction_cycles;
-                }
-                FaultEvent::SilentUpset => self.silent_upsets += 1,
-            }
+            extra_latency += match fault {
+                FaultEvent::DetectedUpset { retry_cycles } => retry_cycles,
+                FaultEvent::CorrectedUpset { correction_cycles } => correction_cycles,
+                FaultEvent::SilentUpset => 0,
+            };
         }
         if let Some(req) = self.policy.resize_request() {
             self.apply_resize(req, cycle);
@@ -354,30 +338,6 @@ impl L1Cache {
     #[must_use]
     pub fn resizes(&self) -> u64 {
         self.resizes
-    }
-
-    /// Reads replayed after a detected sense-margin upset.
-    #[must_use]
-    pub fn upset_replays(&self) -> u64 {
-        self.upset_replays
-    }
-
-    /// Upsets that escaped detection (silent data corruption).
-    #[must_use]
-    pub fn silent_upsets(&self) -> u64 {
-        self.silent_upsets
-    }
-
-    /// Upsets the ECC codec corrected in flight (no replay needed).
-    #[must_use]
-    pub fn ecc_corrections(&self) -> u64 {
-        self.ecc_corrections
-    }
-
-    /// Total extra cycles spent on upset replays.
-    #[must_use]
-    pub fn fault_retry_cycles(&self) -> u64 {
-        self.fault_retry_cycles
     }
 
     /// Miss ratio so far (0 when no accesses).
@@ -613,9 +573,6 @@ mod tests {
         for i in 0..21u64 {
             total_extra += c.access(i * 32, false, i).extra_latency;
         }
-        assert_eq!(c.upset_replays(), 7, "accesses 3,6,9,12,15,18,21");
-        assert_eq!(c.silent_upsets(), 2, "accesses 7 and 14 (21 went to the upset arm)");
-        assert_eq!(c.fault_retry_cycles(), 14);
         assert_eq!(total_extra, 14, "replay latency must reach the access result");
     }
 

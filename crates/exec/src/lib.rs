@@ -8,10 +8,10 @@
 //! regenerates the same trace). This crate supplies the three primitives
 //! the drivers are rebuilt on:
 //!
-//! * [`pool`] — a scoped work pool over [`std::thread::scope`] with a
-//!   `BITLINE_JOBS` env knob (default: available parallelism). Results are
-//!   returned in submission order, so callers are deterministic regardless
-//!   of the job count.
+//! * [`pool`] — a scoped work pool over [`std::thread::scope`] whose job
+//!   count a caller pins with [`pool::set_jobs`] (`bitline-sim --jobs`;
+//!   default: available parallelism). Results are returned in submission
+//!   order, so callers are deterministic regardless of the job count.
 //! * [`MemoCache`] — a concurrent memoization table with per-key
 //!   once-only computation and hit/miss counters. `bitline-sim` keys it by
 //!   `(benchmark, SystemSpec)` so baselines and repeated sweep points are
@@ -21,11 +21,11 @@
 //!   the same generated prefix through cheap [`TraceCursor`]s instead of
 //!   regenerating it.
 //!
-//! Two supervision primitives ride on top: [`CancelToken`]/[`Deadline`]
-//! give every unit of work a pollable wall-clock budget
-//! ([`pool::run_indexed_supervised`] arms one per unit), and [`journal`]
-//! is a crash-safe append-only checkpoint journal so a killed sweep can
-//! resume from its completed prefix instead of recomputing it.
+//! Two supervision primitives ride on top: a [`CancelToken`] gives a unit
+//! of work a pollable wall-clock budget (the pool arms none; the unit's
+//! supervisor creates one per attempt when the unit starts), and
+//! [`journal`] is a crash-safe append-only checkpoint journal so a killed
+//! sweep can resume from its completed prefix instead of recomputing it.
 //!
 //! The determinism argument is simple: each unit of work is a pure
 //! function of its inputs (simulations are seeded and self-contained), the
@@ -58,5 +58,5 @@ mod traces;
 
 pub use journal::{atomic_write, Journal, JournalEntry, LoadReport};
 pub use memo::{CacheStats, MemoCache};
-pub use supervise::{CancelToken, Deadline};
+pub use supervise::CancelToken;
 pub use traces::{TraceCursor, TraceStore, TraceStoreStats};

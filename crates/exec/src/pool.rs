@@ -12,16 +12,17 @@
 //! 1. a thread-local override installed by [`with_jobs`] (tests),
 //! 2. a process-global override installed by [`set_jobs`] (the
 //!    `bitline-sim --jobs` flag),
-//! 3. the `BITLINE_JOBS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`].
+//!
+//! The pool knows nothing of budgets: a unit that wants one arms it itself
+//! when it starts, which is when a worker picks it up, so queueing behind
+//! earlier units is never charged to it.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bitline_obs::{counter, gauge, histo};
-
-use crate::supervise::CancelToken;
 
 thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -40,11 +41,6 @@ pub fn jobs() -> usize {
     if global > 0 {
         return global;
     }
-    if let Some(n) =
-        std::env::var("BITLINE_JOBS").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-    {
-        return n;
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -54,10 +50,9 @@ pub fn set_jobs(n: usize) {
     GLOBAL.store(n, Ordering::Relaxed);
 }
 
-/// Parses a job-count value (`--jobs`, `BITLINE_JOBS`), rejecting zero and
-/// garbage with an actionable message instead of the silent fallback
-/// [`jobs`] applies. Zero is an error, not "auto": a pool with no workers
-/// would hang every batch, so it fails fast like `--scrub-period 0` does.
+/// Parses a `--jobs` value, rejecting zero and garbage with an actionable
+/// message. Zero is an error, not "auto": a pool with no workers would
+/// hang every batch, so it fails fast like `--scrub-period 0` does.
 ///
 /// # Errors
 ///
@@ -69,20 +64,6 @@ pub fn parse_jobs_value(v: &str) -> Result<usize, String> {
         }
         Ok(n) => Ok(n),
         Err(_) => Err(format!("invalid job count `{v}` (want a positive integer)")),
-    }
-}
-
-/// Validates `BITLINE_JOBS` at startup so a typo fails fast instead of
-/// being silently ignored by [`jobs`]'s lenient fallback. Returns the
-/// validated count, or `None` when the variable is unset.
-///
-/// # Errors
-///
-/// The [`parse_jobs_value`] message, prefixed with the variable name.
-pub fn jobs_from_env() -> Result<Option<usize>, String> {
-    match std::env::var("BITLINE_JOBS") {
-        Err(_) => Ok(None),
-        Ok(v) => parse_jobs_value(&v).map(Some).map_err(|e| format!("BITLINE_JOBS: {e}")),
     }
 }
 
@@ -117,27 +98,6 @@ pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// `f` in their own `catch_unwind` (as `bitline-sim`'s experiment harness
 /// does) so one poisoned run cannot take down the whole suite.
 pub fn run_indexed<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    run_indexed_supervised(n, None, |i, _| f(i))
-}
-
-/// [`run_indexed`] with per-unit supervision: each unit receives a fresh
-/// [`CancelToken`] armed with `budget` (or an unbounded token when
-/// `budget` is `None`).
-///
-/// The token is created by the worker *when the unit is picked up*, not
-/// at submission, so queueing delay behind earlier units is never charged
-/// against a unit's budget. `f` is expected to poll
-/// [`CancelToken::cancelled`] and return an error value when asked to
-/// stop; the pool itself never kills a unit.
-///
-/// # Panics
-///
-/// Propagates a panic from `f`, like [`run_indexed`].
-pub fn run_indexed_supervised<T: Send>(
-    n: usize,
-    budget: Option<Duration>,
-    f: impl Fn(usize, &CancelToken) -> T + Sync,
-) -> Vec<T> {
     let workers = jobs().min(n);
     let units = u64::try_from(n).unwrap_or(u64::MAX);
     counter!("exec.pool.batches").incr();
@@ -148,7 +108,7 @@ pub fn run_indexed_supervised<T: Send>(
         return (0..n)
             .map(|i| {
                 bitline_failpoint::failpoint!("pool.worker");
-                f(i, &CancelToken::for_budget(budget))
+                f(i)
             })
             .collect();
     }
@@ -178,7 +138,7 @@ pub fn run_indexed_supervised<T: Send>(
                             bitline_failpoint::failpoint!("pool.worker");
                             histo!("exec.pool.queue_wait_us").record_duration(submitted.elapsed());
                             let picked = Instant::now();
-                            out.push((i, f(i, &CancelToken::for_budget(budget))));
+                            out.push((i, f(i)));
                             busy += picked.elapsed();
                         }
                         histo!("exec.pool.worker_busy_us").record_duration(busy);
@@ -246,27 +206,6 @@ mod tests {
     fn zero_units_is_fine() {
         let out: Vec<u32> = with_jobs(4, || run_indexed(0, |_| unreachable!()));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn supervised_units_get_fresh_tokens_with_the_budget() {
-        let budget = Duration::from_secs(3600);
-        let out = with_jobs(4, || {
-            run_indexed_supervised(8, Some(budget), |i, token| {
-                assert!(!token.cancelled());
-                assert_eq!(token.budget(), Some(budget));
-                i
-            })
-        });
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn supervised_zero_budget_is_observed_by_every_unit() {
-        let cancelled = with_jobs(3, || {
-            run_indexed_supervised(6, Some(Duration::ZERO), |_, token| token.cancelled())
-        });
-        assert!(cancelled.iter().all(|&c| c));
     }
 
     #[test]

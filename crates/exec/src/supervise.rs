@@ -1,17 +1,17 @@
 //! Deadlines and cooperative cancellation for units of work.
 //!
-//! A [`CancelToken`] is the handshake between a supervisor (the work pool,
-//! a CLI deadline) and the unit of work it supervises: the supervisor
-//! creates the token with an optional wall-clock budget, the worker polls
-//! [`CancelToken::cancelled`] at natural checkpoint boundaries (the
-//! simulator polls every few thousand committed instructions) and bails
-//! out *cooperatively* when the budget is exhausted or an explicit
-//! [`CancelToken::cancel`] arrived. Nothing is ever killed mid-update, so
-//! a cancelled unit leaves no torn state behind — it simply returns a
-//! timeout error instead of a result.
+//! A [`CancelToken`] is the handshake between a supervisor (`bitline-sim`'s
+//! experiment harness, which arms one per attempt of a run) and the unit
+//! of work it supervises: the supervisor creates the token with an
+//! optional wall-clock budget, the worker polls [`CancelToken::cancelled`]
+//! at natural checkpoint boundaries (the simulator polls every few
+//! thousand committed instructions) and bails out *cooperatively* when the
+//! budget is exhausted or an explicit [`CancelToken::cancel`] arrived.
+//! Nothing is ever killed mid-update, so a cancelled unit leaves no torn
+//! state behind — it simply returns a timeout error instead of a result.
 //!
 //! Polling is cheap: one relaxed atomic load, plus one `Instant::now()`
-//! when a deadline is armed. Tokens are `Clone` (clones share the cancel
+//! when a budget is armed. Tokens are `Clone` (clones share the cancel
 //! flag) and `Send + Sync`, so a supervisor thread can cancel a unit
 //! running on a pool worker.
 
@@ -19,47 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A wall-clock budget anchored at creation time.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    started: Instant,
-    budget: Option<Duration>,
-}
-
-impl Deadline {
-    /// A deadline that never expires.
-    #[must_use]
-    pub fn unbounded() -> Deadline {
-        Deadline { started: Instant::now(), budget: None }
-    }
-
-    /// Expires `budget` after now.
-    #[must_use]
-    pub fn within(budget: Duration) -> Deadline {
-        Deadline { started: Instant::now(), budget: Some(budget) }
-    }
-
-    /// The budget this deadline was created with (`None` = unbounded).
-    #[must_use]
-    pub fn budget(&self) -> Option<Duration> {
-        self.budget
-    }
-
-    /// Wall-clock time since the deadline was armed.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Whether the budget is exhausted (never true when unbounded).
-    #[must_use]
-    pub fn expired(&self) -> bool {
-        self.budget.is_some_and(|b| self.started.elapsed() >= b)
-    }
-}
-
 /// A cooperative cancellation token: an explicit cancel flag plus an
-/// optional [`Deadline`].
+/// optional wall-clock budget anchored at creation.
 ///
 /// # Examples
 ///
@@ -80,30 +41,28 @@ impl Deadline {
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    deadline: Deadline,
+    started: Instant,
+    budget: Option<Duration>,
 }
 
 impl CancelToken {
+    /// A token that expires `budget` after creation, or only cancels on
+    /// an explicit [`CancelToken::cancel`] when `budget` is `None`.
+    #[must_use]
+    pub fn for_budget(budget: Option<Duration>) -> CancelToken {
+        CancelToken { flag: Arc::new(AtomicBool::new(false)), started: Instant::now(), budget }
+    }
+
     /// A token that only cancels on an explicit [`CancelToken::cancel`].
     #[must_use]
     pub fn unbounded() -> CancelToken {
-        CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Deadline::unbounded() }
+        CancelToken::for_budget(None)
     }
 
     /// A token that expires `budget` after creation.
     #[must_use]
     pub fn with_budget(budget: Duration) -> CancelToken {
-        CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Deadline::within(budget) }
-    }
-
-    /// [`CancelToken::with_budget`] when `budget` is set, else
-    /// [`CancelToken::unbounded`].
-    #[must_use]
-    pub fn for_budget(budget: Option<Duration>) -> CancelToken {
-        match budget {
-            Some(b) => CancelToken::with_budget(b),
-            None => CancelToken::unbounded(),
-        }
+        CancelToken::for_budget(Some(budget))
     }
 
     /// Requests cancellation; every clone of this token observes it.
@@ -112,22 +71,18 @@ impl CancelToken {
     }
 
     /// Whether the unit should stop: explicitly cancelled or past its
-    /// deadline.
+    /// budget.
     #[must_use]
     pub fn cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) || self.deadline.expired()
+        self.flag.load(Ordering::Relaxed)
+            || self.budget.is_some_and(|b| self.started.elapsed() >= b)
     }
 
-    /// The wall-clock budget this token was created with.
+    /// The wall-clock budget this token was created with (`None` =
+    /// unbounded).
     #[must_use]
     pub fn budget(&self) -> Option<Duration> {
-        self.deadline.budget()
-    }
-
-    /// Wall-clock time since the token was created.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.deadline.elapsed()
+        self.budget
     }
 }
 

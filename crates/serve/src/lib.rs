@@ -4,9 +4,10 @@
 //! Experiment requests arrive as line-delimited JSON over a unix socket
 //! (TCP optional), are validated fail-fast with `SystemSpec::validate`,
 //! deduplicated by `(benchmark, SystemSpec)` while in flight (one
-//! computation, N subscribers), and scheduled on a worker pool with
-//! per-request deadlines arming the ambient `CancelToken`. Results stream
-//! back with explicit `ok | timeout | shed | error` terminal statuses.
+//! computation, N subscribers), and scheduled on a worker pool that passes
+//! each request's deadline to the experiment harness's `isolated`, which
+//! arms the run's `CancelToken`. Results stream back with explicit
+//! `ok | timeout | shed | error` terminal statuses.
 //!
 //! Robustness is a three-stage ladder, mirroring the precharge policies'
 //! own staged-degradation framing (and the ECC crate's fail-safe ladder):

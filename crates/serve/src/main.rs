@@ -133,10 +133,14 @@ fn print_help() {
     println!("  --conn-queue-depth N    per-connection response queue bound; a reader that");
     println!("                          falls this far behind is disconnected (default 64)");
     println!("  --request-budget DUR    default per-request deadline (e.g. 250ms, 2s)");
-    println!("  -j, --jobs N            worker threads (default: BITLINE_JOBS or all cores)");
+    println!("  -j, --jobs N            worker threads (default: all cores)");
     println!("  -n, --node NODE         pricing node: 180nm|130nm|100nm|70nm (default 70nm)");
     println!("  --checkpoint DIR        crash-safe journal dir; restart answers warm");
     println!("  --no-resume             start the checkpoint journal afresh");
+    println!("  retired variables (set, one stops the daemon before it listens; pass its flag):");
+    for (var, flag) in bitline_sim::RETIRED_ENV {
+        println!("    {var:<20}  {flag}");
+    }
     println!();
     println!(
         "CLIENT:  bitline-serve --socket PATH [--request JSON]... [--stats|--drain|--ping|--metrics]"
@@ -151,7 +155,9 @@ fn print_help() {
 }
 
 fn run_daemon(args: &Args) -> Result<(), String> {
-    bitline_sim::init_supervision_from_env()?;
+    bitline_sim::reject_retired_env()?;
+    // Arm BITLINE_FAILPOINTS now so a malformed spec fails at startup.
+    bitline_failpoint::init_from_env()?;
     if let Some(dir) = &args.checkpoint {
         let stats = bitline_sim::set_checkpoint(dir, !args.no_resume)
             .map_err(|e| format!("--checkpoint: {e}"))?;

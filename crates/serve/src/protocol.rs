@@ -81,8 +81,9 @@ pub struct RunRequest {
     pub spec: SystemSpec,
     /// Admission priority; lower runs first, FIFO within a priority.
     pub priority: u8,
-    /// Per-request wall-clock deadline in milliseconds; arms the run's
-    /// `CancelToken`. Falls back to the daemon's `--request-budget`.
+    /// Per-request wall-clock deadline in milliseconds, the budget the
+    /// worker passes to `harness::isolated`. Falls back to the daemon's
+    /// `--request-budget`.
     pub deadline_ms: Option<u64>,
 }
 

@@ -28,7 +28,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bitline_cmos::TechnologyNode;
-use bitline_exec::CancelToken;
 use bitline_failpoint::Action;
 use bitline_obs::{counter, gauge, histo};
 use bitline_sim::experiments::harness;
@@ -461,11 +460,11 @@ fn serve_connection(reader: Box<dyn Read + Send>, out: &ConnHandle, ctx: &Ctx) {
 fn worker_loop(ctx: &Ctx, runner: &Runner) {
     while let Some(job) = ctx.admission.next_job() {
         let budget = job.deadline_ms.map(Duration::from_millis).or(ctx.request_budget);
-        let token = CancelToken::for_budget(budget);
         let started = Instant::now();
-        // Panic isolation, retry-once, and timeout-doubling all come from
-        // the harness; a worker thread never dies with a job in hand.
-        let result = harness::isolated(&job.key, &token, || (runner)(&job.benchmark, &job.spec));
+        // Panic isolation, retry-once, timeout-doubling and the deadline's
+        // token all come from the harness; a worker thread never dies with
+        // a job in hand.
+        let result = harness::isolated(&job.key, budget, || (runner)(&job.benchmark, &job.spec));
         histo!("serve.request_wall_us").record_duration(started.elapsed());
         match &result {
             Ok(_) => {}

@@ -23,7 +23,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bitline_cmos::TechnologyNode;
-use bitline_exec::CancelToken;
 use bitline_sim::experiments::{self, harness, Experiment};
 use bitline_sim::{
     exec_summary_line, set_checkpoint, spec, supervise, try_run_lockstep_cached, Level, LevelRun,
@@ -124,13 +123,13 @@ fn print_help() {
     println!("  -n, --node NODE         180nm | 130nm | 100nm | 70nm (default 70nm)");
     print!("{}", spec::help());
     println!("      --run-budget DUR    wall-clock budget per run, e.g. 500ms, 30s, 2m");
-    println!("                          (default: BITLINE_RUN_BUDGET env, else unbounded);");
-    println!("                          timed-out runs are retried once at twice the budget");
+    println!("                          (default unbounded); timed-out runs are retried");
+    println!("                          once at twice the budget");
     println!("      --checkpoint DIR    append finished runs to DIR/runs.journal and replay");
     println!("                          them on the next invocation (crash-safe resume)");
     println!("      --no-resume         keep journaling but ignore any existing journal");
-    println!("  -j, --jobs N            worker threads for `all` (default: BITLINE_JOBS");
-    println!("                          env, else available parallelism)");
+    println!("  -j, --jobs N            worker threads for `all` and experiments (default:");
+    println!("                          available parallelism)");
     println!("      --metrics PATH      write the run's observability metrics (counters,");
     println!("                          histograms, spans) to PATH as JSON lines");
     println!("      --metrics-summary   print the metrics as a table on stderr at exit");
@@ -142,6 +141,11 @@ fn print_help() {
     println!("restricts the benchmark set; stdout is the experiment's .dat file):");
     for e in &experiments::ALL {
         println!("  {:<22}  {}", e.name, e.about);
+    }
+    println!();
+    println!("RETIRED VARIABLES (set, one stops bitline-sim before any run; pass its flag):");
+    for (var, flag) in bitline_sim::RETIRED_ENV {
+        println!("  {var:<22}  {flag}");
     }
 }
 
@@ -253,12 +257,11 @@ fn validate_metrics(path: &std::path::Path) -> ExitCode {
     }
 }
 
-/// Arms run supervision from the environment, then lets CLI flags win.
+/// Arms run supervision from the flags, after checking the environment.
 fn arm_supervision(args: &Args) -> Result<(), String> {
+    bitline_sim::reject_retired_env()?;
     bitline_sim::init_supervision_from_env()?;
-    if args.run_budget.is_some() {
-        supervise::set_run_budget(args.run_budget);
-    }
+    supervise::set_run_budget(args.run_budget);
     if let Some(dir) = &args.checkpoint {
         set_checkpoint(dir, !args.no_resume)?;
     }
@@ -332,8 +335,8 @@ fn main() -> ExitCode {
             Err(_) => ExitCode::FAILURE,
         }
     } else {
-        let token = CancelToken::for_budget(supervise::run_budget());
-        let result = harness::isolated(&args.benchmark, &token, || run_one(&args.benchmark, &args));
+        let result =
+            harness::isolated(&args.benchmark, args.run_budget, || run_one(&args.benchmark, &args));
         eprintln!("{}", exec_summary_line());
         flush_metrics(&args);
         match result {

@@ -44,6 +44,7 @@
 use bitline_cache::{ActivityReport, IdleHistogram, SubarrayActivity, WayStats};
 use bitline_cpu::SimStats;
 use bitline_ecc::{DegradationStage, ReliabilityReport, SubarrayReliability};
+use bitline_exec::backoff::fnv64;
 use bitline_faults::{FaultReport, SubarrayFaults, SubarrayVdd, VddReport};
 
 use bitline_energy::LeakageKind;
@@ -52,7 +53,6 @@ use crate::config::{PolicyKind, SystemSpec};
 use crate::recorder::LocalityStats;
 use crate::runner::{Level, LevelRun, RunResult};
 use crate::spec;
-use crate::supervise::fnv64;
 
 /// Codec version; bump on any layout change and older frames are
 /// quarantined and recomputed. Version 5 journals the spec as text;

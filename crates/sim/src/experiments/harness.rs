@@ -13,10 +13,11 @@
 //!
 //! There is one failure path. A driver's unit of work returns its
 //! [`SimError`] with `?`; [`map_suite`]/[`map_names`] fan the units out
-//! over the `bitline-exec` work pool (`BITLINE_JOBS` jobs), run each
-//! through [`isolated`], print the skipped units and the suite tail, and
-//! hand back the completed rows in suite order whatever the job count —
-//! or the first error when no unit completed. A process-wide panic hook
+//! over the `bitline-exec` work pool (`--jobs` jobs), run each through
+//! [`isolated`] under the process-wide run budget, print the skipped
+//! units and the suite tail, and hand back the completed rows in suite
+//! order whatever the job count — or the first error when no unit
+//! completed. A process-wide panic hook
 //! records the panic *location and thread* so a failure on
 //! `exec-worker-3` is still attributable in the skip summary.
 
@@ -25,6 +26,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
+use bitline_exec::backoff::retry_backoff;
 use bitline_exec::CancelToken;
 
 use crate::error::SimError;
@@ -198,9 +200,11 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` with panic isolation and a single retry, its first attempt
-/// supervised by `token` (the work pool arms one per unit when a worker
-/// picks it up, so queue wait is not charged to the budget).
+/// Runs `f` with panic isolation and a single retry, each attempt under a
+/// fresh [`CancelToken`] armed with `budget` (`None` = unbounded) and
+/// installed as the ambient token. This is where a run's token is built:
+/// the first when `isolated` starts, which on the work pool is when a
+/// worker picks the unit up, so queue wait is not charged to the budget.
 ///
 /// Panics become [`SimError::RunFailed`] — carrying the originating panic
 /// location and thread — and are retried once after a deterministic
@@ -216,25 +220,25 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// terminal error) when every attempt fails.
 pub fn isolated<T>(
     name: &str,
-    token: &CancelToken,
+    budget: Option<Duration>,
     f: impl Fn() -> Result<T, SimError>,
 ) -> Result<T, SkippedRun> {
-    isolated_tracked(name, token, f).0
+    isolated_tracked(name, budget, f).0
 }
 
 /// [`isolated`] that also reports attempt accounting, so the suite mapper
 /// can tell a clean success from a timeout-then-success.
 fn isolated_tracked<T>(
     name: &str,
-    token: &CancelToken,
+    mut budget: Option<Duration>,
     f: impl Fn() -> Result<T, SimError>,
 ) -> (Result<T, SkippedRun>, RunAttempts) {
     install_panic_site_capture();
-    let mut token = token.clone();
     let mut track = RunAttempts::default();
     let mut wall = Vec::new();
     loop {
         track.attempts += 1;
+        let token = CancelToken::for_budget(budget);
         let started = Instant::now();
         let outcome = supervise::with_token(&token, || panic::catch_unwind(AssertUnwindSafe(&f)));
         let attempt_wall = started.elapsed();
@@ -269,15 +273,14 @@ fn isolated_tracked<T>(
             return (Err(skip), track);
         }
         // One more try: timeouts get a doubled budget (the run was making
-        // progress, just slowly); panics retry under a fresh token with
-        // the original budget. The token is armed after the backoff, so
-        // the sleep is not charged to the retry's budget.
+        // progress, just slowly); panics retry with the original budget.
+        // The retry's token is armed after the backoff, so the sleep is
+        // not charged to its budget.
         bitline_obs::counter!("sim.harness.retries").incr();
-        std::thread::sleep(supervise::retry_backoff(name));
-        token = match (&error, token.budget()) {
-            (SimError::TimedOut { .. }, Some(b)) => CancelToken::with_budget(b * 2),
-            (_, b) => CancelToken::for_budget(b),
-        };
+        std::thread::sleep(retry_backoff(name));
+        if matches!(error, SimError::TimedOut { .. }) {
+            budget = budget.map(|b| b * 2);
+        }
     }
 }
 
@@ -332,12 +335,12 @@ pub fn map_suite<T: Send>(
 /// Maps `f` over `names`, each name one unit of work run through
 /// [`isolated`], and returns the completed rows in `names` order.
 ///
-/// Units run on the `bitline-exec` pool — `BITLINE_JOBS` workers, default
+/// Units run on the `bitline-exec` pool — `--jobs` workers, default
 /// available parallelism — but rows always come back in `names` order, so
-/// driver output is independent of the job count. Each unit receives its
-/// own [`CancelToken`] armed with the process-wide run budget when the
-/// worker picks it up. A failed unit is skipped: the skips and the suite
-/// tail go to stderr, prefixed with `what`.
+/// driver output is independent of the job count. Each unit runs under
+/// the process-wide run budget ([`supervise::run_budget`]). A failed unit
+/// is skipped: the skips and the suite tail go to stderr, prefixed with
+/// `what`.
 ///
 /// # Errors
 ///
@@ -348,11 +351,10 @@ pub fn map_names<T: Send>(
     f: impl Fn(&str) -> Result<T, SimError> + Sync,
 ) -> Result<Vec<T>, SimError> {
     let started = Instant::now();
-    let results = bitline_exec::pool::run_indexed_supervised(
-        names.len(),
-        supervise::run_budget(),
-        |i, token| isolated_tracked(names[i], token, || f(names[i])),
-    );
+    let budget = supervise::run_budget();
+    let results = bitline_exec::pool::run_indexed(names.len(), |i| {
+        isolated_tracked(names[i], budget, || f(names[i]))
+    });
     bitline_obs::histo!("sim.harness.suite_wall_us").record_duration(started.elapsed());
     let mut outcome = SuiteOutcome {
         rows: Vec::with_capacity(names.len()),
@@ -392,13 +394,13 @@ mod tests {
 
     #[test]
     fn isolated_passes_values_through() {
-        assert_eq!(isolated("ok", &CancelToken::unbounded(), || Ok::<_, SimError>(7)).unwrap(), 7);
+        assert_eq!(isolated("ok", None, || Ok::<_, SimError>(7)).unwrap(), 7);
     }
 
     #[test]
     fn isolated_retries_panics_once() {
         let calls = Cell::new(0u32);
-        let out = isolated("flaky", &CancelToken::unbounded(), || {
+        let out = isolated("flaky", None, || {
             calls.set(calls.get() + 1);
             if calls.get() == 1 {
                 panic!("transient");
@@ -411,10 +413,8 @@ mod tests {
 
     #[test]
     fn isolated_gives_up_after_two_panics() {
-        let skip = isolated("poisoned", &CancelToken::unbounded(), || -> Result<(), SimError> {
-            panic!("boom")
-        })
-        .unwrap_err();
+        let skip =
+            isolated("poisoned", None, || -> Result<(), SimError> { panic!("boom") }).unwrap_err();
         assert_eq!(skip.attempts, 2);
         assert_eq!(skip.wall.len(), 2, "one wall-clock sample per attempt");
         assert_eq!(skip.kind(), "run-failed");
@@ -424,10 +424,8 @@ mod tests {
 
     #[test]
     fn panic_reasons_carry_the_originating_location() {
-        let skip = isolated("located", &CancelToken::unbounded(), || -> Result<(), SimError> {
-            panic!("find me")
-        })
-        .unwrap_err();
+        let skip = isolated("located", None, || -> Result<(), SimError> { panic!("find me") })
+            .unwrap_err();
         let SimError::RunFailed { reason, .. } = skip.error else {
             panic!("expected RunFailed, got {:?}", skip.error)
         };
@@ -439,7 +437,7 @@ mod tests {
     #[test]
     fn deterministic_errors_are_not_retried() {
         let calls = Cell::new(0u32);
-        let skip = isolated("bad", &CancelToken::unbounded(), || -> Result<(), SimError> {
+        let skip = isolated("bad", None, || -> Result<(), SimError> {
             calls.set(calls.get() + 1);
             Err(SimError::InvalidSpec("subarray_bytes = 48".into()))
         })
@@ -453,17 +451,16 @@ mod tests {
     fn timeouts_retry_once_at_double_budget() {
         let budget = Duration::from_millis(40);
         let budgets = RefCell::new(Vec::new());
-        let skip =
-            isolated("slowpoke", &CancelToken::with_budget(budget), || -> Result<(), SimError> {
-                let token = supervise::ambient_token();
-                budgets.borrow_mut().push(token.budget());
-                Err(SimError::TimedOut {
-                    benchmark: "slowpoke".into(),
-                    budget: token.budget().unwrap_or_default(),
-                    progress: 10,
-                })
+        let skip = isolated("slowpoke", Some(budget), || -> Result<(), SimError> {
+            let token = supervise::ambient_token();
+            budgets.borrow_mut().push(token.budget());
+            Err(SimError::TimedOut {
+                benchmark: "slowpoke".into(),
+                budget: token.budget().unwrap_or_default(),
+                progress: 10,
             })
-            .unwrap_err();
+        })
+        .unwrap_err();
         assert_eq!(skip.attempts, 2);
         assert_eq!(skip.kind(), "timed-out");
         assert_eq!(*budgets.borrow(), vec![Some(budget), Some(budget * 2)]);
@@ -480,16 +477,71 @@ mod tests {
         // budget, so a token armed before the sleep would be spent before
         // the retry began.
         let budget = Duration::from_millis(8);
-        assert!(supervise::retry_backoff("sleeper") > budget * 2);
+        assert!(retry_backoff("sleeper") > budget * 2);
         let live = RefCell::new(Vec::new());
-        let skip =
-            isolated("sleeper", &CancelToken::with_budget(budget), || -> Result<(), SimError> {
-                live.borrow_mut().push(!supervise::ambient_token().cancelled());
-                Err(SimError::TimedOut { benchmark: "sleeper".into(), budget, progress: 0 })
-            })
-            .unwrap_err();
+        let skip = isolated("sleeper", Some(budget), || -> Result<(), SimError> {
+            live.borrow_mut().push(!supervise::ambient_token().cancelled());
+            Err(SimError::TimedOut { benchmark: "sleeper".into(), budget, progress: 0 })
+        })
+        .unwrap_err();
         assert_eq!(skip.attempts, 2);
         assert_eq!(*live.borrow(), vec![true, true], "each attempt starts with budget left");
+    }
+
+    #[test]
+    fn a_zero_budget_cancels_the_attempt() {
+        let cancelled = isolated("spent", Some(Duration::ZERO), || {
+            Ok::<_, SimError>(supervise::ambient_token().cancelled())
+        });
+        assert!(matches!(cancelled, Ok(true)));
+    }
+
+    #[test]
+    fn map_names_arms_each_unit_with_the_run_budget() {
+        // An hour: no unit of the tests running beside this one can spend
+        // it, so they run as if unbudgeted while the global is set.
+        let budget = Duration::from_secs(3600);
+        supervise::set_run_budget(Some(budget));
+        let rows = [1, 4].map(|jobs| {
+            bitline_exec::pool::with_jobs(jobs, || {
+                map_names("probe", &["a", "b", "c", "d", "e", "f"], |_| {
+                    // Cancelling the unit's token is seen through the next
+                    // `ambient_token()` only if the harness installed it:
+                    // the fallback builds a fresh token per call.
+                    let token = supervise::ambient_token();
+                    let fresh = !token.cancelled();
+                    token.cancel();
+                    Ok((token.budget(), fresh, supervise::ambient_token().cancelled()))
+                })
+            })
+        });
+        supervise::set_run_budget(None);
+        for row in rows {
+            assert_eq!(row, Ok(vec![(Some(budget), true, true); 6]));
+        }
+    }
+
+    #[test]
+    fn a_unit_queued_behind_a_slower_one_starts_uncancelled() {
+        // The pool and `isolated`, composed as `map_names` composes them:
+        // the first `jobs` units outlast the budget, and the rest wait
+        // behind them for a worker.
+        let budget = Duration::from_millis(100);
+        for jobs in [1, 2] {
+            let live = bitline_exec::pool::with_jobs(jobs, || {
+                bitline_exec::pool::run_indexed(jobs + 2, |i| {
+                    isolated("queued", Some(budget), || {
+                        if i < jobs {
+                            std::thread::sleep(budget * 2);
+                        }
+                        Ok::<_, SimError>(!supervise::ambient_token().cancelled())
+                    })
+                })
+            });
+            let live: Vec<bool> = live.into_iter().map(|r| r.expect("no unit fails")).collect();
+            assert!(live[..jobs].iter().all(|&l| !l), "the slow units spend their budget");
+            assert!(live[jobs..].iter().all(|&l| l), "queue wait is not charged: {live:?}");
+        }
     }
 
     #[test]
@@ -586,10 +638,8 @@ mod tests {
     #[test]
     fn timeout_then_success_is_recovered_not_timed_out() {
         let calls = Cell::new(0u32);
-        let (result, attempts) = isolated_tracked(
-            "recovers",
-            &CancelToken::with_budget(Duration::from_millis(40)),
-            || {
+        let (result, attempts) =
+            isolated_tracked("recovers", Some(Duration::from_millis(40)), || {
                 calls.set(calls.get() + 1);
                 if calls.get() == 1 {
                     return Err(SimError::TimedOut {
@@ -599,8 +649,7 @@ mod tests {
                     });
                 }
                 Ok(11)
-            },
-        );
+            });
         assert_eq!(result.unwrap(), 11);
         assert_eq!(attempts, RunAttempts { attempts: 2, timed_out: 1 });
         // Fold the tracked attempt into a suite outcome the way map_names

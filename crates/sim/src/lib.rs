@@ -13,7 +13,7 @@
 //! ([`RunResult::energy`]).
 //!
 //! Suite-wide experiments run on the `bitline-exec` execution layer:
-//! benchmarks execute in parallel (`BITLINE_JOBS` jobs, default available
+//! benchmarks execute in parallel (`--jobs` jobs, default available
 //! parallelism), completed runs are memoized by `(benchmark,
 //! [`SystemSpec`])` ([`try_run_benchmark_cached`], stats via
 //! [`run_cache_stats`]), and each `(benchmark, seed)` synthetic trace is
@@ -66,33 +66,44 @@ pub use runner::{
     RunResult,
 };
 
-/// Applies the supervision environment variables: `BITLINE_RUN_BUDGET`
-/// (per-run wall-clock budget) and `BITLINE_CHECKPOINT` (checkpoint
-/// directory; `BITLINE_NO_RESUME=1` starts its journal afresh), and
-/// validates `BITLINE_JOBS`, `BITLINE_INSTRS` and `BITLINE_SUITE`
-/// fail-fast (zero, garbage or an unknown benchmark is an error, not a
-/// silent fallback). `bitline-sim`'s flags override these.
+/// Validates `BITLINE_INSTRS` and `BITLINE_SUITE` fail-fast (zero,
+/// garbage or an unknown benchmark is an error, not a silent fallback) and
+/// arms `BITLINE_FAILPOINTS`, so a malformed spec kills the driver at
+/// startup instead of a one-time warning mid-run.
 ///
 /// # Errors
 ///
-/// A human-readable message for a malformed variable or an unopenable
-/// checkpoint directory.
+/// A human-readable message naming the malformed variable.
 pub fn init_supervision_from_env() -> Result<(), String> {
-    // Fail fast on BITLINE_JOBS=0 or garbage instead of the pool's silent
-    // auto fallback, matching the `--scrub-period 0` precedent.
-    bitline_exec::pool::jobs_from_env()?;
     instructions_from_env()?;
     experiments::harness::suite_from_env()?;
-    supervise::init_run_budget_from_env()?;
-    // Arm BITLINE_FAILPOINTS (and its seed) now so a malformed spec kills
-    // the driver at startup instead of a one-time warning mid-run.
     bitline_failpoint::init_from_env()?;
-    if let Ok(dir) = std::env::var("BITLINE_CHECKPOINT") {
-        let resume = std::env::var("BITLINE_NO_RESUME").map_or(true, |v| v != "1");
-        set_checkpoint(std::path::Path::new(&dir), resume)
-            .map_err(|e| format!("BITLINE_CHECKPOINT: {e}"))?;
-    }
     Ok(())
+}
+
+/// Environment variables that once duplicated a command-line flag, with
+/// the flag that replaced each. They are read nowhere now, so a stale one
+/// in a shell would be silently ignored; [`reject_retired_env`] refuses to
+/// start instead.
+pub const RETIRED_ENV: [(&str, &str); 4] = [
+    ("BITLINE_JOBS", "--jobs"),
+    ("BITLINE_RUN_BUDGET", "--run-budget (bitline-sim) or --request-budget (bitline-serve)"),
+    ("BITLINE_CHECKPOINT", "--checkpoint"),
+    ("BITLINE_NO_RESUME", "--no-resume"),
+];
+
+/// Fails when a retired environment variable is set, naming the flag that
+/// replaced it. `bitline-sim` and `bitline-serve --serve` call this before
+/// any run.
+///
+/// # Errors
+///
+/// A message naming the variable and its flag.
+pub fn reject_retired_env() -> Result<(), String> {
+    match RETIRED_ENV.iter().find(|(var, _)| std::env::var_os(var).is_some()) {
+        Some((var, flag)) => Err(format!("{var} is no longer read; unset it and pass {flag}")),
+        None => Ok(()),
+    }
 }
 
 /// Instructions per run for the experiment drivers: `BITLINE_INSTRS`,

@@ -1,18 +1,19 @@
-//! Run-budget plumbing: the process-wide budget, the ambient
-//! [`CancelToken`], and deterministic retry backoff.
+//! Run-budget plumbing: the process-wide budget and the ambient
+//! [`CancelToken`].
 //!
-//! The budget is process-global state (set once by the CLI or the
-//! `BITLINE_RUN_BUDGET` env var) because the experiment drivers fan out
-//! through deeply nested call chains — a figure driver calls the harness,
-//! which calls [`crate::try_run_benchmark_cached`], which may recurse into
-//! further cached runs — and threading an explicit token through every
-//! signature would churn the whole API for a knob that is uniform across
-//! a sweep anyway.
+//! The budget is process-global state (set once by the `--run-budget`
+//! flag) because the experiment drivers fan out through deeply nested
+//! call chains — a figure driver calls the harness, which calls
+//! [`crate::try_run_benchmark_cached`], which may recurse into further
+//! cached runs — and threading an explicit token through every signature
+//! would churn the whole API for a knob that is uniform across a sweep
+//! anyway.
 //!
-//! The token itself is *ambient*: the harness installs the unit's token in
-//! a thread-local around the run ([`with_token`]), and the runner's hot
-//! loop polls [`ambient_token`]. Work pools keep each unit on one thread
-//! for its whole life, so the thread-local is exactly the unit scope.
+//! The token itself is *ambient*: the harness arms one per attempt of a
+//! unit and installs it in a thread-local around the run ([`with_token`]),
+//! and the runner's hot loop polls [`ambient_token`]. Work pools keep each
+//! unit on one thread for its whole life, so the thread-local is exactly
+//! the unit scope.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,8 +68,6 @@ pub fn ambient_token() -> CancelToken {
     AMBIENT.with(|a| a.borrow().clone()).unwrap_or_else(|| CancelToken::for_budget(run_budget()))
 }
 
-pub use bitline_exec::backoff::{fnv64, retry_backoff};
-
 /// Parses a human duration: `250ms`, `2s`, `1m`, or a bare number of
 /// seconds. Zero is rejected (it would cancel every run before it starts;
 /// use no flag at all for "unbounded").
@@ -96,19 +95,6 @@ pub fn parse_budget(s: &str) -> Result<Duration, String> {
     }
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
     Ok(Duration::from_nanos((n * scale_ms as f64 * 1.0e6) as u64))
-}
-
-/// Applies the `BITLINE_RUN_BUDGET` environment variable, if set.
-///
-/// # Errors
-///
-/// The [`parse_budget`] message when the variable's value is malformed.
-pub fn init_run_budget_from_env() -> Result<(), String> {
-    if let Ok(v) = std::env::var("BITLINE_RUN_BUDGET") {
-        let budget = parse_budget(&v).map_err(|e| format!("BITLINE_RUN_BUDGET: {e}"))?;
-        set_run_budget(Some(budget));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -153,14 +139,5 @@ mod tests {
             token.cancel();
             assert!(ambient_token().cancelled());
         });
-    }
-
-    #[test]
-    fn backoff_reexport_stays_deterministic() {
-        // The implementation lives in `bitline_exec::backoff` now; pin the
-        // re-export so `checkpoint` spec keys and harness retry sleeps keep
-        // their historical values.
-        assert_eq!(fnv64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(retry_backoff("health@42"), retry_backoff("health@42"));
     }
 }

@@ -6,9 +6,9 @@
 use bitline_cache::{ActivityReport, IdleHistogram, SubarrayActivity, WayStats, IDLE_BUCKETS};
 use bitline_cpu::SimStats;
 use bitline_ecc::{DegradationStage, ReliabilityReport, SubarrayReliability};
+use bitline_exec::backoff::fnv64;
 use bitline_faults::{FaultReport, SubarrayFaults, SubarrayVdd, VddReport};
 use bitline_sim::checkpoint::{decode_run, encode_run, spec_key};
-use bitline_sim::supervise::fnv64;
 use bitline_sim::{
     FaultSpec, HierarchySpec, LeakageKind, Level, LevelRun, LocalityStats, PolicyKind, RunResult,
     SystemSpec, VddSpec,

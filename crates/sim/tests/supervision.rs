@@ -47,9 +47,10 @@ fn supervision_times_out_retries_and_resumes_from_the_journal() {
     // (1 ns, not zero: a zero duration means "unset" in the process-global
     // budget encoding.)
     supervise::set_run_budget(Some(Duration::from_nanos(1)));
-    let token = CancelToken::for_budget(supervise::run_budget());
-    let skip = harness::isolated("gcc", &token, || try_run_benchmark("gcc", &spec).map(|_| ()))
-        .expect_err("a zero budget cannot complete");
+    let skip = harness::isolated("gcc", supervise::run_budget(), || {
+        try_run_benchmark("gcc", &spec).map(|_| ())
+    })
+    .expect_err("a zero budget cannot complete");
     assert_eq!(skip.kind(), "timed-out");
     assert_eq!(skip.attempts, 2, "timeouts are retried exactly once");
     assert_eq!(skip.wall.len(), 2, "each attempt's wall clock is recorded");
