@@ -16,11 +16,7 @@ use crate::error::SimError;
 use crate::recorder::LocalityRecorder;
 
 /// Which precharge controller to attach to a cache.
-///
-/// Equality and hashing are total (`Eq + Hash`): the one `f64` field
-/// (`Resizable::slack`) compares and hashes by bit pattern, so the type
-/// can key the process-wide run cache. See [`SystemSpec`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// Conventional static pull-up (the baseline).
     StaticPullUp,
@@ -62,54 +58,6 @@ pub enum PolicyKind {
     /// Static-pull-up timing plus subarray locality recording (Figures
     /// 5/6).
     LocalityRecorder,
-}
-
-impl PartialEq for PolicyKind {
-    fn eq(&self, other: &Self) -> bool {
-        use PolicyKind::{
-            AdaptiveGated, Drowsy, Gated, GatedPredecode, LocalityRecorder, OnDemand, Oracle,
-            Resizable, StaticPullUp,
-        };
-        match (self, other) {
-            (StaticPullUp, StaticPullUp)
-            | (Oracle, Oracle)
-            | (OnDemand, OnDemand)
-            | (LocalityRecorder, LocalityRecorder) => true,
-            (Gated { threshold: a }, Gated { threshold: b })
-            | (GatedPredecode { threshold: a }, GatedPredecode { threshold: b })
-            | (Drowsy { threshold: a }, Drowsy { threshold: b }) => a == b,
-            (AdaptiveGated { interval_accesses: a }, AdaptiveGated { interval_accesses: b }) => {
-                a == b
-            }
-            (
-                Resizable { interval_accesses: ia, slack: sa },
-                Resizable { interval_accesses: ib, slack: sb },
-            ) => ia == ib && sa.to_bits() == sb.to_bits(),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for PolicyKind {}
-
-impl std::hash::Hash for PolicyKind {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            PolicyKind::Gated { threshold }
-            | PolicyKind::GatedPredecode { threshold }
-            | PolicyKind::Drowsy { threshold } => threshold.hash(state),
-            PolicyKind::AdaptiveGated { interval_accesses } => interval_accesses.hash(state),
-            PolicyKind::Resizable { interval_accesses, slack } => {
-                interval_accesses.hash(state);
-                slack.to_bits().hash(state);
-            }
-            PolicyKind::StaticPullUp
-            | PolicyKind::Oracle
-            | PolicyKind::OnDemand
-            | PolicyKind::LocalityRecorder => {}
-        }
-    }
 }
 
 impl PolicyKind {
@@ -190,7 +138,8 @@ impl PolicyKind {
 
     /// Rejects a zero threshold or interval, which no controller can run
     /// on: the gated and drowsy constructors panic on a zero threshold,
-    /// and the interval controllers would act every access.
+    /// and the interval controllers would act every access. Rejects a
+    /// non-finite slack too, which the grammar cannot spell.
     fn validate(&self) -> Result<(), &'static str> {
         match *self {
             PolicyKind::Gated { threshold: 0 }
@@ -199,6 +148,9 @@ impl PolicyKind {
             PolicyKind::AdaptiveGated { interval_accesses: 0 }
             | PolicyKind::Resizable { interval_accesses: 0, .. } => {
                 Err("interval must be positive")
+            }
+            PolicyKind::Resizable { slack, .. } if !slack.is_finite() => {
+                Err("slack must be finite")
             }
             _ => Ok(()),
         }
@@ -296,13 +248,7 @@ impl std::str::FromStr for PolicyKind {
 /// Fault-injection parameters for a run. Disabled by default: the stock
 /// simulation is fault-free and cycle-identical to a build without the
 /// fault layer.
-///
-/// Equality and hashing treat [`FaultSpec::rate`] by bit pattern
-/// (`f64::to_bits`), making the type a valid `HashMap` key; two specs with
-/// numerically equal rates written the same way are equal, and `NaN`
-/// (which [`SystemSpec::validate`] rejects anyway) at least compares equal
-/// to itself.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Sense-margin upset probability per cold access (0 disables the
     /// whole fault layer).
@@ -321,28 +267,6 @@ pub struct FaultSpec {
     /// Background scrub sweep period in cycles (`--scrub-period`; `None`
     /// disables; requires [`FaultSpec::ecc`]).
     pub scrub_period: Option<u64>,
-}
-
-impl PartialEq for FaultSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.rate.to_bits() == other.rate.to_bits()
-            && self.seed == other.seed
-            && self.fail_safe == other.fail_safe
-            && self.ecc == other.ecc
-            && self.scrub_period == other.scrub_period
-    }
-}
-
-impl Eq for FaultSpec {}
-
-impl std::hash::Hash for FaultSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.rate.to_bits().hash(state);
-        self.seed.hash(state);
-        self.fail_safe.hash(state);
-        self.ecc.hash(state);
-        self.scrub_period.hash(state);
-    }
 }
 
 impl FaultSpec {
@@ -408,11 +332,7 @@ impl Default for FaultSpec {
 /// (`scale == 1.0`) with the governor off prices nothing differently and
 /// arms no speculation, so every existing figure stays cycle- and
 /// byte-identical until a spec opts in (`--vdd`, `--vdd-governor`).
-///
-/// Equality and hashing treat [`VddSpec::scale`] by bit pattern
-/// (`f64::to_bits`), like [`FaultSpec::rate`], so the type can key the
-/// process-wide run cache.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VddSpec {
     /// Supply voltage as a fraction of the node's nominal Vdd. Values
     /// below the sense-amp guardband make cold reads *timing-speculative*:
@@ -423,21 +343,6 @@ pub struct VddSpec {
     /// when observed replay rates spike, with hysteresis and a fail-safe
     /// pin to nominal after repeated escalation.
     pub governor: bool,
-}
-
-impl PartialEq for VddSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.scale.to_bits() == other.scale.to_bits() && self.governor == other.governor
-    }
-}
-
-impl Eq for VddSpec {}
-
-impl std::hash::Hash for VddSpec {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.scale.to_bits().hash(state);
-        self.governor.hash(state);
-    }
 }
 
 impl VddSpec {
@@ -524,7 +429,7 @@ impl VddSpec {
 /// managed L1s in front of a statically precharged L2 — and the full-Vdd
 /// leakage mode prices nothing differently, so every existing figure stays
 /// cycle- and byte-identical until a spec opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HierarchySpec {
     /// Managed cache levels behind the L1s: `1` = stock (inert default),
     /// `2` = the L2 runs a real precharge policy, `3` = an L3 is inserted
@@ -592,10 +497,10 @@ impl HierarchySpec {
 
 /// Full specification of one simulation run.
 ///
-/// `Eq + Hash` (total, with the two `f64` fields compared by bit pattern —
-/// see [`FaultSpec`] and [`PolicyKind`]) so `(benchmark, SystemSpec)` can
-/// key the process-wide memoized run cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// `==` is plain value equality. A run's identity is its spec's text
+/// ([`crate::spec::canonical_text`]), which keys the run cache and rides
+/// in every journal frame.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemSpec {
     /// D-cache precharge policy.
     pub d_policy: PolicyKind,
@@ -633,7 +538,8 @@ impl SystemSpec {
     ///
     /// [`SimError::InvalidSpec`] when the subarray size is not a power of
     /// two in `[32, 32768]`, the instruction count is zero, a D, I or L2
-    /// policy has a zero threshold or interval, or the fault parameters
+    /// policy has a zero threshold or interval or a non-finite slack, or
+    /// the fault parameters
     /// fail [`FaultConfig::validate`] (rate outside `[0, 1]`, a zero scrub
     /// period, scrubbing without ECC, ...).
     pub fn validate(&self) -> Result<(), SimError> {
@@ -915,11 +821,12 @@ mod tests {
                 assert_ne!(a, b, "specs at different fields must differ");
             }
         }
-        // As HashMap keys, every distinct spec is a distinct entry...
-        let keyed: std::collections::HashSet<SystemSpec> = specs.iter().copied().collect();
+        // As run-cache keys, every distinct spec is a distinct text...
+        let keyed: std::collections::HashSet<String> =
+            specs.iter().map(crate::spec::canonical_text).collect();
         assert_eq!(keyed.len(), specs.len());
         // ...and an equal spec finds the existing one.
-        assert!(keyed.contains(&SystemSpec::default()));
+        assert!(keyed.contains(&crate::spec::canonical_text(&SystemSpec::default())));
     }
 
     #[test]
@@ -1026,9 +933,6 @@ mod tests {
             Err(SimError::InvalidSpec(msg)) => assert!(msg.contains("finite"), "{msg}"),
             other => panic!("NaN vdd must be rejected, got {other:?}"),
         }
-        // NaN compares equal to itself by bit pattern (run-cache keying).
-        let a = VddSpec { scale: f64::NAN, governor: false };
-        assert_eq!(a, a);
     }
 
     #[test]
@@ -1091,10 +995,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         /// `Display` is the canonical spelling: parsing it gives the
-        /// policy back bit for bit.
+        /// policy back bit for bit (`Debug` tells a slack's sign apart,
+        /// which `==` does not).
         #[test]
         fn policy_display_parses_back_exactly(p in any_policy()) {
-            prop_assert_eq!(p.to_string().parse::<PolicyKind>(), Ok(p));
+            let back = p.to_string().parse::<PolicyKind>();
+            prop_assert_eq!(format!("{back:?}"), format!("{:?}", Ok::<_, String>(p)));
         }
     }
 

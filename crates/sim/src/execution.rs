@@ -2,10 +2,11 @@
 //!
 //! Three shared stores, all built on `bitline-exec`:
 //!
-//! * the **run cache** — completed [`RunResult`]s keyed by
-//!   `(benchmark, SystemSpec)`, so the static baseline every figure
-//!   recomputes and the repeated points of a threshold sweep are simulated
-//!   once per process. Each run is held as its journal frame
+//! * the **run cache** — completed [`RunResult`]s keyed by the benchmark
+//!   and the spec's canonical text ([`spec::canonical_text`], the text the
+//!   run's frame carries), so the static baseline every figure recomputes
+//!   and the repeated points of a threshold sweep are simulated once per
+//!   process. Each run is held as its journal frame
 //!   ([`checkpoint::encode_run`]), a fraction of the decoded run's heap,
 //!   and every lookup decodes it;
 //! * the **trace store** — each `(benchmark, seed)` synthetic instruction
@@ -35,14 +36,25 @@ use crate::checkpoint;
 use crate::config::SystemSpec;
 use crate::error::SimError;
 use crate::runner::{try_run_benchmark, try_run_lockstep_supervised, RunResult};
+use crate::spec;
 use crate::supervise;
 
 /// A run as the run cache holds it: its codec frame, the bytes the journal
 /// stores.
 type Frame = Arc<[u8]>;
 
-fn run_cache() -> &'static MemoCache<(String, SystemSpec), Frame> {
-    static CACHE: OnceLock<MemoCache<(String, SystemSpec), Frame>> = OnceLock::new();
+/// A run's name in the run cache: its benchmark and its spec's canonical
+/// text. The text reads back to the spec bit for bit for every spec
+/// [`SystemSpec::validate`] admits, and no other spec is looked up, so two
+/// runs share a key exactly when they are the same run.
+type RunKey = (String, String);
+
+fn run_key(name: &str, spec: &SystemSpec) -> RunKey {
+    (name.to_owned(), spec::canonical_text(spec))
+}
+
+fn run_cache() -> &'static MemoCache<RunKey, Frame> {
+    static CACHE: OnceLock<MemoCache<RunKey, Frame>> = OnceLock::new();
     CACHE.get_or_init(|| MemoCache::named("sim.run_cache"))
 }
 
@@ -183,7 +195,7 @@ pub fn set_checkpoint(dir: &Path, resume: bool) -> Result<CheckpointStats, Strin
         // recomputation of the decoded run's identity.
         match checkpoint::decode_run(&entry.value) {
             Some(run) if checkpoint::spec_key(&run.benchmark, &run.spec) == entry.key => {
-                run_cache().insert((run.benchmark, run.spec), entry.value.into());
+                run_cache().insert(run_key(&run.benchmark, &run.spec), entry.value.into());
                 replayed += 1;
                 live[i] = true;
             }
@@ -228,13 +240,13 @@ fn lock_checkpoint() -> std::sync::MutexGuard<'static, Option<CheckpointState>> 
     checkpoint_state().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Journals the frame of a freshly computed run, if a checkpoint is armed.
-/// Failures to write are reported on stderr but never fail the run itself.
-fn journal_record(name: &str, spec: &SystemSpec, frame: &[u8]) {
+/// Journals the frame of a freshly computed run under its
+/// [`checkpoint::spec_key`], if a checkpoint is armed. Failures to write
+/// are reported on stderr but never fail the run itself.
+fn journal_record(key: &str, frame: &[u8]) {
     let mut state = lock_checkpoint();
     let Some(cp) = state.as_mut() else { return };
-    let key = checkpoint::spec_key(name, spec);
-    if cp.journal.contains(&key) {
+    if cp.journal.contains(key) {
         // A fresh compute of a journaled key — every one the journal still
         // holds was replayed — means the warm path failed to serve it.
         // Counted so CI can assert resume actually resumes.
@@ -248,7 +260,7 @@ fn journal_record(name: &str, spec: &SystemSpec, frame: &[u8]) {
         eprintln!("[exec] warning: checkpoint append failed for {key}: {e}");
         return;
     }
-    match cp.journal.append(&key, frame) {
+    match cp.journal.append(key, frame) {
         Ok(()) => {
             cp.stats.appended += 1;
             bitline_obs::counter!("sim.checkpoint.appended").incr();
@@ -266,6 +278,7 @@ pub fn checkpoint_stats() -> Option<CheckpointStats> {
 /// Memoized [`try_run_benchmark`]: the first request for a
 /// `(benchmark, spec)` pair simulates it and stores its frame, and every
 /// request, the first included, returns the run decoded from that frame.
+/// A spec [`SystemSpec::validate`] rejects is refused before the lookup.
 /// Errors are returned but never cached.
 ///
 /// When a checkpoint journal is armed ([`set_checkpoint`]), every fresh
@@ -276,12 +289,12 @@ pub fn checkpoint_stats() -> Option<CheckpointStats> {
 ///
 /// Exactly those of [`try_run_benchmark`].
 pub fn try_run_benchmark_cached(name: &str, spec: &SystemSpec) -> Result<RunResult, SimError> {
-    let frame = run_cache().get_or_try_insert_with((name.to_owned(), *spec), || {
-        let _span = bitline_obs::span("sim/run")
-            .field("benchmark", name)
-            .field("spec_key", checkpoint::spec_key(name, spec));
+    spec.validate()?;
+    let frame = run_cache().get_or_try_insert_with(run_key(name, spec), || {
+        let key = checkpoint::spec_key(name, spec);
+        let _span = bitline_obs::span("sim/run").field("benchmark", name).field("spec_key", &key);
         let frame = frame(&try_run_benchmark(name, spec)?);
-        journal_record(name, spec, &frame);
+        journal_record(&key, &frame);
         Ok(frame)
     })?;
     Ok(unframe(&frame))
@@ -306,9 +319,13 @@ pub fn try_run_lockstep_cached(
     name: &str,
     specs: &[SystemSpec],
 ) -> Result<Vec<RunResult>, SimError> {
-    let keys: Vec<(String, SystemSpec)> = specs.iter().map(|s| (name.to_owned(), *s)).collect();
+    for spec in specs {
+        spec.validate()?;
+    }
+    let keys: Vec<RunKey> = specs.iter().map(|s| run_key(name, s)).collect();
     let frames = run_cache().get_or_try_insert_all(&keys, |missing| {
-        let specs: Vec<SystemSpec> = missing.iter().map(|(_, spec)| *spec).collect();
+        let spec_of = |key| specs[keys.iter().position(|k| k == key).expect("one of the keys")];
+        let specs: Vec<SystemSpec> = missing.iter().map(|key| spec_of(*key)).collect();
         let _span =
             bitline_obs::span("sim/lockstep").field("benchmark", name).field("runs", specs.len());
         let runs = try_run_lockstep_supervised(name, &specs, &supervise::ambient_token())?;
@@ -316,7 +333,7 @@ pub fn try_run_lockstep_cached(
             .iter()
             .map(|run| {
                 let frame = frame(run);
-                journal_record(name, &run.spec, &frame);
+                journal_record(&checkpoint::spec_key(name, &run.spec), &frame);
                 frame
             })
             .collect())
@@ -445,6 +462,71 @@ mod tests {
         assert_eq!(err, SimError::UnknownBenchmark("nosuch".into()));
         let bad = SystemSpec { subarray_bytes: 48, ..SystemSpec::default() };
         assert!(matches!(try_run_benchmark_cached("mesa", &bad), Err(SimError::InvalidSpec(_))));
+    }
+
+    /// A slack the policy grammar cannot spell has no text to key the run
+    /// cache or fill a frame with, so the spec is refused naming the field.
+    #[test]
+    fn a_non_finite_slack_is_rejected_naming_the_field() {
+        use crate::HierarchySpec;
+        let base = SystemSpec {
+            instructions: 2_000,
+            hierarchy: HierarchySpec { levels: 3, ..HierarchySpec::default() },
+            ..SystemSpec::default()
+        };
+        for slack in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let policy = PolicyKind::Resizable { interval_accesses: 1_000, slack };
+            for (field, spec) in [
+                ("d_policy", SystemSpec { d_policy: policy, ..base }),
+                ("i_policy", SystemSpec { i_policy: policy, ..base }),
+                (
+                    "l2_policy",
+                    SystemSpec {
+                        hierarchy: HierarchySpec { l2_policy: policy, ..base.hierarchy },
+                        ..base
+                    },
+                ),
+            ] {
+                match try_run_benchmark_cached("mesa", &spec) {
+                    Err(SimError::InvalidSpec(msg)) => {
+                        assert!(msg.starts_with(&format!("{field} = {policy};")), "{msg}");
+                        assert!(msg.ends_with("slack must be finite"), "{msg}");
+                    }
+                    other => panic!("{field} slack {slack}: got {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// Specs that differ only in a float's sign bit are two runs, as their
+    /// spec keys are: the cache keys them by text, where `-0` is not `0`.
+    #[test]
+    fn a_sign_bit_keeps_its_own_run_cache_entry() {
+        use bitline_exec::CancelToken;
+
+        use crate::FaultSpec;
+
+        let zero = SystemSpec { instructions: 2_000, seed: 27_300, ..SystemSpec::default() };
+        let negative = SystemSpec { faults: FaultSpec { rate: -0.0, ..zero.faults }, ..zero };
+        assert!(negative.validate().is_ok(), "a -0 fault rate is a valid, disabled rate");
+        assert_ne!(checkpoint::spec_key("mesa", &zero), checkpoint::spec_key("mesa", &negative));
+        try_run_benchmark_cached("mesa", &zero).expect("the +0 run");
+        // Under a cancelled token only the run cache can answer.
+        let cancelled = CancelToken::unbounded();
+        cancelled.cancel();
+        let cached = |spec: &SystemSpec| {
+            supervise::with_token(&cancelled, || try_run_benchmark_cached("mesa", spec))
+        };
+        assert!(cached(&zero).is_ok(), "the +0 run is cached");
+        assert!(
+            matches!(cached(&negative), Err(SimError::TimedOut { .. })),
+            "the -0 spec was answered from the +0 entry"
+        );
+        let cold = format!("{:?}", try_run_benchmark("mesa", &negative).expect("cold run"));
+        try_run_benchmark_cached("mesa", &negative).expect("the -0 run");
+        let run = cached(&negative).expect("the -0 entry");
+        assert_eq!(format!("{run:?}"), cold);
+        assert_eq!(run.spec.faults.rate.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

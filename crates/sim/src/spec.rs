@@ -335,7 +335,10 @@ pub fn help() -> String {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::config::{FaultSpec, HierarchySpec, VddSpec};
 
     fn set(flags: &[(&str, &str)]) -> Assignments {
         let mut values = Assignments::default();
@@ -395,6 +398,155 @@ mod tests {
             "leakage_mode=antigravity",
         ] {
             assert_eq!(parse_text(bad), None, "`{bad}`");
+        }
+    }
+
+    /// A policy other than `p`, its parameters off every default.
+    fn another_policy(p: PolicyKind) -> PolicyKind {
+        match p {
+            PolicyKind::Resizable { .. } => PolicyKind::Drowsy { threshold: 33 },
+            _ => PolicyKind::Resizable { interval_accesses: 777, slack: -0.0125 },
+        }
+    }
+
+    /// Each field, set off its default alone, round-trips through the text
+    /// and moves only its own pair. The destructuring names every field
+    /// without `..`, so a field added to `SystemSpec` or a sub-spec stops
+    /// this compiling until it is set here under its `FIELDS` key.
+    #[test]
+    fn every_field_round_trips_through_the_text() {
+        let base = SystemSpec::default();
+        let SystemSpec {
+            d_policy,
+            i_policy,
+            subarray_bytes,
+            instructions,
+            seed,
+            way_prediction,
+            faults,
+            hierarchy,
+            vdd,
+        } = base;
+        let FaultSpec { rate, seed: fault_seed, fail_safe, ecc, scrub_period } = faults;
+        let HierarchySpec { levels, l2_policy, leakage_mode } = hierarchy;
+        let VddSpec { scale, governor } = vdd;
+        let other_mode = LeakageKind::ALL.iter().copied().find(|&m| m != leakage_mode).unwrap();
+        let faulted = |faults| SystemSpec { faults, ..base };
+        let layered = |hierarchy| SystemSpec { hierarchy, ..base };
+        let supplied = |vdd| SystemSpec { vdd, ..base };
+        let set = [
+            ("d_policy", SystemSpec { d_policy: another_policy(d_policy), ..base }),
+            ("i_policy", SystemSpec { i_policy: another_policy(i_policy), ..base }),
+            ("subarray_bytes", SystemSpec { subarray_bytes: subarray_bytes * 2, ..base }),
+            ("instructions", SystemSpec { instructions: instructions + 1, ..base }),
+            ("seed", SystemSpec { seed: seed + 1, ..base }),
+            ("way_prediction", SystemSpec { way_prediction: !way_prediction, ..base }),
+            ("fault_rate", faulted(FaultSpec { rate: rate + 0.015_625, ..faults })),
+            ("fault_seed", faulted(FaultSpec { seed: fault_seed + 1, ..faults })),
+            ("fail_safe", faulted(FaultSpec { fail_safe: !fail_safe, ..faults })),
+            ("ecc", faulted(FaultSpec { ecc: !ecc, ..faults })),
+            (
+                "scrub_period",
+                faulted(FaultSpec {
+                    scrub_period: Some(scrub_period.map_or(4_096, |p| p + 1)),
+                    ..faults
+                }),
+            ),
+            ("levels", layered(HierarchySpec { levels: levels + 2, ..hierarchy })),
+            (
+                "l2_policy",
+                layered(HierarchySpec { l2_policy: another_policy(l2_policy), ..hierarchy }),
+            ),
+            ("leakage_mode", layered(HierarchySpec { leakage_mode: other_mode, ..hierarchy })),
+            ("vdd", supplied(VddSpec { scale: scale - 0.125, ..vdd })),
+            ("vdd_governor", supplied(VddSpec { governor: !governor, ..vdd })),
+        ];
+        let keys: Vec<&str> = set.iter().map(|(key, _)| *key).collect();
+        let rows: Vec<&str> = FIELDS.iter().map(|f| f.key).collect();
+        assert_eq!(keys, rows, "one setting per row, in table order");
+        let base_text = canonical_text(&base);
+        for (key, spec) in set {
+            let text = canonical_text(&spec);
+            let moved: Vec<&str> =
+                text.split(' ').filter(|pair| !base_text.split(' ').any(|b| b == *pair)).collect();
+            let own = format!("{key}=");
+            assert!(!moved.is_empty() && moved.iter().all(|p| p.starts_with(&own)), "{moved:?}");
+            let back = parse_text(&text);
+            assert_eq!(format!("{back:?}"), format!("{:?}", Some(spec)), "{key}");
+        }
+    }
+
+    /// A float at either end of `[lo, hi]`, inside it, or any bit pattern
+    /// at all (signed zeros, subnormals, NaN and the infinities included).
+    fn float_in(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+        (0u8..5, lo..hi, any::<u64>()).prop_map(move |(pick, x, bits)| match pick {
+            0 => lo,
+            1 => hi,
+            2 | 3 => x,
+            _ => f64::from_bits(bits),
+        })
+    }
+
+    fn any_policy() -> impl Strategy<Value = PolicyKind> {
+        (0u8..9, any::<u64>(), float_in(-0.0, 0.05)).prop_map(|(tag, n, slack)| match tag {
+            0 => PolicyKind::StaticPullUp,
+            1 => PolicyKind::Oracle,
+            2 => PolicyKind::OnDemand,
+            3 => PolicyKind::Gated { threshold: n },
+            4 => PolicyKind::GatedPredecode { threshold: n },
+            5 => PolicyKind::AdaptiveGated { interval_accesses: n },
+            6 => PolicyKind::Drowsy { threshold: n },
+            7 => PolicyKind::Resizable { interval_accesses: n, slack },
+            _ => PolicyKind::LocalityRecorder,
+        })
+    }
+
+    /// Specs over every field, most of which `validate` admits.
+    fn any_spec() -> impl Strategy<Value = SystemSpec> {
+        (
+            (any_policy(), any_policy(), any_policy()),
+            (5u32..16, any::<u64>(), any::<u64>(), any::<bool>()),
+            (float_in(-0.0, 1.0), any::<u64>(), any::<bool>(), any::<bool>(), any::<u64>()),
+            (1u8..4, 0usize..LeakageKind::ALL.len()),
+            (float_in(0.6, 1.1), any::<bool>(), any::<bool>()),
+        )
+            .prop_map(
+                |(policies, (shift, instructions, seed, way_prediction), f, h, v)| {
+                    let (d_policy, i_policy, l2_policy) = policies;
+                    let (rate, fault_seed, fail_safe, ecc, period) = f;
+                    let (levels, mode) = h;
+                    let (scale, nominal, governor) = v;
+                    let scrub_period = (ecc && period % 2 == 0).then_some(period / 2);
+                    let l2_policy = if levels == 1 { PolicyKind::StaticPullUp } else { l2_policy };
+                    SystemSpec {
+                        d_policy,
+                        i_policy,
+                        subarray_bytes: 1 << shift,
+                        instructions,
+                        seed,
+                        way_prediction,
+                        faults: FaultSpec { rate, seed: fault_seed, fail_safe, ecc, scrub_period },
+                        hierarchy: HierarchySpec {
+                            levels,
+                            l2_policy,
+                            leakage_mode: LeakageKind::ALL[mode],
+                        },
+                        vdd: VddSpec { scale: if nominal { 1.0 } else { scale }, governor },
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Every spec `validate` admits reads back from its text bit for
+        /// bit, so the text names the spec alone and can key the run cache.
+        #[test]
+        fn every_valid_spec_reads_back_from_its_text(spec in any_spec()) {
+            if spec.validate().is_ok() {
+                let back = parse_text(&canonical_text(&spec));
+                prop_assert_eq!(format!("{back:?}"), format!("{:?}", Some(spec)));
+            }
         }
     }
 }
