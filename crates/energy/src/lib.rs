@@ -384,13 +384,14 @@ impl EnergyAccountant {
 
     /// Error-protection energy: the 8 check columns per 64-bit word share
     /// proportionally in the array energy `array_j` (bitline leakage,
-    /// episodes, cell leakage), the codec switches on every protected
-    /// access, and scrub traffic pays per word.
-    fn ecc_energy_j(&self, array_j: f64, activity: EccActivity) -> f64 {
+    /// episodes, cell leakage, each at its own supply factor), the codec
+    /// switches on every protected access, and scrub traffic pays per
+    /// word, both at the dynamic factor `f_dyn`.
+    fn ecc_energy_j(&self, array_j: f64, activity: EccActivity, f_dyn: f64) -> f64 {
         let m = &self.model;
         m.ecc_check_column_fraction() * array_j
-            + activity.protected_accesses as f64 * m.ecc_codec_energy_j()
-            + activity.scrub_words as f64 * m.ecc_scrub_word_energy_j()
+            + activity.protected_accesses as f64 * m.ecc_codec_energy_j() * f_dyn
+            + activity.scrub_words as f64 * m.ecc_scrub_word_energy_j() * f_dyn
     }
 
     /// Prices one level's use in a single walk over its subarrays.
@@ -406,10 +407,11 @@ impl EnergyAccountant {
     /// `dynamic_j` by its access factor; the bitline terms (`pullup_leak_j`,
     /// `episode_j`, `counter_j`) belong to the precharge policy.
     ///
-    /// ECC is priced from the mode-adjusted terms; then the supply scales
-    /// every term: switching (`dynamic_j`, `episode_j`, `counter_j`,
-    /// `ecc_j`) by the dynamic factor, both leakage terms by the leakage
-    /// factor.
+    /// The supply scales every term: switching (`dynamic_j`, `episode_j`,
+    /// `counter_j`) by the dynamic factor, both leakage terms by the
+    /// leakage factor. ECC is priced from those scaled terms, so its check
+    /// columns leak and switch at the same factors as the data columns,
+    /// and its codec and scrub switching take the dynamic factor.
     #[must_use]
     pub fn price(&self, level: &LevelUse<'_>) -> CacheEnergyBreakdown {
         let m = &self.model;
@@ -450,17 +452,19 @@ impl EnergyAccountant {
         } else {
             0.0
         };
-        let ecc_j = level.ecc.map_or(0.0, |activity| {
-            self.ecc_energy_j(pullup_leak_j + episode_j + cell_leak_j, activity)
-        });
         let (f_dyn, f_leak) = level.supply;
+        let (pullup_leak_j, episode_j, cell_leak_j) =
+            (pullup_leak_j * f_leak, episode_j * f_dyn, cell_leak_j * f_leak);
+        let ecc_j = level.ecc.map_or(0.0, |activity| {
+            self.ecc_energy_j(pullup_leak_j + episode_j + cell_leak_j, activity, f_dyn)
+        });
         CacheEnergyBreakdown {
             dynamic_j: dynamic_j * f_dyn,
-            pullup_leak_j: pullup_leak_j * f_leak,
-            episode_j: episode_j * f_dyn,
-            cell_leak_j: cell_leak_j * f_leak,
+            pullup_leak_j,
+            episode_j,
+            cell_leak_j,
             counter_j: counter_j * f_dyn,
-            ecc_j: ecc_j * f_dyn,
+            ecc_j,
         }
     }
 
@@ -494,7 +498,7 @@ impl EnergyAccountant {
             cell_leak_j,
             counter_j: 0.0,
             ecc_j: if protected {
-                self.ecc_energy_j(pullup_leak_j + cell_leak_j, activity)
+                self.ecc_energy_j(pullup_leak_j + cell_leak_j, activity, 1.0)
             } else {
                 0.0
             },

@@ -7,6 +7,7 @@
 //! formula it replaced, bit for bit, wherever that formula was right.
 
 use bitline_cache::{ActivityReport, CacheConfig, PrechargePolicy, WayStats};
+use bitline_circuit::SubarrayEnergyModel;
 use bitline_cmos::TechnologyNode;
 use bitline_energy::{CacheEnergyBreakdown, EccActivity, EnergyAccountant, LeakageKind, LevelUse};
 use gated_precharge::{DrowsyPolicy, GatedPolicy, OraclePolicy, StaticPullUp};
@@ -53,11 +54,11 @@ fn modes() -> impl Strategy<Value = LeakageKind> {
 }
 
 /// The pricing formula the one pass replaced, kept as a reference: the
-/// plain accounting, then ECC on top of it, then the leakage mode
-/// re-pricing cell leakage from the idle histograms (with full-Vdd
-/// returning the ECC layer untouched), then the supply factors scaling
-/// every term. It drops a drowsy policy's retention cycles under any mode
-/// but full-Vdd, so it is the reference only where that does not arise.
+/// plain accounting, then the leakage mode re-pricing cell leakage from
+/// the idle histograms (full-Vdd leaving it untouched), then the supply
+/// factors scaling every term, then ECC on top of the scaled terms. It
+/// drops a drowsy policy's retention cycles under any mode but full-Vdd,
+/// so it is the reference only where that does not arise.
 mod layered {
     use bitline_cache::CacheConfig;
     use bitline_circuit::SubarrayEnergyModel;
@@ -110,16 +111,19 @@ mod layered {
         }
     }
 
+    /// ECC over `b`'s (already scaled) array terms; the codec and scrub
+    /// switch at `f_dyn`.
     fn with_ecc(
         m: &SubarrayEnergyModel,
         mut b: CacheEnergyBreakdown,
         ecc: Option<EccActivity>,
+        f_dyn: f64,
     ) -> CacheEnergyBreakdown {
         if let Some(activity) = ecc {
             b.ecc_j = m.ecc_check_column_fraction()
                 * (b.pullup_leak_j + b.episode_j + b.cell_leak_j)
-                + activity.protected_accesses as f64 * m.ecc_codec_energy_j()
-                + activity.scrub_words as f64 * m.ecc_scrub_word_energy_j();
+                + activity.protected_accesses as f64 * m.ecc_codec_energy_j() * f_dyn
+                + activity.scrub_words as f64 * m.ecc_scrub_word_energy_j() * f_dyn;
         }
         b
     }
@@ -127,7 +131,7 @@ mod layered {
     fn with_mode(m: &SubarrayEnergyModel, assoc: f64, u: &LevelUse<'_>) -> CacheEnergyBreakdown {
         let mut b = account(m, assoc, u);
         if u.leakage == LeakageKind::FullVdd {
-            return with_ecc(m, b, u.ecc);
+            return b;
         }
         let mode = u.leakage.mode();
         let full_cell_cycles = u.report.per_subarray.len() as f64 * u.report.end_cycle as f64;
@@ -147,7 +151,7 @@ mod layered {
             * AVG
             + episodes * m.isolation_episode_energy_j(0) * mode.transition_energy_factor * AVG;
         b.dynamic_j *= mode.access_energy_factor;
-        with_ecc(m, b, u.ecc)
+        b
     }
 
     /// `u` priced the layered way.
@@ -159,17 +163,15 @@ mod layered {
         let m = SubarrayEnergyModel::new(node, cache.geometry());
         let b = with_mode(&m, cache.assoc as f64, u);
         let (f_dyn, f_leak) = u.supply;
-        if f_dyn == 1.0 && f_leak == 1.0 {
-            return b;
-        }
-        CacheEnergyBreakdown {
+        let scaled = CacheEnergyBreakdown {
             dynamic_j: b.dynamic_j * f_dyn,
             episode_j: b.episode_j * f_dyn,
             counter_j: b.counter_j * f_dyn,
-            ecc_j: b.ecc_j * f_dyn,
+            ecc_j: 0.0,
             pullup_leak_j: b.pullup_leak_j * f_leak,
             cell_leak_j: b.cell_leak_j * f_leak,
-        }
+        };
+        with_ecc(&m, scaled, u.ecc, f_dyn)
     }
 
     /// The static baseline, protected or not, priced the layered way.
@@ -198,7 +200,7 @@ mod layered {
             ecc_j: 0.0,
         };
         let activity = EccActivity { protected_accesses: reads + writes, scrub_words: 0 };
-        with_ecc(&m, baseline, protected.then_some(activity))
+        with_ecc(&m, baseline, protected.then_some(activity), 1.0)
     }
 }
 
@@ -403,6 +405,37 @@ proptest! {
                 bits(&layered::static_baseline(node, cache, cycles, reads, writes, protected))
             );
         }
+    }
+
+    /// A protected level's check columns leak and switch with its data
+    /// columns at whatever supply: its `ecc_j` is the check-column share
+    /// of the breakdown's own array terms, plus codec and scrub switching
+    /// at the dynamic factor.
+    #[test]
+    fn ecc_is_priced_from_the_breakdowns_own_terms(
+        node in nodes(),
+        mode in modes(),
+        cycles in 1u64..60_000,
+        stride in 1u64..100,
+        threshold in 1u64..500,
+        scrub_words in 0u64..10_000,
+        supply in (any::<bool>(), 0.5f64..1.0, 0.2f64..1.0),
+    ) {
+        let report = drive(GatedPolicy::new(32, threshold, 1), cycles, stride, 8);
+        let reads = report.total_accesses();
+        let activity = EccActivity { protected_accesses: reads, scrub_words };
+        let (f_dyn, f_leak) = if supply.0 { (1.0, 1.0) } else { (supply.1, supply.2) };
+        let b = accountant(node).price(&LevelUse {
+            ecc: Some(activity),
+            leakage: mode,
+            supply: (f_dyn, f_leak),
+            ..LevelUse::new(&report, reads, 0)
+        });
+        let m = SubarrayEnergyModel::new(node, CacheConfig::l1_data().geometry());
+        let want = m.ecc_check_column_fraction() * (b.pullup_leak_j + b.episode_j + b.cell_leak_j)
+            + reads as f64 * m.ecc_codec_energy_j() * f_dyn
+            + scrub_words as f64 * m.ecc_scrub_word_energy_j() * f_dyn;
+        prop_assert_eq!(b.ecc_j.to_bits(), want.to_bits());
     }
 }
 
