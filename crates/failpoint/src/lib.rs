@@ -3,14 +3,16 @@
 //! A *failpoint* is a named seam in crash-critical code — a journal
 //! write, an fsync, a worker pickup, a socket read — where a fault can be
 //! injected on demand. Disarmed (the default, and the only state the
-//! figure suites ever run in) a failpoint is one cold atomic load; armed,
-//! it draws from a per-point [`rand::rngs::SmallRng`] seeded from a
+//! figure suites ever run in) a failpoint is one atomic load; armed, it
+//! draws from a per-point [`rand::rngs::SmallRng`] seeded from a
 //! process-global seed, so any observed failure schedule is **replayable
 //! from its seed**: same seed, same evaluation order, same faults.
 //!
-//! Points are armed per-process through the `BITLINE_FAILPOINTS`
-//! environment variable (read once, lazily, or explicitly via
-//! [`init_from_env`]), or programmatically with [`arm`] in tests:
+//! Points are armed only on request: by [`init_from_env`], which reads
+//! the `BITLINE_FAILPOINTS` environment variable and which both binaries
+//! call at startup (a malformed spec stops them before any run), or
+//! programmatically with [`arm`] in tests. Evaluating a point never reads
+//! the environment.
 //!
 //! ```text
 //! BITLINE_FAILPOINTS='journal.append.write=err(ENOSPC)@0.02;serve.conn.write=delay(50ms)@0.1;pool.worker=panic@1e-4'
@@ -159,24 +161,6 @@ fn entry_seed(global: u64, point: &str, tag: Option<&str>, index: usize) -> u64 
 // Environment arming
 // ---------------------------------------------------------------------------
 
-fn env_init_cell() -> &'static OnceLock<Result<usize, String>> {
-    static ENV_INIT: OnceLock<Result<usize, String>> = OnceLock::new();
-    &ENV_INIT
-}
-
-fn ensure_env() {
-    let cell = env_init_cell();
-    if cell.get().is_some() {
-        return;
-    }
-    let outcome = cell.get_or_init(init_from_env_inner);
-    if let Err(e) = outcome {
-        // Lazy path (no driver called init_from_env): warn once, run
-        // disarmed rather than panicking inside arbitrary worker threads.
-        eprintln!("[failpoint] ignoring invalid BITLINE_FAILPOINTS: {e}");
-    }
-}
-
 fn init_from_env_inner() -> Result<usize, String> {
     if let Ok(seed) = std::env::var("BITLINE_FAILPOINT_SEED") {
         let seed = seed
@@ -195,14 +179,14 @@ fn init_from_env_inner() -> Result<usize, String> {
 /// Reads `BITLINE_FAILPOINT_SEED` and `BITLINE_FAILPOINTS` and arms the
 /// configured points, exactly once per process (later calls return the
 /// first outcome). Drivers call this at startup so a malformed spec fails
-/// fast; code paths that evaluate points before any driver ran get the
-/// same init lazily (with the error demoted to a one-time warning).
+/// fast; a process that never calls it runs with every point disarmed.
 ///
 /// # Errors
 ///
 /// The grammar violation, prefixed with the variable name.
 pub fn init_from_env() -> Result<usize, String> {
-    env_init_cell().get_or_init(init_from_env_inner).clone()
+    static ENV_INIT: OnceLock<Result<usize, String>> = OnceLock::new();
+    ENV_INIT.get_or_init(init_from_env_inner).clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +307,6 @@ pub fn eval(point: &str) -> Option<Action> {
 /// disarmed costs one atomic load).
 #[must_use]
 pub fn eval_tagged(point: &str, tag: &str) -> Option<Action> {
-    ensure_env();
     if ACTIVE.load(Ordering::Acquire) == 0 {
         return None;
     }
@@ -380,7 +363,7 @@ pub fn stall_while(limit: Option<Duration>, cancelled: impl Fn() -> bool) {
     }
 }
 
-/// The outcome a write seam should apply (see [`write_fate`]).
+/// The outcome a write seam should apply (see [`write_fate_tagged`]).
 #[derive(Debug)]
 pub enum WriteFate {
     /// No fault: perform the write normally.
@@ -391,14 +374,9 @@ pub enum WriteFate {
     Fail(std::io::Error),
 }
 
-/// Evaluates a write seam: delay/stall are applied inline (stall with no
+/// Evaluates a write seam for a caller identified by `tag` (see
+/// [`eval_tagged`]): delay/stall are applied inline (stall with no
 /// cancellation), err/short-write map onto [`WriteFate`], panic panics.
-#[must_use]
-pub fn write_fate(point: &str) -> WriteFate {
-    write_fate_tagged(point, "")
-}
-
-/// [`write_fate`] with a caller tag.
 #[must_use]
 pub fn write_fate_tagged(point: &str, tag: &str) -> WriteFate {
     match eval_tagged(point, tag) {
@@ -459,8 +437,8 @@ pub fn hit_tagged(point: &str, tag: &str) {
 
 /// Evaluates a failpoint at an infallible seam: `failpoint!("name")` or
 /// `failpoint!("name", tag)`. Expands to [`hit`] / [`hit_tagged`]; seams
-/// with an error or length channel use [`io_result`] / [`write_fate`]
-/// directly.
+/// with an error or length channel use [`io_result`] /
+/// [`write_fate_tagged`] directly.
 #[macro_export]
 macro_rules! failpoint {
     ($name:expr) => {
@@ -733,11 +711,11 @@ mod tests {
     #[test]
     fn write_fate_and_io_result_map_actions() {
         arm("test.fate.err=err(ENOSPC);test.fate.short=shortwrite(7)").unwrap();
-        match write_fate("test.fate.err") {
+        match write_fate_tagged("test.fate.err", "") {
             WriteFate::Fail(e) => assert_eq!(e.raw_os_error(), Some(28)),
             other => panic!("expected fail, got {other:?}"),
         }
-        match write_fate("test.fate.short") {
+        match write_fate_tagged("test.fate.short", "") {
             WriteFate::Short(7) => {}
             other => panic!("expected short(7), got {other:?}"),
         }
