@@ -1,17 +1,12 @@
-//! I/O fault shims: deterministic failing writers shared by the journal
-//! crash tests and any other code that needs a filesystem that dies on
+//! I/O fault shims: a deterministic failing writer for the journal crash
+//! tests and any other code that needs a filesystem that dies on
 //! schedule.
 //!
-//! [`FallibleWriter`] is the byte-budget model (promoted from the
-//! original journal test-local copy): good for exhaustive "cut the stream
-//! at *every* byte offset" sweeps. [`FailpointWriter`] wraps a real
-//! writer and consults a named failpoint per `write` call, so the same
-//! `BITLINE_FAILPOINTS` vocabulary drives both unit-level and
-//! whole-process fault schedules.
+//! [`FallibleWriter`] is the byte-budget model: good for exhaustive "cut
+//! the stream at *every* byte offset" sweeps. Seams inside the program
+//! consult their failpoint directly ([`crate::write_fate_tagged`]).
 
 use std::io::{self, Write};
-
-use crate::WriteFate;
 
 /// An `io::Write` that models a filesystem running out of space: it
 /// honours at most `budget` bytes in total, serves *short* writes (at
@@ -57,63 +52,6 @@ impl Write for FallibleWriter {
     }
 }
 
-/// An `io::Write` adapter that consults the failpoint `point` (with an
-/// optional tag) before every `write` call on the inner writer:
-///
-/// - `err(E)` → the call fails with `E`, no bytes land;
-/// - `shortwrite(N)` → a *torn* write: the first `N` bytes land in the
-///   inner writer, then the call fails with ENOSPC (this models a tear
-///   even under `write_all`, which would otherwise retry a short write);
-/// - `delay`/`stall` → applied inline, then the write proceeds;
-/// - `panic` → panics at the seam.
-///
-/// `flush` is passed through untouched.
-pub struct FailpointWriter<W> {
-    inner: W,
-    point: String,
-    tag: String,
-}
-
-impl<W: Write> FailpointWriter<W> {
-    /// Wraps `inner`, evaluating `point` untagged on every write.
-    pub fn new(inner: W, point: impl Into<String>) -> Self {
-        Self { inner, point: point.into(), tag: String::new() }
-    }
-
-    /// Wraps `inner`, evaluating `point` with `tag` on every write.
-    pub fn tagged(inner: W, point: impl Into<String>, tag: impl Into<String>) -> Self {
-        Self { inner, point: point.into(), tag: tag.into() }
-    }
-
-    /// The wrapped writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// A shared reference to the wrapped writer.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-}
-
-impl<W: Write> Write for FailpointWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match crate::write_fate_tagged(&self.point, &self.tag) {
-            WriteFate::Full => self.inner.write(buf),
-            WriteFate::Fail(e) => Err(e),
-            WriteFate::Short(n) => {
-                let n = n.min(buf.len());
-                self.inner.write_all(&buf[..n])?;
-                self.inner.flush()?;
-                Err(io::Error::from_raw_os_error(28))
-            }
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,18 +70,5 @@ mod tests {
                 assert_eq!(w.out, &image[..budget.min(image.len())], "budget {budget}");
             }
         }
-    }
-
-    #[test]
-    fn failpoint_writer_tears_at_the_armed_point() {
-        crate::arm("test.io.shim=shortwrite(3)").unwrap();
-        let mut w = FailpointWriter::new(Vec::new(), "test.io.shim");
-        let err = w.write_all(b"abcdefgh").unwrap_err();
-        assert_eq!(err.raw_os_error(), Some(28));
-        assert_eq!(w.get_ref(), b"abc", "exactly the torn prefix landed");
-        crate::disarm("test.io.shim");
-        let mut w = FailpointWriter::new(w.into_inner(), "test.io.shim");
-        w.write_all(b"ijk").unwrap();
-        assert_eq!(w.into_inner(), b"abcijk", "disarmed writer passes through");
     }
 }

@@ -20,9 +20,6 @@
 //! itself (see `tests/proptests.rs`) and the CI validator shares one
 //! schema.
 
-use std::io;
-use std::path::Path;
-
 use crate::json::{
     self, as_array, as_object, expect_keys, get, get_i64, get_opt_u64, get_str, get_u64, json_u64,
     Json,
@@ -254,40 +251,6 @@ pub fn render_jsonl(snapshot: &MetricsSnapshot, spans: &[SpanRecord]) -> String 
     out
 }
 
-/// Atomic write: temp file in the destination directory, flush, rename.
-/// Private copy of the journal-layer idiom — `bitline-obs` sits below
-/// `bitline-exec` in the dependency order, so it cannot borrow it.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    std::fs::create_dir_all(&dir)?;
-    let name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
-        .to_string_lossy()
-        .into_owned();
-    let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    let result = std::fs::rename(&tmp, path);
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Exports the global registry and span ring buffer to `path` as JSONL,
-/// atomically (a crash mid-export never leaves a torn file).
-///
-/// # Errors
-///
-/// Any I/O error creating, writing or renaming the file.
-pub fn export_jsonl(path: &Path) -> io::Result<()> {
-    let text = render_jsonl(&crate::registry().snapshot(), &crate::recent_spans());
-    atomic_write(path, text.as_bytes())
-}
-
 // ---------------------------------------------------------------------------
 // Parsing and validation
 // ---------------------------------------------------------------------------
@@ -470,22 +433,6 @@ mod tests {
         assert!(validate_jsonl(&mangled).unwrap_err().contains("out of u64 range"));
         let unknown = good.replace("\"type\":\"counter\"", "\"type\":\"mystery\"");
         assert!(validate_jsonl(&unknown).unwrap_err().contains("unknown record type"));
-    }
-
-    #[test]
-    fn export_writes_a_valid_file_atomically() {
-        let dir = std::env::temp_dir().join(format!("obs-export-{}", std::process::id()));
-        let path = dir.join("metrics.jsonl");
-        crate::counter!("obs.test.export").incr();
-        export_jsonl(&path).expect("export");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        validate_jsonl(&text).expect("schema-valid");
-        assert!(text.contains("obs.test.export"));
-        assert!(
-            std::fs::read_dir(&dir).unwrap().count() == 1,
-            "no temp residue next to the exported file"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

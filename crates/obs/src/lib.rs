@@ -14,9 +14,10 @@
 //!   scopes (a figure driver, one benchmark run). A dropped span records
 //!   its wall time into a bounded ring buffer; nothing in the simulator
 //!   hot loop ever opens a span.
-//! * **Export** ([`export`]) snapshots both worlds into schema-checked
-//!   JSON lines, written atomically (temp file + rename) so a crash
-//!   mid-export never leaves a torn metrics file.
+//! * **Export** ([`export`]) renders a snapshot of both worlds as
+//!   schema-checked JSON lines and validates them; the file is written by
+//!   the caller (`bitline-sim --metrics` writes it atomically through
+//!   `bitline-exec`'s temp-file-and-rename).
 //!
 //! Everything is hand-rolled on `std` — no external dependencies, no
 //! `unsafe` — so the crate stays hermetic under the workspace's offline
@@ -31,8 +32,7 @@ pub mod registry;
 pub mod span;
 
 pub use export::{
-    export_jsonl, parse_jsonl, render_jsonl, summary_table, validate_jsonl, Record,
-    ValidationReport,
+    parse_jsonl, render_jsonl, summary_table, validate_jsonl, Record, ValidationReport,
 };
 pub use registry::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

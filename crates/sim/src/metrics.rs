@@ -81,7 +81,8 @@ pub fn declare_baseline() {
 }
 
 /// Writes the current registry and span ring to `path` as JSON lines,
-/// atomically (temp file + rename). The canonical counter taxonomy is
+/// atomically ([`bitline_exec::atomic_write`]: temp file, sync, rename),
+/// creating a missing parent directory. The canonical counter taxonomy is
 /// declared first so the file always carries the full name set.
 ///
 /// # Errors
@@ -89,7 +90,15 @@ pub fn declare_baseline() {
 /// A human-readable message on I/O failure.
 pub fn write_metrics(path: &Path) -> Result<(), String> {
     declare_baseline();
-    bitline_obs::export_jsonl(path).map_err(|e| format!("metrics {}: {e}", path.display()))
+    let text = bitline_obs::render_jsonl(
+        &bitline_obs::registry().snapshot(),
+        &bitline_obs::recent_spans(),
+    );
+    let error = |e: std::io::Error| format!("metrics {}: {e}", path.display());
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(error)?;
+    }
+    bitline_exec::atomic_write(path, text.as_bytes()).map_err(error)
 }
 
 #[cfg(test)]
@@ -98,7 +107,9 @@ mod tests {
 
     #[test]
     fn write_metrics_emits_schema_valid_jsonl_with_the_declared_taxonomy() {
-        let path = std::env::temp_dir().join("bitline-metrics-module-test.jsonl");
+        // A directory that does not exist yet: the export creates it.
+        let dir = std::env::temp_dir().join(format!("bitline-metrics-{}", std::process::id()));
+        let path = dir.join("run").join("metrics.jsonl");
         write_metrics(&path).expect("export succeeds");
         let text = std::fs::read_to_string(&path).expect("file exists");
         let report = bitline_obs::validate_jsonl(&text).expect("schema-valid");
@@ -107,6 +118,8 @@ mod tests {
             let needle = format!("\"name\":\"{name}\"");
             assert!(text.contains(&needle), "declared metric {name} missing from export");
         }
-        std::fs::remove_file(&path).ok();
+        let files = std::fs::read_dir(path.parent().unwrap()).unwrap().count();
+        assert_eq!(files, 1, "no temp residue next to the exported file");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
