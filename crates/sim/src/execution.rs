@@ -462,6 +462,16 @@ mod tests {
         assert_eq!(err, SimError::UnknownBenchmark("nosuch".into()));
         let bad = SystemSpec { subarray_bytes: 48, ..SystemSpec::default() };
         assert!(matches!(try_run_benchmark_cached("mesa", &bad), Err(SimError::InvalidSpec(_))));
+        // A zero scrub period has the text of an unset one; the cached
+        // unset run must not answer for it.
+        let faults = crate::FaultSpec { ecc: true, ..crate::FaultSpec::default() };
+        let unset =
+            SystemSpec { instructions: 2_000, seed: 27_400, faults, ..SystemSpec::default() };
+        try_run_benchmark_cached("mesa", &unset).expect("the unset run");
+        let zero =
+            SystemSpec { faults: crate::FaultSpec { scrub_period: Some(0), ..faults }, ..unset };
+        assert_eq!(run_key("mesa", &zero), run_key("mesa", &unset));
+        assert!(matches!(try_run_benchmark_cached("mesa", &zero), Err(SimError::InvalidSpec(_))));
     }
 
     /// A slack the policy grammar cannot spell has no text to key the run
