@@ -14,8 +14,8 @@
 //!   order, so callers are deterministic regardless of the job count.
 //! * [`MemoCache`] — a concurrent memoization table with per-key
 //!   once-only computation and hit/miss counters. `bitline-sim` keys it by
-//!   `(benchmark, SystemSpec)` so baselines and repeated sweep points are
-//!   simulated once per process.
+//!   the benchmark and the spec's canonical text, so baselines and
+//!   repeated sweep points are simulated once per process.
 //! * [`TraceStore`] — a shared, lazily-materialised store of synthetic
 //!   workload traces keyed by `(benchmark, seed)`; concurrent runs replay
 //!   the same generated prefix through cheap [`TraceCursor`]s instead of

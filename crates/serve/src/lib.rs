@@ -3,11 +3,11 @@
 //!
 //! Experiment requests arrive as line-delimited JSON over a unix socket
 //! (TCP optional), are validated fail-fast with `SystemSpec::validate`,
-//! deduplicated by `(benchmark, SystemSpec)` while in flight (one
-//! computation, N subscribers), and scheduled on a worker pool that passes
-//! each request's deadline to the experiment harness's `isolated`, which
-//! arms the run's `CancelToken`. Results stream back with explicit
-//! `ok | timeout | shed | error` terminal statuses.
+//! deduplicated by their spec key (`checkpoint::spec_key`) while in
+//! flight (one computation, N subscribers), and scheduled on a worker
+//! pool that passes each request's deadline to the experiment harness's
+//! `isolated`, which arms the run's `CancelToken`. Results stream back
+//! with explicit `ok | timeout | shed | error` terminal statuses.
 //!
 //! Robustness is a three-stage ladder, mirroring the precharge policies'
 //! own staged-degradation framing (and the ECC crate's fail-safe ladder):

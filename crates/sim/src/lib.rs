@@ -69,7 +69,7 @@ pub use runner::{
 /// Validates `BITLINE_INSTRS` and `BITLINE_SUITE` fail-fast (zero,
 /// garbage or an unknown benchmark is an error, not a silent fallback) and
 /// arms `BITLINE_FAILPOINTS`, so a malformed spec kills the driver at
-/// startup instead of a one-time warning mid-run.
+/// startup. Failpoints are armed nowhere else.
 ///
 /// # Errors
 ///
