@@ -616,7 +616,7 @@ impl Default for SystemSpec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -973,7 +973,7 @@ mod tests {
     }
 
     /// Every variant, with arbitrary parameters and any finite slack.
-    fn any_policy() -> impl Strategy<Value = PolicyKind> {
+    pub(crate) fn any_policy() -> impl Strategy<Value = PolicyKind> {
         (0u8..9, any::<u64>(), any::<u64>()).prop_map(|(tag, n, bits)| {
             let slack = f64::from_bits(bits);
             // Flipping an exponent bit makes an inf/NaN pattern finite.

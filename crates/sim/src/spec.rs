@@ -338,6 +338,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::config::tests::any_policy;
     use crate::config::{FaultSpec, HierarchySpec, VddSpec};
 
     fn set(flags: &[(&str, &str)]) -> Assignments {
@@ -484,20 +485,6 @@ mod tests {
             1 => hi,
             2 | 3 => x,
             _ => f64::from_bits(bits),
-        })
-    }
-
-    fn any_policy() -> impl Strategy<Value = PolicyKind> {
-        (0u8..9, any::<u64>(), float_in(-0.0, 0.05)).prop_map(|(tag, n, slack)| match tag {
-            0 => PolicyKind::StaticPullUp,
-            1 => PolicyKind::Oracle,
-            2 => PolicyKind::OnDemand,
-            3 => PolicyKind::Gated { threshold: n },
-            4 => PolicyKind::GatedPredecode { threshold: n },
-            5 => PolicyKind::AdaptiveGated { interval_accesses: n },
-            6 => PolicyKind::Drowsy { threshold: n },
-            7 => PolicyKind::Resizable { interval_accesses: n, slack },
-            _ => PolicyKind::LocalityRecorder,
         })
     }
 
