@@ -471,7 +471,10 @@ mod tests {
             let moved: Vec<&str> =
                 text.split(' ').filter(|pair| !base_text.split(' ').any(|b| b == *pair)).collect();
             let own = format!("{key}=");
-            assert!(!moved.is_empty() && moved.iter().all(|p| p.starts_with(&own)), "{moved:?}");
+            assert!(
+                !moved.is_empty() && moved.iter().all(|p| p.starts_with(&own)),
+                "{key}: {moved:?}"
+            );
             let back = parse_text(&text);
             assert_eq!(format!("{back:?}"), format!("{:?}", Some(spec)), "{key}");
         }
