@@ -107,9 +107,7 @@ mod tests {
 
     #[test]
     fn write_metrics_emits_schema_valid_jsonl_with_the_declared_taxonomy() {
-        // A directory that does not exist yet: the export creates it.
-        let dir = std::env::temp_dir().join(format!("bitline-metrics-{}", std::process::id()));
-        let path = dir.join("run").join("metrics.jsonl");
+        let path = std::env::temp_dir().join("bitline-metrics-module-test.jsonl");
         write_metrics(&path).expect("export succeeds");
         let text = std::fs::read_to_string(&path).expect("file exists");
         let report = bitline_obs::validate_jsonl(&text).expect("schema-valid");
@@ -118,6 +116,19 @@ mod tests {
             let needle = format!("\"name\":\"{name}\"");
             assert!(text.contains(&needle), "declared metric {name} missing from export");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn write_metrics_writes_a_valid_file_atomically() {
+        // A directory that does not exist yet: the export creates it.
+        let dir = std::env::temp_dir().join(format!("bitline-metrics-{}", std::process::id()));
+        let path = dir.join("run").join("metrics.jsonl");
+        bitline_obs::counter!("sim.test.export").incr();
+        write_metrics(&path).expect("export succeeds");
+        let text = std::fs::read_to_string(&path).expect("file exists");
+        bitline_obs::validate_jsonl(&text).expect("schema-valid");
+        assert!(text.contains("sim.test.export"));
         let files = std::fs::read_dir(path.parent().unwrap()).unwrap().count();
         assert_eq!(files, 1, "no temp residue next to the exported file");
         std::fs::remove_dir_all(&dir).ok();
