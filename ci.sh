@@ -71,6 +71,14 @@
 #                    mesa must save D and I energy under every leakage
 #                    mode, drowsy and gated-vdd cells no less than
 #                    full-vdd ones
+#   ./ci.sh traces   trace memory gate (also part of the full gate): at
+#                    the golden budget with --jobs 1, voltage and
+#                    headline must never retain more than one 4 096-
+#                    instruction trace segment at once (32 KiB at the
+#                    8 B/instr bound the trace store's tests pin), read
+#                    from the exec.traces.retained_peak_bytes gauge of a
+#                    --metrics export: each unit of work frees its
+#                    benchmark's stream when it returns
 #   ./ci.sh voltage  supply gate: the voltage table (node x Vdd step x
 #                    static/governor) must be byte-identical to the
 #                    blessed golden and across jobs=1 vs jobs=N; an
@@ -622,7 +630,7 @@ chaos() {
     local ref="$CHAOS_TMP/ref.out" armed="$CHAOS_TMP/armed.out"
     "$sim" -b all -i "$instrs" -j 2 --checkpoint "$CHAOS_TMP/ref-ckpt" \
         >"$ref" 2>/dev/null
-    BITLINE_FAILPOINTS='journal.append.write=shortwrite(5)@0;journal.append.fsync=err(EIO)@0;checkpoint.record=err(ENOSPC)@0;journal.atomic_write=err(ENOSPC)@0;pool.worker=delay(1ms)@0;traces.materialise=delay(1ms)@0' \
+    BITLINE_FAILPOINTS='journal.append.write=shortwrite(5)@0;journal.append.fsync=err(EIO)@0;checkpoint.record=err(ENOSPC)@0;journal.atomic_write=err(ENOSPC)@0;pool.worker=delay(1ms)@0;traces.materialise=delay(1ms)@0;sim.run=panic@0' \
         "$sim" -b all -i "$instrs" -j 2 --checkpoint "$CHAOS_TMP/armed-ckpt" \
         >"$armed" 2>/dev/null
     if ! diff -u "$ref" "$armed"; then
@@ -885,6 +893,39 @@ voltage() {
         "and governor escalation all verified"
 }
 
+# A harness unit of work owns the streams its runs read and frees them when
+# it returns, so at --jobs 1 the trace memory retained at any one time is
+# one benchmark's stream: at the golden budget, one 4 096-instruction
+# segment, at most 32 KiB at 8 B/instr.
+trace_memory() {
+    local sim=./target/release/bitline-sim dir experiment peak
+    dir=$(mktemp -d)
+    for experiment in voltage headline; do
+        echo "==> traces: $experiment retains at most one segment at a time at --jobs 1"
+        if ! BITLINE_SUITE=mesa,bisort BITLINE_INSTRS=2000 "$sim" --jobs 1 \
+            --metrics "$dir/$experiment.jsonl" "$experiment" >/dev/null 2>"$dir/$experiment.err"; then
+            echo "==> traces: FAIL — $experiment exited non-zero" >&2
+            cat "$dir/$experiment.err" >&2
+            exit 1
+        fi
+        peak=$(metric_value "$dir/$experiment.jsonl" exec.traces.retained_peak_bytes)
+        if [[ "$peak" -eq 0 || "$peak" -gt 32768 ]]; then
+            echo "==> traces: FAIL — $experiment retained $peak B of trace at once" \
+                "(want 1 to 32768: one segment)" >&2
+            cat "$dir/$experiment.err" >&2
+            exit 1
+        fi
+        echo "==> traces: $experiment OK — at most $peak B retained at once"
+    done
+    rm -rf "$dir"
+}
+
+if [[ "${1:-}" == "traces" ]]; then
+    cargo build --release
+    trace_memory
+    exit 0
+fi
+
 if [[ "${1:-}" == "hierarchy" ]]; then
     hierarchy
     exit 0
@@ -897,6 +938,8 @@ fi
 
 echo "==> cargo build --release"
 cargo build --release
+
+trace_memory
 
 echo "==> cargo test -q"
 cargo test -q

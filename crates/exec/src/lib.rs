@@ -19,7 +19,8 @@
 //! * [`TraceStore`] — a shared, lazily-materialised store of synthetic
 //!   workload traces keyed by `(benchmark, seed)`; concurrent runs replay
 //!   the same generated prefix through cheap [`TraceCursor`]s instead of
-//!   regenerating it.
+//!   regenerating it. `bitline-sim` gives each unit of work a store of
+//!   its own, so a unit's streams are freed when it returns.
 //!
 //! Two supervision primitives ride on top: a [`CancelToken`] gives a unit
 //! of work a pollable wall-clock budget (the pool arms none; the unit's
@@ -59,4 +60,4 @@ mod traces;
 pub use journal::{atomic_write, Journal, JournalEntry, LoadReport};
 pub use memo::{CacheStats, MemoCache};
 pub use supervise::CancelToken;
-pub use traces::{TraceCursor, TraceStore, TraceStoreStats};
+pub use traces::{retained_trace_bytes, TraceCursor, TraceStore, TraceStoreStats};

@@ -22,7 +22,12 @@
 //!
 //! * **retained** ([`TraceStore::cursor`]): every segment stays for the
 //!   life of the store, so any number of cursors, opened at any time, can
-//!   replay it from the start. Sweeps read each stream many times.
+//!   replay it from the start. Sweeps read each stream many times. A
+//!   store lives as long as its owner keeps it: a process-wide one for
+//!   the life of the process, or one per unit of work, dropped with its
+//!   streams when the unit returns. The `exec.traces.retained_peak_bytes`
+//!   gauge records the most bytes retained streams held at once, over
+//!   every store ([`retained_trace_bytes`] is the amount held now).
 //! * **windowed** ([`TraceStore::window`]): a fixed set of cursors, all
 //!   opened together, reads the stream front to back, and a segment is
 //!   dropped once every cursor has moved past it. Cursors that advance in
@@ -40,6 +45,18 @@ use bitline_workloads::{suite, SyntheticWorkload};
 /// Instructions per columnar segment: one generator+encode batch, and the
 /// sharing granule between cursors.
 const SEG_LEN: usize = 4096;
+
+/// Heap bytes the retained streams of every store hold right now.
+static RETAINED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Columnar bytes that retained streams hold right now, summed over every
+/// [`TraceStore`] in the process. A stream's bytes count from when each
+/// segment is materialised until the stream is dropped with its store and
+/// its last cursor.
+#[must_use]
+pub fn retained_trace_bytes() -> u64 {
+    RETAINED_BYTES.load(Ordering::Relaxed)
+}
 
 /// Generator plus encoder state; the encoder's cross-segment stream
 /// state (implied pc, previous address) must advance in lockstep with the
@@ -185,12 +202,18 @@ impl SharedTrace {
                 }
                 let seg = Arc::new(producer.builder.finish_segment());
                 bitline_obs::counter!("exec.traces.materialised").add(SEG_LEN as u64);
+                let bytes = seg.heap_bytes() as u64;
                 // Readers only ever stall for this one push.
                 let mut segments = self.write();
-                segments.bytes += seg.heap_bytes() as u64;
+                segments.bytes += bytes;
                 segments.held.push_back(seg);
-                if let Some(tally) = &self.window {
-                    tally.record(&segments);
+                match &self.window {
+                    Some(tally) => tally.record(&segments),
+                    None => {
+                        let held = RETAINED_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                        bitline_obs::gauge!("exec.traces.retained_peak_bytes")
+                            .set_max(i64::try_from(held).unwrap_or(i64::MAX));
+                    }
                 }
             }
         }
@@ -205,6 +228,16 @@ impl SharedTrace {
     fn len(&self) -> u64 {
         let segments = self.read();
         segments.held.iter().map(|s| s.len() as u64).sum()
+    }
+}
+
+impl Drop for SharedTrace {
+    fn drop(&mut self) {
+        if self.window.is_none() {
+            let segments =
+                self.segments.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+            RETAINED_BYTES.fetch_sub(segments.bytes, Ordering::Relaxed);
+        }
     }
 }
 
@@ -228,29 +261,8 @@ pub struct TraceStoreStats {
     pub window_peak_bytes: u64,
 }
 
-impl std::fmt::Display for TraceStoreStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} shared traces, {} instrs materialised ({} KiB columnar)",
-            self.traces,
-            self.instructions,
-            self.bytes / 1024
-        )?;
-        if self.windows > 0 {
-            write!(
-                f,
-                "; {} windowed, at most {} segments ({} KiB) in one window",
-                self.windows,
-                self.window_peak_segments,
-                self.window_peak_bytes / 1024
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// A process-wide store of shared synthetic traces.
+/// A store of shared synthetic traces: one per process, or one per unit
+/// of work.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     traces: Mutex<HashMap<(String, u64), Arc<SharedTrace>>>,

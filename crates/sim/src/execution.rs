@@ -9,10 +9,13 @@
 //!   process. Each run is held as its journal frame
 //!   ([`checkpoint::encode_run`]), a fraction of the decoded run's heap,
 //!   and every lookup decodes it;
-//! * the **trace store** — each `(benchmark, seed)` synthetic instruction
-//!   stream, generated once and replayed into concurrent runs, plus the
-//!   windowed streams a lockstep set of runs reads once and drops behind
-//!   it;
+//! * the **trace stores** — each `(benchmark, seed)` synthetic instruction
+//!   stream, generated once and replayed into every run that reads it. A
+//!   harness unit of work gets a store of its own ([`with_unit_traces`]),
+//!   freed with its streams when the unit returns; runs outside any unit
+//!   (the daemon's requests, the ablations, tests) read the process
+//!   store, which also holds the windowed streams a lockstep set of runs
+//!   reads once and drops behind it;
 //! * the **accountant cache** — the `(d, i)` [`EnergyAccountant`] pair per
 //!   `(node, subarray bytes)`, so re-pricing a run at another node does
 //!   not rebuild cache geometry and energy models. Entries are `Arc`s:
@@ -23,8 +26,10 @@
 //! deterministic), so cache hits are indistinguishable from recomputation
 //! and figure output stays byte-identical whatever the hit pattern.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::path::Path;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bitline_cache::CacheConfig;
@@ -70,9 +75,33 @@ fn unframe(frame: &[u8]) -> RunResult {
     checkpoint::decode_run(frame).expect("a frame the codec wrote or checked decodes")
 }
 
+/// The process trace store: streams read outside any unit of work, kept
+/// for the life of the process, and every windowed stream.
 fn trace_store() -> &'static TraceStore {
     static STORE: OnceLock<TraceStore> = OnceLock::new();
     STORE.get_or_init(TraceStore::new)
+}
+
+thread_local! {
+    /// The running unit's trace store. A unit stays on one thread for its
+    /// whole life, so the thread-local is exactly the unit's scope.
+    static UNIT_TRACES: RefCell<Option<Rc<TraceStore>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` as one unit of work with a fresh trace store of its own: every
+/// retained stream a run in `f` reads is generated at most once and freed
+/// when `f` returns, panic or not. The previous store, if any, is
+/// restored afterwards.
+pub(crate) fn with_unit_traces<R>(f: impl FnOnce() -> R) -> R {
+    let prev = UNIT_TRACES.with(|u| u.replace(Some(Rc::new(TraceStore::new()))));
+    struct Restore(Option<Rc<TraceStore>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            UNIT_TRACES.with(|u| *u.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(prev);
+    f()
 }
 
 /// The `(data, inst)` accountant pair of one node and subarray size.
@@ -83,10 +112,14 @@ fn accountant_cache() -> &'static MemoCache<(TechnologyNode, usize), AccountantP
     CACHE.get_or_init(|| MemoCache::named("sim.accountants"))
 }
 
-/// A replay cursor into the shared trace of `benchmark` at `seed`, or
-/// `None` when the benchmark is not in the suite.
+/// A replay cursor into the retained trace of `benchmark` at `seed`, from
+/// the running unit's store or, outside a unit, the process store; `None`
+/// when the benchmark is not in the suite.
 pub(crate) fn trace_cursor(benchmark: &str, seed: u64) -> Option<TraceCursor> {
-    trace_store().cursor(benchmark, seed)
+    match UNIT_TRACES.with(|u| u.borrow().clone()) {
+        Some(unit) => unit.cursor(benchmark, seed),
+        None => trace_store().cursor(benchmark, seed),
+    }
 }
 
 /// `readers` cursors over a fresh windowed stream of `benchmark` at
@@ -293,6 +326,9 @@ pub fn try_run_benchmark_cached(name: &str, spec: &SystemSpec) -> Result<RunResu
     let frame = run_cache().get_or_try_insert_with(run_key(name, spec), || {
         let key = checkpoint::spec_key(name, spec);
         let _span = bitline_obs::span("sim/run").field("benchmark", name).field("spec_key", &key);
+        // Run seam, tagged with the spec key: a fault here fails exactly
+        // one run of one benchmark.
+        bitline_failpoint::failpoint!("sim.run", &key);
         let frame = frame(&try_run_benchmark(name, spec)?);
         journal_record(&key, &frame);
         Ok(frame)
@@ -326,14 +362,19 @@ pub fn try_run_lockstep_cached(
     let frames = run_cache().get_or_try_insert_all(&keys, |missing| {
         let spec_of = |key| specs[keys.iter().position(|k| k == key).expect("one of the keys")];
         let specs: Vec<SystemSpec> = missing.iter().map(|key| spec_of(*key)).collect();
+        let spec_keys: Vec<String> = specs.iter().map(|s| checkpoint::spec_key(name, s)).collect();
         let _span =
             bitline_obs::span("sim/lockstep").field("benchmark", name).field("runs", specs.len());
+        for key in &spec_keys {
+            bitline_failpoint::failpoint!("sim.run", key);
+        }
         let runs = try_run_lockstep_supervised(name, &specs, &supervise::ambient_token())?;
         Ok(runs
             .iter()
-            .map(|run| {
+            .zip(&spec_keys)
+            .map(|(run, key)| {
                 let frame = frame(run);
-                journal_record(&checkpoint::spec_key(name, &run.spec), &frame);
+                journal_record(key, &frame);
                 frame
             })
             .collect())
@@ -347,7 +388,8 @@ pub fn run_cache_stats() -> CacheStats {
     run_cache().stats()
 }
 
-/// Size of the process-wide shared trace store.
+/// Size of the process trace store. Units' stores are not counted: they
+/// are gone by the time anyone asks.
 #[must_use]
 pub fn trace_store_stats() -> TraceStoreStats {
     trace_store().stats()
@@ -355,14 +397,29 @@ pub fn trace_store_stats() -> TraceStoreStats {
 
 /// One-line execution summary for driver output (written to stderr by
 /// `bitline-sim` so stdout rows stay byte-identical across job counts).
+/// Its trace part counts the streams of every store, units' included:
+/// how many were generated, their instructions, and the most bytes
+/// retained streams held at once.
 #[must_use]
 pub fn exec_summary_line() -> String {
     let mut line = format!(
-        "jobs={}; run-cache: {}; {}",
+        "jobs={}; run-cache: {}; {} shared traces, {} instrs materialised, at most {} KiB \
+         retained at once",
         bitline_exec::pool::jobs(),
         run_cache_stats(),
-        trace_store_stats()
+        bitline_obs::counter!("exec.traces.streams").get(),
+        bitline_obs::counter!("exec.traces.materialised").get(),
+        bitline_obs::gauge!("exec.traces.retained_peak_bytes").get() / 1024,
     );
+    let traces = trace_store_stats();
+    if traces.windows > 0 {
+        line.push_str(&format!(
+            "; {} windowed, at most {} segments ({} KiB) in one window",
+            traces.windows,
+            traces.window_peak_segments,
+            traces.window_peak_bytes / 1024
+        ));
+    }
     if let Some(cp) = checkpoint_stats() {
         line.push_str(&format!(
             "; journal: {} replayed, {} appended, {} recomputed, {} quarantined",
@@ -372,9 +429,9 @@ pub fn exec_summary_line() -> String {
     line
 }
 
-/// Empties the run cache and trace store (cold-vs-warm comparisons in
-/// tests and the CI smoke target). The accountant cache is kept — it holds
-/// no run state.
+/// Empties the run cache and the process trace store (cold-vs-warm
+/// comparisons in tests and the CI smoke target). The accountant cache is
+/// kept — it holds no run state.
 pub fn clear_run_caches() {
     run_cache().clear();
     trace_store().clear();
@@ -619,6 +676,27 @@ mod tests {
                 "{spec:?} entered the run cache"
             );
         }
+    }
+
+    #[test]
+    fn a_unit_reads_a_store_of_its_own_and_drops_it_on_return() {
+        use bitline_trace::TraceSource;
+
+        let current = || UNIT_TRACES.with(|u| u.borrow().clone());
+        let (outer, inner) = with_unit_traces(|| {
+            let outer = current().expect("a unit store is installed");
+            let mut cursor = trace_cursor("mesa", 27_500).expect("mesa is in the suite");
+            let _ = cursor.next_instr();
+            assert_eq!(outer.stats().traces, 1, "the unit's cursor reads the unit's store");
+            let inner = with_unit_traces(|| Rc::downgrade(&current().expect("a nested store")));
+            assert!(Rc::ptr_eq(&current().expect("restored"), &outer), "the outer store is back");
+            (Rc::downgrade(&outer), inner)
+        });
+        assert!(
+            outer.upgrade().is_none() && inner.upgrade().is_none(),
+            "a store outlived its unit"
+        );
+        assert!(current().is_none(), "outside a unit, runs read the process store");
     }
 
     #[test]

@@ -30,55 +30,56 @@ pub struct Fig10Row {
 /// Reproduces Figure 10 at 70 nm: the relative number of precharged
 /// subarrays under gated precharging for 4 KB / 1 KB / 256 B / 64 B
 /// subarrays, averaged over the suite (per-benchmark thresholds chosen
-/// within the 1% budget).
+/// within the 1% budget). Each benchmark is one unit over every size, so
+/// every size averages the same benchmarks.
 ///
 /// # Errors
 ///
-/// The first skipped run's [`SimError`] when *every* benchmark of a
-/// subarray size failed; partial suites degrade to averages over fewer
-/// benchmarks with a stderr warning.
+/// The first skipped run's [`SimError`] when *every* benchmark failed;
+/// partial suites degrade to averages over fewer benchmarks with a stderr
+/// warning.
 pub fn run(instrs: u64) -> Result<Vec<Fig10Row>, SimError> {
     let _span = bitline_obs::span("fig10/run").field("instrs", instrs);
     let node = TechnologyNode::N70;
-    SIZES
+    let sizes = harness::map_suite_grid("fig10", &SIZES, |name, &subarray_bytes| {
+        let spec = SystemSpec { subarray_bytes, instructions: instrs, ..SystemSpec::default() };
+        let baseline = try_run_benchmark_cached(name, &spec)?;
+        // Gate both caches with a shared threshold and pick the
+        // best-energy point within the slowdown budget.
+        let candidates = THRESHOLDS
+            .iter()
+            .map(|&threshold| {
+                let run = try_run_benchmark_cached(
+                    name,
+                    &SystemSpec {
+                        d_policy: PolicyKind::GatedPredecode { threshold },
+                        i_policy: PolicyKind::Gated { threshold },
+                        ..spec
+                    },
+                )?;
+                let (policy, base) = run.energy(node);
+                let discharge =
+                    policy.d.relative_discharge(&base.d) + policy.i.relative_discharge(&base.i);
+                let d_frac = run.l1d().report.precharged_fraction();
+                let i_frac = run.l1i().report.precharged_fraction();
+                Ok((run.slowdown_vs(&baseline), discharge, d_frac, i_frac))
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let (_, _, d_frac, i_frac) = pick(candidates, |c| c.0, |c| c.1);
+        Ok((d_frac, i_frac))
+    })?;
+    Ok(SIZES
         .into_iter()
-        .map(|subarray_bytes| {
-            let fracs = harness::map_suite("fig10", |name| {
-                let spec =
-                    SystemSpec { subarray_bytes, instructions: instrs, ..SystemSpec::default() };
-                let baseline = try_run_benchmark_cached(name, &spec)?;
-                // Gate both caches with a shared threshold and pick the
-                // best-energy point within the slowdown budget.
-                let candidates = THRESHOLDS
-                    .iter()
-                    .map(|&threshold| {
-                        let run = try_run_benchmark_cached(
-                            name,
-                            &SystemSpec {
-                                d_policy: PolicyKind::GatedPredecode { threshold },
-                                i_policy: PolicyKind::Gated { threshold },
-                                ..spec
-                            },
-                        )?;
-                        let (policy, base) = run.energy(node);
-                        let discharge = policy.d.relative_discharge(&base.d)
-                            + policy.i.relative_discharge(&base.i);
-                        let d_frac = run.l1d().report.precharged_fraction();
-                        let i_frac = run.l1i().report.precharged_fraction();
-                        Ok((run.slowdown_vs(&baseline), discharge, d_frac, i_frac))
-                    })
-                    .collect::<Result<Vec<_>, SimError>>()?;
-                let (_, _, d_frac, i_frac) = pick(candidates, |c| c.0, |c| c.1);
-                Ok((d_frac, i_frac))
-            })?;
+        .zip(sizes)
+        .map(|(subarray_bytes, fracs)| {
             let n = fracs.len() as f64;
-            Ok(Fig10Row {
+            Fig10Row {
                 subarray_bytes,
                 d_precharged: fracs.iter().map(|(d, _)| d).sum::<f64>() / n,
                 i_precharged: fracs.iter().map(|(_, i)| i).sum::<f64>() / n,
-            })
+            }
         })
-        .collect()
+        .collect())
 }
 
 /// Renders the figure: `subarray_bytes  d_precharged  i_precharged` per

@@ -17,7 +17,15 @@
 //! [`isolated`] under the process-wide run budget, print the skipped
 //! units and the suite tail, and hand back the completed rows in suite
 //! order whatever the job count — or the first error when no unit
-//! completed. A process-wide panic hook
+//! completed.
+//!
+//! A unit is one benchmark, and it owns the traces its runs read: each
+//! unit gets a trace store of its own, freed when it returns, so trace
+//! memory is one stream per worker, not one per benchmark. A driver that
+//! sweeps several configurations therefore maps the suite once, with
+//! [`map_suite_grid`]: each unit runs every configuration of its
+//! benchmark over one stream, and a benchmark that fails in one
+//! configuration is dropped from every row. A process-wide panic hook
 //! records the panic *location and thread* so a failure on
 //! `exec-worker-3` is still attributable in the skip summary.
 
@@ -30,7 +38,7 @@ use bitline_exec::backoff::retry_backoff;
 use bitline_exec::CancelToken;
 
 use crate::error::SimError;
-use crate::supervise;
+use crate::{execution, supervise};
 
 /// A run the harness gave up on.
 #[derive(Debug, Clone)]
@@ -332,15 +340,43 @@ pub fn map_suite<T: Send>(
     map_names(what, &suite_names(), f)
 }
 
+/// Maps a grid of configurations over the benchmark suite: one isolated
+/// unit per benchmark (see [`map_names`]) evaluates `f` on every cell of
+/// `grid`, in grid order, so the benchmark's stream is generated once for
+/// all of them. Returns, per cell, the values of the benchmarks that
+/// completed, in suite order — what a [`map_suite`] per cell would give,
+/// except that a benchmark failing in any cell is missing from every cell.
+///
+/// # Errors
+///
+/// As [`map_names`].
+pub fn map_suite_grid<C: Sync, T: Send>(
+    what: &str,
+    grid: &[C],
+    f: impl Fn(&str, &C) -> Result<T, SimError> + Sync,
+) -> Result<Vec<Vec<T>>, SimError> {
+    let units = map_suite(what, |name| {
+        grid.iter().map(|cell| f(name, cell)).collect::<Result<Vec<_>, _>>()
+    })?;
+    let mut cells: Vec<Vec<T>> = grid.iter().map(|_| Vec::with_capacity(units.len())).collect();
+    for unit in units {
+        for (cell, value) in cells.iter_mut().zip(unit) {
+            cell.push(value);
+        }
+    }
+    Ok(cells)
+}
+
 /// Maps `f` over `names`, each name one unit of work run through
 /// [`isolated`], and returns the completed rows in `names` order.
 ///
 /// Units run on the `bitline-exec` pool — `--jobs` workers, default
 /// available parallelism — but rows always come back in `names` order, so
 /// driver output is independent of the job count. Each unit runs under
-/// the process-wide run budget ([`supervise::run_budget`]). A failed unit
-/// is skipped: the skips and the suite tail go to stderr, prefixed with
-/// `what`.
+/// the process-wide run budget ([`supervise::run_budget`]) with a trace
+/// store of its own, dropped with its streams when the unit returns. A
+/// failed unit is skipped: the skips and the suite tail go to stderr,
+/// prefixed with `what`.
 ///
 /// # Errors
 ///
@@ -353,7 +389,7 @@ pub fn map_names<T: Send>(
     let started = Instant::now();
     let budget = supervise::run_budget();
     let results = bitline_exec::pool::run_indexed(names.len(), |i| {
-        isolated_tracked(names[i], budget, || f(names[i]))
+        execution::with_unit_traces(|| isolated_tracked(names[i], budget, || f(names[i])))
     });
     bitline_obs::histo!("sim.harness.suite_wall_us").record_duration(started.elapsed());
     let mut outcome = SuiteOutcome {
@@ -671,6 +707,32 @@ mod tests {
             Ok(name.to_owned())
         });
         assert_eq!(rows, Ok(vec!["a".to_owned(), "c".to_owned()]));
+    }
+
+    #[test]
+    fn a_grid_drops_a_benchmark_that_fails_any_cell_from_every_cell() {
+        let cells = [1, 2, 3];
+        let want: Vec<Vec<String>> = cells
+            .iter()
+            .map(|cell| {
+                suite_names()
+                    .iter()
+                    .filter(|&&n| n != "mesa")
+                    .map(|n| format!("{n}{cell}"))
+                    .collect()
+            })
+            .collect();
+        for jobs in [1, 2] {
+            let by_cell = bitline_exec::pool::with_jobs(jobs, || {
+                map_suite_grid("probe", &cells, |name, &cell| {
+                    if name == "mesa" && cell == 2 {
+                        return Err(SimError::InvalidSpec("mesa fails cell 2".into()));
+                    }
+                    Ok(format!("{name}{cell}"))
+                })
+            });
+            assert_eq!(by_cell.as_ref(), Ok(&want), "-j {jobs}");
+        }
     }
 
     #[test]

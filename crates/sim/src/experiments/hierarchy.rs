@@ -57,7 +57,9 @@ pub struct HierarchyRow {
     pub vs_full_vdd: f64,
 }
 
-/// Per-(node, mode) suite totals for one level count.
+/// Totals for one (node, mode) cell of one level count: one benchmark's
+/// run, or the suite's.
+#[derive(Clone, Copy)]
 struct CellTotals {
     l1_j: f64,
     l2_j: f64,
@@ -66,32 +68,54 @@ struct CellTotals {
     l2_misses: u64,
 }
 
-fn cell_totals(runs: &[RunResult], node: TechnologyNode, mode: LeakageKind) -> CellTotals {
+/// One run priced at every cell, by node then mode, in
+/// [`TechnologyNode::ALL`] and [`LeakageKind::ALL`] order.
+type Priced = [[CellTotals; LeakageKind::ALL.len()]; TechnologyNode::ALL.len()];
+
+/// What the rows read of one run: its L2 traffic, and its energy per level
+/// priced at every (node, mode) cell.
+fn price(run: &RunResult) -> Priced {
+    let (l2_hits, l2_misses) = run.level(Level::L2).map_or((0, 0), |l2| (l2.hits, l2.misses));
+    TechnologyNode::ALL.map(|node| {
+        LeakageKind::ALL.map(|mode| {
+            let priced = |level| run.level_energy(level, node, mode).map_or(0.0, |b| b.total_j());
+            CellTotals {
+                l1_j: priced(Level::L1D) + priced(Level::L1I),
+                l2_j: priced(Level::L2),
+                l3_j: priced(Level::L3),
+                l2_hits,
+                l2_misses,
+            }
+        })
+    })
+}
+
+/// Suite totals of the cell at node index `n` and mode index `m`, the
+/// benchmarks' runs summed in suite order.
+fn cell_totals(runs: &[Priced], n: usize, m: usize) -> CellTotals {
     let mut t = CellTotals { l1_j: 0.0, l2_j: 0.0, l3_j: 0.0, l2_hits: 0, l2_misses: 0 };
     for run in runs {
-        let priced = |level| run.level_energy(level, node, mode).map_or(0.0, |b| b.total_j());
-        t.l1_j += priced(Level::L1D) + priced(Level::L1I);
-        t.l2_j += priced(Level::L2);
-        t.l3_j += priced(Level::L3);
-        if let Some(l2) = run.level(Level::L2) {
-            t.l2_hits += l2.hits;
-            t.l2_misses += l2.misses;
-        }
+        let c = &run[n][m];
+        t.l1_j += c.l1_j;
+        t.l2_j += c.l2_j;
+        t.l3_j += c.l3_j;
+        t.l2_hits += c.l2_hits;
+        t.l2_misses += c.l2_misses;
     }
     t
 }
 
 /// Builds the hierarchy table: one row per (levels, node, mode) over the
 /// whole suite, full-Vdd first within each (levels, node) group so the
-/// relative column reads off directly.
+/// relative column reads off directly. Each benchmark is one unit that
+/// runs both level counts, so both count the same benchmarks.
 ///
 /// # Errors
 ///
 /// The first skipped run's [`SimError`] when every benchmark failed.
 pub fn run(instrs: u64) -> Result<Vec<HierarchyRow>, SimError> {
     let _span = bitline_obs::span("hierarchy/run").field("instrs", instrs);
-    let mut rows = Vec::new();
-    for levels in LEVELS {
+    let suite = harness::map_suite_grid("hierarchy", &LEVELS, |name, &levels| {
         let spec = SystemSpec {
             d_policy: PolicyKind::Gated { threshold: THRESHOLD },
             i_policy: PolicyKind::Gated { threshold: THRESHOLD },
@@ -104,12 +128,16 @@ pub fn run(instrs: u64) -> Result<Vec<HierarchyRow>, SimError> {
             },
             ..SystemSpec::default()
         };
-        let runs = harness::map_suite("hierarchy", |name| try_run_benchmark_cached(name, &spec))?;
-        for node in TechnologyNode::ALL {
-            let full = cell_totals(&runs, node, LeakageKind::FullVdd);
+        Ok(price(&try_run_benchmark_cached(name, &spec)?))
+    })?;
+    let mut rows = Vec::new();
+    for (levels, runs) in LEVELS.into_iter().zip(&suite) {
+        for (n, node) in TechnologyNode::ALL.into_iter().enumerate() {
+            // Full-Vdd is the first mode.
+            let full = cell_totals(runs, n, 0);
             let full_total = full.l1_j + full.l2_j + full.l3_j;
-            for mode in LeakageKind::ALL {
-                let t = cell_totals(&runs, node, mode);
+            for (m, mode) in LeakageKind::ALL.into_iter().enumerate() {
+                let t = cell_totals(runs, n, m);
                 let total_j = t.l1_j + t.l2_j + t.l3_j;
                 rows.push(HierarchyRow {
                     node,

@@ -96,7 +96,7 @@ pub struct ReliabilityRow {
     pub fail_safe_subarrays: u64,
 }
 
-/// Suite-total error counts and energy for one cell.
+/// Error counts and energy for one cell: one benchmark's, or the suite's.
 struct CellTotals {
     corrected: u64,
     due: u64,
@@ -129,51 +129,61 @@ fn cell_faults(base: &FaultSpec, protection: Protection, rate: f64) -> FaultSpec
     }
 }
 
-fn cell_totals(
-    instrs: u64,
-    d_policy: PolicyKind,
-    faults: FaultSpec,
+/// One table cell: the node its energy is priced at, the D-cache policy
+/// and its label, and the fault spec.
+#[derive(Clone, Copy)]
+struct Cell {
     node: TechnologyNode,
-) -> Result<CellTotals, SimError> {
+    policy: &'static str,
+    d_policy: PolicyKind,
+    protection: Protection,
+    faults: FaultSpec,
+}
+
+/// One benchmark's totals in `cell`: its faulty run, and the same policy
+/// running fault-free for the energy reference.
+fn benchmark_totals(name: &str, instrs: u64, cell: &Cell) -> Result<CellTotals, SimError> {
     let spec = SystemSpec {
-        d_policy,
+        d_policy: cell.d_policy,
         i_policy: PolicyKind::Gated { threshold: 100 },
         instructions: instrs,
-        faults,
+        faults: cell.faults,
         ..SystemSpec::default()
     };
     let clean_spec = SystemSpec { faults: FaultSpec { rate: 0.0, ..spec.faults }, ..spec };
-    let cells = harness::map_suite("reliability", |name| {
-        let run = try_run_benchmark_cached(name, &spec)?;
-        let clean = try_run_benchmark_cached(name, &clean_spec)?;
-        let (energy, _) = run.energy(node);
-        let (clean_energy, _) = clean.energy(node);
-        let mut t = CellTotals {
-            corrected: 0,
-            due: 0,
-            sdc: 0,
-            fail_safe: 0,
-            instructions: run.stats.committed,
-            energy_j: energy.d.total_j() + energy.i.total_j(),
-            clean_energy_j: clean_energy.d.total_j() + clean_energy.i.total_j(),
-        };
-        for level in &run.levels {
-            if let Some(rel) = &level.reliability {
-                t.corrected += rel.corrected();
-                t.due += rel.due();
-                t.sdc += rel.sdc();
-                t.fail_safe += rel.fail_safe_subarrays() as u64;
-            } else if let Some(fr) = &level.faults {
-                // Bare detector: detected upsets are replay-recovered,
-                // undetected ones are silent corruption outright.
-                t.corrected += fr.detected();
-                t.sdc += fr.silent();
-                t.fail_safe += fr.degraded_subarrays() as u64;
-            }
+    let run = try_run_benchmark_cached(name, &spec)?;
+    let clean = try_run_benchmark_cached(name, &clean_spec)?;
+    let (energy, _) = run.energy(cell.node);
+    let (clean_energy, _) = clean.energy(cell.node);
+    let mut t = CellTotals {
+        corrected: 0,
+        due: 0,
+        sdc: 0,
+        fail_safe: 0,
+        instructions: run.stats.committed,
+        energy_j: energy.d.total_j() + energy.i.total_j(),
+        clean_energy_j: clean_energy.d.total_j() + clean_energy.i.total_j(),
+    };
+    for level in &run.levels {
+        if let Some(rel) = &level.reliability {
+            t.corrected += rel.corrected();
+            t.due += rel.due();
+            t.sdc += rel.sdc();
+            t.fail_safe += rel.fail_safe_subarrays() as u64;
+        } else if let Some(fr) = &level.faults {
+            // Bare detector: detected upsets are replay-recovered,
+            // undetected ones are silent corruption outright.
+            t.corrected += fr.detected();
+            t.sdc += fr.silent();
+            t.fail_safe += fr.degraded_subarrays() as u64;
         }
-        Ok(t)
-    })?;
-    Ok(cells.into_iter().fold(
+    }
+    Ok(t)
+}
+
+/// Suite totals of one cell, its benchmarks summed in suite order.
+fn suite_totals(cells: Vec<CellTotals>) -> CellTotals {
+    cells.into_iter().fold(
         CellTotals {
             corrected: 0,
             due: 0,
@@ -193,11 +203,12 @@ fn cell_totals(
             acc.clean_energy_j += t.clean_energy_j;
             acc
         },
-    ))
+    )
 }
 
 /// Builds the reliability table: one row per (node, D-policy, protection)
-/// over the whole suite, 180 nm to 70 nm.
+/// over the whole suite, 180 nm to 70 nm. Each benchmark is one unit that
+/// runs every cell, so every row counts the same benchmarks.
 ///
 /// `base` carries the caller's `--fault-rate` (the 70 nm upset rate;
 /// [`DEFAULT_UPSET_RATE`] when zero), `--fault-seed` and
@@ -217,28 +228,37 @@ pub fn run(instrs: u64, base: &FaultSpec) -> Result<Vec<ReliabilityRow>, SimErro
         )));
     }
     let base_rate = if base.rate > 0.0 { base.rate } else { DEFAULT_UPSET_RATE };
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     for node in TechnologyNode::ALL {
         let rate = node_upset_rate(base_rate, node);
-        for (policy_label, d_policy) in POLICIES {
+        for (policy, d_policy) in POLICIES {
             for protection in Protection::ALL {
                 let faults = cell_faults(base, protection, rate);
-                let t = cell_totals(instrs, d_policy, faults, node)?;
-                let per_mi = |count: u64| count as f64 * 1.0e6 / t.instructions.max(1) as f64;
-                rows.push(ReliabilityRow {
-                    node,
-                    policy: policy_label,
-                    protection,
-                    corrected_per_mi: per_mi(t.corrected),
-                    due_per_mi: per_mi(t.due),
-                    sdc_per_mi: per_mi(t.sdc),
-                    energy_overhead: t.energy_j / t.clean_energy_j.max(f64::MIN_POSITIVE) - 1.0,
-                    fail_safe_subarrays: t.fail_safe,
-                });
+                cells.push(Cell { node, policy, d_policy, protection, faults });
             }
         }
     }
-    Ok(rows)
+    let suite = harness::map_suite_grid("reliability", &cells, |name, cell| {
+        benchmark_totals(name, instrs, cell)
+    })?;
+    Ok(cells
+        .iter()
+        .zip(suite)
+        .map(|(cell, benchmarks)| {
+            let t = suite_totals(benchmarks);
+            let per_mi = |count: u64| count as f64 * 1.0e6 / t.instructions.max(1) as f64;
+            ReliabilityRow {
+                node: cell.node,
+                policy: cell.policy,
+                protection: cell.protection,
+                corrected_per_mi: per_mi(t.corrected),
+                due_per_mi: per_mi(t.due),
+                sdc_per_mi: per_mi(t.sdc),
+                energy_overhead: t.energy_j / t.clean_energy_j.max(f64::MIN_POSITIVE) - 1.0,
+                fail_safe_subarrays: t.fail_safe,
+            }
+        })
+        .collect())
 }
 
 /// Renders the table: `feature_nm  policy  protection  corrected_per_mi

@@ -66,95 +66,104 @@ pub struct VoltageRow {
     pub pinned_subarrays: u64,
 }
 
-/// Suite totals for one (scale, mode) architectural run.
+/// Totals for one (scale, mode) spec: one benchmark's run, or the suite's.
 #[derive(Clone, Copy)]
-struct SuiteTotals {
+struct Totals {
     cycles: u64,
     committed: u64,
     accesses: u64,
     sdc: u64,
     escalations: u64,
     pinned: u64,
+    /// L1 (D+I) energy at each node, in [`TechnologyNode::ALL`] order.
+    energy_j: [f64; TechnologyNode::ALL.len()],
 }
 
-fn suite_totals(runs: &[RunResult]) -> SuiteTotals {
-    let mut t =
-        SuiteTotals { cycles: 0, committed: 0, accesses: 0, sdc: 0, escalations: 0, pinned: 0 };
-    for run in runs {
-        t.cycles += run.cycles();
-        t.committed += run.stats.committed;
-        t.accesses += run.l1d().report.total_accesses() + run.l1i().report.total_accesses();
-        for vdd in run.levels.iter().filter_map(|l| l.vdd.as_ref()) {
-            t.sdc += vdd.sdc;
-            t.escalations += vdd.escalations();
-            t.pinned += vdd.pinned_subarrays() as u64;
-        }
+/// What the rows read of one run: its counts, and its L1 energy priced at
+/// every node.
+fn run_totals(run: &RunResult) -> Totals {
+    let mut t = Totals {
+        cycles: run.cycles(),
+        committed: run.stats.committed,
+        accesses: run.l1d().report.total_accesses() + run.l1i().report.total_accesses(),
+        sdc: 0,
+        escalations: 0,
+        pinned: 0,
+        energy_j: TechnologyNode::ALL.map(|node| {
+            let (policy, _) = run.energy(node);
+            policy.d.total_j() + policy.i.total_j()
+        }),
+    };
+    for vdd in run.levels.iter().filter_map(|l| l.vdd.as_ref()) {
+        t.sdc += vdd.sdc;
+        t.escalations += vdd.escalations();
+        t.pinned += vdd.pinned_subarrays() as u64;
     }
     t
 }
 
-/// Suite L1 (D+I) energy at each node, in [`TechnologyNode::ALL`] order.
-fn suite_l1_energy(runs: &[RunResult]) -> [f64; TechnologyNode::ALL.len()] {
-    TechnologyNode::ALL.map(|node| {
-        runs.iter()
-            .map(|run| {
-                let (policy, _) = run.energy(node);
-                policy.d.total_j() + policy.i.total_j()
-            })
-            .sum()
-    })
+/// Suite totals of one spec, its benchmarks summed in suite order.
+fn suite_totals(runs: &[Totals]) -> Totals {
+    let sum = |f: fn(&Totals) -> u64| runs.iter().map(f).sum();
+    Totals {
+        cycles: sum(|t| t.cycles),
+        committed: sum(|t| t.committed),
+        accesses: sum(|t| t.accesses),
+        sdc: sum(|t| t.sdc),
+        escalations: sum(|t| t.escalations),
+        pinned: sum(|t| t.pinned),
+        energy_j: std::array::from_fn(|n| runs.iter().map(|t| t.energy_j[n]).sum()),
+    }
 }
 
 /// Builds the voltage table: one row per (scale, mode, node), scales in
 /// [`VDD_STEPS`] order with static before governed, so the nominal row
 /// heads each node group and the relative columns read off directly.
 ///
+/// Each benchmark is one unit that runs all ten (scale, mode) specs over
+/// one trace; a benchmark that fails any of them is left out of every
+/// row, so each row's relative columns compare totals over one set of
+/// benchmarks.
+///
 /// # Errors
 ///
 /// The first skipped run's [`SimError`] when every benchmark failed.
 pub fn run(instrs: u64) -> Result<Vec<VoltageRow>, SimError> {
     let _span = bitline_obs::span("voltage/run").field("instrs", instrs);
-    // The nominal-supply machine is the overhead/energy reference; it is
-    // byte-identical to the stock spec, so warm caches serve it for free.
+    // The nominal-supply machine, the first cell, is the overhead/energy
+    // reference; it is byte-identical to the stock spec, so warm caches
+    // serve it for free.
     let nominal_spec = SystemSpec {
         d_policy: PolicyKind::Gated { threshold: THRESHOLD },
         i_policy: PolicyKind::Gated { threshold: THRESHOLD },
         instructions: instrs,
         ..SystemSpec::default()
     };
-    let nominal_runs =
-        harness::map_suite("voltage", |name| try_run_benchmark_cached(name, &nominal_spec))?;
-    let nominal = suite_totals(&nominal_runs);
-    // Priced once per node: the reference of every row, and the nominal
-    // row itself.
-    let nominal_energy = suite_l1_energy(&nominal_runs);
+    let cells: Vec<(f64, bool)> =
+        VDD_STEPS.iter().flat_map(|&scale| [(scale, false), (scale, true)]).collect();
+    let suite = harness::map_suite_grid("voltage", &cells, |name, &(scale, governor)| {
+        let spec = SystemSpec { vdd: VddSpec { scale, governor }, ..nominal_spec };
+        Ok(run_totals(&try_run_benchmark_cached(name, &spec)?))
+    })?;
+    let totals: Vec<Totals> = suite.iter().map(|runs| suite_totals(runs)).collect();
+    let nominal = totals[0];
 
     let mut rows = Vec::new();
-    for scale in VDD_STEPS {
-        for governed in [false, true] {
-            let spec = SystemSpec { vdd: VddSpec { scale, governor: governed }, ..nominal_spec };
-            let (t, energy) = if spec.vdd.is_default() {
-                (nominal, nominal_energy)
-            } else {
-                let runs =
-                    harness::map_suite("voltage", |name| try_run_benchmark_cached(name, &spec))?;
-                (suite_totals(&runs), suite_l1_energy(&runs))
-            };
-            let priced = TechnologyNode::ALL.into_iter().zip(energy).zip(nominal_energy);
-            for ((node, energy_j), nominal_j) in priced {
-                rows.push(VoltageRow {
-                    node,
-                    vdd_scale: scale,
-                    governed,
-                    p_upset: timing_upset_probability(node, scale),
-                    energy_per_access_j: energy_j / t.accesses.max(1) as f64,
-                    energy_vs_nominal: energy_j / nominal_j.max(f64::MIN_POSITIVE),
-                    replay_overhead: t.cycles as f64 / nominal.cycles.max(1) as f64 - 1.0,
-                    sdc_per_mi: t.sdc as f64 / (t.committed.max(1) as f64 / 1e6),
-                    escalations: t.escalations,
-                    pinned_subarrays: t.pinned,
-                });
-            }
+    for (&(scale, governed), t) in cells.iter().zip(&totals) {
+        let priced = TechnologyNode::ALL.into_iter().zip(t.energy_j).zip(nominal.energy_j);
+        for ((node, energy_j), nominal_j) in priced {
+            rows.push(VoltageRow {
+                node,
+                vdd_scale: scale,
+                governed,
+                p_upset: timing_upset_probability(node, scale),
+                energy_per_access_j: energy_j / t.accesses.max(1) as f64,
+                energy_vs_nominal: energy_j / nominal_j.max(f64::MIN_POSITIVE),
+                replay_overhead: t.cycles as f64 / nominal.cycles.max(1) as f64 - 1.0,
+                sdc_per_mi: t.sdc as f64 / (t.committed.max(1) as f64 / 1e6),
+                escalations: t.escalations,
+                pinned_subarrays: t.pinned,
+            });
         }
     }
     Ok(rows)

@@ -56,9 +56,13 @@ const DECLARED_COUNTERS: &[&str] = &[
 ];
 
 /// Gauge names every export carries, even at zero: the largest trace
-/// window any lockstep set of runs held (zero when no run read one).
-const DECLARED_GAUGES: &[&str] =
-    &["exec.traces.window_peak_segments", "exec.traces.window_peak_bytes"];
+/// window any lockstep set of runs held (zero when no run read one), and
+/// the most bytes retained streams held at once over every trace store.
+const DECLARED_GAUGES: &[&str] = &[
+    "exec.traces.window_peak_segments",
+    "exec.traces.window_peak_bytes",
+    "exec.traces.retained_peak_bytes",
+];
 
 /// Interns the canonical counter and gauge taxonomy into the registry so
 /// every export carries the full set of names, zeros included. The per-level
