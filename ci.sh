@@ -72,10 +72,10 @@
 #                    mode, drowsy and gated-vdd cells no less than
 #                    full-vdd ones
 #   ./ci.sh traces   trace memory gate (also part of the full gate): at
-#                    the golden budget with --jobs 1, voltage and
-#                    headline must never retain more than one 4 096-
-#                    instruction trace segment at once (32 KiB at the
-#                    8 B/instr bound the trace store's tests pin), read
+#                    the golden budget with --jobs 1, voltage, headline
+#                    and ablations must never retain more than one
+#                    4 096-instruction trace segment at once (32 KiB at
+#                    the 8 B/instr bound the trace store's tests pin), read
 #                    from the exec.traces.retained_peak_bytes gauge of a
 #                    --metrics export: each unit of work frees its
 #                    benchmark's stream when it returns
@@ -896,11 +896,13 @@ voltage() {
 # A harness unit of work owns the streams its runs read and frees them when
 # it returns, so at --jobs 1 the trace memory retained at any one time is
 # one benchmark's stream: at the golden budget, one 4 096-instruction
-# segment, at most 32 KiB at 8 B/instr.
+# segment, at most 32 KiB at 8 B/instr. `ablations` reads its own six
+# benchmarks, whatever the suite, so a study run outside its benchmark's
+# unit shows here as several streams held at once.
 trace_memory() {
     local sim=./target/release/bitline-sim dir experiment peak
     dir=$(mktemp -d)
-    for experiment in voltage headline; do
+    for experiment in voltage headline ablations; do
         echo "==> traces: $experiment retains at most one segment at a time at --jobs 1"
         if ! BITLINE_SUITE=mesa,bisort BITLINE_INSTRS=2000 "$sim" --jobs 1 \
             --metrics "$dir/$experiment.jsonl" "$experiment" >/dev/null 2>"$dir/$experiment.err"; then

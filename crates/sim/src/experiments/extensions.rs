@@ -17,7 +17,7 @@ use bitline_energy::LeakageKind;
 
 use crate::config::HierarchySpec;
 use crate::experiments::harness;
-use crate::experiments::sweep::{optimal_gated, SweptCache};
+use crate::experiments::sweep::{d_discharge, gated_d, pick_at, sweep, THRESHOLD_100};
 use crate::runner::{Level, RunResult};
 use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
@@ -74,17 +74,18 @@ pub struct Extensions {
 
 fn policy_rows(name: &str, instrs: u64) -> Result<Vec<PolicyRow>, SimError> {
     let node = TechnologyNode::N70;
-    let spec = |d_policy| SystemSpec { d_policy, instructions: instrs, ..SystemSpec::default() };
-    let baseline = try_run_benchmark_cached(name, &spec(PolicyKind::StaticPullUp))?;
-    let profiled = optimal_gated(name, SweptCache::Data, node, &baseline, instrs)?.run;
-    let constant =
-        try_run_benchmark_cached(name, &spec(PolicyKind::GatedPredecode { threshold: 100 }))?;
+    let spec = SystemSpec { instructions: instrs, ..SystemSpec::default() };
+    let baseline = try_run_benchmark_cached(name, &spec)?;
+    let ladder = sweep(name, &baseline, &gated_d(spec))?;
+    let profiled = &pick_at(&ladder, node, d_discharge).candidate.run;
+    let constant = &ladder[THRESHOLD_100].run;
+    let policy = |d_policy| SystemSpec { d_policy, ..spec };
     let adaptive = try_run_benchmark_cached(
         name,
-        &spec(PolicyKind::AdaptiveGated { interval_accesses: adaptive_interval(instrs) }),
+        &policy(PolicyKind::AdaptiveGated { interval_accesses: adaptive_interval(instrs) }),
     )?;
-    let drowsy = try_run_benchmark_cached(name, &spec(PolicyKind::Drowsy { threshold: 100 }))?;
-    let runs: [&RunResult; 4] = [&constant, &profiled, &adaptive, &drowsy];
+    let drowsy = try_run_benchmark_cached(name, &policy(PolicyKind::Drowsy { threshold: 100 }))?;
+    let runs: [&RunResult; 4] = [constant, profiled, &adaptive, &drowsy];
     Ok(POLICIES
         .iter()
         .zip(runs)
@@ -102,12 +103,11 @@ fn policy_rows(name: &str, instrs: u64) -> Result<Vec<PolicyRow>, SimError> {
         .collect())
 }
 
-/// Suite-total L2 energy of `runs` at `node`.
-fn l2_energy(runs: &[RunResult], node: TechnologyNode) -> f64 {
-    runs.iter()
-        .filter_map(|run| run.level_energy(Level::L2, node, LeakageKind::FullVdd))
-        .map(|e| e.total_j())
-        .sum()
+/// L2 energy of the two-level `run` at `node`.
+fn l2_energy(run: &RunResult, node: TechnologyNode) -> f64 {
+    run.level_energy(Level::L2, node, LeakageKind::FullVdd)
+        .expect("a two-level run records its L2")
+        .total_j()
 }
 
 /// Runs both halves over the suite.
@@ -122,20 +122,32 @@ pub fn run(instrs: u64) -> Result<Extensions, SimError> {
         hierarchy: HierarchySpec { levels: 2, l2_policy, leakage_mode: LeakageKind::FullVdd },
         ..SystemSpec::default()
     };
-    let per_benchmark = harness::map_suite("extensions", |name| {
+    // A unit returns its benchmark's four policy rows, its L2 energy at
+    // each node with the static and the on-demand L2, and the on-demand
+    // L2's slowdown.
+    let units = harness::map_suite("extensions", |name| {
         let rows = policy_rows(name, instrs)?;
         let stat = try_run_benchmark_cached(name, &l2_spec(PolicyKind::StaticPullUp))?;
         let ondemand = try_run_benchmark_cached(name, &l2_spec(PolicyKind::OnDemand))?;
-        Ok((rows, stat, ondemand))
+        let l2 =
+            TechnologyNode::ALL.map(|node| (l2_energy(&stat, node), l2_energy(&ondemand, node)));
+        Ok((rows, l2, ondemand.slowdown_vs(&stat)))
     })?;
-    let (mut policies, mut stat, mut ondemand) = (Vec::new(), Vec::new(), Vec::new());
-    for (rows, s, o) in per_benchmark {
-        policies.extend(rows);
-        stat.push(s);
-        ondemand.push(o);
-    }
 
-    let n = stat.len() as f64;
+    // Summed in suite order.
+    let n = units.len() as f64;
+    let slowdown = units.iter().map(|(.., slowdown)| slowdown).sum::<f64>() / n;
+    let l2 = TechnologyNode::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(k, node)| {
+            let static_j = units.iter().map(|(_, l2, _)| l2[k].0).sum::<f64>();
+            let ondemand_j = units.iter().map(|(_, l2, _)| l2[k].1).sum::<f64>();
+            L2Row { node, static_j, ondemand_j, ratio: ondemand_j / static_j, slowdown }
+        })
+        .collect();
+
+    let mut policies: Vec<PolicyRow> = units.into_iter().flat_map(|(rows, ..)| rows).collect();
     let averages: Vec<PolicyRow> = POLICIES
         .iter()
         .map(|&policy| {
@@ -153,16 +165,6 @@ pub fn run(instrs: u64) -> Result<Extensions, SimError> {
         })
         .collect();
     policies.extend(averages);
-
-    let slowdown = ondemand.iter().zip(&stat).map(|(o, s)| o.slowdown_vs(s)).sum::<f64>() / n;
-    let l2 = TechnologyNode::ALL
-        .into_iter()
-        .map(|node| {
-            let static_j = l2_energy(&stat, node);
-            let ondemand_j = l2_energy(&ondemand, node);
-            L2Row { node, static_j, ondemand_j, ratio: ondemand_j / static_j, slowdown }
-        })
-        .collect();
     Ok(Extensions { policies, l2 })
 }
 

@@ -1,12 +1,12 @@
 //! Figure 10: effect of subarray size on gated precharging, each
-//! benchmark at the shared D/I threshold `sweep::pick` chooses per size.
+//! benchmark at the shared D/I threshold `sweep::pick_at` chooses per size.
 
 use std::fmt::Write as _;
 
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
-use crate::experiments::sweep::pick;
+use crate::experiments::sweep::{d_discharge, i_discharge, pick_at, sweep};
 use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// Subarray sizes swept by the figure.
@@ -46,27 +46,14 @@ pub fn run(instrs: u64) -> Result<Vec<Fig10Row>, SimError> {
         let baseline = try_run_benchmark_cached(name, &spec)?;
         // Gate both caches with a shared threshold and pick the
         // best-energy point within the slowdown budget.
-        let candidates = THRESHOLDS
-            .iter()
-            .map(|&threshold| {
-                let run = try_run_benchmark_cached(
-                    name,
-                    &SystemSpec {
-                        d_policy: PolicyKind::GatedPredecode { threshold },
-                        i_policy: PolicyKind::Gated { threshold },
-                        ..spec
-                    },
-                )?;
-                let (policy, base) = run.energy(node);
-                let discharge =
-                    policy.d.relative_discharge(&base.d) + policy.i.relative_discharge(&base.i);
-                let d_frac = run.l1d().report.precharged_fraction();
-                let i_frac = run.l1i().report.precharged_fraction();
-                Ok((run.slowdown_vs(&baseline), discharge, d_frac, i_frac))
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
-        let (_, _, d_frac, i_frac) = pick(candidates, |c| c.0, |c| c.1);
-        Ok((d_frac, i_frac))
+        let ladder = THRESHOLDS.map(|threshold| SystemSpec {
+            d_policy: PolicyKind::GatedPredecode { threshold },
+            i_policy: PolicyKind::Gated { threshold },
+            ..spec
+        });
+        let candidates = sweep(name, &baseline, &ladder)?;
+        let run = &pick_at(&candidates, node, |e| d_discharge(e) + i_discharge(e)).candidate.run;
+        Ok((run.l1d().report.precharged_fraction(), run.l1i().report.precharged_fraction()))
     })?;
     Ok(SIZES
         .into_iter()

@@ -6,7 +6,9 @@ use std::fmt::Write as _;
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
-use crate::experiments::sweep::{fixed_gated, optimal_gated, GatedSweep, SweptCache};
+use crate::experiments::sweep::{
+    d_discharge, gated_d, gated_i, i_discharge, pick_at, sweep, THRESHOLDS, THRESHOLD_100,
+};
 use crate::{try_run_benchmark_cached, SimError, SystemSpec};
 
 /// One benchmark's Figure 8 bars.
@@ -47,57 +49,50 @@ pub struct Fig8Summary {
     pub const_i_discharge: f64,
 }
 
-fn precharged_fraction(sweep: &GatedSweep, which: SweptCache) -> f64 {
-    let level = match which {
-        SweptCache::Data | SweptCache::DataNoPredecode => sweep.run.l1d(),
-        SweptCache::Inst => sweep.run.l1i(),
-    };
-    level.report.precharged_fraction()
-}
+/// One benchmark's row with its constant-100 relative discharge, D and I.
+pub(crate) type Unit = (Fig8Row, f64, f64);
 
-/// Reproduces Figure 8 at 70 nm with per-benchmark optimum thresholds
-/// (predecoding enabled on the D-cache, as in the paper) plus the
-/// constant-100 reference.
+/// Figure 8's unit of work for benchmark `name`: the static baseline and
+/// the D and I threshold ladders (predecoding on the D-cache, as in the
+/// paper), each picked at 70 nm, with each ladder's constant-100 point.
 ///
 /// # Errors
 ///
-/// The first skipped run's [`SimError`] when *every* benchmark failed;
-/// partial suites degrade to fewer rows with a stderr warning.
-pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
-    let _span = bitline_obs::span("fig8/run").field("instrs", instrs);
+/// The first [`SimError`] of the unit's runs.
+pub(crate) fn unit(name: &str, instrs: u64) -> Result<Unit, SimError> {
     let node = TechnologyNode::N70;
-    let per_benchmark = harness::map_suite("fig8", |name| {
-        let baseline = try_run_benchmark_cached(
-            name,
-            &SystemSpec { instructions: instrs, ..SystemSpec::default() },
-        )?;
-        let d = optimal_gated(name, SweptCache::Data, node, &baseline, instrs)?;
-        let i = optimal_gated(name, SweptCache::Inst, node, &baseline, instrs)?;
-        let dc = fixed_gated(name, SweptCache::Data, node, &baseline, 100, instrs)?;
-        let ic = fixed_gated(name, SweptCache::Inst, node, &baseline, 100, instrs)?;
-        // The sweep already priced its winning runs at `node`; reuse those
-        // energies instead of re-pricing.
-        let (d_pol, d_base) = &d.energy;
-        let (i_pol, i_base) = &i.energy;
-        let row = Fig8Row {
-            benchmark: name.to_owned(),
-            d_precharged: precharged_fraction(&d, SweptCache::Data),
-            d_discharge: d.relative_discharge,
-            d_threshold: d.threshold,
-            d_slowdown: d.slowdown,
-            i_precharged: precharged_fraction(&i, SweptCache::Inst),
-            i_discharge: i.relative_discharge,
-            i_threshold: i.threshold,
-            i_slowdown: i.slowdown,
-            d_overall_reduction: d_pol.d.overall_reduction(&d_base.d),
-            i_overall_reduction: i_pol.i.overall_reduction(&i_base.i),
-        };
-        Ok((row, dc.relative_discharge, ic.relative_discharge))
-    })?;
+    let spec = SystemSpec { instructions: instrs, ..SystemSpec::default() };
+    let baseline = try_run_benchmark_cached(name, &spec)?;
+    let d_ladder = sweep(name, &baseline, &gated_d(spec))?;
+    let i_ladder = sweep(name, &baseline, &gated_i(spec))?;
+    let d = pick_at(&d_ladder, node, d_discharge);
+    let i = pick_at(&i_ladder, node, i_discharge);
+    let (d_pol, d_base) = &d.energy;
+    let (i_pol, i_base) = &i.energy;
+    let row = Fig8Row {
+        benchmark: name.to_owned(),
+        d_precharged: d.candidate.run.l1d().report.precharged_fraction(),
+        d_discharge: d.cost,
+        d_threshold: THRESHOLDS[d.index],
+        d_slowdown: d.candidate.slowdown,
+        i_precharged: i.candidate.run.l1i().report.precharged_fraction(),
+        i_discharge: i.cost,
+        i_threshold: THRESHOLDS[i.index],
+        i_slowdown: i.candidate.slowdown,
+        d_overall_reduction: d_pol.d.overall_reduction(&d_base.d),
+        i_overall_reduction: i_pol.i.overall_reduction(&i_base.i),
+    };
+    let const_d = d_discharge(&d_ladder[THRESHOLD_100].run.energy(node));
+    let const_i = i_discharge(&i_ladder[THRESHOLD_100].run.energy(node));
+    Ok((row, const_d, const_i))
+}
+
+/// The figure's rows and summary from its units, in suite order.
+pub(crate) fn reduce(units: Vec<Unit>) -> (Vec<Fig8Row>, Fig8Summary) {
     let mut rows = Vec::new();
     let mut const_d = 0.0;
     let mut const_i = 0.0;
-    for (row, dc, ic) in per_benchmark {
+    for (row, dc, ic) in units {
         rows.push(row);
         const_d += dc;
         const_i += ic;
@@ -118,7 +113,20 @@ pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
     };
     let summary =
         Fig8Summary { avg, const_d_discharge: const_d / n, const_i_discharge: const_i / n };
-    Ok((rows, summary))
+    (rows, summary)
+}
+
+/// Reproduces Figure 8 at 70 nm with per-benchmark optimum thresholds
+/// (predecoding enabled on the D-cache, as in the paper) plus the
+/// constant-100 reference.
+///
+/// # Errors
+///
+/// The first skipped run's [`SimError`] when *every* benchmark failed;
+/// partial suites degrade to fewer rows with a stderr warning.
+pub fn run(instrs: u64) -> Result<(Vec<Fig8Row>, Fig8Summary), SimError> {
+    let _span = bitline_obs::span("fig8/run").field("instrs", instrs);
+    Ok(reduce(harness::map_suite("fig8", |name| unit(name, instrs))?))
 }
 
 /// Renders the figure: `benchmark  d_precharged  d_discharge  d_threshold

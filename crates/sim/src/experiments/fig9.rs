@@ -4,7 +4,7 @@
 //! The architectural runs are node-independent (8-FO4 scaling), so each
 //! benchmark is simulated once per candidate configuration and the energy
 //! is re-priced per node; the per-benchmark "as aggressive as possible
-//! within 1% slowdown" selection (`sweep::pick`) is then made
+//! within 1% slowdown" selection (`sweep::pick_at`) is then made
 //! independently at every node, exactly as the paper tunes each point.
 
 use std::fmt::Write as _;
@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use bitline_cmos::TechnologyNode;
 
 use crate::experiments::harness;
-use crate::experiments::sweep::{pick, THRESHOLDS};
-use crate::{try_run_benchmark_cached, PolicyKind, RunResult, SimError, SystemSpec};
+use crate::experiments::sweep::{d_discharge, gated_d, gated_i, i_discharge, pick_at, sweep};
+use crate::{try_run_benchmark_cached, PolicyKind, SimError, SystemSpec};
 
 /// Average relative bitline discharge at one node.
 #[derive(Debug, Clone, Copy)]
@@ -33,57 +33,6 @@ pub struct Fig9Row {
 /// Miss-ratio slack candidates for the resizable controller.
 const SLACKS: [f64; 3] = [0.002, 0.01, 0.03];
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Cache {
-    D,
-    I,
-}
-
-/// Candidate runs for one benchmark and one cache.
-struct Candidates {
-    runs: Vec<(RunResult, f64)>, // (run, slowdown)
-}
-
-impl Candidates {
-    /// The runs of `policies` on `cache` of benchmark `name`, each with its
-    /// slowdown against `baseline`.
-    fn simulate(
-        name: &str,
-        cache: Cache,
-        policies: impl IntoIterator<Item = PolicyKind>,
-        baseline: &RunResult,
-        instrs: u64,
-    ) -> Result<Candidates, SimError> {
-        let spec = SystemSpec { instructions: instrs, ..SystemSpec::default() };
-        let runs = policies
-            .into_iter()
-            .map(|policy| {
-                let spec = match cache {
-                    Cache::D => SystemSpec { d_policy: policy, ..spec },
-                    Cache::I => SystemSpec { i_policy: policy, ..spec },
-                };
-                let run = try_run_benchmark_cached(name, &spec)?;
-                let slowdown = run.slowdown_vs(baseline);
-                Ok((run, slowdown))
-            })
-            .collect::<Result<_, SimError>>()?;
-        Ok(Candidates { runs })
-    }
-
-    /// The relative discharge at `node` of the candidate [`pick`] chooses.
-    fn best_at(&self, node: TechnologyNode, cache: Cache) -> f64 {
-        let priced = self.runs.iter().map(|(run, slowdown)| {
-            let (policy, baseline) = run.energy(node);
-            let relative = match cache {
-                Cache::D => policy.d.relative_discharge(&baseline.d),
-                Cache::I => policy.i.relative_discharge(&baseline.i),
-            };
-            (*slowdown, relative)
-        });
-        pick(priced, |c| c.0, |c| c.1).1
-    }
-}
-
 /// Reproduces Figure 9: suite-average relative bitline discharge for gated
 /// precharging and resizable caches at each node.
 ///
@@ -94,55 +43,41 @@ impl Candidates {
 /// warning.
 pub fn run(instrs: u64) -> Result<Vec<Fig9Row>, SimError> {
     let _span = bitline_obs::span("fig9/run").field("instrs", instrs);
-    // Architectural runs, once per benchmark.
-    struct PerBenchmark {
-        gated_d: Candidates,
-        gated_i: Candidates,
-        resz_d: Candidates,
-        resz_i: Candidates,
-    }
+    // Each unit runs its benchmark's candidates once and returns, per
+    // node, the picked discharge of gated D, gated I, resizable D and
+    // resizable I.
     let per_benchmark = harness::map_suite("fig9", |name| {
-        let baseline = try_run_benchmark_cached(
-            name,
-            &SystemSpec { instructions: instrs, ..SystemSpec::default() },
-        )?;
-        let gated = |cache| {
-            let policy = |threshold| match cache {
-                Cache::D => PolicyKind::GatedPredecode { threshold },
-                Cache::I => PolicyKind::Gated { threshold },
-            };
-            Candidates::simulate(name, cache, THRESHOLDS.map(policy), &baseline, instrs)
-        };
+        let spec = SystemSpec { instructions: instrs, ..SystemSpec::default() };
+        let baseline = try_run_benchmark_cached(name, &spec)?;
         // Scaled so short runs still give the resizable controller ~30-40
         // decision points (the paper's 1M-instruction interval assumes
         // SimPoint-length runs).
         let interval_accesses = (instrs / 40).max(400);
-        let resizable = |cache| {
-            let policy = |slack| PolicyKind::Resizable { interval_accesses, slack };
-            Candidates::simulate(name, cache, SLACKS.map(policy), &baseline, instrs)
-        };
-        Ok(PerBenchmark {
-            gated_d: gated(Cache::D)?,
-            gated_i: gated(Cache::I)?,
-            resz_d: resizable(Cache::D)?,
-            resz_i: resizable(Cache::I)?,
-        })
+        let resizable = SLACKS.map(|slack| PolicyKind::Resizable { interval_accesses, slack });
+        let gated_d = sweep(name, &baseline, &gated_d(spec))?;
+        let gated_i = sweep(name, &baseline, &gated_i(spec))?;
+        let resz_d =
+            sweep(name, &baseline, &resizable.map(|d_policy| SystemSpec { d_policy, ..spec }))?;
+        let resz_i =
+            sweep(name, &baseline, &resizable.map(|i_policy| SystemSpec { i_policy, ..spec }))?;
+        Ok(TechnologyNode::ALL.map(|node| {
+            [
+                pick_at(&gated_d, node, d_discharge).cost,
+                pick_at(&gated_i, node, i_discharge).cost,
+                pick_at(&resz_d, node, d_discharge).cost,
+                pick_at(&resz_i, node, i_discharge).cost,
+            ]
+        }))
     })?;
-
-    // Per-node selection and averaging.
+    let n = per_benchmark.len() as f64;
     Ok(TechnologyNode::ALL
         .into_iter()
-        .map(|node| {
-            let n = per_benchmark.len() as f64;
-            let avg =
-                |f: &dyn Fn(&PerBenchmark) -> f64| per_benchmark.iter().map(f).sum::<f64>() / n;
-            Fig9Row {
-                node,
-                gated_d: avg(&|b| b.gated_d.best_at(node, Cache::D)),
-                gated_i: avg(&|b| b.gated_i.best_at(node, Cache::I)),
-                resizable_d: avg(&|b| b.resz_d.best_at(node, Cache::D)),
-                resizable_i: avg(&|b| b.resz_i.best_at(node, Cache::I)),
-            }
+        .enumerate()
+        .map(|(k, node)| {
+            let [gated_d, gated_i, resizable_d, resizable_i] = std::array::from_fn(|column| {
+                per_benchmark.iter().map(|b| b[k][column]).sum::<f64>() / n
+            });
+            Fig9Row { node, gated_d, gated_i, resizable_d, resizable_i }
         })
         .collect())
 }

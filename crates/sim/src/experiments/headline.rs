@@ -36,24 +36,24 @@ pub struct Headline {
 }
 
 /// Computes the headline from the Figure 8 experiment, plus the
-/// processor-level context (cache fraction, replay overhead).
+/// processor-level context (cache fraction, replay overhead) over every
+/// fourth benchmark of the active suite. One unit per benchmark runs its
+/// Figure 8 unit and, for a context benchmark, its context run, so a
+/// benchmark whose context run fails is left out of every average.
 ///
 /// # Errors
 ///
-/// Propagates [`fig8::run`]'s error when the underlying suite produced no
-/// rows at all, and the processor context's first error when none of its
-/// runs completed.
+/// The first skipped unit's [`SimError`] when every benchmark failed;
+/// [`SimError::RunFailed`] naming the first context benchmark when every
+/// context benchmark failed.
 pub fn run(instrs: u64) -> Result<Headline, SimError> {
     let _span = bitline_obs::span("headline/run").field("instrs", instrs);
-    let (_, summary) = fig8::run(instrs)?;
-    let avg = &summary.avg;
-
-    // Processor-level context at the constant threshold, averaged over
-    // every fourth benchmark of the active suite.
     let node = TechnologyNode::N70;
     let pmodel = ProcessorEnergyModel::new(node);
-    let context_names: Vec<&str> = harness::suite_names().into_iter().step_by(4).collect();
-    let context = harness::map_names("headline", &context_names, |name| {
+    let names = harness::suite_names();
+    let context_names: Vec<&str> = names.iter().copied().step_by(4).collect();
+    // Processor-level context at the constant threshold.
+    let context = |name: &str| -> Result<(f64, f64), SimError> {
         let gated = try_run_benchmark_cached(
             name,
             &SystemSpec {
@@ -68,7 +68,22 @@ pub fn run(instrs: u64) -> Result<Headline, SimError> {
         let gated_proc =
             pmodel.assess(gated.stats.committed, gated.stats.replays, policy.d, policy.i);
         Ok((static_proc.cache_fraction(), gated_proc.replay_overhead()))
+    };
+    let units = harness::map_names("headline", &names, |name| {
+        let fig8 = fig8::unit(name, instrs)?;
+        let context = context_names.contains(&name).then(|| context(name)).transpose()?;
+        Ok((fig8, context))
     })?;
+    let (fig8_units, context): (Vec<_>, Vec<_>) = units.into_iter().unzip();
+    let (_, summary) = fig8::reduce(fig8_units);
+    let avg = &summary.avg;
+    let context: Vec<(f64, f64)> = context.into_iter().flatten().collect();
+    if context.is_empty() {
+        return Err(SimError::RunFailed {
+            benchmark: context_names[0].to_owned(),
+            reason: "no processor-context benchmark completed".into(),
+        });
+    }
     // Summed in suite order, as the serial loop did, so every bit agrees.
     let (cache_frac, replay_ovh) =
         context.iter().fold((0.0, 0.0), |(c, r), &(cache, replay)| (c + cache, r + replay));

@@ -27,7 +27,7 @@ mod sweep;
 pub mod tables;
 pub mod voltage;
 
-pub use sweep::{optimal_gated, GatedSweep, SweptCache, MAX_SLOWDOWN, THRESHOLDS};
+pub use sweep::{MAX_SLOWDOWN, THRESHOLDS};
 
 use crate::{SimError, SystemSpec};
 

@@ -2,10 +2,11 @@
 //!
 //! The paper evaluates gated precharging with "the statically-found
 //! per-benchmark optimum thresholds with a 1% performance degradation"
-//! (Section 6.4). This module reproduces that search: sweep a threshold
-//! ladder and `pick` the candidate with the least bitline discharge at
-//! the node of interest among those within the slowdown budget. `pick` is
-//! the one statement of that rule; Figures 9 and 10 select with it too.
+//! (Section 6.4). This module reproduces that search in two steps:
+//! [`sweep`] runs a benchmark's candidate specs once, and [`pick_at`]
+//! prices every candidate at a node and chooses with `pick`, the one
+//! statement of the rule. A figure that tunes each node (Figure 9) or
+//! subarray size (Figure 10) picks again from its own candidates there.
 
 use bitline_cmos::TechnologyNode;
 
@@ -15,57 +16,95 @@ use crate::{try_run_benchmark_cached, EnergyPair, PolicyKind, RunResult, SimErro
 /// optima are "on the order of 10 to 1000, with most clustered around 100".
 pub const THRESHOLDS: [u64; 7] = [25, 50, 100, 200, 400, 800, 1600];
 
+/// The ladder's index of the paper's constant threshold, 100.
+pub(super) const THRESHOLD_100: usize = 2;
+const _: () = assert!(THRESHOLDS[THRESHOLD_100] == 100, "THRESHOLD_100 must name threshold 100");
+
 /// Performance budget: the paper tunes for a 1% slowdown.
 pub const MAX_SLOWDOWN: f64 = 0.01;
 
-/// Which cache the sweep gates (the other stays static so the perf impact
-/// is attributable, as in the paper's per-cache results).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweptCache {
-    /// Gate the D-cache (with predecode hints, Section 6.3).
-    Data,
-    /// Gate the D-cache without predecoding (ablation).
-    DataNoPredecode,
-    /// Gate the I-cache.
-    Inst,
+/// One candidate of a sweep: its run and the run's slowdown against the
+/// sweep's static baseline.
+pub(super) struct Candidate {
+    pub(super) run: RunResult,
+    pub(super) slowdown: f64,
 }
 
-/// Result of a threshold sweep.
-#[derive(Debug, Clone)]
-pub struct GatedSweep {
-    /// Chosen threshold.
-    pub threshold: u64,
-    /// The winning run.
-    pub run: RunResult,
-    /// Its slowdown vs. the static baseline.
-    pub slowdown: f64,
-    /// Its relative bitline discharge at the optimised node.
-    pub relative_discharge: f64,
-    /// The winning run's `(policy, baseline)` energies at the optimised
-    /// node, carried so downstream consumers (Figure 8, headline) reuse
-    /// the sweep's pricing instead of re-pricing the run.
-    pub energy: EnergyPair,
+/// The candidate [`pick_at`] chose, priced at the node it chose at.
+pub(super) struct Picked<'a> {
+    /// Its position among the candidates.
+    pub(super) index: usize,
+    pub(super) candidate: &'a Candidate,
+    /// Its `(policy, baseline)` energies.
+    pub(super) energy: EnergyPair,
+    /// Its cost.
+    pub(super) cost: f64,
 }
 
-fn spec_for(which: SweptCache, threshold: u64, instrs: u64) -> SystemSpec {
-    let (d, i) = match which {
-        SweptCache::Data => (PolicyKind::GatedPredecode { threshold }, PolicyKind::StaticPullUp),
-        SweptCache::DataNoPredecode => (PolicyKind::Gated { threshold }, PolicyKind::StaticPullUp),
-        SweptCache::Inst => (PolicyKind::StaticPullUp, PolicyKind::Gated { threshold }),
-    };
-    SystemSpec { d_policy: d, i_policy: i, instructions: instrs, ..SystemSpec::default() }
+/// `spec` with the D-cache gated, with predecode hints (Section 6.3), at
+/// each [`THRESHOLDS`] point.
+pub(super) fn gated_d(spec: SystemSpec) -> [SystemSpec; THRESHOLDS.len()] {
+    THRESHOLDS
+        .map(|threshold| SystemSpec { d_policy: PolicyKind::GatedPredecode { threshold }, ..spec })
 }
 
-/// Prices `run` once at `node`, returning the energies and the swept
-/// cache's relative discharge.
-fn priced_at(run: &RunResult, which: SweptCache, node: TechnologyNode) -> (EnergyPair, f64) {
-    let energy = run.energy(node);
-    let (policy, baseline) = &energy;
-    let relative = match which {
-        SweptCache::Data | SweptCache::DataNoPredecode => policy.d.relative_discharge(&baseline.d),
-        SweptCache::Inst => policy.i.relative_discharge(&baseline.i),
-    };
-    (energy, relative)
+/// `spec` with the I-cache gated at each [`THRESHOLDS`] point.
+pub(super) fn gated_i(spec: SystemSpec) -> [SystemSpec; THRESHOLDS.len()] {
+    THRESHOLDS.map(|threshold| SystemSpec { i_policy: PolicyKind::Gated { threshold }, ..spec })
+}
+
+/// Runs `specs` on `benchmark`, in order, keeping each run with its
+/// slowdown against `baseline`.
+///
+/// # Errors
+///
+/// The first [`SimError`] of a run: a failed candidate fails the sweep,
+/// and with it the benchmark's unit of work.
+pub(super) fn sweep(
+    benchmark: &str,
+    baseline: &RunResult,
+    specs: &[SystemSpec],
+) -> Result<Vec<Candidate>, SimError> {
+    let _span = bitline_obs::span("sweep/sweep")
+        .field("benchmark", benchmark)
+        .field("candidates", specs.len());
+    specs
+        .iter()
+        .map(|spec| {
+            let run = try_run_benchmark_cached(benchmark, spec)?;
+            let slowdown = run.slowdown_vs(baseline);
+            Ok(Candidate { run, slowdown })
+        })
+        .collect()
+}
+
+/// Prices every candidate at `node` and chooses by `pick` on `cost`.
+///
+/// # Panics
+///
+/// Panics when `candidates` is empty.
+pub(super) fn pick_at(
+    candidates: &[Candidate],
+    node: TechnologyNode,
+    cost: impl Fn(&EnergyPair) -> f64,
+) -> Picked<'_> {
+    let priced = candidates.iter().enumerate().map(|(index, candidate)| {
+        let energy = candidate.run.energy(node);
+        Picked { index, candidate, cost: cost(&energy), energy }
+    });
+    pick(priced, |p| p.candidate.slowdown, |p| p.cost)
+}
+
+/// The D-cache's bitline discharge relative to static pull-up: a
+/// [`pick_at`] cost.
+pub(super) fn d_discharge((policy, baseline): &EnergyPair) -> f64 {
+    policy.d.relative_discharge(&baseline.d)
+}
+
+/// The I-cache's bitline discharge relative to static pull-up: a
+/// [`pick_at`] cost.
+pub(super) fn i_discharge((policy, baseline): &EnergyPair) -> f64 {
+    policy.i.relative_discharge(&baseline.i)
 }
 
 /// The Section 6.4 selection: the candidate of least `cost` among those
@@ -76,7 +115,7 @@ fn priced_at(run: &RunResult, which: SweptCache, node: TechnologyNode) -> (Energ
 /// # Panics
 ///
 /// Panics when `candidates` is empty.
-pub(super) fn pick<T>(
+fn pick<T>(
     candidates: impl IntoIterator<Item = T>,
     slowdown: impl Fn(&T) -> f64,
     cost: impl Fn(&T) -> f64,
@@ -94,66 +133,28 @@ pub(super) fn pick<T>(
     within.or(fallback).expect("a selection needs at least one candidate").1
 }
 
-/// Finds the per-benchmark optimum threshold for one cache at one node:
-/// every [`THRESHOLDS`] point, chosen by `pick` on relative discharge.
-///
-/// # Errors
-///
-/// The first [`SimError`] of a threshold run: a failed point fails the
-/// whole sweep, and with it the benchmark's unit of work.
-pub fn optimal_gated(
-    benchmark: &str,
-    which: SweptCache,
-    node: TechnologyNode,
-    baseline: &RunResult,
-    instrs: u64,
-) -> Result<GatedSweep, SimError> {
-    let _span = bitline_obs::span("sweep/optimal_gated")
-        .field("benchmark", benchmark)
-        .field("cache", format!("{which:?}"));
-    let candidates = THRESHOLDS
-        .iter()
-        .map(|&threshold| fixed_gated(benchmark, which, node, baseline, threshold, instrs))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(pick(candidates, |c| c.slowdown, |c| c.relative_discharge))
-}
-
-/// Runs gated precharging at one fixed threshold (the paper's constant-100
-/// reference).
-///
-/// # Errors
-///
-/// The run's [`SimError`].
-pub fn fixed_gated(
-    benchmark: &str,
-    which: SweptCache,
-    node: TechnologyNode,
-    baseline: &RunResult,
-    threshold: u64,
-    instrs: u64,
-) -> Result<GatedSweep, SimError> {
-    let run = try_run_benchmark_cached(benchmark, &spec_for(which, threshold, instrs))?;
-    let slowdown = run.slowdown_vs(baseline);
-    let (energy, relative_discharge) = priced_at(&run, which, node);
-    Ok(GatedSweep { threshold, run, slowdown, relative_discharge, energy })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sweep_respects_the_slowdown_budget_when_possible() {
-        let instrs = 6_000;
-        let baseline = try_run_benchmark_cached(
-            "mesa",
-            &SystemSpec { instructions: instrs, ..SystemSpec::default() },
-        )
-        .expect("baseline completes");
-        let best = optimal_gated("mesa", SweptCache::Inst, TechnologyNode::N70, &baseline, instrs)
-            .expect("sweep completes");
-        assert!(best.relative_discharge < 1.0, "must save something");
-        assert!(THRESHOLDS.contains(&best.threshold));
+        let spec = SystemSpec { instructions: 6_000, ..SystemSpec::default() };
+        let baseline = try_run_benchmark_cached("mesa", &spec).expect("baseline completes");
+        let ladder = sweep("mesa", &baseline, &gated_i(spec)).expect("sweep completes");
+        let best = pick_at(&ladder, TechnologyNode::N70, i_discharge);
+        assert!(best.cost < 1.0, "must save something");
+        assert!(
+            matches!(best.candidate.run.spec.i_policy,
+                PolicyKind::Gated { threshold } if threshold == THRESHOLDS[best.index]),
+            "the pick's index names its run's threshold"
+        );
+        assert!(
+            best.candidate.slowdown <= MAX_SLOWDOWN
+                || ladder.iter().all(|c| c.slowdown > MAX_SLOWDOWN),
+            "slowdown {} over budget with a candidate within it",
+            best.candidate.slowdown
+        );
     }
 
     #[test]

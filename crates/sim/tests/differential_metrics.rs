@@ -1,8 +1,9 @@
 //! The observability layer's core contract: *semantic* counters are a
 //! pure function of the work performed, never of how it was scheduled.
 //!
-//! The same headline experiment (plus one faulted run, so the fault
-//! counters are exercised) runs at `jobs=1` and `jobs=8`; every counter
+//! The same headline experiment, cold and then warm (plus one faulted
+//! run, so the fault counters are exercised), runs at `jobs=1` and
+//! `jobs=8`; every counter
 //! outside the scheduling family (`exec.pool.*`) must move by exactly the
 //! same amount in both legs — committed instructions, the core's work
 //! counts, precharge events, cache hits and misses, fault detections and
@@ -52,13 +53,16 @@ fn accountant_lookups(d: &BTreeMap<String, u64>) -> u64 {
     d.iter().filter(|(k, _)| k.starts_with("sim.accountants.")).map(|(_, v)| *v).sum()
 }
 
-/// One cold leg of the experiment at `jobs` workers, returning how much
-/// every counter moved.
+/// One leg of the experiment at `jobs` workers, cold and then again warm
+/// (so the second pass is answered from the run cache), returning how
+/// much every counter moved.
 fn leg(jobs: usize) -> BTreeMap<String, u64> {
     clear_run_caches();
     let before = counters();
     pool::with_jobs(jobs, || {
-        headline::run(INSTRS).expect("headline completes");
+        for _ in 0..2 {
+            headline::run(INSTRS).expect("headline completes");
+        }
         // One faulted run so the faults.* counters move too.
         let spec = SystemSpec {
             instructions: INSTRS,
