@@ -237,7 +237,18 @@ window_smoke() {
         cat "$win_err" >&2
         exit 1
     fi
-    echo "==> smoke: window OK — at most $segments segments held"
+    # The pair's cursors own the stream: one window is counted, and no
+    # stream is retained beside it.
+    local windows retained
+    windows=$(metric_value "$win_json" exec.traces.windows)
+    retained=$(metric_value "$win_json" exec.traces.retained_peak_bytes)
+    if [[ "$windows" != 1 || "$retained" != 0 ]]; then
+        echo "==> smoke: FAIL — the gcc pair read $windows windows (want 1) and retained" \
+            "$retained B of trace (want 0)" >&2
+        cat "$win_err" >&2
+        exit 1
+    fi
+    echo "==> smoke: window OK — at most $segments segments held, one window, none retained"
 }
 
 # Runs the headline 3 times at JOBS workers with metrics on, and prints the

@@ -19,8 +19,10 @@
 //! * [`TraceStore`] — a shared, lazily-materialised store of synthetic
 //!   workload traces keyed by `(benchmark, seed)`; concurrent runs replay
 //!   the same generated prefix through cheap [`TraceCursor`]s instead of
-//!   regenerating it. `bitline-sim` gives each unit of work a store of
-//!   its own, so a unit's streams are freed when it returns.
+//!   regenerating it. A stream has one owner: `bitline-sim` gives each
+//!   unit of work a store of its own, so a unit's streams are freed when
+//!   it returns, `bitline-serve` keeps one store for the daemon's life, and
+//!   a lockstep set of runs reads a [`TraceCursor::window`] of its own.
 //!
 //! Two supervision primitives ride on top: a [`CancelToken`] gives a unit
 //! of work a pollable wall-clock budget (the pool arms none; the unit's

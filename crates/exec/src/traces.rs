@@ -17,22 +17,25 @@
 //! extends the shared stream segment by segment, and every other reader
 //! sees the identical prefix it would have generated itself.
 //!
-//! A stream comes in one of two kinds, built from the same producer,
-//! segments and cursor:
+//! A stream has one owner, and comes in one of two kinds, built from the
+//! same producer, segments and cursor:
 //!
-//! * **retained** ([`TraceStore::cursor`]): every segment stays for the
-//!   life of the store, so any number of cursors, opened at any time, can
-//!   replay it from the start. Sweeps read each stream many times. A
-//!   store lives as long as its owner keeps it: a process-wide one for
-//!   the life of the process, or one per unit of work, dropped with its
-//!   streams when the unit returns. The `exec.traces.retained_peak_bytes`
-//!   gauge records the most bytes retained streams held at once, over
-//!   every store ([`retained_trace_bytes`] is the amount held now).
-//! * **windowed** ([`TraceStore::window`]): a fixed set of cursors, all
-//!   opened together, reads the stream front to back, and a segment is
-//!   dropped once every cursor has moved past it. Cursors that advance in
-//!   lockstep keep only the segments between the slowest and the fastest
-//!   of them, however long the stream.
+//! * **retained** ([`TraceStore::cursor`]): every segment stays for as long
+//!   as the store that owns the stream, so any number of cursors, opened at
+//!   any time, can replay it from the start. Sweeps read each stream many
+//!   times. A store lives as long as its owner keeps it (a unit of work, or
+//!   a daemon), and a store made for one cursor alone is freed with that
+//!   cursor. The `exec.traces.retained_peak_bytes` gauge records the most
+//!   bytes retained streams held at once, over every store
+//!   ([`retained_trace_bytes`] is the amount held now).
+//! * **windowed** ([`TraceCursor::window`]): a fixed set of cursors, all
+//!   opened together, owns the stream and reads it front to back, and a
+//!   segment is dropped once every cursor has moved past it. Cursors that
+//!   advance in lockstep keep only the segments between the slowest and
+//!   the fastest of them, however long the stream. The
+//!   `exec.traces.windows` counter counts windows, and the
+//!   `exec.traces.window_peak_segments` and `exec.traces.window_peak_bytes`
+//!   gauges record the most any one window held.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,35 +110,9 @@ impl Segments {
     }
 }
 
-/// The most any one windowed stream of a store has held, and how much the
-/// store's windowed streams have materialised. Each windowed stream
-/// reports here as it grows.
-#[derive(Debug, Default)]
-struct WindowTally {
-    streams: AtomicU64,
-    instructions: AtomicU64,
-    peak_segments: AtomicU64,
-    peak_bytes: AtomicU64,
-}
-
-impl WindowTally {
-    fn reset(&self) {
-        for n in [&self.streams, &self.instructions, &self.peak_segments, &self.peak_bytes] {
-            n.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one freshly materialised segment of a windowed stream that
-    /// now holds `segments`.
-    fn record(&self, segments: &Segments) {
-        self.instructions.fetch_add(SEG_LEN as u64, Ordering::Relaxed);
-        let held = segments.held.len() as u64;
-        self.peak_segments.fetch_max(held, Ordering::Relaxed);
-        self.peak_bytes.fetch_max(segments.bytes, Ordering::Relaxed);
-        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        bitline_obs::gauge!("exec.traces.window_peak_segments").set_max(gauge(held));
-        bitline_obs::gauge!("exec.traces.window_peak_bytes").set_max(gauge(segments.bytes));
-    }
+/// A gauge value for a count or a size.
+fn gauge(v: u64) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
 }
 
 /// One benchmark's stream for one seed, retained or windowed.
@@ -145,18 +122,17 @@ struct SharedTrace {
     /// Locked only while generating and encoding the next segment.
     producer: Mutex<Producer>,
     segments: RwLock<Segments>,
-    /// Where a windowed stream reports its size; `None` when retained.
-    window: Option<Arc<WindowTally>>,
 }
 
 impl SharedTrace {
-    fn new(name: &str, generator: SyntheticWorkload, window: Option<Arc<WindowTally>>) -> Self {
+    /// A stream of `name` from `generator`, windowed over `readers`
+    /// cursors, or retained when `readers` is 0.
+    fn new(name: &str, generator: SyntheticWorkload, readers: usize) -> Self {
         bitline_obs::counter!("exec.traces.streams").incr();
         SharedTrace {
             name: name.to_owned(),
             producer: Mutex::new(Producer { generator, builder: SegmentBuilder::new() }),
-            segments: RwLock::new(Segments::default()),
-            window,
+            segments: RwLock::new(Segments { readers: vec![0; readers], ..Segments::default() }),
         }
     }
 
@@ -207,13 +183,14 @@ impl SharedTrace {
                 let mut segments = self.write();
                 segments.bytes += bytes;
                 segments.held.push_back(seg);
-                match &self.window {
-                    Some(tally) => tally.record(&segments),
-                    None => {
-                        let held = RETAINED_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-                        bitline_obs::gauge!("exec.traces.retained_peak_bytes")
-                            .set_max(i64::try_from(held).unwrap_or(i64::MAX));
-                    }
+                if segments.readers.is_empty() {
+                    let held = RETAINED_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                    bitline_obs::gauge!("exec.traces.retained_peak_bytes").set_max(gauge(held));
+                } else {
+                    let held = segments.held.len() as u64;
+                    bitline_obs::gauge!("exec.traces.window_peak_segments").set_max(gauge(held));
+                    bitline_obs::gauge!("exec.traces.window_peak_bytes")
+                        .set_max(gauge(segments.bytes));
                 }
             }
         }
@@ -233,9 +210,8 @@ impl SharedTrace {
 
 impl Drop for SharedTrace {
     fn drop(&mut self) {
-        if self.window.is_none() {
-            let segments =
-                self.segments.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let segments = self.segments.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if segments.readers.is_empty() {
             RETAINED_BYTES.fetch_sub(segments.bytes, Ordering::Relaxed);
         }
     }
@@ -244,29 +220,20 @@ impl Drop for SharedTrace {
 /// Size and coverage of a [`TraceStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStoreStats {
-    /// Distinct streams materialised: every retained `(benchmark, seed)`
-    /// stream plus every windowed stream.
+    /// Distinct `(benchmark, seed)` streams the store holds.
     pub traces: usize,
-    /// Of `traces`, the windowed streams.
-    pub windows: usize,
-    /// Instructions materialised: those the retained streams hold plus
-    /// every one the windowed streams produced.
+    /// Instructions the streams hold.
     pub instructions: u64,
-    /// Heap bytes held by the retained streams' columnar segments (shared
-    /// across cursors).
+    /// Heap bytes held by the streams' columnar segments (shared across
+    /// cursors).
     pub bytes: u64,
-    /// The most segments any one windowed stream held at once.
-    pub window_peak_segments: u64,
-    /// The most heap bytes any one windowed stream held at once.
-    pub window_peak_bytes: u64,
 }
 
-/// A store of shared synthetic traces: one per process, or one per unit
-/// of work.
+/// The owner of a set of retained traces: a unit of work, a daemon, or
+/// one cursor.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     traces: Mutex<HashMap<(String, u64), Arc<SharedTrace>>>,
-    windows: Arc<WindowTally>,
 }
 
 impl TraceStore {
@@ -285,7 +252,7 @@ impl TraceStore {
             Some(t) => Arc::clone(t),
             None => {
                 let spec = suite::by_name(benchmark)?;
-                let t = Arc::new(SharedTrace::new(benchmark, spec.build(seed), None));
+                let t = Arc::new(SharedTrace::new(benchmark, spec.build(seed), 0));
                 traces.insert((benchmark.to_owned(), seed), Arc::clone(&t));
                 t
             }
@@ -293,46 +260,15 @@ impl TraceStore {
         Some(TraceCursor::new(trace, None))
     }
 
-    /// `readers` cursors over a new windowed stream of `benchmark` at
-    /// `seed`, or `None` when the benchmark is not in the suite. The
-    /// stream is generated afresh, shared with no other caller, and drops
-    /// each segment once every one of these cursors has moved past it (or
-    /// been dropped).
-    #[must_use]
-    pub fn window(&self, benchmark: &str, seed: u64, readers: usize) -> Option<Vec<TraceCursor>> {
-        let spec = suite::by_name(benchmark)?;
-        let trace = Arc::new(SharedTrace::new(
-            benchmark,
-            spec.build(seed),
-            Some(Arc::clone(&self.windows)),
-        ));
-        trace.write().readers = vec![0; readers];
-        self.windows.streams.fetch_add(1, Ordering::Relaxed);
-        Some((0..readers).map(|r| TraceCursor::new(Arc::clone(&trace), Some(r))).collect())
-    }
-
-    /// Stream count, materialised instructions, columnar bytes, and the
-    /// largest window.
+    /// Stream count, materialised instructions and columnar bytes.
     #[must_use]
     pub fn stats(&self) -> TraceStoreStats {
         let traces = self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let windows = self.windows.streams.load(Ordering::Relaxed) as usize;
         TraceStoreStats {
-            traces: traces.len() + windows,
-            windows,
-            instructions: traces.values().map(|t| t.len()).sum::<u64>()
-                + self.windows.instructions.load(Ordering::Relaxed),
+            traces: traces.len(),
+            instructions: traces.values().map(|t| t.len()).sum(),
             bytes: traces.values().map(|t| t.read().bytes).sum(),
-            window_peak_segments: self.windows.peak_segments.load(Ordering::Relaxed),
-            window_peak_bytes: self.windows.peak_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every retained stream and zeroes the window tallies (for
-    /// cold-vs-warm comparisons in tests).
-    pub fn clear(&self) {
-        self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-        self.windows.reset();
     }
 }
 
@@ -361,6 +297,19 @@ pub struct TraceCursor {
 impl TraceCursor {
     fn new(trace: Arc<SharedTrace>, reader: Option<usize>) -> TraceCursor {
         TraceCursor { trace, reader, seg: None, seg_idx: 0, state: StreamState::new() }
+    }
+
+    /// `readers` cursors over a new windowed stream of `benchmark` at
+    /// `seed`, or `None` when the benchmark is not in the suite. The
+    /// cursors own the stream: it is generated afresh, shared with no other
+    /// caller, and drops each segment once every one of them has moved past
+    /// it (or been dropped).
+    #[must_use]
+    pub fn window(benchmark: &str, seed: u64, readers: usize) -> Option<Vec<TraceCursor>> {
+        let spec = suite::by_name(benchmark)?;
+        let trace = Arc::new(SharedTrace::new(benchmark, spec.build(seed), readers));
+        bitline_obs::counter!("exec.traces.windows").incr();
+        Some((0..readers).map(|r| TraceCursor::new(Arc::clone(&trace), Some(r))).collect())
     }
 }
 
@@ -497,43 +446,46 @@ mod tests {
         assert_eq!(store.stats().instructions, SEG_LEN as u64);
     }
 
+    /// The segments `cursor`'s stream holds now.
+    fn held(cursor: &TraceCursor) -> usize {
+        cursor.trace.read().held.len()
+    }
+
     #[test]
     fn lockstep_cursors_replay_exactly_through_a_two_segment_window() {
-        let store = TraceStore::new();
         let spec = suite::by_name("gcc").unwrap();
-        let mut cursors = store.window("gcc", 9, 2).expect("gcc is in the suite");
+        let mut cursors = TraceCursor::window("gcc", 9, 2).expect("gcc is in the suite");
         let mut direct = [spec.build(9), spec.build(9)];
         // Alternating 2 048-instruction chunks, as the runner steps a pair.
         let chunk = 2_048;
+        let mut peak = 0;
         for turn in 0..(100 * SEG_LEN / chunk) {
             for (k, (cursor, direct)) in cursors.iter_mut().zip(&mut direct).enumerate() {
                 for i in 0..chunk {
                     let at = turn * chunk + i;
                     assert_eq!(cursor.next_instr(), direct.next_instr(), "cursor {k} instr {at}");
                 }
+                peak = peak.max(held(cursor));
             }
-            let held = store.stats().window_peak_segments;
-            assert!(held <= 2, "the window held {held} segments by turn {turn}");
+            assert!(peak <= 2, "the window held {peak} segments by turn {turn}");
         }
-        let stats = store.stats();
-        assert_eq!((stats.traces, stats.windows), (1, 1));
-        assert_eq!(stats.instructions, 100 * SEG_LEN as u64);
-        assert_eq!(stats.window_peak_segments, 2, "the leader's segment and the laggard's");
-        assert_eq!(stats.bytes, 0, "a window is not retained");
+        assert_eq!(peak, 2, "the leader's segment and the laggard's");
         let trace = Arc::clone(&cursors[0].trace);
+        assert_eq!(trace.read().end(), 100, "each segment is materialised once");
         drop(cursors);
         assert!(trace.read().held.is_empty(), "the last reader's drop frees the window");
     }
 
     #[test]
     fn a_dropped_reader_holds_no_segment_back() {
-        let store = TraceStore::new();
-        let mut cursors = store.window("mesa", 1, 2).expect("mesa is in the suite");
+        let mut cursors = TraceCursor::window("mesa", 1, 2).expect("mesa is in the suite");
         drop(cursors.pop());
-        for _ in 0..(10 * SEG_LEN) {
-            let _ = cursors[0].next_instr();
+        for _ in 0..10 {
+            for _ in 0..SEG_LEN {
+                let _ = cursors[0].next_instr();
+            }
+            assert_eq!(held(&cursors[0]), 1);
         }
-        assert_eq!(store.stats().window_peak_segments, 1);
-        assert!(store.window("linpack", 1, 2).is_none());
+        assert!(TraceCursor::window("linpack", 1, 2).is_none());
     }
 }

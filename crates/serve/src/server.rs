@@ -28,6 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bitline_cmos::TechnologyNode;
+use bitline_exec::TraceStore;
 use bitline_failpoint::Action;
 use bitline_obs::{counter, gauge, histo};
 use bitline_sim::experiments::harness;
@@ -44,12 +45,17 @@ pub type Runner = Arc<dyn Fn(&str, &SystemSpec) -> Result<RunRow, SimError> + Se
 
 /// The production runner: the memoized, journaled cache entry point,
 /// priced at `node`. The journal append happens inside the cache fill, so
-/// a result returned here is already durable.
+/// a result returned here is already durable. Every job reads its trace
+/// from one store the runner owns, so the requests for one benchmark and
+/// seed share a stream for the daemon's life.
 #[must_use]
 pub fn production_runner(node: TechnologyNode) -> Runner {
+    let traces = Arc::new(TraceStore::new());
     Arc::new(move |benchmark, spec| {
-        bitline_sim::try_run_benchmark_cached(benchmark, spec)
-            .map(|run| RunRow::from_result(&run, node))
+        bitline_sim::with_traces(Arc::clone(&traces), || {
+            bitline_sim::try_run_benchmark_cached(benchmark, spec)
+        })
+        .map(|run| RunRow::from_result(&run, node))
     })
 }
 

@@ -60,6 +60,8 @@ fn parse_args() -> Result<Args, String> {
         experiment: None,
     };
     let mut spec_values = spec::Assignments::default();
+    // The single-run flags given, which no experiment takes.
+    let mut run_flags = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| -> Result<String, String> {
@@ -69,9 +71,13 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match flag.as_str() {
-            "--benchmark" | "-b" => args.benchmark = value(&flag)?,
+            "--benchmark" | "-b" => {
+                args.benchmark = value(&flag)?;
+                run_flags.push("--benchmark");
+            }
             "--node" | "-n" => {
                 args.node = value(&flag)?.parse().map_err(|e| format!("{e}"))?;
+                run_flags.push("--node");
             }
             "--run-budget" => {
                 args.run_budget = Some(supervise::parse_budget(&value(&flag)?)?);
@@ -108,6 +114,13 @@ fn parse_args() -> Result<Args, String> {
             return Err(format!(
                 "`{}` does not take {}: the experiment sets that field itself",
                 e.name, field.flag
+            ));
+        }
+        if let Some(flag) = run_flags.first() {
+            return Err(format!(
+                "`{}` does not take {flag}: experiments choose their own benchmarks \
+                 (BITLINE_SUITE) and nodes",
+                e.name
             ));
         }
     }

@@ -31,9 +31,9 @@
 //! bytes per integer and float, averaged 5 806, and 12 163 at 64 B
 //! subarrays, where a v7 frame averaged 79 741.
 //!
-//! [`spec_key`] keeps fixed-width words of its own (`KeyWord`): a key
-//! names a run in every journal and serve answer, so its bytes never move
-//! with the frame layout.
+//! [`spec_key`] hashes the spec table's fixed-width key words
+//! (`spec::key_words`), not the frame: a key names a run in every journal
+//! and serve answer, so its bytes never move with the frame layout.
 //!
 //! The journal is a cache of recomputable runs, so decoding is total and
 //! unforgiving: any truncation, bad tag, non-minimal varint, implausible
@@ -47,9 +47,7 @@ use bitline_ecc::{DegradationStage, ReliabilityReport, SubarrayReliability};
 use bitline_exec::backoff::fnv64;
 use bitline_faults::{FaultReport, SubarrayFaults, SubarrayVdd, VddReport};
 
-use bitline_energy::LeakageKind;
-
-use crate::config::{PolicyKind, SystemSpec};
+use crate::config::SystemSpec;
 use crate::recorder::LocalityStats;
 use crate::runner::{Level, LevelRun, RunResult};
 use crate::spec;
@@ -67,18 +65,16 @@ pub(crate) const VERSION: u8 = 8;
 const MAX_VEC: usize = 1 << 20;
 
 /// The journal key for a run: `benchmark@<16-hex spec hash>`. The hash is
-/// FNV-1a over a binary canonical spec encoding, so it is stable across
+/// FNV-1a over the spec table's key words, so it is stable across
 /// processes and Rust versions (unlike `DefaultHasher`).
 ///
 /// The key is frozen: every serve response and journal entry carries it.
-/// The encoding is write-only (nothing decodes it) and its layout never
-/// changes. A new spec axis appends a tagged block only when its value is
-/// non-default, so every existing key survives the new axis.
+/// The words are write-only (nothing decodes them) and their layout never
+/// changes. A new spec axis opens a tagged block, written only when its
+/// value is non-default, so every existing key survives the new axis.
 #[must_use]
 pub fn spec_key(benchmark: &str, spec: &SystemSpec) -> String {
-    let mut out = Vec::new();
-    spec_canonical(&mut out, spec);
-    format!("{benchmark}@{:016x}", fnv64(&out))
+    format!("{benchmark}@{:016x}", fnv64(&spec::key_words(spec)))
 }
 
 /// Encodes a run for the journal. One record per level follows the stats;
@@ -112,122 +108,6 @@ pub fn decode_run(bytes: &[u8]) -> Option<RunResult> {
         .collect::<Option<_>>()?;
     // Trailing garbage means the entry is not what we wrote.
     input.is_empty().then_some(RunResult { benchmark, spec, stats, levels })
-}
-
-/// The [`spec_key`] encoding: the original fields in a fixed layout, then
-/// one block per later axis, appended only when that axis is non-default
-/// (the hierarchy block predates tagging; the supply block leads with tag
-/// `0xD1`). A new axis follows the same rule with a fresh tag byte, so no
-/// existing key moves.
-fn spec_canonical(out: &mut Vec<u8>, s: &SystemSpec) {
-    put_policy(out, s.d_policy);
-    put_policy(out, s.i_policy);
-    s.subarray_bytes.key(out);
-    s.instructions.key(out);
-    s.seed.key(out);
-    s.way_prediction.key(out);
-    s.faults.rate.key(out);
-    s.faults.seed.key(out);
-    s.faults.fail_safe.key(out);
-    s.faults.ecc.key(out);
-    s.faults.scrub_period.key(out);
-    if !s.hierarchy.is_default() {
-        let h = &s.hierarchy;
-        h.levels.key(out);
-        put_policy(out, h.l2_policy);
-        let mode: u8 = match h.leakage_mode {
-            LeakageKind::FullVdd => 0,
-            LeakageKind::Drowsy => 1,
-            LeakageKind::GatedVdd => 2,
-            LeakageKind::LowPower6T => 3,
-        };
-        mode.key(out);
-    }
-    if !s.vdd.is_default() {
-        0xD1_u8.key(out);
-        s.vdd.scale.key(out);
-        s.vdd.governor.key(out);
-    }
-}
-
-/// A policy's key bytes: its tag, then its parameters.
-fn put_policy(out: &mut Vec<u8>, p: PolicyKind) {
-    match p {
-        PolicyKind::StaticPullUp => 0_u8.key(out),
-        PolicyKind::Oracle => 1_u8.key(out),
-        PolicyKind::OnDemand => 2_u8.key(out),
-        PolicyKind::Gated { threshold } => {
-            3_u8.key(out);
-            threshold.key(out);
-        }
-        PolicyKind::GatedPredecode { threshold } => {
-            4_u8.key(out);
-            threshold.key(out);
-        }
-        PolicyKind::AdaptiveGated { interval_accesses } => {
-            5_u8.key(out);
-            interval_accesses.key(out);
-        }
-        // Tag 6 named leakage-biased bitlines, a copy of the oracle; it
-        // stays unused so no other policy's key can collide with an old one.
-        PolicyKind::Drowsy { threshold } => {
-            7_u8.key(out);
-            threshold.key(out);
-        }
-        PolicyKind::Resizable { interval_accesses, slack } => {
-            8_u8.key(out);
-            interval_accesses.key(out);
-            slack.key(out);
-        }
-        PolicyKind::LocalityRecorder => 9_u8.key(out),
-    }
-}
-
-/// A [`spec_key`] word, laid out as the key has always been: a byte for a
-/// `u8` or a flag, 8 little-endian bytes for an integer or a float's bits,
-/// a presence byte before an option's value. The frame's leaves may change
-/// with the codec version; these never do.
-trait KeyWord {
-    fn key(&self, out: &mut Vec<u8>);
-}
-
-impl KeyWord for u8 {
-    fn key(&self, out: &mut Vec<u8>) {
-        out.push(*self);
-    }
-}
-
-impl KeyWord for bool {
-    fn key(&self, out: &mut Vec<u8>) {
-        u8::from(*self).key(out);
-    }
-}
-
-impl KeyWord for u64 {
-    fn key(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl KeyWord for usize {
-    fn key(&self, out: &mut Vec<u8>) {
-        (*self as u64).key(out);
-    }
-}
-
-impl KeyWord for f64 {
-    fn key(&self, out: &mut Vec<u8>) {
-        self.to_bits().key(out);
-    }
-}
-
-impl<T: KeyWord> KeyWord for Option<T> {
-    fn key(&self, out: &mut Vec<u8>) {
-        self.is_some().key(out);
-        if let Some(v) = self {
-            v.key(out);
-        }
-    }
 }
 
 /// A value with a fixed frame layout: `put` appends it and `take` reads it
@@ -508,9 +388,10 @@ records! {
 #[cfg(test)]
 mod tests {
     use bitline_cache::IDLE_BUCKETS;
+    use bitline_energy::LeakageKind;
 
     use super::*;
-    use crate::config::{FaultSpec, HierarchySpec, VddSpec};
+    use crate::config::{FaultSpec, HierarchySpec, PolicyKind, VddSpec};
 
     /// A level record with nothing attached.
     fn bare(level: Level, report: ActivityReport, traffic: (u64, u64, u64)) -> LevelRun {

@@ -461,13 +461,6 @@ impl HierarchySpec {
         self.levels >= 2
     }
 
-    /// Whether this spec is the inert default (nothing to encode, nothing
-    /// to build — the guarantee behind the differential golden test).
-    #[must_use]
-    pub fn is_default(&self) -> bool {
-        *self == HierarchySpec::default()
-    }
-
     /// Rejects hierarchies the simulator cannot run, and an L2 policy it
     /// would ignore.
     ///
@@ -832,10 +825,9 @@ pub(crate) mod tests {
     #[test]
     fn hierarchy_default_is_inert_and_validates() {
         let h = HierarchySpec::default();
-        assert!(h.is_default());
         assert!(!h.active());
         assert!(h.validate().is_ok());
-        assert!(SystemSpec::default().hierarchy.is_default());
+        assert_eq!(SystemSpec::default().hierarchy, h);
     }
 
     #[test]
@@ -873,7 +865,6 @@ pub(crate) mod tests {
         };
         assert!(ok.validate().is_ok());
         assert!(ok.hierarchy.active());
-        assert!(!ok.hierarchy.is_default());
     }
 
     #[test]

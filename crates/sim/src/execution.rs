@@ -1,6 +1,7 @@
 //! Process-wide memoization behind the experiment drivers.
 //!
-//! Three shared stores, all built on `bitline-exec`:
+//! Two process-wide caches, both built on `bitline-exec`, and the trace
+//! store a run reads from:
 //!
 //! * the **run cache** — completed [`RunResult`]s keyed by the benchmark
 //!   and the spec's canonical text ([`spec::canonical_text`], the text the
@@ -9,18 +10,18 @@
 //!   process. Each run is held as its journal frame
 //!   ([`checkpoint::encode_run`]), a fraction of the decoded run's heap,
 //!   and every lookup decodes it;
-//! * the **trace stores** — each `(benchmark, seed)` synthetic instruction
-//!   stream, generated once and replayed into every run that reads it. A
-//!   harness unit of work gets a store of its own ([`with_unit_traces`]),
-//!   freed with its streams when the unit returns; runs outside any unit
-//!   (the daemon's requests, the ablations, tests) read the process
-//!   store, which also holds the windowed streams a lockstep set of runs
-//!   reads once and drops behind it;
 //! * the **accountant cache** — the `(d, i)` [`EnergyAccountant`] pair per
 //!   `(node, subarray bytes)`, so re-pricing a run at another node does
 //!   not rebuild cache geometry and energy models. Entries are `Arc`s:
 //!   pricing reads the shared models and never copies their transient
-//!   voltage tables.
+//!   voltage tables;
+//! * the **trace store** — each stream has one owner. A run reads its
+//!   `(benchmark, seed)` stream from the store [`with_traces`] installed,
+//!   where it is generated once for every run of that store's owner: a
+//!   harness unit of work, freed with its streams when the unit returns,
+//!   or the `bitline-serve` daemon. Outside one, a run reads a stream of
+//!   its own, freed when the run finishes, and a lockstep set of runs
+//!   reads one windowed stream, dropped behind the slowest of them.
 //!
 //! Every cached value is a pure function of its key (runs are seeded and
 //! deterministic), so cache hits are indistinguishable from recomputation
@@ -29,13 +30,12 @@
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::path::Path;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bitline_cache::CacheConfig;
 use bitline_cmos::TechnologyNode;
 use bitline_energy::EnergyAccountant;
-use bitline_exec::{CacheStats, Journal, MemoCache, TraceCursor, TraceStore, TraceStoreStats};
+use bitline_exec::{CacheStats, Journal, MemoCache, TraceCursor, TraceStore};
 
 use crate::checkpoint;
 use crate::config::SystemSpec;
@@ -75,29 +75,24 @@ fn unframe(frame: &[u8]) -> RunResult {
     checkpoint::decode_run(frame).expect("a frame the codec wrote or checked decodes")
 }
 
-/// The process trace store: streams read outside any unit of work, kept
-/// for the life of the process, and every windowed stream.
-fn trace_store() -> &'static TraceStore {
-    static STORE: OnceLock<TraceStore> = OnceLock::new();
-    STORE.get_or_init(TraceStore::new)
-}
-
 thread_local! {
-    /// The running unit's trace store. A unit stays on one thread for its
-    /// whole life, so the thread-local is exactly the unit's scope.
-    static UNIT_TRACES: RefCell<Option<Rc<TraceStore>>> = const { RefCell::new(None) };
+    /// The trace store [`with_traces`] installed. A unit of work or a
+    /// daemon's request stays on one thread for its whole life, so the
+    /// thread-local is exactly its scope.
+    static TRACES: RefCell<Option<Arc<TraceStore>>> = const { RefCell::new(None) };
 }
 
-/// Runs `f` as one unit of work with a fresh trace store of its own: every
-/// retained stream a run in `f` reads is generated at most once and freed
-/// when `f` returns, panic or not. The previous store, if any, is
-/// restored afterwards.
-pub(crate) fn with_unit_traces<R>(f: impl FnOnce() -> R) -> R {
-    let prev = UNIT_TRACES.with(|u| u.replace(Some(Rc::new(TraceStore::new()))));
-    struct Restore(Option<Rc<TraceStore>>);
+/// Runs `f` with `store` installed: every retained stream a run in `f`
+/// reads comes from `store`, generated there at most once. The previous
+/// store, if any, is restored when `f` returns, panic or not. A harness
+/// unit of work passes a fresh store, freed with its streams when the unit
+/// returns; the `bitline-serve` daemon passes one store for its life.
+pub fn with_traces<R>(store: Arc<TraceStore>, f: impl FnOnce() -> R) -> R {
+    let prev = TRACES.with(|t| t.replace(Some(store)));
+    struct Restore(Option<Arc<TraceStore>>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            UNIT_TRACES.with(|u| *u.borrow_mut() = self.0.take());
+            TRACES.with(|t| *t.borrow_mut() = self.0.take());
         }
     }
     let _restore = Restore(prev);
@@ -113,19 +108,14 @@ fn accountant_cache() -> &'static MemoCache<(TechnologyNode, usize), AccountantP
 }
 
 /// A replay cursor into the retained trace of `benchmark` at `seed`, from
-/// the running unit's store or, outside a unit, the process store; `None`
-/// when the benchmark is not in the suite.
+/// the store [`with_traces`] installed or, outside one, from a store of the
+/// cursor's own, freed with it; `None` when the benchmark is not in the
+/// suite.
 pub(crate) fn trace_cursor(benchmark: &str, seed: u64) -> Option<TraceCursor> {
-    match UNIT_TRACES.with(|u| u.borrow().clone()) {
-        Some(unit) => unit.cursor(benchmark, seed),
-        None => trace_store().cursor(benchmark, seed),
-    }
-}
-
-/// `readers` cursors over a fresh windowed stream of `benchmark` at
-/// `seed`, or `None` when the benchmark is not in the suite.
-pub(crate) fn trace_window(benchmark: &str, seed: u64, readers: usize) -> Option<Vec<TraceCursor>> {
-    trace_store().window(benchmark, seed, readers)
+    TRACES.with(|t| match &*t.borrow() {
+        Some(store) => store.cursor(benchmark, seed),
+        None => TraceStore::new().cursor(benchmark, seed),
+    })
 }
 
 /// The cached `(data, inst)` accountant pair for a node and subarray size.
@@ -388,18 +378,12 @@ pub fn run_cache_stats() -> CacheStats {
     run_cache().stats()
 }
 
-/// Size of the process trace store. Units' stores are not counted: they
-/// are gone by the time anyone asks.
-#[must_use]
-pub fn trace_store_stats() -> TraceStoreStats {
-    trace_store().stats()
-}
-
 /// One-line execution summary for driver output (written to stderr by
 /// `bitline-sim` so stdout rows stay byte-identical across job counts).
-/// Its trace part counts the streams of every store, units' included:
-/// how many were generated, their instructions, and the most bytes
-/// retained streams held at once.
+/// Its trace part reads the `exec.traces.*` metrics: how many streams
+/// were generated, their instructions, the most bytes retained streams
+/// held at once and, when runs read a window, how many windows and the
+/// most one held.
 #[must_use]
 pub fn exec_summary_line() -> String {
     let mut line = format!(
@@ -411,13 +395,12 @@ pub fn exec_summary_line() -> String {
         bitline_obs::counter!("exec.traces.materialised").get(),
         bitline_obs::gauge!("exec.traces.retained_peak_bytes").get() / 1024,
     );
-    let traces = trace_store_stats();
-    if traces.windows > 0 {
+    let windows = bitline_obs::counter!("exec.traces.windows").get();
+    if windows > 0 {
         line.push_str(&format!(
-            "; {} windowed, at most {} segments ({} KiB) in one window",
-            traces.windows,
-            traces.window_peak_segments,
-            traces.window_peak_bytes / 1024
+            "; {windows} windowed, at most {} segments ({} KiB) in one window",
+            bitline_obs::gauge!("exec.traces.window_peak_segments").get(),
+            bitline_obs::gauge!("exec.traces.window_peak_bytes").get() / 1024
         ));
     }
     if let Some(cp) = checkpoint_stats() {
@@ -429,12 +412,10 @@ pub fn exec_summary_line() -> String {
     line
 }
 
-/// Empties the run cache and the process trace store (cold-vs-warm
-/// comparisons in tests and the CI smoke target). The accountant cache is
-/// kept — it holds no run state.
+/// Empties the run cache (cold-vs-warm comparisons in tests and the CI
+/// smoke target). The accountant cache is kept — it holds no run state.
 pub fn clear_run_caches() {
     run_cache().clear();
-    trace_store().clear();
 }
 
 #[cfg(test)]
@@ -682,21 +663,23 @@ mod tests {
     fn a_unit_reads_a_store_of_its_own_and_drops_it_on_return() {
         use bitline_trace::TraceSource;
 
-        let current = || UNIT_TRACES.with(|u| u.borrow().clone());
-        let (outer, inner) = with_unit_traces(|| {
-            let outer = current().expect("a unit store is installed");
+        let current = || TRACES.with(|t| t.borrow().clone());
+        let (outer, inner) = with_traces(Arc::new(TraceStore::new()), || {
+            let outer = current().expect("a store is installed");
             let mut cursor = trace_cursor("mesa", 27_500).expect("mesa is in the suite");
             let _ = cursor.next_instr();
-            assert_eq!(outer.stats().traces, 1, "the unit's cursor reads the unit's store");
-            let inner = with_unit_traces(|| Rc::downgrade(&current().expect("a nested store")));
-            assert!(Rc::ptr_eq(&current().expect("restored"), &outer), "the outer store is back");
-            (Rc::downgrade(&outer), inner)
+            assert_eq!(outer.stats().traces, 1, "the cursor reads the installed store");
+            let inner = with_traces(Arc::new(TraceStore::new()), || {
+                Arc::downgrade(&current().expect("a nested store"))
+            });
+            assert!(Arc::ptr_eq(&current().expect("restored"), &outer), "the outer store is back");
+            (Arc::downgrade(&outer), inner)
         });
         assert!(
             outer.upgrade().is_none() && inner.upgrade().is_none(),
             "a store outlived its unit"
         );
-        assert!(current().is_none(), "outside a unit, runs read the process store");
+        assert!(current().is_none(), "outside with_traces, no store is installed");
     }
 
     #[test]

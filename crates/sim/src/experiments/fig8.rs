@@ -12,7 +12,7 @@ use crate::experiments::sweep::{
 use crate::{try_run_benchmark_cached, SimError, SystemSpec};
 
 /// One benchmark's Figure 8 bars.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Fig8Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -55,6 +55,8 @@ pub(crate) type Unit = (Fig8Row, f64, f64);
 /// Figure 8's unit of work for benchmark `name`: the static baseline and
 /// the D and I threshold ladders (predecoding on the D-cache, as in the
 /// paper), each picked at 70 nm, with each ladder's constant-100 point.
+/// The D bars and the D constant-100 point are read before the I ladder is
+/// swept, so the unit holds one ladder at a time.
 ///
 /// # Errors
 ///
@@ -64,25 +66,27 @@ pub(crate) fn unit(name: &str, instrs: u64) -> Result<Unit, SimError> {
     let spec = SystemSpec { instructions: instrs, ..SystemSpec::default() };
     let baseline = try_run_benchmark_cached(name, &spec)?;
     let d_ladder = sweep(name, &baseline, &gated_d(spec))?;
-    let i_ladder = sweep(name, &baseline, &gated_i(spec))?;
     let d = pick_at(&d_ladder, node, d_discharge);
-    let i = pick_at(&i_ladder, node, i_discharge);
     let (d_pol, d_base) = &d.energy;
-    let (i_pol, i_base) = &i.energy;
-    let row = Fig8Row {
+    let mut row = Fig8Row {
         benchmark: name.to_owned(),
         d_precharged: d.candidate.run.l1d().report.precharged_fraction(),
         d_discharge: d.cost,
         d_threshold: THRESHOLDS[d.index],
         d_slowdown: d.candidate.slowdown,
-        i_precharged: i.candidate.run.l1i().report.precharged_fraction(),
-        i_discharge: i.cost,
-        i_threshold: THRESHOLDS[i.index],
-        i_slowdown: i.candidate.slowdown,
         d_overall_reduction: d_pol.d.overall_reduction(&d_base.d),
-        i_overall_reduction: i_pol.i.overall_reduction(&i_base.i),
+        ..Fig8Row::default()
     };
     let const_d = d_discharge(&d_ladder[THRESHOLD_100].run.energy(node));
+    drop(d_ladder);
+    let i_ladder = sweep(name, &baseline, &gated_i(spec))?;
+    let i = pick_at(&i_ladder, node, i_discharge);
+    let (i_pol, i_base) = &i.energy;
+    row.i_precharged = i.candidate.run.l1i().report.precharged_fraction();
+    row.i_discharge = i.cost;
+    row.i_threshold = THRESHOLDS[i.index];
+    row.i_slowdown = i.candidate.slowdown;
+    row.i_overall_reduction = i_pol.i.overall_reduction(&i_base.i);
     let const_i = i_discharge(&i_ladder[THRESHOLD_100].run.energy(node));
     Ok((row, const_d, const_i))
 }

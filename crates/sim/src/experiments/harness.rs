@@ -31,11 +31,11 @@
 
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use bitline_exec::backoff::retry_backoff;
-use bitline_exec::CancelToken;
+use bitline_exec::{CancelToken, TraceStore};
 
 use crate::error::SimError;
 use crate::{execution, supervise};
@@ -389,7 +389,8 @@ pub fn map_names<T: Send>(
     let started = Instant::now();
     let budget = supervise::run_budget();
     let results = bitline_exec::pool::run_indexed(names.len(), |i| {
-        execution::with_unit_traces(|| isolated_tracked(names[i], budget, || f(names[i])))
+        let traces = Arc::new(TraceStore::new());
+        execution::with_traces(traces, || isolated_tracked(names[i], budget, || f(names[i])))
     });
     bitline_obs::histo!("sim.harness.suite_wall_us").record_duration(started.elapsed());
     let mut outcome = SuiteOutcome {

@@ -17,8 +17,9 @@
 //! parallelism), completed runs are memoized by `(benchmark,
 //! [`SystemSpec`])` ([`try_run_benchmark_cached`], stats via
 //! [`run_cache_stats`]), and each `(benchmark, seed)` synthetic trace is
-//! generated once and replayed into every run that wants it. Figure
-//! output is byte-identical regardless of job count.
+//! generated once per owner ([`with_traces`]) and replayed into every run
+//! of it that reads it. Figure output is byte-identical regardless of job
+//! count.
 //!
 //! # Examples
 //!
@@ -57,7 +58,7 @@ pub use config::{FaultSpec, HierarchySpec, PolicyKind, SystemSpec, VddSpec};
 pub use error::SimError;
 pub use execution::{
     checkpoint_stats, clear_checkpoint, clear_run_caches, exec_summary_line, run_cache_stats,
-    set_checkpoint, trace_store_stats, try_run_benchmark_cached, try_run_lockstep_cached,
+    set_checkpoint, try_run_benchmark_cached, try_run_lockstep_cached, with_traces,
     CheckpointStats,
 };
 pub use recorder::{LocalityRecorder, LocalityStats, FIG5_BUCKETS, FIG6_THRESHOLDS};

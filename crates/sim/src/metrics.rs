@@ -27,6 +27,7 @@ const DECLARED_COUNTERS: &[&str] = &[
     "exec.journal.quarantined",
     "exec.traces.materialised",
     "exec.traces.streams",
+    "exec.traces.windows",
     "sim.run_cache.hits",
     "sim.run_cache.misses",
     "sim.accountants.hits",

@@ -590,7 +590,7 @@ pub fn try_run_benchmark_supervised(
 ) -> Result<RunResult, SimError> {
     spec.validate()?;
     // Replay the benchmark's retained trace: the synthetic stream for this
-    // (benchmark, seed) is generated once per process and every run —
+    // (benchmark, seed) is generated once per store and every run of it —
     // concurrent or repeated — reads the same materialised prefix.
     let trace = execution::trace_cursor(name, spec.seed)
         .ok_or_else(|| SimError::UnknownBenchmark(name.to_owned()))?;
@@ -624,7 +624,7 @@ pub(crate) fn try_run_lockstep_supervised(
             )));
         }
     }
-    let cursors = execution::trace_window(name, seed, specs.len())
+    let cursors = TraceCursor::window(name, seed, specs.len())
         .ok_or_else(|| SimError::UnknownBenchmark(name.to_owned()))?;
     let runs = specs.iter().zip(cursors).map(|(spec, trace)| Run::start(spec, trace)).collect();
     step_until_done(name, runs, token)

@@ -11,8 +11,11 @@
 //! (finite floats, a nonzero scrub period, integer width); rules across
 //! fields stay in [`SystemSpec::validate`].
 //!
-//! A new spec axis is one row here, one tagged block in the
-//! [`spec_key`](crate::checkpoint::spec_key) encoding, and its rule in
+//! The rows also write the run's [`spec_key`](crate::checkpoint::spec_key):
+//! each value type lays out its own key words, and a row may open a key
+//! block, written only when one of its fields is off its default. A new
+//! spec axis is two steps: its rows here, the first opening a block with a
+//! fresh tag so that no existing key moves, and its rule in
 //! [`SystemSpec::validate`].
 
 use std::fmt::{Display, Write as _};
@@ -36,6 +39,10 @@ pub struct Field {
     pub short: Option<&'static str>,
     /// The flag's value placeholder in `--help`; empty for a switch.
     value: &'static str,
+    /// Whether the row opens a key block, and the tag the block leads
+    /// with: the rows from it to the next that opens one write their key
+    /// words into it.
+    opens: Option<&'static [u8]>,
     /// `--help` text; each line break starts a continuation line.
     help: &'static str,
     access: &'static (dyn Access + Sync),
@@ -44,7 +51,7 @@ pub struct Field {
 /// Every settable field, in the order values apply.
 #[rustfmt::skip]
 pub static FIELDS: [Field; FIELD_COUNT] = [
-    Field { key: "d_policy", flag: "--policy", short: Some("-p"), value: "P",
+    Field { key: "d_policy", flag: "--policy", short: Some("-p"), value: "P", opens: None,
         help: "D-cache policy (default gated-predecode:100): static | oracle |\n\
                ondemand | gated:T | gated-predecode:T | adaptive:INTERVAL |\n\
                drowsy:T | resizable:INTERVAL:SLACK | recorder; also sets the\n\
@@ -53,60 +60,61 @@ pub static FIELDS: [Field; FIELD_COUNT] = [
             s.d_policy = p;
             s.i_policy = p.icache_default();
         }) },
-    Field { key: "i_policy", flag: "--icache-policy", short: None, value: "P",
+    Field { key: "i_policy", flag: "--icache-policy", short: None, value: "P", opens: None,
         help: "I-cache policy (default: follows --policy)",
         access: &Accessor::<PolicyKind>(|s| Some(s.i_policy), |s, p| s.i_policy = p) },
-    Field { key: "subarray_bytes", flag: "--subarray", short: None, value: "BYTES",
+    Field { key: "subarray_bytes", flag: "--subarray", short: None, value: "BYTES", opens: None,
         help: "subarray size of both L1s, a power of two from 32 to 32768\n(default 1024)",
         access: &Accessor::<usize>(|s| Some(s.subarray_bytes), |s, n| s.subarray_bytes = n) },
-    Field { key: "instructions", flag: "--instructions", short: Some("-i"), value: "N",
+    Field { key: "instructions", flag: "--instructions", short: Some("-i"), value: "N", opens: None,
         help: "instructions to simulate (default 150000)",
         access: &Accessor::<u64>(|s| Some(s.instructions), |s, n| s.instructions = n) },
-    Field { key: "seed", flag: "--seed", short: None, value: "S",
+    Field { key: "seed", flag: "--seed", short: None, value: "S", opens: None,
         help: "workload seed (default 42)",
         access: &Accessor::<u64>(|s| Some(s.seed), |s, n| s.seed = n) },
-    Field { key: "way_prediction", flag: "--way-prediction", short: None, value: "",
+    Field { key: "way_prediction", flag: "--way-prediction", short: None, value: "", opens: None,
         help: "enable MRU way prediction on both L1s",
         access: &Accessor::<bool>(|s| Some(s.way_prediction), |s, b| s.way_prediction = b) },
-    Field { key: "fault_rate", flag: "--fault-rate", short: None, value: "P",
+    Field { key: "fault_rate", flag: "--fault-rate", short: None, value: "P", opens: None,
         help: "per-cold-access upset probability (default 0 = off)",
         access: &Accessor::<f64>(|s| Some(s.faults.rate), |s, x| s.faults.rate = x) },
-    Field { key: "fault_seed", flag: "--fault-seed", short: None, value: "S",
+    Field { key: "fault_seed", flag: "--fault-seed", short: None, value: "S", opens: None,
         help: "fault-injector seed (default: fixed constant)",
         access: &Accessor::<u64>(|s| Some(s.faults.seed), |s, n| s.faults.seed = n) },
-    Field { key: "fail_safe", flag: "--fail-safe", short: None, value: "",
+    Field { key: "fail_safe", flag: "--fail-safe", short: None, value: "", opens: None,
         help: "pin upset-prone subarrays back to static pull-up",
         access: &Accessor::<bool>(|s| Some(s.faults.fail_safe), |s, b| s.faults.fail_safe = b) },
-    Field { key: "ecc", flag: "--ecc", short: None, value: "",
+    Field { key: "ecc", flag: "--ecc", short: None, value: "", opens: None,
         help: "protect words with (72,64) SECDED: singles correct in place,\n\
                doubles replay as DUEs",
         access: &Accessor::<bool>(|s| Some(s.faults.ecc), |s, b| s.faults.ecc = b) },
     // Unset is written by omission; a set period is at least one cycle.
-    Field { key: "scrub_period", flag: "--scrub-period", short: None, value: "N",
+    Field { key: "scrub_period", flag: "--scrub-period", short: None, value: "N", opens: None,
         help: "background-scrub sweep period in cycles (requires --ecc;\ndefault off)",
         access: &Accessor::<NonZeroU64>(
             |s| s.faults.scrub_period.and_then(NonZeroU64::new),
             |s, p| s.faults.scrub_period = Some(p.get())) },
-    Field { key: "levels", flag: "--levels", short: None, value: "N",
+    // Each later axis keys a block of its own; the hierarchy's predates tags.
+    Field { key: "levels", flag: "--levels", short: None, value: "N", opens: Some(&[]),
         help: "cache levels: 1 = L1s only (default), 2 adds a managed L2,\n\
                3 adds an L3 behind it",
         access: &Accessor::<u8>(|s| Some(s.hierarchy.levels), |s, n| s.hierarchy.levels = n) },
-    Field { key: "l2_policy", flag: "--l2-policy", short: None, value: "P",
+    Field { key: "l2_policy", flag: "--l2-policy", short: None, value: "P", opens: None,
         help: "outer-level precharge policy (default static; same grammar\n\
                as --policy, needs --levels 2 or 3)",
         access: &Accessor::<PolicyKind>(|s| Some(s.hierarchy.l2_policy),
             |s, p| s.hierarchy.l2_policy = p) },
-    Field { key: "leakage_mode", flag: "--leakage-mode", short: None, value: "M",
+    Field { key: "leakage_mode", flag: "--leakage-mode", short: None, value: "M", opens: None,
         help: "cell-array leakage control: full-vdd (default) | drowsy |\n\
                gated-vdd | 6t (pricing only, never cycles)",
         access: &Accessor::<LeakageKind>(|s| Some(s.hierarchy.leakage_mode),
             |s, m| s.hierarchy.leakage_mode = m) },
-    Field { key: "vdd", flag: "--vdd", short: None, value: "S",
+    Field { key: "vdd", flag: "--vdd", short: None, value: "S", opens: Some(&[0xD1]),
         help: "L1 supply as a fraction of nominal, 0.6 to 1.1 (default 1.0;\n\
                below the sense guardband cold reads speculate and mis-senses\n\
                replay)",
         access: &Accessor::<f64>(|s| Some(s.vdd.scale), |s, x| s.vdd.scale = x) },
-    Field { key: "vdd_governor", flag: "--vdd-governor", short: None, value: "",
+    Field { key: "vdd_governor", flag: "--vdd-governor", short: None, value: "", opens: None,
         help: "per-subarray guardband ladder: escalate toward nominal on\n\
                replay storms, relax when clean, pin after repeated escalation",
         access: &Accessor::<bool>(|s| Some(s.vdd.governor), |s, b| s.vdd.governor = b) },
@@ -145,34 +153,84 @@ trait Value: FromStr<Err: Display> + Display {
     fn check(self) -> Result<Self, String> {
         Ok(self)
     }
+    /// Appends the value's key words, laid out as the key has always been:
+    /// a byte for a `u8`, a flag or a tag, 8 little-endian bytes for an
+    /// integer or a float's bits.
+    fn key(&self, out: &mut Vec<u8>);
 }
 
 impl Value for PolicyKind {
     const JSON: JsonType = JsonType::String;
+    /// Its tag, then its parameters. Tag 6 named leakage-biased bitlines, a
+    /// copy of the oracle; it stays unused so no other policy's key can
+    /// collide with an old one.
+    fn key(&self, out: &mut Vec<u8>) {
+        let (tag, param, slack) = match *self {
+            PolicyKind::StaticPullUp => (0, None, None),
+            PolicyKind::Oracle => (1, None, None),
+            PolicyKind::OnDemand => (2, None, None),
+            PolicyKind::Gated { threshold } => (3, Some(threshold), None),
+            PolicyKind::GatedPredecode { threshold } => (4, Some(threshold), None),
+            PolicyKind::AdaptiveGated { interval_accesses } => (5, Some(interval_accesses), None),
+            PolicyKind::Drowsy { threshold } => (7, Some(threshold), None),
+            PolicyKind::Resizable { interval_accesses, slack } => {
+                (8, Some(interval_accesses), Some(slack))
+            }
+            PolicyKind::LocalityRecorder => (9, None, None),
+        };
+        out.push(tag);
+        if let Some(param) = param {
+            param.key(out);
+        }
+        if let Some(slack) = slack {
+            slack.key(out);
+        }
+    }
 }
 
 impl Value for LeakageKind {
     const JSON: JsonType = JsonType::String;
+    fn key(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
 }
 
 impl Value for u64 {
     const JSON: JsonType = JsonType::Unsigned;
+    fn key(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
 }
 
 impl Value for usize {
     const JSON: JsonType = JsonType::Unsigned;
+    fn key(&self, out: &mut Vec<u8>) {
+        (*self as u64).key(out);
+    }
 }
 
 impl Value for u8 {
     const JSON: JsonType = JsonType::Unsigned;
+    fn key(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
 }
 
 impl Value for NonZeroU64 {
     const JSON: JsonType = JsonType::Unsigned;
+    /// A presence byte, then the value: an unset one writes the byte 0
+    /// alone ([`Access::key`]).
+    fn key(&self, out: &mut Vec<u8>) {
+        out.push(1);
+        self.get().key(out);
+    }
 }
 
 impl Value for bool {
     const JSON: JsonType = JsonType::Boolean;
+    fn key(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
 }
 
 impl Value for f64 {
@@ -186,6 +244,9 @@ impl Value for f64 {
             Err(format!("must be finite, got {self}"))
         }
     }
+    fn key(&self, out: &mut Vec<u8>) {
+        self.to_bits().key(out);
+    }
 }
 
 /// A row's typed access, erased so rows of different types share a table.
@@ -194,6 +255,9 @@ trait Access {
     fn set(&self, spec: &mut SystemSpec, text: &str) -> Result<(), String>;
     /// The field's text form; `None` for an unset optional.
     fn text(&self, spec: &SystemSpec) -> Option<String>;
+    /// Appends the field's key words ([`Value::key`]); an unset optional
+    /// writes the byte 0.
+    fn key(&self, spec: &SystemSpec, out: &mut Vec<u8>);
 }
 
 /// Getter and setter of one field.
@@ -210,6 +274,12 @@ impl<T: Value> Access for Accessor<T> {
     }
     fn text(&self, spec: &SystemSpec) -> Option<String> {
         (self.0)(spec).map(|v| v.to_string())
+    }
+    fn key(&self, spec: &SystemSpec, out: &mut Vec<u8>) {
+        match (self.0)(spec) {
+            Some(value) => value.key(out),
+            None => out.push(0),
+        }
     }
 }
 
@@ -283,6 +353,30 @@ impl Assignments {
 pub fn canonical_text(spec: &SystemSpec) -> String {
     let pairs = FIELDS.iter().filter_map(|f| Some(format!("{}={}", f.key, f.access.text(spec)?)));
     pairs.collect::<Vec<_>>().join(" ")
+}
+
+/// The words [`spec_key`](crate::checkpoint::spec_key) hashes: every
+/// row's key words in table order, in the blocks the rows open. The first
+/// block is always written; a later one, led by its tag, only when its
+/// words differ from [`SystemSpec::default`]'s, so a new axis moves no
+/// existing key.
+pub(crate) fn key_words(spec: &SystemSpec) -> Vec<u8> {
+    let default = SystemSpec::default();
+    let mut out = Vec::new();
+    for (i, block) in FIELDS.chunk_by(|_, row| row.opens.is_none()).enumerate() {
+        let words = |spec: &SystemSpec| {
+            let mut words = block[0].opens.unwrap_or_default().to_vec();
+            for row in block {
+                row.access.key(spec, &mut words);
+            }
+            words
+        };
+        let own = words(spec);
+        if i == 0 || own != words(&default) {
+            out.extend(own);
+        }
+    }
+    out
 }
 
 /// Reads [`canonical_text`] back over [`SystemSpec::default`] through the
@@ -527,8 +621,128 @@ mod tests {
             )
     }
 
+    /// A key word as `checkpoint.rs` wrote it by hand before the table
+    /// wrote the key: a byte for a `u8` or a flag, 8 little-endian bytes for
+    /// an integer or a float's bits, a presence byte before an option's
+    /// value.
+    trait KeyWord {
+        fn word(&self, out: &mut Vec<u8>);
+    }
+
+    impl KeyWord for u8 {
+        fn word(&self, out: &mut Vec<u8>) {
+            out.push(*self);
+        }
+    }
+
+    impl KeyWord for bool {
+        fn word(&self, out: &mut Vec<u8>) {
+            u8::from(*self).word(out);
+        }
+    }
+
+    impl KeyWord for u64 {
+        fn word(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+    }
+
+    impl KeyWord for f64 {
+        fn word(&self, out: &mut Vec<u8>) {
+            self.to_bits().word(out);
+        }
+    }
+
+    impl<T: KeyWord> KeyWord for Option<T> {
+        fn word(&self, out: &mut Vec<u8>) {
+            self.is_some().word(out);
+            if let Some(v) = self {
+                v.word(out);
+            }
+        }
+    }
+
+    /// A policy's reference key words: its tag, then its parameters.
+    fn reference_policy(out: &mut Vec<u8>, p: PolicyKind) {
+        match p {
+            PolicyKind::StaticPullUp => 0_u8.word(out),
+            PolicyKind::Oracle => 1_u8.word(out),
+            PolicyKind::OnDemand => 2_u8.word(out),
+            PolicyKind::Gated { threshold } => {
+                3_u8.word(out);
+                threshold.word(out);
+            }
+            PolicyKind::GatedPredecode { threshold } => {
+                4_u8.word(out);
+                threshold.word(out);
+            }
+            PolicyKind::AdaptiveGated { interval_accesses } => {
+                5_u8.word(out);
+                interval_accesses.word(out);
+            }
+            PolicyKind::Drowsy { threshold } => {
+                7_u8.word(out);
+                threshold.word(out);
+            }
+            PolicyKind::Resizable { interval_accesses, slack } => {
+                8_u8.word(out);
+                interval_accesses.word(out);
+                slack.word(out);
+            }
+            PolicyKind::LocalityRecorder => 9_u8.word(out),
+        }
+    }
+
+    /// The key words as the hand-kept encoder laid them out: the original
+    /// fields in a fixed layout, then the hierarchy block when the
+    /// hierarchy is not the default, then the supply block, led by `0xD1`,
+    /// when the supply is not nominal.
+    fn reference_key_words(s: &SystemSpec) -> Vec<u8> {
+        let mut out = Vec::new();
+        reference_policy(&mut out, s.d_policy);
+        reference_policy(&mut out, s.i_policy);
+        (s.subarray_bytes as u64).word(&mut out);
+        s.instructions.word(&mut out);
+        s.seed.word(&mut out);
+        s.way_prediction.word(&mut out);
+        s.faults.rate.word(&mut out);
+        s.faults.seed.word(&mut out);
+        s.faults.fail_safe.word(&mut out);
+        s.faults.ecc.word(&mut out);
+        s.faults.scrub_period.word(&mut out);
+        if s.hierarchy != HierarchySpec::default() {
+            let h = &s.hierarchy;
+            h.levels.word(&mut out);
+            reference_policy(&mut out, h.l2_policy);
+            let mode: u8 = match h.leakage_mode {
+                LeakageKind::FullVdd => 0,
+                LeakageKind::Drowsy => 1,
+                LeakageKind::GatedVdd => 2,
+                LeakageKind::LowPower6T => 3,
+            };
+            mode.word(&mut out);
+        }
+        if !s.vdd.is_default() {
+            0xD1_u8.word(&mut out);
+            s.vdd.scale.word(&mut out);
+            s.vdd.governor.word(&mut out);
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The table writes the key the hand-kept encoder wrote, word for
+        /// word. Only a zero scrub period, which writes as an unset one,
+        /// can differ, and `validate` refuses it before any key is
+        /// computed.
+        #[test]
+        fn the_table_writes_the_reference_key_words(spec in any_spec()) {
+            if spec.faults.scrub_period != Some(0) {
+                prop_assert_eq!(key_words(&spec), reference_key_words(&spec));
+            }
+        }
+
         /// Every spec `validate` admits reads back from its text bit for
         /// bit, so the text names the spec alone and can key the run cache.
         #[test]

@@ -69,8 +69,9 @@ pub fn ambient_token() -> CancelToken {
 }
 
 /// Parses a human duration: `250ms`, `2s`, `1m`, or a bare number of
-/// seconds. Zero is rejected (it would cancel every run before it starts;
-/// use no flag at all for "unbounded").
+/// seconds. Zero, or anything under 1 ns, is rejected (a zero budget reads
+/// as unset in one place and cancels every run before it starts in
+/// another; use no flag at all for "unbounded").
 ///
 /// # Errors
 ///
@@ -90,11 +91,13 @@ pub fn parse_budget(s: &str) -> Result<Duration, String> {
         .trim()
         .parse()
         .map_err(|_| format!("invalid duration `{s}` (use e.g. 250ms, 2s, 1m)"))?;
-    if n <= 0.0 || !n.is_finite() {
+    // `as` saturates: a negative, NaN or sub-nanosecond budget gives 0.
+    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    let nanos = (n * scale_ms as f64 * 1.0e6) as u64;
+    if nanos == 0 || !n.is_finite() {
         return Err(format!("duration `{s}` must be positive"));
     }
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    Ok(Duration::from_nanos((n * scale_ms as f64 * 1.0e6) as u64))
+    Ok(Duration::from_nanos(nanos))
 }
 
 #[cfg(test)]
@@ -116,6 +119,10 @@ mod tests {
         assert!(parse_budget("0").is_err());
         assert!(parse_budget("-1s").is_err());
         assert!(parse_budget("").is_err());
+        // Under 1 ns, a budget rounds to zero and is refused as zero is.
+        let zero = parse_budget("0").unwrap_err();
+        let tiny = parse_budget("0.0000001ms").unwrap_err();
+        assert_eq!(tiny.replace("0.0000001ms", "0"), zero);
     }
 
     #[test]

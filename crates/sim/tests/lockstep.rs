@@ -92,6 +92,8 @@ fn a_pair_holds_two_segments_however_long_it_runs() {
         let e = run(&dir, &["-b", "gcc", "-p", "gated-predecode:100", "-i", instrs]);
         assert_eq!(e.get("sim.runner.runs"), 2);
         assert_eq!(e.get("exec.traces.streams"), 1);
+        assert_eq!(e.get("exec.traces.windows"), 1);
+        assert_eq!(e.get("exec.traces.retained_peak_bytes"), 0, "a window retains no stream");
         assert_eq!(e.get("exec.traces.window_peak_segments"), 2, "-i {instrs}");
         let bytes = e.get("exec.traces.window_peak_bytes");
         assert!(bytes > 0 && bytes <= 2 * 8 * 4096, "{bytes} B in two segments");
@@ -111,6 +113,7 @@ fn a_suite_sweep_counts_its_windows_as_shared_traces_at_any_job_count() {
     let peak_bytes = ["1", "2"].map(|jobs| {
         let e = run(&dir, &["-b", "all", "-i", "2000", "-j", jobs]);
         assert_eq!(e.get("exec.traces.streams"), 16);
+        assert_eq!(e.get("exec.traces.windows"), 16);
         assert_eq!(e.get("exec.traces.materialised"), 16 * 4096);
         assert_eq!(e.get("exec.traces.window_peak_segments"), 1, "2 000 instructions fit one");
         assert!(
